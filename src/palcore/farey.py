@@ -2,15 +2,21 @@
 
 Reduced slopes p/q (including 1/0) index primitive classes of the rank-2
 free group through the Stern-Brocot tree. Each slope carries a preferred
-representative word e_{p/q} with q letters a and p letters b:
+representative word e_{p/q} with q letters a and p letters b. The roots
+are e_{0/1} = a and e_{1/0} = b; every other slope with Farey parents
+lo < hi is built from its parents' words (Gilman-Keen, "Enumerating
+palindromes and primitives in rank two free groups", J. Algebra 2011):
 
-- pq even: the unique palindromic rotation of the Christoffel word;
-- pq odd: the product of the parent representatives in ascending slope
-  order, which factors e_{p/q} into two palindromes.
+- pq odd: e_{p/q} = e_lo e_hi, whose factors are both palindromes, so
+  this is the palindromic factorization of e_{p/q};
+- pq even: e_{p/q} = e_hi e_lo, a palindrome. It is the only palindromic
+  rotation of the Christoffel word: a second one would make the
+  odd-length primitive word a proper power.
 
-Every constructed word is checked at runtime to be cyclically equivalent
-to the Christoffel word of its slope; a failure raises SchemeViolation
-rather than silently repairing the scheme.
+Every constructed word is checked at runtime to have the shape its parity
+promises and to be cyclically equivalent to the Christoffel word of its
+slope; a failure raises SchemeViolation rather than silently repairing the
+scheme.
 """
 from __future__ import annotations
 
@@ -37,16 +43,17 @@ def validate_slope(p: int, q: int) -> None:
         raise InvalidRational(f"{p}/{q} is not in lowest terms")
 
 
-def _descend(p: int, q: int) -> tuple[Slope, Slope, int]:
+def _descend(p: int, q: int) -> tuple[Slope, Slope, list[Slope]]:
     """Stern-Brocot descent to p/q: returns (lower parent, upper parent,
-    tree depth), where the roots 0/1 and 1/0 have depth 0."""
+    path), where path lists the mediants passed on the way from the roots,
+    shallowest first; the tree depth of p/q is len(path) + 1."""
     lo, hi = (0, 1), (1, 0)
-    steps = 0
+    path: list[Slope] = []
     while True:
-        steps += 1
         mp, mq = lo[0] + hi[0], lo[1] + hi[1]
         if (mp, mq) == (p, q):
-            return lo, hi, steps
+            return lo, hi, path
+        path.append((mp, mq))
         if p * mq > mp * q:
             lo = (mp, mq)
         else:
@@ -72,7 +79,7 @@ def slope_depth(p: int, q: int) -> int:
     validate_slope(p, q)
     if (p, q) in ((0, 1), (1, 0)):
         return 0
-    return _descend(p, q)[2]
+    return len(_descend(p, q)[2]) + 1
 
 
 def christoffel(p: int, q: int) -> Word:
@@ -87,11 +94,6 @@ def christoffel(p: int, q: int) -> Word:
         2 if (k * p) // n > ((k - 1) * p) // n else 1 for k in range(1, n + 1)
     )
     return Word(letters)
-
-
-def _rotations(w: Word) -> list[Word]:
-    n = len(w)
-    return [Word(w.letters[i:] + w.letters[:i]) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -122,18 +124,19 @@ def primitive_word(p: int, q: int) -> FareyNode:
     base = christoffel(p, q)
     if (p, q) == (0, 1) or (p, q) == (1, 0):
         return FareyNode(p, q, 0, None, base, None)
-    lo, hi, depth = _descend(p, q)
+    lo, hi, path = _descend(p, q)
+    # shallowest first, so that every call finds its parents memoized and
+    # the recursion stays one level deep however deep p/q lies
+    for slope in path:
+        primitive_word(*slope)
+    left = primitive_word(*lo).word
+    right = primitive_word(*hi).word
     if (p * q) % 2 == 0:
-        pals = [rot for rot in _rotations(base) if is_palindrome(rot)]
-        if len(pals) != 1:
-            raise SchemeViolation(
-                f"{p}/{q}: expected exactly one palindromic rotation, found {len(pals)}"
-            )
-        word = pals[0]
+        word = right * left
+        if not is_palindrome(word):
+            raise SchemeViolation(f"{p}/{q}: parent product {word} is not a palindrome")
         factorization = None
     else:
-        left = primitive_word(*lo).word
-        right = primitive_word(*hi).word
         if not (is_palindrome(left) and is_palindrome(right)):
             raise SchemeViolation(f"{p}/{q}: parent words are not both palindromic")
         word = left * right
@@ -142,7 +145,7 @@ def primitive_word(p: int, q: int) -> FareyNode:
         raise SchemeViolation(
             f"{p}/{q}: representative {word} is not conjugate to Christoffel {base}"
         )
-    return FareyNode(p, q, depth, (lo, hi), word, factorization)
+    return FareyNode(p, q, len(path) + 1, (lo, hi), word, factorization)
 
 
 def are_associates(s1: Slope, s2: Slope) -> bool:

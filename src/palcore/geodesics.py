@@ -62,10 +62,6 @@ class Geodesic:
     def endpoints(self) -> tuple[BoundaryPoint, BoundaryPoint]:
         return (self.e1, self.e2)
 
-    def separation(self) -> float:
-        """Chordal distance between the two endpoints."""
-        return chordal_distance(self.e1, self.e2)
-
     def to_json(self) -> dict:
         return {"e1": boundary_to_json(self.e1), "e2": boundary_to_json(self.e2)}
 

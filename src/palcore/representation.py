@@ -43,13 +43,7 @@ from .sl2c import (
     matrix_from_json,
     normalize,
 )
-from .words import (
-    Word,
-    elliptic_power_factorization,  # noqa: F401  (re-exported; pure word op)
-    evaluate,
-    is_palindrome,
-    reverse,
-)
+from .words import Word, evaluate, is_palindrome, reverse
 
 PALINDROME_WORD = "palindrome-word"
 PALINDROME_PAIR = "palindrome-pair"
@@ -181,14 +175,14 @@ def _scale_pin(a0: GroupElement, b0: GroupElement, tol: Tolerances) -> GroupElem
 def build(a_raw, b_raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Representation:
     """Construct a Representation from two matrices.
 
-    Inputs may be GroupElements, 2x2 row sequences, or flat 4-sequences;
-    they are normalized to determinant 1. Raises ElementaryGroup when the
+    Inputs are GroupElements of any nonzero determinant; they are
+    normalized to determinant 1. Raises ElementaryGroup when the
     generator axes share an endpoint (including equal or inverse
     generators and an identity generator), SingularMatrix for degenerate
     input.
     """
-    A = normalize(_as_element(a_raw), tol)
-    B = normalize(_as_element(b_raw), tol)
+    A = normalize(a_raw, tol)
+    B = normalize(b_raw, tol)
     ax_a = _generator_axis(A, tol)
     ax_b = _generator_axis(B, tol)
     try:
@@ -209,19 +203,6 @@ def build(a_raw, b_raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Representation:
         norm_B=normalize(nmap * B * nmap.inverse(), tol),
         tol=tol,
     )
-
-
-def _as_element(raw) -> GroupElement:
-    if isinstance(raw, GroupElement):
-        return raw
-    seq = list(raw)
-    if len(seq) == 2:
-        (a, b), (c, d) = seq
-        return GroupElement(complex(a), complex(b), complex(c), complex(d))
-    if len(seq) == 4:
-        a, b, c, d = seq
-        return GroupElement(complex(a), complex(b), complex(c), complex(d))
-    raise ValueError(f"cannot interpret {raw!r} as a 2x2 matrix")
 
 
 def rep_from_json(obj: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> Representation:
@@ -261,7 +242,9 @@ def _crossing_position(m: GroupElement, eps: float, tol: Tolerances) -> float:
     s = 0.5 * math.log(abs(ratio))
     tr = m.trace()
     disc = tr * tr - 4  # unimodular input
-    if abs(disc) > _DISC_GATE * max(1.0, abs(tr) ** 2):
+    # a product, not ** 2: float ** raises OverflowError past |tr| ~ 1.3e154,
+    # while the product overflows to inf and the cross-check is skipped
+    if abs(disc) > _DISC_GATE * max(1.0, abs(tr) * abs(tr)):
         x, y = fixed_points(m, tol)
         if x is INFINITY or y is INFINITY or x == 0 or y == 0:
             raise OrthogonalityViolation("quadratic solve put an endpoint on a core end")
@@ -372,10 +355,10 @@ def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:
     pal = reverse(w) * w
     if not pal:
         raise TrivialPalindromization("empty word palindromizes to the identity")
-    m = rep.evaluate_normalized(pal)
-    if is_identity(m, rep.tol.classify):
-        raise TrivialPalindromization(f"{w!r} palindromizes to the identity")
-    return pal, pi_of_palindrome(rep, pal)
+    try:
+        return pal, pi_of_palindrome(rep, pal)
+    except IdentityImage as exc:
+        raise TrivialPalindromization(f"{w!r} palindromizes to the identity") from exc
 
 
 class Hexagon(tuple):

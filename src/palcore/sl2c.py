@@ -114,16 +114,6 @@ class GroupElement:
             "d": [self.d.real, self.d.imag],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GroupElement":
-        def parse(v) -> complex:
-            if isinstance(v, (int, float)):
-                return complex(v)
-            re, im = v
-            return complex(re, im)
-
-        return cls(parse(obj["a"]), parse(obj["b"]), parse(obj["c"]), parse(obj["d"]))
-
 
 def normalize(
     m: GroupElement | tuple, tol: Tolerances = DEFAULT_TOLERANCES
@@ -214,6 +204,14 @@ def fixed_points(
     return tuple(sorted((r1, r2), key=boundary_key))
 
 
+def _complex_from_json(v) -> complex:
+    """A JSON entry: a real number or an [re, im] pair."""
+    if isinstance(v, (int, float)):
+        return complex(v)
+    re, im = v
+    return complex(re, im)
+
+
 def matrix_from_json(obj) -> GroupElement:
     """Parse a matrix from JSON data.
 
@@ -221,19 +219,14 @@ def matrix_from_json(obj) -> GroupElement:
     form [[a, b], [c, d]]; each entry is a real number or an [re, im] pair.
     """
     if isinstance(obj, dict):
-        return GroupElement.from_json(obj)
-    rows = list(obj)
-    if len(rows) != 2 or any(len(list(r)) != 2 for r in rows):
-        raise ValueError(f"matrix JSON must be 2x2 rows or an entry map: {obj!r}")
-
-    def entry(v) -> complex:
-        if isinstance(v, (int, float)):
-            return complex(v)
-        re, im = v
-        return complex(re, im)
-
-    (a, b), (c, d) = rows
-    return GroupElement(entry(a), entry(b), entry(c), entry(d))
+        entries = (obj[k] for k in "abcd")
+    else:
+        rows = list(obj)
+        if len(rows) != 2 or any(len(list(r)) != 2 for r in rows):
+            raise ValueError(f"matrix JSON must be 2x2 rows or an entry map: {obj!r}")
+        (a, b), (c, d) = rows
+        entries = (a, b, c, d)
+    return GroupElement(*(_complex_from_json(v) for v in entries))
 
 
 def boundary_to_json(z: BoundaryPoint) -> list | str:
@@ -245,7 +238,4 @@ def boundary_to_json(z: BoundaryPoint) -> list | str:
 def boundary_from_json(v) -> BoundaryPoint:
     if v == "inf":
         return INFINITY
-    if isinstance(v, (int, float)):
-        return complex(v)
-    re, im = v
-    return complex(re, im)
+    return _complex_from_json(v)

@@ -144,11 +144,9 @@ def cyclically_equal(u: Word, v: Word) -> bool:
     cv = cyclic_reduce(v).letters
     if len(cu) != len(cv):
         return False
-    if not cu:
-        return True
-    doubled = cu + cu
-    n = len(cu)
-    return any(doubled[i : i + n] == cv for i in range(n))
+    # substring search on byte strings (letter + 2 is 0, 1, 3 or 4) keeps
+    # this linear in the word length
+    return bytes(x + 2 for x in cv) in bytes(x + 2 for x in cu + cu)
 
 
 class NielsenResult(NamedTuple):

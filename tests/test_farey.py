@@ -122,12 +122,22 @@ class TestPrimitiveWord:
 
     def test_palindromic_rotation_is_unique(self):
         # pq even: exactly one rotation of the Christoffel word reads the
-        # same both ways
-        for p, q in ((2, 5), (4, 9), (1, 6), (8, 3)):
-            w = christoffel(p, q).letters
+        # same both ways, and the parent recursion builds that rotation
+        even = [n for n in enumerate_farey(11) if (n.p * n.q) % 2 == 0]
+        assert len(even) == 1366
+        for node in even:
+            w = christoffel(node.p, node.q).letters
             rotations = {w[i:] + w[:i] for i in range(len(w))}
-            count = sum(1 for r in rotations if r == tuple(reversed(r)))
-            assert count == 1
+            pals = [r for r in rotations if r == tuple(reversed(r))]
+            assert len(pals) == 1, (node.p, node.q)
+            assert primitive_word(node.p, node.q).word.letters == pals[0]
+
+    def test_deep_slope_needs_no_deep_recursion(self):
+        # 1/1200 lies 1200 mediant steps down, beyond the interpreter's
+        # recursion limit if each word recursed into its parents cold
+        node = primitive_word(1, 1200)
+        assert node.depth == 1200
+        assert str(node.word) == "a" * 600 + "b" + "a" * 600
 
     def test_node_metadata(self):
         node = primitive_word(3, 5)

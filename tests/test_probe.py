@@ -40,6 +40,12 @@ class TestSpectrum:
         # breakdowns only appear deep in the tree
         assert all(e.p + e.q >= 16 for e in errs)
 
+    def test_traces_beyond_float_square_are_not_fatal(self, schottky):
+        # depth 12 reaches images with |tr| above 1e154
+        entries = pi_spectrum(schottky, 12)
+        assert len(entries) == 2**12 + 1
+        assert all((e.image is None) != (e.error is None) for e in entries)
+
     def test_determinism(self, rep1):
         a = [e.to_json() for e in pi_spectrum(rep1, 5)]
         b = [e.to_json() for e in pi_spectrum(rep1, 5)]

@@ -288,3 +288,8 @@ class TestRationalPi:
         # positions live on the core; different slopes give distinct points
         vals = {pq: rational_pi(rep1, *pq).s for pq in ((0, 1), (1, 0), (1, 1))}
         assert vals[(0, 1)] < vals[(1, 1)] < vals[(1, 0)]
+
+    def test_trace_beyond_float_square_gives_finite_position(self, schottky):
+        # the palindrome image of 212/89 has |tr| above 1e154, whose float
+        # square overflows; the conditioning gate must not raise
+        assert math.isfinite(rational_pi(schottky, 212, 89).s)
