@@ -350,13 +350,15 @@ def witness_search(
     for c in vocabulary:
         c_inv = c.inverse()
         for d in vocabulary:
-            conj_left = Word()
+            conj_left = conj_right = Word()
             for n in range(1, max_conj_power + 1):
                 conj_left = conj_left * c
-                u = conj_left * d * (c_inv ** n)
+                conj_right = conj_right * c_inv
+                u = conj_left * d * conj_right
                 if not u:
                     continue
-                for pal in (u * reverse(u), reverse(u) * u):
+                u_rev = reverse(u)
+                for pal in (u * u_rev, u_rev * u):
                     if not pal:
                         continue
                     try:

@@ -292,9 +292,9 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     if not is_palindrome(w):
         raise NotPalindrome(f"{w!r} is not a palindrome")
     m = rep.evaluate_normalized(w)
-    if is_identity(m, rep.tol.classify):
-        raise IdentityImage(f"{w!r} evaluates to the identity")
     kind = classify(m, rep.tol)
+    if kind == "identity":
+        raise IdentityImage(f"{w!r} evaluates to the identity")
     eps = rep.tol.geo_scaled(len(w))
     if kind == "parabolic":
         return PiImage(_parabolic_end(m, eps), PARABOLIC_END, str(w), kind)

@@ -151,7 +151,11 @@ def psl_equal(
 
 
 def is_identity(g: GroupElement, eps: float = DEFAULT_TOLERANCES.classify) -> bool:
-    return psl_distance(g, GroupElement.identity()) <= eps
+    """psl_distance(g, identity) <= eps, with the distance taken inline."""
+    a, b, c, d = g.a, g.b, g.c, g.d
+    direct = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
+    flipped = max(abs(a + 1), abs(b), abs(c), abs(d + 1))
+    return min(direct, flipped) <= eps
 
 
 def classify(g: GroupElement, tol: Tolerances = DEFAULT_TOLERANCES) -> str:

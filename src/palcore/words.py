@@ -8,12 +8,15 @@ e.g. "abA" = a b a^-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import add
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotPalindrome, SchemeViolation
 from .sl2c import GroupElement
 
 LETTERS = (1, -1, 2, -2)
+_VALID_LETTERS = frozenset(LETTERS)
 
 
 def _reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:
@@ -24,6 +27,22 @@ def _reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:
         else:
             out.append(x)
     return tuple(out)
+
+
+def _strip_inverse_ends(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Drop the matching inverse letter pairs from the two ends, in one slice."""
+    n = len(letters)
+    k = 0
+    while n - 2 * k >= 2 and letters[k] == -letters[n - 1 - k]:
+        k += 1
+    return letters[k:n - k]
+
+
+@lru_cache(maxsize=64)
+def _letter_table(labels: tuple[str, str]) -> dict[int, str]:
+    """Display character of each letter: the label, uppercased for inverses."""
+    a, b = labels
+    return {1: a, -1: a.upper(), 2: b, -2: b.upper()}
 
 
 @dataclass(frozen=True)
@@ -38,10 +57,20 @@ class Word:
     labels: tuple[str, str] = ("a", "b")
 
     def __post_init__(self) -> None:
-        for x in self.letters:
-            if x not in (1, -1, 2, -2):
-                raise ValueError(f"invalid letter {x!r}")
-        object.__setattr__(self, "letters", _reduce_letters(self.letters))
+        letters = tuple(self.letters)
+        try:
+            valid = _VALID_LETTERS.issuperset(letters)
+        except TypeError:  # an unhashable letter
+            valid = False
+        if not valid:
+            for x in letters:
+                if x not in LETTERS:
+                    raise ValueError(f"invalid letter {x!r}")
+        # reduced forms are unique, so a sequence with no adjacent inverse
+        # pair is already the stored form
+        if 0 in map(add, letters, letters[1:]):
+            letters = _reduce_letters(letters)
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -60,20 +89,13 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word((), self.labels)
-        for _ in range(n):
-            out = out * self
-        return out
+        return Word(self.letters * n, self.labels)
 
     def inverse(self) -> "Word":
         return Word(tuple(-x for x in reversed(self.letters)), self.labels)
 
     def __str__(self) -> str:
-        chars = []
-        for x in self.letters:
-            lab = self.labels[abs(x) - 1]
-            chars.append(lab if x > 0 else lab.upper())
-        return "".join(chars)
+        return "".join(map(_letter_table(self.labels).__getitem__, self.letters))
 
     def __repr__(self) -> str:
         return f"Word({str(self) or 'identity'})"
@@ -122,20 +144,26 @@ def abelianize(w: Word) -> AbelianImage:
 
 
 def evaluate(w: Word, A: GroupElement, B: GroupElement) -> GroupElement:
-    """Homomorphic image of w under a -> A, b -> B."""
-    table = {1: A, -1: A.inverse(), 2: B, -2: B.inverse()}
-    out = GroupElement.identity()
-    for x in w.letters:
-        out = out * table[x]
-    return out
+    """Homomorphic image of w under a -> A, b -> B.
+
+    A left-to-right fold from the identity, never renormalized: each step
+    is GroupElement.__mul__ of the running product and the next letter's
+    matrix, with the same formula and operand order, carried in local
+    variables so that only the result is built as a GroupElement.
+    """
+    table = {
+        1: A.entries(), -1: A.inverse().entries(),
+        2: B.entries(), -2: B.inverse().entries(),
+    }
+    a, b, c, d = GroupElement.identity().entries()
+    for e, f, g, h in map(table.__getitem__, w.letters):
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return GroupElement(a, b, c, d)
 
 
 def cyclic_reduce(w: Word) -> Word:
     """Strip matching inverse letters from the two ends until none remain."""
-    letters = list(w.letters)
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
-    return Word(tuple(letters), w.labels)
+    return Word(_strip_inverse_ends(w.letters), w.labels)
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:
@@ -146,7 +174,11 @@ def cyclically_equal(u: Word, v: Word) -> bool:
         return False
     # substring search on byte strings (letter + 2 is 0, 1, 3 or 4) keeps
     # this linear in the word length
-    return bytes(x + 2 for x in cv) in bytes(x + 2 for x in cu + cu)
+    return _to_bytes(cv) in _to_bytes(cu + cu)
+
+
+def _to_bytes(letters: tuple[int, ...]) -> bytes:
+    return bytes(map((2).__add__, letters))
 
 
 class NielsenResult(NamedTuple):
@@ -212,10 +244,7 @@ def _cyclic_length_after(letters: tuple[int, ...], sub: dict[int, tuple[int, ...
     out: list[int] = []
     for t in letters:
         out.extend(sub[t])
-    reduced = list(_reduce_letters(out))
-    while len(reduced) >= 2 and reduced[0] == -reduced[-1]:
-        reduced = reduced[1:-1]
-    return tuple(reduced)
+    return _strip_inverse_ends(_reduce_letters(out))
 
 
 def is_primitive(w: Word) -> bool:

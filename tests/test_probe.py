@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -22,7 +23,8 @@ from palcore.probe import (
     spectrum_to_csv,
     witness_search,
 )
-from palcore.words import is_palindrome, parse
+from palcore.representation import PALINDROME_WORD, PiImage
+from palcore.words import Word, is_palindrome, parse, reduced_words, reverse
 
 
 class TestSpectrum:
@@ -179,6 +181,37 @@ class TestWitnessSearch:
 
     def test_none_when_threshold_unreachable(self, rep1):
         assert witness_search(rep1, 2, 1, s_escape=50.0) is None
+
+    def test_visits_the_conjugate_push_palindromes_in_order(self, mu_half, monkeypatch):
+        # The candidates must reach pi_of_palindrome(rep, word) through the
+        # palcore.probe module name, one call each, in the order of the
+        # C^n D C^-n construction with C^-n taken as a power.
+        seen = []
+
+        def recorder(rep, word, /):
+            assert rep is mu_half
+            seen.append(word)
+            return PiImage(0.0, PALINDROME_WORD, str(word))
+
+        monkeypatch.setattr(sys.modules["palcore.probe"], "pi_of_palindrome", recorder)
+        assert witness_search(mu_half, 4, 2) is None
+
+        expected = []
+        vocabulary = list(reduced_words(2))
+        for c in vocabulary:
+            c_inv = c.inverse()
+            for d in vocabulary:
+                conj_left = Word()
+                for n in range(1, 5):
+                    conj_left = conj_left * c
+                    u = conj_left * d * (c_inv ** n)
+                    if not u:
+                        continue
+                    for pal in (u * reverse(u), reverse(u) * u):
+                        if pal:
+                            expected.append(pal)
+        assert len(expected) == 16 * 16 * 4 * 2  # 16 words of length <= 2
+        assert seen == expected
 
     def test_caps_must_be_positive(self, rep1):
         with pytest.raises(ValueError):

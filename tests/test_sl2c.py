@@ -29,6 +29,27 @@ from palcore.sl2c import (
 from .conftest import loxodromic_between, random_loxodromic, random_mobius
 
 
+def _reference_is_identity(g, eps):
+    """is_identity as it was: the distance to a built identity element."""
+    return psl_distance(g, GroupElement.identity()) <= eps
+
+
+_complex_st = st.complex_numbers(allow_nan=True, allow_infinity=True)
+_matrix_st = st.builds(GroupElement, _complex_st, _complex_st, _complex_st, _complex_st)
+# perturbations around the default classify band 1e-9, signed zeros included
+_perturbation_st = st.one_of(
+    st.just(0j),
+    st.just(complex(-0.0, -0.0)),
+    st.complex_numbers(max_magnitude=1e-6),
+    st.builds(
+        complex,
+        st.floats(-3e-9, 3e-9),
+        st.floats(-3e-9, 3e-9),
+    ),
+)
+_eps_st = st.sampled_from((0.0, 1e-12, TOL.classify, 2e-9, 1e-6, float("inf")))
+
+
 class TestAlgebra:
     def test_identity_element(self):
         e = GroupElement.identity()
@@ -98,6 +119,21 @@ class TestProjectiveEquality:
         assert is_identity(GroupElement.identity(), 1e-12)
         assert is_identity(-GroupElement.identity(), 1e-12)
         assert not is_identity(GroupElement(1, 1e-3, 0, 1), 1e-12)
+
+    @given(_matrix_st, _eps_st)
+    def test_is_identity_matches_reference_on_any_matrix(self, g, eps):
+        assert is_identity(g, eps) == _reference_is_identity(g, eps)
+
+    @given(st.sampled_from((1, -1)), _perturbation_st, _perturbation_st,
+           _perturbation_st, _perturbation_st, _eps_st)
+    def test_is_identity_matches_reference_near_identity(
+        self, sign, da, db, dc, dd, eps
+    ):
+        g = GroupElement(sign + da, db, dc, sign + dd)
+        assert is_identity(g, eps) == _reference_is_identity(g, eps)
+        # the distance itself is the sharpest threshold: equal at the boundary
+        dist = psl_distance(g, GroupElement.identity())
+        assert is_identity(g, dist) == _reference_is_identity(g, dist)
 
 
 class TestClassify:

@@ -1,6 +1,7 @@
 """Word layer: free reduction, reversal, palindromes, Nielsen moves,
 primitivity, basis rewriting."""
 
+import cmath
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palcore.errors import NotPalindrome
-from palcore.sl2c import psl_distance
+from palcore.representation import build
+from palcore.sl2c import GroupElement, psl_distance
 from palcore.words import (
     IDENTITY_WORD,
     LETTERS,
@@ -30,11 +32,84 @@ from palcore.words import (
     rewrite_in_generators,
 )
 
-from .conftest import random_loxodromic, random_palindrome
+from .conftest import loxodromic_between, random_loxodromic, random_palindrome
 
 letters_st = st.sampled_from(LETTERS)
 raw_st = st.lists(letters_st, max_size=24).map(tuple)
 word_st = raw_st.map(Word)
+
+
+# Reference implementations: the letter-by-letter forms the word layer had
+# before it folded products in local variables and scanned letters at C
+# speed. The tests below demand bit-for-bit equal results from both.
+
+def _reference_evaluate(w, A, B):
+    table = {1: A, -1: A.inverse(), 2: B, -2: B.inverse()}
+    out = GroupElement.identity()
+    for x in w.letters:
+        out = out * table[x]
+    return out
+
+
+def _reference_letters(raw):
+    for x in raw:
+        if x not in (1, -1, 2, -2):
+            raise ValueError(f"invalid letter {x!r}")
+    out = []
+    for x in raw:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _reference_str(w):
+    chars = []
+    for x in w.letters:
+        lab = w.labels[abs(x) - 1]
+        chars.append(lab if x > 0 else lab.upper())
+    return "".join(chars)
+
+
+def _reference_cyclic_reduce(letters):
+    letters = list(letters)
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        letters = letters[1:-1]
+    return tuple(letters)
+
+
+def _bits(g):
+    """Every entry as the hex of its real and imaginary parts: equal bits,
+    signed zeros included."""
+    return tuple(
+        (complex(z).real.hex(), complex(z).imag.hex()) for z in g.entries()
+    )
+
+
+_MU4 = build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, 4, 1))
+_MU_HALF = build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, 0.5, 1))
+_EVALUATION_PAIRS = {
+    "mu4": (_MU4.norm_A, _MU4.norm_B),
+    "mu_half": (_MU_HALF.norm_A, _MU_HALF.norm_B),
+    "loxodromic": (
+        loxodromic_between(0.3 + 0.2j, -1.1 + 0.5j, 1.7 * cmath.exp(0.6j)),
+        loxodromic_between(2 - 1j, -0.4 - 0.9j, 1.3 * cmath.exp(-1.1j)),
+    ),
+}
+
+# raw sequences built from letters and inverse pairs, so that cancellation
+# (including cascades) is common
+_cancelling_raw_st = st.lists(
+    st.one_of(
+        letters_st.map(lambda x: (x,)),
+        letters_st.map(lambda x: (x, -x)),
+        letters_st.map(lambda x: (-x, x, x)),
+    ),
+    max_size=40,
+).map(lambda blocks: tuple(x for block in blocks for x in block))
+_labels_st = st.sampled_from((("a", "b"), ("a", "c"), ("d", "b"), ("x", "y")))
+_invalid_letter_st = st.sampled_from((0, 3, -3, 1.5, "a", None, (1,), [1]))
 
 
 class TestReduction:
@@ -68,6 +143,30 @@ class TestReduction:
         raw = (1, 1, -1, 2, -2, -1)
         assert reduce(raw).letters == Word(raw).letters
 
+    @given(_cancelling_raw_st, _labels_st)
+    def test_matches_reference_reduction(self, raw, labels):
+        w = Word(raw, labels)
+        assert w.letters == _reference_letters(raw)
+        assert type(w.letters) is tuple
+        assert w.labels == labels
+
+    @given(_cancelling_raw_st, st.data())
+    def test_invalid_letter_message_matches_reference(self, raw, data):
+        bad = data.draw(_invalid_letter_st)
+        at = data.draw(st.integers(0, len(raw)))
+        spoiled = raw[:at] + (bad,) + raw[at:]
+        with pytest.raises(ValueError) as expected:
+            _reference_letters(spoiled)
+        with pytest.raises(ValueError) as got:
+            Word(spoiled)
+        assert str(got.value) == str(expected.value)
+
+    def test_first_invalid_letter_is_named(self):
+        with pytest.raises(ValueError, match=r"invalid letter 0$"):
+            Word((1, 0, 2, 3))
+        with pytest.raises(ValueError, match=r"invalid letter \[1\]$"):
+            Word((1, -1, [1]))
+
 
 class TestParseAndFormat:
     def test_round_trip(self):
@@ -87,6 +186,11 @@ class TestParseAndFormat:
         assert w.letters == (1, -2)
         assert str(w) == "dB"
 
+    @given(_cancelling_raw_st, _labels_st)
+    def test_str_matches_letter_loop(self, raw, labels):
+        w = Word(raw, labels)
+        assert str(w) == _reference_str(w)
+
 
 class TestAlgebra:
     def test_pow(self):
@@ -94,6 +198,14 @@ class TestAlgebra:
         assert w**3 == w * w * w
         assert w**0 == IDENTITY_WORD
         assert w**-2 == (w.inverse()) * (w.inverse())
+
+    @given(word_st, st.integers(-6, 6))
+    def test_pow_matches_repeated_product(self, w, n):
+        base = w if n >= 0 else w.inverse()
+        out = Word((), w.labels)
+        for _ in range(abs(n)):
+            out = out * base
+        assert w**n == out
 
     def test_mixed_alphabets_rejected(self):
         with pytest.raises(ValueError):
@@ -152,10 +264,28 @@ class TestEvaluate:
         assert psl_distance(evaluate(parse("a"), A, B), A) < 1e-12
         assert psl_distance(evaluate(parse("B"), A, B), B.inverse()) < 1e-12
 
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(sorted(_EVALUATION_PAIRS)),
+        st.lists(letters_st, max_size=200).map(Word),
+    )
+    def test_bit_identical_to_element_fold(self, pair, w):
+        A, B = _EVALUATION_PAIRS[pair]
+        assert _bits(evaluate(w, A, B)) == _bits(_reference_evaluate(w, A, B))
+
 
 class TestCyclic:
     def test_cyclic_reduce_strips_conjugation(self):
         assert cyclic_reduce(parse("Abba")).letters == parse("bb").letters
+
+    def test_long_conjugation_stripped(self):
+        w = Word((1,) * 20000 + (2,) + (-1,) * 20000)
+        assert cyclic_reduce(w) == parse("b")
+
+    @given(_cancelling_raw_st, _labels_st)
+    def test_cyclic_reduce_matches_reference(self, raw, labels):
+        w = Word(raw, labels)
+        assert cyclic_reduce(w) == Word(_reference_cyclic_reduce(w.letters), labels)
 
     @given(word_st, word_st)
     def test_conjugates_are_cyclically_equal(self, w, u):
