@@ -86,14 +86,21 @@ def christoffel(p: int, q: int) -> Word:
     """Lower Christoffel word of slope p/q: q letters a and p letters b.
 
     Letter k (1-based) is b exactly when floor(kp/n) increases at k, with
-    n = p + q.
+    n = p + q. Only the rarer letter is placed, in min(p, q) steps: for
+    p <= q the j-th b sits at k = ceil(jn/p), and for p > q the j-th a sits
+    at k = floor((j-1)n/q) + 1, where ceil(kq/n) increases.
     """
     validate_slope(p, q)
     n = p + q
-    letters = tuple(
-        2 if (k * p) // n > ((k - 1) * p) // n else 1 for k in range(1, n + 1)
-    )
-    return Word(letters)
+    if p <= q:
+        letters = bytearray(b"\x01") * n
+        for j in range(1, p + 1):
+            letters[-(-j * n // p) - 1] = 2
+    else:
+        letters = bytearray(b"\x02") * n
+        for j in range(q):
+            letters[j * n // q] = 1
+    return Word(tuple(letters))
 
 
 @dataclass(frozen=True)

@@ -124,14 +124,18 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
     """Pi image for every slope of the Farey tree to the given depth.
 
     Entries are in deterministic (q, p) order. Per-slope failures are
-    recorded on the entry, not raised.
+    recorded on the entry, not raised. In that order both Farey parents
+    come before a slope, so each slope's word image is continued from a
+    parent's image kept for this call only (see rational_pi), with the
+    bits of a fold from the identity.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     entries = []
+    images: dict = {}
     for node in enumerate_farey(depth):
         try:
-            image = rational_pi(rep, node.p, node.q)
+            image = rational_pi(rep, node.p, node.q, images)
             entries.append(SpectrumEntry(node.p, node.q, node.depth, image=image))
         except PalcoreError as exc:
             entries.append(

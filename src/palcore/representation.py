@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrix,
     TrivialPalindromization,
 )
-from .farey import primitive_word
+from .farey import FareyNode, Slope, primitive_word
 from .geodesics import Geodesic, axis, common_perpendicular
 from .sl2c import (
     INFINITY,
@@ -115,14 +115,17 @@ class Representation:
         """Move g from the input frame into the normalized frame."""
         return normalize(self.normalizer * g * self.normalizer.inverse(), self.tol)
 
-    def evaluate_normalized(self, w: Word) -> GroupElement:
-        """Image of w in the normalized frame.
+    def evaluate_normalized(
+        self, w: Word, start: GroupElement | None = None
+    ) -> GroupElement:
+        """Image of w in the normalized frame, multiplied onto start (an
+        image in the same frame) when one is given.
 
         The result is not renormalized: a product of unimodular matrices is
         unimodular to relative rounding error, while recomputing its
         determinant from entries of a long product cancels catastrophically.
         """
-        return evaluate(w, self.norm_A, self.norm_B)
+        return evaluate(w, self.norm_A, self.norm_B, start)
 
     def to_json(self) -> dict:
         return {"A": self.A.to_json(), "B": self.B.to_json()}
@@ -291,7 +294,11 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     """
     if not is_palindrome(w):
         raise NotPalindrome(f"{w!r} is not a palindrome")
-    m = rep.evaluate_normalized(w)
+    return _palindrome_position(rep, w, rep.evaluate_normalized(w))
+
+
+def _palindrome_position(rep: Representation, w: Word, m: GroupElement) -> PiImage:
+    """pi_of_palindrome from m, the normalized image of the palindrome w."""
     kind = classify(m, rep.tol)
     if kind == "identity":
         raise IdentityImage(f"{w!r} evaluates to the identity")
@@ -313,11 +320,18 @@ def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
     for w in (u, v):
         if not is_palindrome(w):
             raise NotPalindrome(f"{w!r} is not a palindrome")
-    U = rep.evaluate_normalized(u)
-    V = rep.evaluate_normalized(v)
+    U, V = rep.evaluate_normalized(u), rep.evaluate_normalized(v)
+    return _pair_position(rep, u, v, U, V)
+
+
+def _pair_position(
+    rep: Representation, u: Word, v: Word, U: GroupElement, V: GroupElement
+) -> PiImage:
+    """pi_of_pair from U and V, the normalized images of the palindromes u, v."""
     uv, vu = U * V, V * U
-    t_raw = uv * vu - vu * uv
-    scale = (uv * vu).max_norm()
+    uvvu = uv * vu
+    t_raw = uvvu - vu * uv
+    scale = uvvu.max_norm()
     if t_raw.max_norm() <= rep.tol.classify * max(1.0, scale):
         raise CommutingPair(f"images of {u!r} and {v!r} commute")
     try:
@@ -410,11 +424,61 @@ def hexagon(rep: Representation) -> Hexagon:
     return Hexagon(ax_a, rep.core, ax_b, perp_b, ax_ab, perp_a)
 
 
-def rational_pi(rep: Representation, p: int, q: int) -> PiImage:
+def rational_pi(
+    rep: Representation, p: int, q: int,
+    images: dict[Slope, GroupElement] | None = None,
+) -> PiImage:
     """Pi image of the slope p/q: the palindromic representative when pq is
     even, the palindromic factor pair through its double altitude when pq
-    is odd."""
+    is odd.
+
+    images, when given, maps slopes to the normalized images of their words
+    and is read and extended here. The words are then not evaluated from
+    the identity but continued from a parent's stored image (see
+    _slope_image), with the same bits. For a caller that visits parents
+    before children (pi_spectrum), an even slope multiplies only its lower
+    parent's letters, and an odd slope, whose factors are its parents'
+    words, multiplies none until a later slope needs its own image.
+    """
     node = primitive_word(p, q)
+    if images is None:
+        if node.factorization is None:
+            return pi_of_palindrome(rep, node.word)
+        return pi_of_pair(rep, *node.factorization)
     if node.factorization is None:
-        return pi_of_palindrome(rep, node.word)
-    return pi_of_pair(rep, *node.factorization)
+        return _palindrome_position(rep, node.word, _slope_image(rep, node, images))
+    lo, hi = node.parents
+    U = _slope_image(rep, primitive_word(*lo), images)
+    V = _slope_image(rep, primitive_word(*hi), images)
+    return _pair_position(rep, *node.factorization, U, V)
+
+
+def _slope_image(
+    rep: Representation, node: FareyNode, images: dict[Slope, GroupElement]
+) -> GroupElement:
+    """Normalized image of node.word, memoized in images.
+
+    A slope word is its prefix parent's word (hi when pq is even, lo when
+    pq is odd) followed by the other parent's word. Slope words have no
+    inverse letters, so nothing cancels, and the left-to-right fold of the
+    word passes through the prefix parent's image: continuing from that
+    image over the other parent's letters is the full fold, bit for bit.
+    The walk climbs prefix parents until it meets a stored image or a root,
+    then folds back down, storing every image it builds.
+    """
+    tails: list[tuple[Slope, Word]] = []
+    while node.slope not in images:
+        if node.parents is None:
+            images[node.slope] = rep.evaluate_normalized(node.word)
+            break
+        lo, hi = node.parents
+        if node.factorization is None:
+            prefix, tail = hi, primitive_word(*lo).word
+        else:
+            prefix, tail = lo, node.factorization[1]
+        tails.append((node.slope, tail))
+        node = primitive_word(*prefix)
+    m = images[node.slope]
+    for slope, tail in reversed(tails):
+        m = images[slope] = rep.evaluate_normalized(tail, m)
+    return m

@@ -143,19 +143,24 @@ def abelianize(w: Word) -> AbelianImage:
     return AbelianImage(ea, eb)
 
 
-def evaluate(w: Word, A: GroupElement, B: GroupElement) -> GroupElement:
-    """Homomorphic image of w under a -> A, b -> B.
+def evaluate(
+    w: Word, A: GroupElement, B: GroupElement, start: GroupElement | None = None
+) -> GroupElement:
+    """Homomorphic image of w under a -> A, b -> B, multiplied onto start.
 
-    A left-to-right fold from the identity, never renormalized: each step
-    is GroupElement.__mul__ of the running product and the next letter's
-    matrix, with the same formula and operand order, carried in local
-    variables so that only the result is built as a GroupElement.
+    A left-to-right fold from start (the identity when omitted), never
+    renormalized: each step is GroupElement.__mul__ of the running product
+    and the next letter's matrix, with the same formula and operand order,
+    carried in local variables so that only the result is built as a
+    GroupElement. The fold of x * y passes through evaluate(x) after len(x)
+    letters, so when x * y does not cancel, evaluate(y, A, B, evaluate(x,
+    A, B)) is evaluate(x * y, A, B) bit for bit.
     """
     table = {
         1: A.entries(), -1: A.inverse().entries(),
         2: B.entries(), -2: B.inverse().entries(),
     }
-    a, b, c, d = GroupElement.identity().entries()
+    a, b, c, d = (GroupElement.identity() if start is None else start).entries()
     for e, f, g, h in map(table.__getitem__, w.letters):
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return GroupElement(a, b, c, d)

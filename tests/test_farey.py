@@ -19,7 +19,14 @@ from palcore.farey import (
     slope_depth,
     validate_slope,
 )
-from palcore.words import abelianize, cyclically_equal, is_palindrome, is_primitive, parse
+from palcore.words import (
+    Word,
+    abelianize,
+    cyclically_equal,
+    is_palindrome,
+    is_primitive,
+    parse,
+)
 
 
 def coprime_slopes(limit):
@@ -29,6 +36,14 @@ def coprime_slopes(limit):
                 continue
             if math.gcd(p, q) == 1:
                 yield p, q
+
+
+def _reference_christoffel(p, q):
+    """christoffel as it was: one floor comparison per letter."""
+    n = p + q
+    return Word(tuple(
+        2 if (k * p) // n > ((k - 1) * p) // n else 1 for k in range(1, n + 1)
+    ))
 
 
 class TestValidation:
@@ -92,6 +107,12 @@ class TestChristoffel:
         for p, q in coprime_slopes(15):
             ea, eb = abelianize(christoffel(p, q))
             assert (ea, eb) == (q, p)
+
+    def test_matches_letter_by_letter_form(self):
+        slopes = [(n.p, n.q) for n in enumerate_farey(12)]
+        slopes += [(1, 2000), (2000, 1), (1597, 987), (987, 1597), (2, 2001)]
+        for p, q in slopes:
+            assert christoffel(p, q) == _reference_christoffel(p, q), (p, q)
 
 
 class TestPrimitiveWord:

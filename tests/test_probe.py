@@ -23,8 +23,32 @@ from palcore.probe import (
     spectrum_to_csv,
     witness_search,
 )
-from palcore.representation import PALINDROME_WORD, PiImage
+from palcore.errors import PalcoreError
+from palcore.farey import enumerate_farey
+from palcore.representation import PALINDROME_WORD, PiImage, rational_pi
 from palcore.words import Word, is_palindrome, parse, reduced_words, reverse
+
+from .conftest import random_representation
+
+
+def _entry_bits(p, q, depth, image, error):
+    if image is None:
+        return (p, q, depth, error)
+    return (p, q, depth, image.s.hex(), image.source, image.element_class, image.word)
+
+
+def _full_fold_spectrum(rep, depth):
+    """pi_spectrum with every slope evaluated from the identity: one
+    rational_pi call per slope and no shared images."""
+    out = []
+    for node in enumerate_farey(depth):
+        try:
+            out.append(_entry_bits(node.p, node.q, node.depth,
+                                   rational_pi(rep, node.p, node.q), None))
+        except PalcoreError as exc:
+            out.append(_entry_bits(node.p, node.q, node.depth, None,
+                                   f"{type(exc).__name__}: {exc}"))
+    return out
 
 
 class TestSpectrum:
@@ -47,6 +71,33 @@ class TestSpectrum:
         entries = pi_spectrum(schottky, 12)
         assert len(entries) == 2**12 + 1
         assert all((e.image is None) != (e.error is None) for e in entries)
+
+    @pytest.mark.parametrize("name, depth", [
+        ("mu4", 12), ("schottky", 12),
+        *((f"random{seed}", 10) for seed in range(6)),
+    ])
+    def test_continued_images_match_full_folds(self, name, depth, request):
+        if name.startswith("random"):
+            rep = random_representation(int(name[len("random"):]))
+        else:
+            rep = request.getfixturevalue(name)
+        entries = [_entry_bits(e.p, e.q, e.depth, e.image, e.error)
+                   for e in pi_spectrum(rep, depth)]
+        assert entries == _full_fold_spectrum(rep, depth)
+
+    def test_multiplies_under_two_fifths_of_the_letters(self, mu4, monkeypatch):
+        representation = sys.modules["palcore.representation"]
+        inner = representation.evaluate
+        letters = []
+
+        def recorder(w, *args):
+            letters.append(len(w))
+            return inner(w, *args)
+
+        monkeypatch.setattr(representation, "evaluate", recorder)
+        pi_spectrum(mu4, 10)
+        full = sum(len(node.word) for node in enumerate_farey(10))
+        assert 0 < sum(letters) <= 0.4 * full
 
     def test_determinism(self, rep1):
         a = [e.to_json() for e in pi_spectrum(rep1, 5)]

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palcore.config import DEFAULT_TOLERANCES as TOL
@@ -32,6 +32,14 @@ from .conftest import loxodromic_between, random_loxodromic, random_mobius
 def _reference_is_identity(g, eps):
     """is_identity as it was: the distance to a built identity element."""
     return psl_distance(g, GroupElement.identity()) <= eps
+
+
+def _outcome(fn, *args):
+    """What a call did: its return value, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
 
 
 _complex_st = st.complex_numbers(allow_nan=True, allow_infinity=True)
@@ -120,9 +128,12 @@ class TestProjectiveEquality:
         assert is_identity(-GroupElement.identity(), 1e-12)
         assert not is_identity(GroupElement(1, 1e-3, 0, 1), 1e-12)
 
+    # abs(d - 1) overflows to OverflowError for this d, on both sides
+    @example(GroupElement(1 + 0j, 0j, 0j, complex(1.2711610061536464e308,
+                                                  1.2711610061536464e308)), 0.0)
     @given(_matrix_st, _eps_st)
     def test_is_identity_matches_reference_on_any_matrix(self, g, eps):
-        assert is_identity(g, eps) == _reference_is_identity(g, eps)
+        assert _outcome(is_identity, g, eps) == _outcome(_reference_is_identity, g, eps)
 
     @given(st.sampled_from((1, -1)), _perturbation_st, _perturbation_st,
            _perturbation_st, _perturbation_st, _eps_st)

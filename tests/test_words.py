@@ -5,7 +5,7 @@ import cmath
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from palcore.errors import NotPalindrome
@@ -272,6 +272,19 @@ class TestEvaluate:
     def test_bit_identical_to_element_fold(self, pair, w):
         A, B = _EVALUATION_PAIRS[pair]
         assert _bits(evaluate(w, A, B)) == _bits(_reference_evaluate(w, A, B))
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(sorted(_EVALUATION_PAIRS)),
+        st.lists(letters_st, max_size=120).map(Word),
+        st.lists(letters_st, max_size=120).map(Word),
+    )
+    def test_fold_continued_from_a_prefix_image(self, pair, u, v):
+        # the fold of u * v passes through evaluate(u) when nothing cancels
+        assume(len(u * v) == len(u) + len(v))
+        A, B = _EVALUATION_PAIRS[pair]
+        continued = evaluate(v, A, B, evaluate(u, A, B))
+        assert _bits(continued) == _bits(evaluate(u * v, A, B))
 
 
 class TestCyclic:
