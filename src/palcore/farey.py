@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import IO, Iterable
 
 from .errors import InvalidRational, SchemeViolation
-from .words import Word, cyclically_equal, is_palindrome
+from .words import Word, _is_rotation_of, is_palindrome
 
 Slope = tuple[int, int]
 
@@ -91,6 +91,12 @@ def christoffel(p: int, q: int) -> Word:
     at k = floor((j-1)n/q) + 1, where ceil(kq/n) increases.
     """
     validate_slope(p, q)
+    return Word(tuple(_christoffel_letters(p, q)))
+
+
+def _christoffel_letters(p: int, q: int) -> bytes:
+    """The letters of christoffel(p, q), one byte each (1 for a, 2 for b),
+    which is also their words._to_bytes encoding."""
     n = p + q
     if p <= q:
         letters = bytearray(b"\x01") * n
@@ -100,7 +106,7 @@ def christoffel(p: int, q: int) -> Word:
         letters = bytearray(b"\x02") * n
         for j in range(q):
             letters[j * n // q] = 1
-    return Word(tuple(letters))
+    return bytes(letters)
 
 
 @dataclass(frozen=True)
@@ -128,9 +134,8 @@ def primitive_word(p: int, q: int) -> FareyNode:
     """Representative word e_{p/q}, with palindromic factorization when
     pq is odd. See the module docstring for the construction."""
     validate_slope(p, q)
-    base = christoffel(p, q)
     if (p, q) == (0, 1) or (p, q) == (1, 0):
-        return FareyNode(p, q, 0, None, base, None)
+        return FareyNode(p, q, 0, None, christoffel(p, q), None)
     lo, hi, path = _descend(p, q)
     # shallowest first, so that every call finds its parents memoized and
     # the recursion stays one level deep however deep p/q lies
@@ -148,9 +153,12 @@ def primitive_word(p: int, q: int) -> FareyNode:
             raise SchemeViolation(f"{p}/{q}: parent words are not both palindromic")
         word = left * right
         factorization = (left, right)
-    if not cyclically_equal(word, base):
+    # cyclically_equal(word, christoffel(p, q)), with the Christoffel word
+    # built directly in its byte encoding
+    if not _is_rotation_of(word, _christoffel_letters(p, q)):
         raise SchemeViolation(
-            f"{p}/{q}: representative {word} is not conjugate to Christoffel {base}"
+            f"{p}/{q}: representative {word} is not conjugate to Christoffel "
+            f"{christoffel(p, q)}"
         )
     return FareyNode(p, q, len(path) + 1, (lo, hi), word, factorization)
 

@@ -36,6 +36,7 @@ from .geodesics import Geodesic, axis, common_perpendicular
 from .sl2c import (
     INFINITY,
     GroupElement,
+    _fixed_points,
     boundary_key,
     classify,
     fixed_points,
@@ -219,7 +220,9 @@ def rep_from_json(obj: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> Representa
 _DISC_GATE = 1e-10
 
 
-def _crossing_position(m: GroupElement, eps: float, tol: Tolerances) -> float:
+def _crossing_position(
+    m: GroupElement, eps: float, tol: Tolerances, kind: str | None = None
+) -> float:
     """Position where the axis of m crosses the core [0, inf].
 
     m is expected to have (anti)symmetric diagonal in the normalized frame:
@@ -228,7 +231,8 @@ def _crossing_position(m: GroupElement, eps: float, tol: Tolerances) -> float:
     s = ln|b/c| / 2, a ratio of directly accumulated entries that stays
     accurate when the quadratic root splitting has cancelled away. The
     quadratic solve is still run as an independent check whenever its
-    discriminant is numerically meaningful.
+    discriminant is numerically meaningful. kind is classify(m, tol) when
+    the caller has it, and is otherwise computed only for that check.
     """
     scale = max(1.0, m.max_norm())
     if abs(m.a - m.d) > eps * scale:
@@ -248,7 +252,7 @@ def _crossing_position(m: GroupElement, eps: float, tol: Tolerances) -> float:
     # a product, not ** 2: float ** raises OverflowError past |tr| ~ 1.3e154,
     # while the product overflows to inf and the cross-check is skipped
     if abs(disc) > _DISC_GATE * max(1.0, abs(tr) * abs(tr)):
-        x, y = fixed_points(m, tol)
+        x, y = _fixed_points(m, kind or classify(m, tol), tol)
         if x is INFINITY or y is INFINITY or x == 0 or y == 0:
             raise OrthogonalityViolation("quadratic solve put an endpoint on a core end")
         if abs(x + y) > eps * max(1.0, abs(x), abs(y)):
@@ -286,15 +290,55 @@ def _parabolic_end(m: GroupElement, eps: float) -> float:
 def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     """Position of the axis of a palindromic word on the core.
 
-    The word is evaluated in the normalized frame; its axis endpoints must
-    be antipodal (+x, -x) within a word-length-scaled tolerance, and the
-    position is ln|x|. Parabolic images are tagged at the core end they
-    fix. OrthogonalityViolation signals numerical breakdown: an exact
-    palindrome axis is always orthogonal to the core.
+    The image is evaluated in the normalized frame from the word's first
+    half (see _palindrome_image), so its diagonal entries are equal by
+    construction; its axis endpoints must be antipodal (+x, -x) within a
+    word-length-scaled tolerance, and the position is ln|x|. Parabolic
+    images are tagged at the core end they fix. OrthogonalityViolation
+    signals numerical breakdown: an exact palindrome axis is always
+    orthogonal to the core. Slope words do not come through here:
+    rational_pi folds them in full, bit for bit as before.
     """
     if not is_palindrome(w):
         raise NotPalindrome(f"{w!r} is not a palindrome")
-    return _palindrome_position(rep, w, rep.evaluate_normalized(w))
+    return _palindrome_position(rep, w, _palindrome_image(rep, w))
+
+
+def _palindrome_image(rep: Representation, w: Word) -> GroupElement:
+    """Normalized image of the palindrome w, folded over its first half.
+
+    Both generators have equal diagonal entries in the normalized frame, so
+    the image of reverse(u) is phi(image of u), where phi swaps the
+    diagonal entries. With M = [[al, be], [ga, de]] the image of the first
+    half u, the image of u reverse(u) is M phi(M) = [[D, 2 al be],
+    [2 ga de, D]] with D = al de + be ga, and the image of u x reverse(u),
+    with L = [[e, f], [g, e]] the middle letter's matrix, is M L phi(M) =
+    [[E, 2 e al be + g be^2 + f al^2], [2 e ga de + g de^2 + f ga^2, E]]
+    with E = e D + g be de + f al ga. Each diagonal is written from one
+    expression, so its two entries are equal bit for bit. D is taken as
+    1 + 2 be ga when |be ga| <= |al de| and as 2 al de - 1 otherwise (equal
+    for det M = 1), so it carries the rounding of the smaller product only,
+    where al de + be ga would carry both.
+    """
+    letters = w.letters
+    half = len(letters) // 2
+    al, be, ga, de = rep.evaluate_normalized(
+        Word._from_reduced(letters[:half], w.labels)
+    ).entries()
+    bg, ad = be * ga, al * de
+    diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
+    if len(letters) % 2 == 0:
+        return GroupElement(diag, 2 * al * be, 2 * ga * de, diag)
+    x = letters[half]
+    gen = rep.norm_A if abs(x) == 1 else rep.norm_B
+    e, f, g, _ = (gen if x > 0 else gen.inverse()).entries()
+    diag = e * diag + g * be * de + f * al * ga
+    return GroupElement(
+        diag,
+        2 * e * al * be + g * be * be + f * al * al,
+        2 * e * ga * de + g * de * de + f * ga * ga,
+        diag,
+    )
 
 
 def _palindrome_position(rep: Representation, w: Word, m: GroupElement) -> PiImage:
@@ -305,7 +349,7 @@ def _palindrome_position(rep: Representation, w: Word, m: GroupElement) -> PiIma
     eps = rep.tol.geo_scaled(len(w))
     if kind == "parabolic":
         return PiImage(_parabolic_end(m, eps), PARABOLIC_END, str(w), kind)
-    s = _crossing_position(m, eps, rep.tol)
+    s = _crossing_position(m, eps, rep.tol, kind)
     return PiImage(s, PALINDROME_WORD, str(w), kind)
 
 
@@ -357,10 +401,13 @@ def pair_perpendicular_by_axes(rep: Representation, u: Word, v: Word) -> Geodesi
 def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:
     """The palindrome P = reverse(w) w and its position on the core.
 
-    In the normalized frame the image of P has equal diagonal entries and
-    off-diagonal entries 2bd and 2ac in terms of the entries of the image
-    of w, so its fixed points have the closed form +/-sqrt(P_b / P_c) and
-    the position is ln|P_b / P_c| / 2. The quadratic fixed-point solve is
+    pi_of_palindrome evaluates P from its first half reverse(w), whose
+    image in the normalized frame is phi(W) for W = [[a, b], [c, d]] the
+    image of w (phi swaps the diagonal). The image phi(W) W of P has equal
+    diagonal entries, written from one expression, and off-diagonal
+    entries 2bd and 2ac, so its fixed points have the closed form
+    +/-sqrt(P_b / P_c) and the position is ln|P_b / P_c| / 2, with only
+    len(w) letters multiplied. The quadratic fixed-point solve is
     compared against that form whenever it is well conditioned;
     disagreement raises OrthogonalityViolation. Raises
     TrivialPalindromization when P evaluates to (plus or minus) the
@@ -443,7 +490,9 @@ def rational_pi(
     node = primitive_word(p, q)
     if images is None:
         if node.factorization is None:
-            return pi_of_palindrome(rep, node.word)
+            return _palindrome_position(
+                rep, node.word, rep.evaluate_normalized(node.word)
+            )
         return pi_of_pair(rep, *node.factorization)
     if node.factorization is None:
         return _palindrome_position(rep, node.word, _slope_image(rep, node, images))

@@ -185,7 +185,13 @@ def fixed_points(
     in when c = 0. A parabolic g returns its single fixed point twice.
     Raises IdentityElement when g is (plus or minus) the identity.
     """
-    kind = classify(g, tol)
+    return _fixed_points(g, classify(g, tol), tol)
+
+
+def _fixed_points(
+    g: GroupElement, kind: str, tol: Tolerances
+) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """fixed_points(g, tol) for a caller that has kind = classify(g, tol)."""
     if kind == "identity":
         raise IdentityElement("every point is fixed")
     a, b, c, d = g.entries()

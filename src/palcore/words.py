@@ -7,9 +7,10 @@ e.g. "abA" = a b a^-1.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
+from operator import add, neg
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotPalindrome, SchemeViolation
@@ -50,7 +51,9 @@ class Word:
     """Freely reduced word; construction reduces its input.
 
     labels names the two generators for display (default "a", "b");
-    inverses display as the uppercased label.
+    inverses display as the uppercased label. Products, reversals and
+    inverses of Words are built by _from_reduced, since their letters are
+    already valid and reduced away from the junction of a product.
     """
 
     letters: tuple[int, ...] = ()
@@ -72,6 +75,15 @@ class Word:
             letters = _reduce_letters(letters)
         object.__setattr__(self, "letters", letters)
 
+    @classmethod
+    def _from_reduced(cls, letters: tuple[int, ...], labels: tuple[str, str]) -> "Word":
+        """A Word holding letters as given: a tuple of valid letters with no
+        adjacent inverse pair. Nothing is checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "labels", labels)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -84,7 +96,13 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if self.labels != other.labels:
             raise ValueError("cannot concatenate words over different alphabets")
-        return Word(self.letters + other.letters, self.labels)
+        left, right = self.letters, other.letters
+        # both factors are reduced, so letters cancel only at the junction
+        n, k = len(left), 0
+        stop = min(n, len(right))
+        while k < stop and left[n - 1 - k] == -right[k]:
+            k += 1
+        return Word._from_reduced(left[:n - k] + right[k:], self.labels)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -92,7 +110,7 @@ class Word:
         return Word(self.letters * n, self.labels)
 
     def inverse(self) -> "Word":
-        return Word(tuple(-x for x in reversed(self.letters)), self.labels)
+        return Word._from_reduced(tuple(map(neg, reversed(self.letters))), self.labels)
 
     def __str__(self) -> str:
         return "".join(map(_letter_table(self.labels).__getitem__, self.letters))
@@ -123,12 +141,12 @@ def parse(text: str, labels: tuple[str, str] = ("a", "b")) -> Word:
 
 def reverse(w: Word) -> Word:
     """The word read backwards (letter exponents kept, order flipped)."""
-    return Word(tuple(reversed(w.letters)), w.labels)
+    return Word._from_reduced(w.letters[::-1], w.labels)
 
 
 def is_palindrome(w: Word) -> bool:
     """True iff w reads the same forwards and backwards, letterwise."""
-    return w.letters == tuple(reversed(w.letters))
+    return w.letters == w.letters[::-1]
 
 
 class AbelianImage(NamedTuple):
@@ -168,22 +186,26 @@ def evaluate(
 
 def cyclic_reduce(w: Word) -> Word:
     """Strip matching inverse letters from the two ends until none remain."""
-    return Word(_strip_inverse_ends(w.letters), w.labels)
+    return Word._from_reduced(_strip_inverse_ends(w.letters), w.labels)
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:
     """True iff the cyclic reductions are rotations of one another."""
-    cu = cyclic_reduce(u).letters
-    cv = cyclic_reduce(v).letters
-    if len(cu) != len(cv):
-        return False
-    # substring search on byte strings (letter + 2 is 0, 1, 3 or 4) keeps
-    # this linear in the word length
-    return _to_bytes(cv) in _to_bytes(cu + cu)
+    return _is_rotation_of(u, _to_bytes(_strip_inverse_ends(v.letters)))
+
+
+def _is_rotation_of(u: Word, target: bytes) -> bool:
+    """True iff the cyclic reduction of u is a rotation of target, the
+    _to_bytes encoding of a cyclically reduced word."""
+    cu = _to_bytes(_strip_inverse_ends(u.letters))
+    # substring search on byte strings keeps this linear in the word length
+    return len(cu) == len(target) and target in cu + cu
 
 
 def _to_bytes(letters: tuple[int, ...]) -> bytes:
-    return bytes(map((2).__add__, letters))
+    """One byte per letter, a letter's own value for the generators (1, 2)
+    and its two's complement for the inverses (0xff, 0xfe)."""
+    return array("b", letters).tobytes()
 
 
 class NielsenResult(NamedTuple):

@@ -1,8 +1,10 @@
-"""Shared fixtures: canonical control representations and seeded random
-generators in general position."""
+"""Shared fixtures: canonical control representations, seeded random
+generators in general position, and an exact-arithmetic oracle for
+positions on the Riley slice."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +12,7 @@ from palcore.config import DEFAULT_TOLERANCES
 from palcore.errors import PalcoreError
 from palcore.representation import Representation, build
 from palcore.sl2c import GroupElement, classify, normalize
-from palcore.words import LETTERS, Word, is_palindrome
+from palcore.words import LETTERS, Word, is_palindrome, parse
 
 
 def hyperbolic_on_axis(r: float, half_trace: float) -> GroupElement:
@@ -83,6 +85,98 @@ def random_palindrome(rng: random.Random, max_half: int = 4) -> Word:
         w = Word(tuple(half) + tuple(center) + tuple(reversed(half)))
         if w and is_palindrome(w):
             return w
+
+
+class GaussianInteger:
+    """Exact x + iy with integer parts, with the ring operations that 2x2
+    matrix products need (ints mix in as real parts)."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: int, y: int) -> None:
+        self.x, self.y = x, y
+
+    @staticmethod
+    def _parts(z) -> tuple[int, int]:
+        return (z.x, z.y) if isinstance(z, GaussianInteger) else (z, 0)
+
+    def __add__(self, other):
+        x, y = self._parts(other)
+        return GaussianInteger(self.x + x, self.y + y)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianInteger(-self.x, -self.y)
+
+    def __mul__(self, other):
+        x, y = self._parts(other)
+        return GaussianInteger(self.x * x - self.y * y, self.x * y + self.y * x)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        return self + -other
+
+
+def _ln_abs(z) -> float:
+    x, y = GaussianInteger._parts(z)
+    return 0.5 * math.log(x * x + y * y)
+
+
+def riley_off_diagonal(text: str, mu) -> tuple:
+    """Exact (b, c), up to one common integer factor, of a palindrome image
+    "w" or of the double altitude UV.VU - VU.UV of a palindrome pair "u|v",
+    for the Riley-slice pair A = [[1, 1], [0, 1]], B = [[1, 0], [mu, 1]] in
+    its input frame.
+
+    mu is any number with rational parts (an int, a Fraction, or a float or
+    complex, whose parts are dyadic rationals), taken exactly. With mu = P/q
+    for a Gaussian integer P and an integer q, the products use qB =
+    [[q, 0], [P, q]] and its adjugate, so every entry is a Gaussian integer
+    and each image is its true value times a power of q; the common factor
+    cancels from every ratio b/c.
+    """
+    re, im = Fraction(mu.real), Fraction(mu.imag)
+    q = math.lcm(re.denominator, im.denominator)
+    p = int(re * q) if im == 0 else GaussianInteger(int(re * q), int(im * q))
+
+    def mul(m, n):
+        a, b, c, d = m
+        e, f, g, h = n
+        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    table = {1: (1, 1, 0, 1), -1: (1, -1, 0, 1), 2: (q, 0, p, q), -2: (q, 0, -p, q)}
+
+    def image(w: str):
+        m = (1, 0, 0, 1)
+        for x in parse(w).letters:
+            m = mul(m, table[x])
+        return m
+
+    if "|" not in text:
+        _, b, c, _ = image(text)
+        return b, c
+    u, v = map(image, text.split("|"))
+    t1, t2 = mul(mul(u, v), mul(v, u)), mul(mul(v, u), mul(u, v))
+    return t1[1] - t2[1], t1[2] - t2[2]
+
+
+def exact_riley_position(text: str, mu) -> float:
+    """Position s of a palindrome "w" or pair "u|v" on the core, from exact
+    entries (see riley_off_diagonal).
+
+    The generators fix infinity and 0, so the core is already [0, inf] and
+    the normalized frame differs from the input frame by a diagonal map.
+    That map scales b/c by a constant, which the pin fixes: with both
+    generators parabolic it puts the double altitude a|b at s = 0.
+    """
+
+    def raw(t: str) -> float:
+        b, c = riley_off_diagonal(t, mu)
+        return 0.5 * (_ln_abs(b) - _ln_abs(c))
+
+    return raw(text) - raw("a|b")
 
 
 @pytest.fixture

@@ -47,12 +47,11 @@ from palcore.words import (
     is_palindrome,
     is_primitive,
     nielsen_reduce_pair,
-    parse,
     reduced_words,
     reverse,
 )
 
-from .conftest import random_palindrome, random_representation
+from .conftest import exact_riley_position, random_palindrome, random_representation
 
 
 def _record(num: int, ok: bool, detail: str) -> None:
@@ -305,53 +304,6 @@ def test_criterion_08_bounded_control_plateaus(schottky):
 CRITERION_09_ESCAPE = 4.0
 
 
-def _ln_abs(x: Fraction) -> float:
-    return math.log(abs(x.numerator)) - math.log(x.denominator)
-
-
-def _riley_off_diagonal(text: str, mu: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact (b, c) of a palindrome image "w", or of the double altitude
-    UV.VU - VU.UV of a palindrome pair "u|v", for the Riley-slice pair
-    A = [[1, 1], [0, 1]], B = [[1, 0], [mu, 1]] in its input frame."""
-
-    def mul(m, n):
-        a, b, c, d = m
-        p, q, r, s = n
-        return (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
-
-    gens = {1: (1, 1, 0, 1), 2: (1, 0, mu, 1)}
-
-    def image(w: str):
-        m = (1, 0, 0, 1)
-        for x in parse(w):
-            a, b, c, d = gens[abs(x)]
-            m = mul(m, (a, b, c, d) if x > 0 else (d, -b, -c, a))
-        return m
-
-    if "|" not in text:
-        _, b, c, _ = image(text)
-        return Fraction(b), Fraction(c)
-    u, v = map(image, text.split("|"))
-    t1, t2 = mul(mul(u, v), mul(v, u)), mul(mul(v, u), mul(u, v))
-    return Fraction(t1[1] - t2[1]), Fraction(t1[2] - t2[2])
-
-
-def _exact_riley_position(text: str, mu: Fraction) -> float:
-    """Position s of a witness word on the core, from exact entries.
-
-    The generators fix infinity and 0, so the core is already [0, inf] and
-    the normalized frame differs from the input frame by a diagonal map.
-    That map scales b/c by a constant, which the pin fixes: with both
-    generators parabolic it puts the double altitude a|b at s = 0.
-    """
-
-    def raw(t: str) -> float:
-        b, c = _riley_off_diagonal(t, mu)
-        return 0.5 * (_ln_abs(b) - _ln_abs(c))
-
-    return raw(text) - raw("a|b")
-
-
 def test_criterion_09_nondiscrete_control_escapes(mu_half, mu4):
     # mu = 1/2 fails Jorgensen's inequality (value 0.25), so the pair is not
     # discrete and its palindromic positions are unbounded; mu = 4 is
@@ -393,7 +345,7 @@ def test_criterion_09_nondiscrete_control_escapes(mu_half, mu4):
     )
     elapsed = time.perf_counter() - t0
     checked = witnesses + ([found] if found is not None else [])
-    exact = [_exact_riley_position(w.word, mu) for w in checked]
+    exact = [exact_riley_position(w.word, mu) for w in checked]
     worst_gap = max(
         (abs(x - w.s) for x, w in zip(exact, checked)), default=math.inf
     )

@@ -3,12 +3,14 @@ word scheme, associates, enumeration, CSV export."""
 
 import io
 import math
+import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from palcore.errors import InvalidRational
+from palcore.errors import InvalidRational, SchemeViolation
 from palcore.farey import (
     are_associates,
     christoffel,
@@ -159,6 +161,30 @@ class TestPrimitiveWord:
         node = primitive_word(1, 1200)
         assert node.depth == 1200
         assert str(node.word) == "a" * 600 + "b" + "a" * 600
+
+    def test_scheme_checks_raise(self, monkeypatch):
+        # each of the three runtime checks fires on a scheme that breaks it:
+        # parents served with wrong words, then a wrong Christoffel word
+        farey = sys.modules["palcore.farey"]
+        build = primitive_word.__wrapped__
+        memo = primitive_word
+        for slope in ((1, 1), (1, 2), (1, 3)):
+            memo(*slope)
+        wrong = {(1, 1): parse("ba"), (1, 2): parse("aab")}
+
+        def parent(p, q):
+            node = memo(p, q)
+            return replace(node, word=wrong.get((p, q), node.word))
+
+        monkeypatch.setattr(farey, "primitive_word", parent)
+        with pytest.raises(SchemeViolation, match="is not a palindrome"):
+            build(1, 2)  # b a . a from parents 1/1 and 0/1
+        with pytest.raises(SchemeViolation, match="not both palindromic"):
+            build(1, 3)  # a . aab from parents 0/1 and 1/2
+        monkeypatch.setattr(farey, "primitive_word", memo)
+        monkeypatch.setattr(farey, "_christoffel_letters", lambda p, q: b"\x02\x02\x01")
+        with pytest.raises(SchemeViolation, match="not conjugate to Christoffel"):
+            build(1, 2)
 
     def test_node_metadata(self):
         node = primitive_word(3, 5)

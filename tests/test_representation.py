@@ -3,6 +3,7 @@ palindrome positions, pair positions, hexagons, rational indexing."""
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -13,8 +14,10 @@ from palcore.errors import (
     ElementaryGroup,
     IdentityImage,
     NotPalindrome,
+    PalcoreError,
     TrivialPalindromization,
 )
+from palcore.farey import primitive_word
 from palcore.geodesics import (
     Geodesic,
     geodesic_distance,
@@ -27,6 +30,8 @@ from palcore.representation import (
     PALINDROME_WORD,
     PARABOLIC_END,
     PiImage,
+    _palindrome_image,
+    _palindrome_position,
     build,
     hexagon,
     pair_perpendicular_by_axes,
@@ -36,10 +41,12 @@ from palcore.representation import (
     rational_pi,
     rep_from_json,
 )
+from palcore.probe import witness_search
 from palcore.sl2c import INFINITY, GroupElement, chordal_distance, psl_equal
-from palcore.words import parse, reverse
+from palcore.words import LETTERS, Word, parse, reduced_words, reverse
 
 from .conftest import (
+    exact_riley_position,
     hyperbolic_on_axis,
     random_mobius,
     random_palindrome,
@@ -216,6 +223,124 @@ class TestParabolicTags:
         assert again == img
 
 
+def _full_fold_position(rep, w):
+    """Position of the palindrome w from the fold of all its letters, the
+    route slope words keep in rational_pi."""
+    return _palindrome_position(rep, w, rep.evaluate_normalized(w))
+
+
+def _outcome(position):
+    """(kind, s) of a position call: a finite position, a parabolic tag, or
+    a refusal with s None."""
+    try:
+        image = position()
+    except PalcoreError as exc:
+        return type(exc).__name__, None
+    return ("position" if image.finite else "parabolic"), image.s
+
+
+def _long_palindromes(seed, count, max_len=200):
+    """Seeded palindromes u x reverse(u) of up to max_len letters, with and
+    without a middle letter x."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        half = Word(tuple(rng.choice(LETTERS) for _ in range(rng.randint(1, max_len // 2))))
+        middle = Word((rng.choice(LETTERS),)) if len(out) % 2 else Word()
+        w = half * middle * reverse(half)
+        if w and len(w) <= max_len:
+            out.append(w)
+    return out
+
+
+_HALF_FORM_REPS = ("mu4", "mu_half", "schottky", *(f"random{i}" for i in range(6)))
+
+
+def _named_rep(name, request):
+    if name.startswith("random"):
+        return random_representation(int(name[len("random"):]))
+    return request.getfixturevalue(name)
+
+
+def _rational_riley(mu):
+    return build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, mu, 1))
+
+
+class TestHalfFormImage:
+    """pi_of_palindrome evaluates the first half M of a palindrome and forms
+    its image as M phi(M) or M L phi(M) (phi swaps the diagonal)."""
+
+    @pytest.mark.parametrize("name", _HALF_FORM_REPS)
+    def test_diagonal_entries_are_bit_equal(self, name, request):
+        rep = _named_rep(name, request)
+        for w in _long_palindromes(3, 60):
+            m = _palindrome_image(rep, w)
+            assert (m.a.real.hex(), m.a.imag.hex()) == (m.d.real.hex(), m.d.imag.hex())
+
+    @pytest.mark.parametrize("name", _HALF_FORM_REPS)
+    def test_positions_match_the_full_fold(self, name, request):
+        # measured over these 200 palindromes per pair: worst |ds| 5.2e-14
+        # (mu_half), at most 3.1e-14 elsewhere; no entry changes kind
+        rep = _named_rep(name, request)
+        palindromes = _long_palindromes(5, 200)
+        assert {len(w) % 2 for w in palindromes} == {0, 1}
+        for w in palindromes:
+            half_kind, half_s = _outcome(lambda: pi_of_palindrome(rep, w))
+            full_kind, full_s = _outcome(lambda: _full_fold_position(rep, w))
+            assert half_kind == full_kind, str(w)
+            if half_kind == "position":
+                assert abs(half_s - full_s) <= 1e-12, str(w)
+            else:
+                assert half_s == full_s
+
+    @pytest.mark.parametrize("mu", [0.5, 4.0, 1.5 + 2.5j])
+    def test_grid_positions_match_exact_arithmetic(self, mu, monkeypatch):
+        # every finite position of the witness_search(rep, 6, 2) grid (3,072
+        # palindromes of up to 52 letters) against exact rational entries;
+        # measured worst |ds| 2.5e-13 at mu = 1/2 (the full fold: 1.9e-13)
+        # and 3.8e-15 at mu = 4 and mu = 3/2 + 5i/2
+        rep = _rational_riley(mu)
+        inner = pi_of_palindrome
+        images = []
+
+        def recorder(rep_, word):
+            image = inner(rep_, word)
+            images.append((word, image))
+            return image
+
+        monkeypatch.setattr(sys.modules["palcore.probe"], "pi_of_palindrome", recorder)
+        assert witness_search(rep, 6, 2) is None
+        finite = [(w, image.s) for w, image in images if image.finite]
+        assert len(finite) >= 2400
+        worst = max(abs(s - exact_riley_position(str(w), mu)) for w, s in finite)
+        assert worst <= 5e-13
+
+    def test_refuses_no_more_than_the_full_fold(self, mu_half):
+        # the conjugate-push palindromes of criterion 9's grid with |C| = 2,
+        # which hold all 92 refusals of witness_search(mu_half, 12, 3).
+        # Measured: the full fold refuses 92 (64 "parabolic palindrome image
+        # does not fix a core end", 28 "fixed points not antipodal"), the
+        # half form 80, all among those 92 and all of the first kind. It
+        # gives the other 12 positions, within 1.4e-8 of exact arithmetic.
+        outcomes = []
+        for c in (w for w in reduced_words(2) if len(w) == 2):
+            for d in reduced_words(3):
+                for n in range(1, 13):
+                    u = c ** n * d * c ** -n
+                    for w in (u * reverse(u), reverse(u) * u):
+                        half = _outcome(lambda: pi_of_palindrome(mu_half, w))
+                        full = _outcome(lambda: _full_fold_position(mu_half, w))
+                        outcomes.append((w, half, full))
+        assert len(outcomes) == 14976
+        refused_full = [o for o in outcomes if o[2][1] is None]
+        refused_half = [o for o in outcomes if o[1][1] is None]
+        assert refused_full
+        assert all(full[1] is None for _, _, full in refused_half)
+        recovered = [(w, half[1]) for w, half, _ in refused_full if half[0] == "position"]
+        for w, s in recovered:
+            assert abs(s - exact_riley_position(str(w), 0.5)) <= 2e-8
+
+
 class TestPalindromize:
     def test_word_and_position(self, rep1):
         pal, img = palindromize(rep1, parse("ab"))
@@ -270,6 +395,15 @@ class TestHexagon:
 
 
 class TestRationalPi:
+    def test_even_slope_keeps_the_full_fold(self, mu_half):
+        # slope words are not evaluated from their first half: positions are
+        # the full fold's, bit for bit
+        for p, q in ((1, 2), (2, 1), (3, 4), (5, 8), (12, 7), (2, 13)):
+            node = primitive_word(p, q)
+            got = _outcome(lambda: rational_pi(mu_half, p, q))
+            want = _outcome(lambda: _full_fold_position(mu_half, node.word))
+            assert got == want
+
     def test_even_slope_uses_palindrome_route(self, rep1):
         img = rational_pi(rep1, 2, 5)
         assert img.source == PALINDROME_WORD

@@ -168,6 +168,52 @@ class TestReduction:
             Word((1, -1, [1]))
 
 
+@st.composite
+def _junction_pair_st(draw):
+    """Reduced words u, v where v opens with the inverse of a suffix of u, so
+    that u * v cancels across the junction, up to the whole of both."""
+    labels = draw(_labels_st)
+    u = Word(draw(_cancelling_raw_st), labels)
+    k = draw(st.integers(0, len(u)))
+    tail = draw(_cancelling_raw_st)
+    v = Word(Word(u.letters[len(u) - k:]).inverse().letters + tail, labels)
+    return u, v
+
+
+class TestJunction:
+    """Products, reversals and inverses skip validation and reduce only at
+    the junction; they must equal the validated Word(raw) construction."""
+
+    @staticmethod
+    def _same(got, want):
+        assert got.letters == want.letters
+        assert type(got.letters) is tuple
+        assert got.labels == want.labels
+
+    @given(_junction_pair_st())
+    def test_product_matches_validated_construction(self, pair):
+        u, v = pair
+        self._same(u * v, Word(u.letters + v.letters, u.labels))
+
+    @given(word_st.flatmap(lambda w: st.tuples(st.just(w), _labels_st)))
+    def test_reverse_and_inverse_match_validated_construction(self, drawn):
+        w = Word(drawn[0].letters, drawn[1])
+        self._same(reverse(w), Word(tuple(reversed(w.letters)), w.labels))
+        self._same(w.inverse(), Word(tuple(-x for x in reversed(w.letters)), w.labels))
+
+    @pytest.mark.parametrize("k", [1, 2, 50, 5000])
+    def test_long_cancellation(self, k):
+        # a^k b A^k . a^k B A^k: A^k a^k, then b B, then a^k A^k cancel
+        a, b = parse("a"), parse("b")
+        u = a ** k * b * a ** -k
+        v = a ** k * b.inverse() * a ** -k
+        self._same(u * v, Word(u.letters + v.letters))
+        assert not u * v
+        w = a ** k * b
+        self._same(u * w, Word(u.letters + w.letters))
+        assert str(u * w) == "a" * k + "bb"
+
+
 class TestParseAndFormat:
     def test_round_trip(self):
         for text in ("abA", "aaBAb", "", "BBBa"):
@@ -210,6 +256,11 @@ class TestAlgebra:
     def test_mixed_alphabets_rejected(self):
         with pytest.raises(ValueError):
             parse("a") * parse("d", labels=("d", "b"))
+        # also when the letters would cancel, or there are none
+        with pytest.raises(ValueError, match="different alphabets"):
+            parse("ab") * parse("CA", labels=("a", "c"))
+        with pytest.raises(ValueError, match="different alphabets"):
+            Word((), ("a", "b")) * Word((), ("d", "b"))
 
     @given(word_st, word_st)
     def test_abelianize_is_additive(self, u, v):
@@ -303,6 +354,14 @@ class TestCyclic:
     @given(word_st, word_st)
     def test_conjugates_are_cyclically_equal(self, w, u):
         assert cyclically_equal(u * w * u.inverse(), w)
+
+    @given(_cancelling_raw_st.map(Word), _cancelling_raw_st.map(Word))
+    def test_cyclically_equal_matches_rotation_search(self, u, v):
+        cu = _reference_cyclic_reduce(u.letters)
+        cv = _reference_cyclic_reduce(v.letters)
+        rotations = {cu[i:] + cu[:i] for i in range(max(1, len(cu)))}
+        assert cyclically_equal(u, v) == (cv in rotations)
+        assert cyclically_equal(u, u * v * v.inverse())
 
     def test_rotation_detected(self):
         assert cyclically_equal(parse("aab"), parse("aba"))
