@@ -12,7 +12,9 @@ The probe exit code encodes the verdict: 0 for bounded or parabolic-ends,
 from __future__ import annotations
 
 import json
+import math
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -53,8 +55,8 @@ def _fail(message) -> None:
 def _tolerances(tol_geo: float | None) -> Tolerances:
     if tol_geo is None:
         return DEFAULT_TOLERANCES
-    if tol_geo <= 0:
-        _fail("--tol-geo must be positive")
+    if not (math.isfinite(tol_geo) and tol_geo > 0):
+        _fail("--tol-geo must be finite and positive")
     return DEFAULT_TOLERANCES.with_geo(tol_geo)
 
 
@@ -77,7 +79,29 @@ def _emit(text: str, out: str) -> None:
                 fh.write("\n")
 
 
-@click.group()
+@contextmanager
+def _usage_exits_one():
+    try:
+        yield
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+class _Group(click.Group):
+    """A click group whose usage errors exit 1, as every other error does:
+    click's own code for them, 2, is the probe's unbounded verdict."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_exits_one():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_exits_one():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Explore two-generator matrix groups through palindromic axes."""
 

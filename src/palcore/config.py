@@ -1,7 +1,7 @@
 """Numeric tolerances and probe thresholds.
 
-All thresholds are overridable; the defaults below are shared by the whole
-library. Operations that consume a product of n generator matrices scale the
+All thresholds are overridable, and the library reads every field below.
+Operations that consume a product of n generator matrices scale the
 geometric tolerance by n (see Tolerances.geo_scaled).
 """
 from __future__ import annotations
@@ -11,8 +11,6 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # relative determinant drift accepted on normalized matrices
-    det: float = 1e-12
     # half-width of the trace band reported as parabolic
     classify: float = 1e-9
     # geometric residuals: orthogonality traces, antipodality, endpoint matching

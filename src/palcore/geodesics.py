@@ -24,7 +24,6 @@ from .sl2c import (
     boundary_key,
     boundary_to_json,
     chordal_distance,
-    classify,
     fixed_points,
     normalize,
 )
@@ -219,8 +218,3 @@ def position_on_vertical_axis(
 
 
 VERTICAL_AXIS = Geodesic(0j, INFINITY)
-
-
-def is_proper_axis(g: GroupElement, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """True if g has a non-degenerate axis (loxodromic or elliptic)."""
-    return classify(g, tol) in ("loxodromic", "elliptic")

@@ -18,6 +18,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import IO, Iterable, NamedTuple
 
 from .config import DEFAULT_ESCAPE, DEFAULT_PLATEAU
@@ -190,19 +191,18 @@ def sample_palindromizations(
     return out
 
 
-def _growth_series(entries: list[SpectrumEntry], depth: int) -> tuple[float, ...]:
-    best = 0.0
-    out = []
-    for d in range(depth + 1):
-        level = [
-            abs(e.image.s)
-            for e in entries
-            if e.depth <= d and e.image is not None and e.image.finite
-        ]
-        if level:
-            best = max(best, max(level))
-        out.append(best)
-    return tuple(out)
+def _growth_series(entries: Iterable[SpectrumEntry], depth: int) -> tuple[float, ...]:
+    """max |s| over the finite positions at tree depth <= d, for d = 0..depth."""
+    level_max = [0.0] * (depth + 1)
+    for e in entries:
+        if e.image is not None and e.image.finite:
+            level_max[e.depth] = max(level_max[e.depth], abs(e.image.s))
+    return tuple(accumulate(level_max, max))
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0:  # NaN fails too
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -269,9 +269,16 @@ def probe(
     is refused at the certifiable floor. An s_escape at or above that
     ceiling, such as the default DEFAULT_ESCAPE = 25, never records a
     witness.
+
+    Raises ValueError for depth < 1, a negative random_samples, or an
+    s_escape or plateau_delta that is not positive (NaN included).
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if random_samples < 0:
+        raise ValueError(f"random_samples must be >= 0, got {random_samples}")
+    _check_positive("s_escape", s_escape)
+    _check_positive("plateau_delta", plateau_delta)
     spectrum = tuple(pi_spectrum(rep, depth))
     samples = tuple(
         sample_palindromizations(rep, random_samples, 2 * depth, seed)
@@ -282,25 +289,18 @@ def probe(
     interval = (
         (min(finite_spectrum), max(finite_spectrum)) if finite_spectrum else None
     )
-    growth = _growth_series(list(spectrum), depth)
+    growth = _growth_series(spectrum, depth)
 
+    # a sample's image carries its palindrome as word, like a spectrum image
     witnesses: list[WitnessRecord] = []
-    for e in spectrum:
-        if e.image is not None and e.image.finite and abs(e.image.s) > s_escape:
-            witnesses.append(
-                WitnessRecord(e.image.word or "", e.image.s, e.image.source)
-            )
-    for smp in samples:
-        img = smp.image
-        if img is not None and img.finite and abs(img.s) > s_escape:
-            witnesses.append(WitnessRecord(smp.word or "", img.s, img.source))
-
-    tagged_parabolic = any(
-        e.image is not None and e.image.source == PARABOLIC_END for e in spectrum
-    ) or any(
-        smp.image is not None and smp.image.source == PARABOLIC_END
-        for smp in samples
-    )
+    tagged_parabolic = False
+    for img in chain((e.image for e in spectrum), (smp.image for smp in samples)):
+        if img is None:
+            continue
+        if img.source == PARABOLIC_END:
+            tagged_parabolic = True
+        elif img.finite and abs(img.s) > s_escape:
+            witnesses.append(WitnessRecord(img.word or "", img.s, img.source))
     plateaued = (
         depth >= 2
         and bool(finite_spectrum)
@@ -346,10 +346,12 @@ def witness_search(
     |s| > s_escape is returned with its (C, D, n) data. Returns None when
     the grid is exhausted, which is always the case for an s_escape at or
     above the certifiable ceiling 1/2 ln(1/tol.singular) (13.8155 at
-    default tolerances), the default DEFAULT_ESCAPE = 25 included.
+    default tolerances), the default DEFAULT_ESCAPE = 25 included. Raises
+    ValueError for bounds below 1 or an s_escape that is not positive.
     """
     if max_conj_power < 1 or max_word_len < 1:
         raise ValueError("search bounds must be >= 1")
+    _check_positive("s_escape", s_escape)
     vocabulary = list(reduced_words(max_word_len))
     for c in vocabulary:
         c_inv = c.inverse()
@@ -359,12 +361,8 @@ def witness_search(
                 conj_left = conj_left * c
                 conj_right = conj_right * c_inv
                 u = conj_left * d * conj_right
-                if not u:
-                    continue
                 u_rev = reverse(u)
                 for pal in (u * u_rev, u_rev * u):
-                    if not pal:
-                        continue
                     try:
                         image = pi_of_palindrome(rep, pal)
                     except PalcoreError:

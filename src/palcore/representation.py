@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
@@ -44,7 +45,7 @@ from .sl2c import (
     matrix_from_json,
     normalize,
 )
-from .words import Word, evaluate, is_palindrome, reverse
+from .words import Word, _letter_matrices, evaluate, is_palindrome, reverse
 
 PALINDROME_WORD = "palindrome-word"
 PALINDROME_PAIR = "palindrome-pair"
@@ -111,10 +112,6 @@ class Representation:
     norm_A: GroupElement
     norm_B: GroupElement
     tol: Tolerances
-
-    def conjugate_in(self, g: GroupElement) -> GroupElement:
-        """Move g from the input frame into the normalized frame."""
-        return normalize(self.normalizer * g * self.normalizer.inverse(), self.tol)
 
     def evaluate_normalized(
         self, w: Word, start: GroupElement | None = None
@@ -297,7 +294,7 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     images are tagged at the core end they fix. OrthogonalityViolation
     signals numerical breakdown: an exact palindrome axis is always
     orthogonal to the core. Slope words do not come through here:
-    rational_pi folds them in full, bit for bit as before.
+    rational_pi folds them in full.
     """
     if not is_palindrome(w):
         raise NotPalindrome(f"{w!r} is not a palindrome")
@@ -329,9 +326,7 @@ def _palindrome_image(rep: Representation, w: Word) -> GroupElement:
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
     if len(letters) % 2 == 0:
         return GroupElement(diag, 2 * al * be, 2 * ga * de, diag)
-    x = letters[half]
-    gen = rep.norm_A if abs(x) == 1 else rep.norm_B
-    e, f, g, _ = (gen if x > 0 else gen.inverse()).entries()
+    e, f, g, _ = _letter_matrices(rep.norm_A, rep.norm_B)[letters[half]]
     diag = e * diag + g * be * de + f * al * ga
     return GroupElement(
         diag,
@@ -422,24 +417,19 @@ def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:
         raise TrivialPalindromization(f"{w!r} palindromizes to the identity") from exc
 
 
-class Hexagon(tuple):
+class Hexagon(NamedTuple):
     """Six geodesics in cyclic order with named access."""
 
-    def __new__(cls, axis_a, core, axis_b, perp_b, axis_ab, perp_a):
-        return super().__new__(cls, (axis_a, core, axis_b, perp_b, axis_ab, perp_a))
-
-    axis_a = property(lambda self: self[0])
-    core = property(lambda self: self[1])
-    axis_b = property(lambda self: self[2])
-    perp_b = property(lambda self: self[3])
-    axis_ab = property(lambda self: self[4])
-    perp_a = property(lambda self: self[5])
-
-    NAMES = ("axis_a", "core", "axis_b", "perp_b", "axis_ab", "perp_a")
+    axis_a: Geodesic
+    core: Geodesic
+    axis_b: Geodesic
+    perp_b: Geodesic
+    axis_ab: Geodesic
+    perp_a: Geodesic
 
     def to_json(self) -> list:
         return [
-            {"name": name, **geo.to_json()} for name, geo in zip(self.NAMES, self)
+            {"name": name, **geo.to_json()} for name, geo in zip(self._fields, self)
         ]
 
 
@@ -479,21 +469,17 @@ def rational_pi(
     even, the palindromic factor pair through its double altitude when pq
     is odd.
 
-    images, when given, maps slopes to the normalized images of their words
-    and is read and extended here. The words are then not evaluated from
-    the identity but continued from a parent's stored image (see
-    _slope_image), with the same bits. For a caller that visits parents
-    before children (pi_spectrum), an even slope multiplies only its lower
+    Each word is continued from a parent's stored image (see _slope_image),
+    with the bits of a full fold from the identity. images maps slopes to
+    normalized word images and is read and extended here; without it the
+    call starts its own. When a caller visits parents before children and
+    shares one map (pi_spectrum), an even slope multiplies only its lower
     parent's letters, and an odd slope, whose factors are its parents'
     words, multiplies none until a later slope needs its own image.
     """
     node = primitive_word(p, q)
     if images is None:
-        if node.factorization is None:
-            return _palindrome_position(
-                rep, node.word, rep.evaluate_normalized(node.word)
-            )
-        return pi_of_pair(rep, *node.factorization)
+        images = {}
     if node.factorization is None:
         return _palindrome_position(rep, node.word, _slope_image(rep, node, images))
     lo, hi = node.parents

@@ -46,10 +46,6 @@ def chordal_distance(u: BoundaryPoint, v: BoundaryPoint) -> float:
     return 2.0 * abs(u - v) / math.sqrt((1.0 + abs(u) ** 2) * (1.0 + abs(v) ** 2))
 
 
-def _c(x: complex | float | int) -> complex:
-    return complex(x)
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Unimodular 2x2 complex matrix, understood projectively (up to sign)."""
@@ -115,16 +111,12 @@ class GroupElement:
         }
 
 
-def normalize(
-    m: GroupElement | tuple, tol: Tolerances = DEFAULT_TOLERANCES
-) -> GroupElement:
-    """Scale m to determinant one using the principal square root.
+def normalize(m: GroupElement, tol: Tolerances = DEFAULT_TOLERANCES) -> GroupElement:
+    """Scale the matrix m to determinant one by the principal square root.
 
     Raises SingularMatrix when |det| is below tol.singular relative to the
     squared entry scale.
     """
-    if not isinstance(m, GroupElement):
-        m = GroupElement(*(_c(x) for x in m))
     d = m.det()
     scale = m.max_norm()
     if scale == 0.0 or abs(d) <= tol.singular * scale * scale:
@@ -210,7 +202,7 @@ def _fixed_points(
     # of roots -b/c for the other; avoids cancellation near parabolics
     num = t + sq if abs(t + sq) >= abs(t - sq) else t - sq
     r1 = num / (2 * c)
-    r2 = (-b / c) / r1 if r1 != 0 else _c(0)
+    r2 = (-b / c) / r1 if r1 != 0 else 0j
     return tuple(sorted((r1, r2), key=boundary_key))
 
 

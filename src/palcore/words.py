@@ -161,6 +161,16 @@ def abelianize(w: Word) -> AbelianImage:
     return AbelianImage(ea, eb)
 
 
+@lru_cache(maxsize=64)
+def _letter_matrices(A: GroupElement, B: GroupElement) -> dict[int, tuple]:
+    """Entries of each letter's matrix under a -> A, b -> B; an inverse
+    letter takes the adjugate. Shared between calls, so never mutated."""
+    return {
+        1: A.entries(), -1: A.inverse().entries(),
+        2: B.entries(), -2: B.inverse().entries(),
+    }
+
+
 def evaluate(
     w: Word, A: GroupElement, B: GroupElement, start: GroupElement | None = None
 ) -> GroupElement:
@@ -174,12 +184,8 @@ def evaluate(
     letters, so when x * y does not cancel, evaluate(y, A, B, evaluate(x,
     A, B)) is evaluate(x * y, A, B) bit for bit.
     """
-    table = {
-        1: A.entries(), -1: A.inverse().entries(),
-        2: B.entries(), -2: B.inverse().entries(),
-    }
     a, b, c, d = (GroupElement.identity() if start is None else start).entries()
-    for e, f, g, h in map(table.__getitem__, w.letters):
+    for e, f, g, h in map(_letter_matrices(A, B).__getitem__, w.letters):
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return GroupElement(a, b, c, d)
 

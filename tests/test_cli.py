@@ -207,6 +207,42 @@ class TestProbe:
         assert json.loads(target.read_text())["verdict"] == UNBOUNDED_EVIDENCE_NONDISCRETE
 
 
+class TestUsageErrors:
+    """Every usage error exits 1, with click's message: 2 and 3 are probe
+    verdicts."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["probe"], "Missing option '--gens'"),
+        (["probe", "--gens", "{gens}", "--depth", "x"], "'x' is not a valid integer"),
+        (["pi-map", "--gens", "{gens}", "--format", "xml"], "'xml' is not one of"),
+        (["bogus"], "No such command 'bogus'"),
+    ])
+    def test_click_usage_errors_exit_one(self, runner, mu4_gens, args, message):
+        res = runner.invoke(main, [a.format(gens=mu4_gens) for a in args])
+        assert res.exit_code == 1
+        assert message in res.output
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, runner, mu4_gens, value):
+        res = runner.invoke(
+            main, ["probe", "--gens", mu4_gens, "--depth", "6", "--tol-geo", value]
+        )
+        assert res.exit_code == 1
+        assert "--tol-geo must be finite and positive" in res.output
+
+    @pytest.mark.parametrize("option, value", [
+        ("--samples", "-3"),
+        ("--escape", "nan"), ("--escape", "0"), ("--escape", "-1"),
+        ("--plateau", "nan"), ("--plateau", "0"), ("--plateau", "-0.01"),
+    ])
+    def test_out_of_range_probe_inputs_exit_one(self, runner, mu4_gens, option, value):
+        res = runner.invoke(
+            main, ["probe", "--gens", mu4_gens, "--depth", "3", option, value]
+        )
+        assert res.exit_code == 1
+        assert res.output.startswith("error: ")
+
+
 class TestHexagon:
     def test_six_sides(self, runner, schottky_gens):
         res = runner.invoke(main, ["hexagon", "--gens", schottky_gens])

@@ -16,7 +16,6 @@ from palcore.geodesics import (
     common_perpendicular,
     geodesic_distance,
     half_turn_conjugate,
-    is_proper_axis,
     line_matrix,
     orthogonality_residual,
     position_on_vertical_axis,
@@ -74,10 +73,6 @@ class TestAxis:
             left = axis(h * g * h.inverse(), TOL)
             right = transform(axis(g, TOL), h)
             assert geodesic_distance(left, right) < 1e-8
-
-    def test_is_proper_axis(self):
-        assert is_proper_axis(GroupElement(2, 0, 0, 0.5), TOL)
-        assert not is_proper_axis(GroupElement(1, 1, 0, 1), TOL)
 
 
 class TestLineMatrix:

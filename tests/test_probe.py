@@ -24,8 +24,14 @@ from palcore.probe import (
     witness_search,
 )
 from palcore.errors import PalcoreError
-from palcore.farey import enumerate_farey
-from palcore.representation import PALINDROME_WORD, PiImage, rational_pi
+from palcore.farey import enumerate_farey, primitive_word
+from palcore.representation import (
+    PALINDROME_WORD,
+    PiImage,
+    _palindrome_position,
+    pi_of_pair,
+    rational_pi,
+)
 from palcore.words import Word, is_palindrome, parse, reduced_words, reverse
 
 from .conftest import random_representation
@@ -37,18 +43,38 @@ def _entry_bits(p, q, depth, image, error):
     return (p, q, depth, image.s.hex(), image.source, image.element_class, image.word)
 
 
+def _full_fold(rep, node):
+    """Pi image of a slope from the fold of its whole word, or of both its
+    factors, from the identity: the reference for every continued fold."""
+    if node.factorization is None:
+        return _palindrome_position(rep, node.word, rep.evaluate_normalized(node.word))
+    return pi_of_pair(rep, *node.factorization)
+
+
+def _slope_bits(node, image_of):
+    try:
+        return _entry_bits(node.p, node.q, node.depth, image_of(node), None)
+    except PalcoreError as exc:
+        return _entry_bits(node.p, node.q, node.depth, None,
+                           f"{type(exc).__name__}: {exc}")
+
+
 def _full_fold_spectrum(rep, depth):
-    """pi_spectrum with every slope evaluated from the identity: one
-    rational_pi call per slope and no shared images."""
-    out = []
-    for node in enumerate_farey(depth):
-        try:
-            out.append(_entry_bits(node.p, node.q, node.depth,
-                                   rational_pi(rep, node.p, node.q), None))
-        except PalcoreError as exc:
-            out.append(_entry_bits(node.p, node.q, node.depth, None,
-                                   f"{type(exc).__name__}: {exc}"))
-    return out
+    """pi_spectrum with every slope evaluated from the identity."""
+    return [_slope_bits(node, lambda n: _full_fold(rep, n))
+            for node in enumerate_farey(depth)]
+
+
+_SPECTRUM_PAIRS = [
+    ("mu4", 12), ("schottky", 12),
+    *((f"random{seed}", 10) for seed in range(6)),
+]
+
+
+def _named_rep(name, request):
+    if name.startswith("random"):
+        return random_representation(int(name[len("random"):]))
+    return request.getfixturevalue(name)
 
 
 class TestSpectrum:
@@ -72,18 +98,26 @@ class TestSpectrum:
         assert len(entries) == 2**12 + 1
         assert all((e.image is None) != (e.error is None) for e in entries)
 
-    @pytest.mark.parametrize("name, depth", [
-        ("mu4", 12), ("schottky", 12),
-        *((f"random{seed}", 10) for seed in range(6)),
-    ])
+    @pytest.mark.parametrize("name, depth", _SPECTRUM_PAIRS)
     def test_continued_images_match_full_folds(self, name, depth, request):
-        if name.startswith("random"):
-            rep = random_representation(int(name[len("random"):]))
-        else:
-            rep = request.getfixturevalue(name)
+        rep = _named_rep(name, request)
         entries = [_entry_bits(e.p, e.q, e.depth, e.image, e.error)
                    for e in pi_spectrum(rep, depth)]
         assert entries == _full_fold_spectrum(rep, depth)
+
+    @pytest.mark.parametrize("name, depth", _SPECTRUM_PAIRS)
+    def test_standalone_rational_pi_matches_full_folds(self, name, depth, request):
+        # each call starts its own image memo; the long slopes climb
+        # thousands of prefix parents
+        rep = _named_rep(name, request)
+        nodes = enumerate_farey(depth) + [
+            primitive_word(p, q)
+            for p, q in ((1, 2000), (2000, 1), (1597, 987), (987, 1597))
+        ]
+        standalone = [_slope_bits(node, lambda n: rational_pi(rep, n.p, n.q))
+                      for node in nodes]
+        assert standalone == [_slope_bits(node, lambda n: _full_fold(rep, n))
+                              for node in nodes]
 
     def test_multiplies_under_two_fifths_of_the_letters(self, mu4, monkeypatch):
         representation = sys.modules["palcore.representation"]
@@ -180,6 +214,16 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             probe(schottky, depth=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"random_samples": -3},
+        {"s_escape": math.nan}, {"s_escape": 0.0}, {"s_escape": -1.0},
+        {"plateau_delta": math.nan}, {"plateau_delta": 0.0},
+        {"plateau_delta": -0.01},
+    ])
+    def test_out_of_range_inputs_rejected(self, schottky, kwargs):
+        with pytest.raises(ValueError):
+            probe(schottky, depth=2, **kwargs)
+
     def test_verdict_vocabulary(self):
         assert set(VERDICTS) == {
             BOUNDED_CONSISTENT_WITH_GF,
@@ -263,6 +307,11 @@ class TestWitnessSearch:
                             expected.append(pal)
         assert len(expected) == 16 * 16 * 4 * 2  # 16 words of length <= 2
         assert seen == expected
+
+    @pytest.mark.parametrize("s_escape", [math.nan, 0.0, -1.0])
+    def test_escape_must_be_positive(self, rep1, s_escape):
+        with pytest.raises(ValueError):
+            witness_search(rep1, 1, 1, s_escape=s_escape)
 
     def test_caps_must_be_positive(self, rep1):
         with pytest.raises(ValueError):

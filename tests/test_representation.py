@@ -365,7 +365,7 @@ class TestHexagon:
     def test_rep1_structure(self, rep1):
         hx = hexagon(rep1)
         assert len(hx) == 6
-        assert hx.NAMES == (
+        assert hx._fields == (
             "axis_a",
             "core",
             "axis_b",
@@ -390,7 +390,7 @@ class TestHexagon:
 
     def test_json_shape(self, rep1):
         entries = hexagon(rep1).to_json()
-        assert [e["name"] for e in entries] == list(hexagon(rep1).NAMES)
+        assert [e["name"] for e in entries] == list(hexagon(rep1)._fields)
         assert all("e1" in e and "e2" in e for e in entries)
 
 
