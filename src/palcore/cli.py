@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import click
 
-from .config import DEFAULT_ESCAPE, DEFAULT_PLATEAU, DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_ESCAPE, DEFAULT_GEO, DEFAULT_PLATEAU
 from .errors import PalcoreError
 from .farey import primitive_word
 from .probe import (
@@ -52,19 +52,30 @@ def _fail(message) -> None:
     sys.exit(1)
 
 
-def _tolerances(tol_geo: float | None) -> Tolerances:
-    if tol_geo is None:
-        return DEFAULT_TOLERANCES
-    if not (math.isfinite(tol_geo) and tol_geo > 0):
-        _fail("--tol-geo must be finite and positive")
-    return DEFAULT_TOLERANCES.with_geo(tol_geo)
+class _FlagError(click.BadParameter):
+    """A bad option value whose message names its flag."""
+
+    def format_message(self) -> str:
+        return self.message
 
 
-def _load_rep(path: str, tol: Tolerances):
+def _positive(ctx, param, value: float) -> float:
+    """Option callback: the value must be positive (NaN fails), and for
+    --tol-geo finite as well."""
+    flag = param.opts[0]
+    if flag == "--tol-geo":
+        if not (math.isfinite(value) and value > 0):
+            raise _FlagError(f"{flag} must be finite and positive")
+    elif not value > 0:
+        raise _FlagError(f"{flag} must be positive")
+    return value
+
+
+def _load_rep(path: str, geo: float):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return rep_from_json(data, tol)
+        return rep_from_json(data, geo)
     except (OSError, ValueError, KeyError, PalcoreError) as exc:
         _fail(exc)
 
@@ -83,6 +94,8 @@ def _emit(text: str, out: str) -> None:
 def _usage_exits_one():
     try:
         yield
+    except click.BadParameter as exc:
+        _fail(exc.format_message())
     except click.UsageError as exc:
         exc.exit_code = 1
         raise
@@ -90,7 +103,8 @@ def _usage_exits_one():
 
 class _Group(click.Group):
     """A click group whose usage errors exit 1, as every other error does:
-    click's own code for them, 2, is the probe's unbounded verdict."""
+    click's own code for them, 2, is the probe's unbounded verdict. A bad
+    option value is reported as the other errors are, on one line."""
 
     def make_context(self, *args, **kwargs):
         with _usage_exits_one():
@@ -152,11 +166,12 @@ def cmd_primitive(slope: str) -> None:
 @click.option("--depth", default=4, show_default=True, help="Farey tree depth")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--tol-geo", type=float, default=None, help="geometric tolerance")
+@click.option("--tol-geo", type=float, default=DEFAULT_GEO, callback=_positive,
+              help="geometric tolerance")
 @click.option("--out", default="-", show_default=True, help="output path, - for stdout")
-def cmd_pi_map(gens: str, depth: int, fmt: str, tol_geo: float | None, out: str) -> None:
+def cmd_pi_map(gens: str, depth: int, fmt: str, tol_geo: float, out: str) -> None:
     """Position spectrum of the palindromic axes over the Farey tree."""
-    rep = _load_rep(gens, _tolerances(tol_geo))
+    rep = _load_rep(gens, tol_geo)
     try:
         entries = pi_spectrum(rep, depth)
     except ValueError as exc:
@@ -174,21 +189,24 @@ def cmd_pi_map(gens: str, depth: int, fmt: str, tol_geo: float | None, out: str)
 @main.command("probe")
 @click.option("--gens", required=True, help="generator JSON file")
 @click.option("--depth", default=6, show_default=True, help="Farey tree depth")
-@click.option("--samples", default=0, show_default=True,
-              help="random palindromization count")
+@click.option("--samples", type=click.IntRange(min=0), default=0,
+              show_default=True, help="random palindromization count")
 @click.option("--seed", default=0, show_default=True, help="sampling seed")
 @click.option("--escape", default=DEFAULT_ESCAPE, show_default=True,
+              callback=_positive,
               help="|s| threshold for escape evidence; positions beyond "
                    "1/2 ln(1/singular tolerance) = 13.8 are never certified, "
                    "so the default records no witness")
 @click.option("--plateau", default=DEFAULT_PLATEAU, show_default=True,
+              callback=_positive,
               help="growth increment below which the spectrum counts as plateaued")
-@click.option("--tol-geo", type=float, default=None, help="geometric tolerance")
+@click.option("--tol-geo", type=float, default=DEFAULT_GEO, callback=_positive,
+              help="geometric tolerance")
 @click.option("--out", default="-", show_default=True, help="output path, - for stdout")
 def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
-              plateau: float, tol_geo: float | None, out: str) -> None:
+              plateau: float, tol_geo: float, out: str) -> None:
     """Probe the pair for discreteness evidence; exit code is the verdict."""
-    rep = _load_rep(gens, _tolerances(tol_geo))
+    rep = _load_rep(gens, tol_geo)
     try:
         report = probe(rep, depth, random_samples=samples, seed=seed,
                        s_escape=escape, plateau_delta=plateau)
@@ -200,11 +218,12 @@ def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
 
 @main.command("hexagon")
 @click.option("--gens", required=True, help="generator JSON file")
-@click.option("--tol-geo", type=float, default=None, help="geometric tolerance")
+@click.option("--tol-geo", type=float, default=DEFAULT_GEO, callback=_positive,
+              help="geometric tolerance")
 @click.option("--out", default="-", show_default=True, help="output path, - for stdout")
-def cmd_hexagon(gens: str, tol_geo: float | None, out: str) -> None:
+def cmd_hexagon(gens: str, tol_geo: float, out: str) -> None:
     """The six geodesics of the right-angled hexagon of the pair."""
-    rep = _load_rep(gens, _tolerances(tol_geo))
+    rep = _load_rep(gens, tol_geo)
     try:
         hexa = hexagon(rep)
     except PalcoreError as exc:

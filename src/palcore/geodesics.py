@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_GEO
 from .errors import DegenerateGeodesic, NotOrthogonal, SharedEndpoint, SingularMatrix
 from .sl2c import (
     INFINITY,
@@ -86,17 +86,17 @@ def transform(g: Geodesic, m: GroupElement) -> Geodesic:
     return Geodesic(m.apply(g.e1), m.apply(g.e2))
 
 
-def axis(g: GroupElement, tol: Tolerances = DEFAULT_TOLERANCES) -> Geodesic:
+def axis(g: GroupElement) -> Geodesic:
     """Invariant geodesic of a non-identity element.
 
     Loxodromic and elliptic elements give the geodesic between their fixed
     points. A parabolic gives the degenerate marker [p, p] at its single
     fixed point. Raises IdentityElement for (plus or minus) the identity.
     """
-    return Geodesic(*fixed_points(g, tol))
+    return Geodesic(*fixed_points(g))
 
 
-def line_matrix(g: Geodesic, tol: Tolerances = DEFAULT_TOLERANCES) -> GroupElement:
+def line_matrix(g: Geodesic) -> GroupElement:
     """Trace-zero unimodular matrix whose Moebius action is the half-turn
     about g. It fixes both endpoints and squares to -I.
 
@@ -110,34 +110,28 @@ def line_matrix(g: Geodesic, tol: Tolerances = DEFAULT_TOLERANCES) -> GroupEleme
     else:
         p, q = g.e1, g.e2
         raw = GroupElement(p + q, -2 * p * q, 2 + 0j, -(p + q))
-    return normalize(raw, tol)
+    return normalize(raw)
 
 
-def half_turn_conjugate(
-    axis_geo: Geodesic, g: GroupElement, tol: Tolerances = DEFAULT_TOLERANCES
-) -> GroupElement:
+def half_turn_conjugate(axis_geo: Geodesic, g: GroupElement) -> GroupElement:
     """Conjugate g by the half-turn about axis_geo: H g H^-1."""
-    h = line_matrix(axis_geo, tol)
+    h = line_matrix(axis_geo)
     return h * g * h.inverse()
 
 
-def are_orthogonal(
-    g1: Geodesic, g2: Geodesic, tol: Tolerances = DEFAULT_TOLERANCES
-) -> bool:
+def are_orthogonal(g1: Geodesic, g2: Geodesic, geo: float = DEFAULT_GEO) -> bool:
     """True iff the geodesics meet at a right angle in hyperbolic space.
 
-    Criterion: tr(L1 L2) = 0 for the line matrices, tested against tol.geo
+    Criterion: tr(L1 L2) = 0 for the line matrices, tested against geo
     relative to the product's entry scale.
     """
-    prod = line_matrix(g1, tol) * line_matrix(g2, tol)
-    return abs(prod.trace()) <= tol.geo * max(1.0, prod.max_norm())
+    prod = line_matrix(g1) * line_matrix(g2)
+    return abs(prod.trace()) <= geo * max(1.0, prod.max_norm())
 
 
-def orthogonality_residual(
-    g1: Geodesic, g2: Geodesic, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def orthogonality_residual(g1: Geodesic, g2: Geodesic) -> float:
     """|tr(L1 L2)| scaled by the product's entry size; 0 means orthogonal."""
-    prod = line_matrix(g1, tol) * line_matrix(g2, tol)
+    prod = line_matrix(g1) * line_matrix(g2)
     return abs(prod.trace()) / max(1.0, prod.max_norm())
 
 
@@ -150,7 +144,7 @@ def _shared_endpoint(g1: Geodesic, g2: Geodesic, eps: float) -> bool:
 
 
 def common_perpendicular(
-    g1: Geodesic, g2: Geodesic, tol: Tolerances = DEFAULT_TOLERANCES
+    g1: Geodesic, g2: Geodesic, geo: float = DEFAULT_GEO
 ) -> Geodesic:
     """The unique geodesic orthogonal to both inputs.
 
@@ -161,37 +155,33 @@ def common_perpendicular(
     other endpoint the half-turn image of p about the proper input (or the
     second marker point).
 
-    Raises SharedEndpoint when the inputs share an endpoint within tol.geo
-    in the chordal metric (an elementary configuration).
+    Raises SharedEndpoint when the inputs share an endpoint within geo in
+    the chordal metric (an elementary configuration).
     """
-    if _shared_endpoint(g1, g2, tol.geo):
+    if _shared_endpoint(g1, g2, geo):
         raise SharedEndpoint(f"{g1} and {g2} share an endpoint")
     if g1.degenerate and g2.degenerate:
         return Geodesic(g1.e1, g2.e1)
     if g1.degenerate or g2.degenerate:
         marker, proper = (g1, g2) if g1.degenerate else (g2, g1)
         p = marker.e1
-        q = line_matrix(proper, tol).apply(p)
+        q = line_matrix(proper).apply(p)
         return Geodesic(p, q)
-    prod = line_matrix(g1, tol) * line_matrix(g2, tol)
+    prod = line_matrix(g1) * line_matrix(g2)
     half_tr = prod.trace() / 2
     traceless = GroupElement(
         prod.a - half_tr, prod.b, prod.c, prod.d - half_tr
     )
     try:
-        t = normalize(traceless, tol)
+        t = normalize(traceless)
     except SingularMatrix as exc:
         raise SharedEndpoint(
             f"perpendicular between {g1} and {g2} is not determined"
         ) from exc
-    return Geodesic(*fixed_points(t, tol))
+    return Geodesic(*fixed_points(t))
 
 
-def position_on_vertical_axis(
-    g: Geodesic,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    eps: float | None = None,
-) -> float:
+def position_on_vertical_axis(g: Geodesic, eps: float = DEFAULT_GEO) -> float:
     """Signed position along [0, inf] where g crosses it orthogonally.
 
     g must have antipodal endpoints x and -x (the orthogonality condition
@@ -199,16 +189,13 @@ def position_on_vertical_axis(
     hyperbolic position is ln|x|. The value returned is the symmetric mean
     (ln|e1| + ln|e2|)/2, which equals ln|x| for exact input.
 
-    eps overrides tol.geo as the antipodality tolerance (relative to the
-    endpoint magnitude).
+    eps is the antipodality tolerance, relative to the endpoint magnitude.
     """
     if g.degenerate:
         raise DegenerateGeodesic(f"no crossing position for degenerate {g}")
     if g.e1 is INFINITY or g.e2 is INFINITY:
         raise NotOrthogonal(f"{g} has an end at infinity, cannot cross [0, inf]")
     x, y = g.e1, g.e2
-    if eps is None:
-        eps = tol.geo
     scale = max(1.0, abs(x), abs(y))
     if abs(x + y) > eps * scale:
         raise NotOrthogonal(f"endpoints of {g} are not antipodal: |x+y|={abs(x + y)}")

@@ -264,9 +264,9 @@ def probe(
     Per-entry computation failures are recorded in the report and do not
     affect the verdict beyond their absence from the statistics.
 
-    No finite position exceeds 1/2 ln(1/tol.singular) (13.8155 at default
-    tolerances): an entry whose off-diagonal entries leave a larger ratio
-    is refused at the certifiable floor. An s_escape at or above that
+    No finite position exceeds 1/2 ln(1/SINGULAR_FLOOR) = 13.8155: an
+    entry whose off-diagonal entries leave a larger ratio is refused at
+    the certifiable floor. An s_escape at or above that
     ceiling, such as the default DEFAULT_ESCAPE = 25, never records a
     witness.
 
@@ -345,8 +345,8 @@ def witness_search(
     palindromes U.reverse(U) and reverse(U).U; the first with finite
     |s| > s_escape is returned with its (C, D, n) data. Returns None when
     the grid is exhausted, which is always the case for an s_escape at or
-    above the certifiable ceiling 1/2 ln(1/tol.singular) (13.8155 at
-    default tolerances), the default DEFAULT_ESCAPE = 25 included. Raises
+    above the certifiable ceiling 1/2 ln(1/SINGULAR_FLOOR) = 13.8155, the
+    default DEFAULT_ESCAPE = 25 included. Raises
     ValueError for bounds below 1 or an s_escape that is not positive.
     """
     if max_conj_power < 1 or max_word_len < 1:

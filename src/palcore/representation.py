@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR, geo_scaled
 from .errors import (
     CommutingPair,
     DegenerateAxis,
@@ -45,7 +45,7 @@ from .sl2c import (
     matrix_from_json,
     normalize,
 )
-from .words import Word, _letter_matrices, evaluate, is_palindrome, reverse
+from .words import LetterTable, Word, evaluate, is_palindrome, letter_table, reverse
 
 PALINDROME_WORD = "palindrome-word"
 PALINDROME_PAIR = "palindrome-pair"
@@ -102,7 +102,8 @@ class Representation:
     A and B are the unimodular input generators; core is their axes' common
     perpendicular in the input frame; normalizer conjugates the input frame
     to the working frame with core = [0, inf]; norm_A and norm_B are the
-    conjugated generators.
+    conjugated generators, and letters is their letter_table. geo is the
+    geometric tolerance of every check made with this representation.
     """
 
     A: GroupElement
@@ -111,7 +112,8 @@ class Representation:
     normalizer: GroupElement
     norm_A: GroupElement
     norm_B: GroupElement
-    tol: Tolerances
+    letters: LetterTable = field(compare=False, repr=False)
+    geo: float
 
     def evaluate_normalized(
         self, w: Word, start: GroupElement | None = None
@@ -123,92 +125,96 @@ class Representation:
         unimodular to relative rounding error, while recomputing its
         determinant from entries of a long product cancels catastrophically.
         """
-        return evaluate(w, self.norm_A, self.norm_B, start)
+        return evaluate(w, self.letters, start)
 
     def to_json(self) -> dict:
         return {"A": self.A.to_json(), "B": self.B.to_json()}
 
 
-def _generator_axis(g: GroupElement, tol: Tolerances) -> Geodesic:
+def _generator_axis(g: GroupElement) -> Geodesic:
     try:
-        return axis(g, tol)
+        return axis(g)
     except IdentityElement as exc:
         raise ElementaryGroup("a generator is the identity") from exc
 
 
-def _frame_map(core: Geodesic, tol: Tolerances) -> GroupElement:
+def _frame_map(core: Geodesic) -> GroupElement:
     """Moebius map sending core to [0, inf], smaller endpoint to 0."""
     e1, e2 = core.endpoints()
     if e2 is INFINITY:
         raw = GroupElement(1 + 0j, -e1, 0j, 1 + 0j)
     else:
         raw = GroupElement(1 + 0j, -e1, 1 + 0j, -e2)
-    return normalize(raw, tol)
+    return normalize(raw)
 
 
-def _pin_from_points(pts, tol: Tolerances) -> GroupElement:
+def _pin_from_points(pts, geo: float) -> GroupElement:
     x, y = pts
     if x is INFINITY or y is INFINITY:
         raise OrthogonalityViolation("pinning axis does not cross the core")
     scale = max(1.0, abs(x), abs(y))
-    if abs(x + y) > tol.geo * scale or x == 0 or y == 0:
+    if abs(x + y) > geo * scale or x == 0 or y == 0:
         raise OrthogonalityViolation(
             f"pinning axis endpoints are not antipodal: {x}, {y}"
         )
     y_star = max((x, y), key=boundary_key)
     lam = cmath.sqrt(1 / y_star)
-    return normalize(GroupElement(lam, 0j, 0j, 1 / lam), tol)
+    return normalize(GroupElement(lam, 0j, 0j, 1 / lam))
 
 
-def _scale_pin(a0: GroupElement, b0: GroupElement, tol: Tolerances) -> GroupElement:
+def _scale_pin(a0: GroupElement, b0: GroupElement, geo: float) -> GroupElement:
     for g in (a0, b0):
-        if classify(g, tol) in ("loxodromic", "elliptic"):
-            return _pin_from_points(fixed_points(g, tol), tol)
+        if classify(g) in ("loxodromic", "elliptic"):
+            return _pin_from_points(fixed_points(g), geo)
     # both generators parabolic: pin the double altitude of the pair instead
     t_raw = a0 * b0 * (b0 * a0) - b0 * a0 * (a0 * b0)
     try:
-        t = normalize(t_raw, tol)
+        t = normalize(t_raw)
     except SingularMatrix as exc:
         raise ElementaryGroup("parabolic generators commute") from exc
-    return _pin_from_points(fixed_points(t, tol), tol)
+    return _pin_from_points(fixed_points(t), geo)
 
 
-def build(a_raw, b_raw, tol: Tolerances = DEFAULT_TOLERANCES) -> Representation:
+def build(a_raw, b_raw, geo: float = DEFAULT_GEO) -> Representation:
     """Construct a Representation from two matrices.
 
     Inputs are GroupElements of any nonzero determinant; they are
-    normalized to determinant 1. Raises ElementaryGroup when the
+    normalized to determinant 1. geo is the geometric tolerance, kept on
+    the result for its own checks. Raises ElementaryGroup when the
     generator axes share an endpoint (including equal or inverse
     generators and an identity generator), SingularMatrix for degenerate
     input.
     """
-    A = normalize(a_raw, tol)
-    B = normalize(b_raw, tol)
-    ax_a = _generator_axis(A, tol)
-    ax_b = _generator_axis(B, tol)
+    A = normalize(a_raw)
+    B = normalize(b_raw)
+    ax_a = _generator_axis(A)
+    ax_b = _generator_axis(B)
     try:
-        core = common_perpendicular(ax_a, ax_b, tol)
+        core = common_perpendicular(ax_a, ax_b, geo)
     except SharedEndpoint as exc:
         raise ElementaryGroup(str(exc)) from exc
-    n0 = _frame_map(core, tol)
-    a0 = normalize(n0 * A * n0.inverse(), tol)
-    b0 = normalize(n0 * B * n0.inverse(), tol)
-    pin = _scale_pin(a0, b0, tol)
-    nmap = normalize(pin * n0, tol)
+    n0 = _frame_map(core)
+    a0 = normalize(n0 * A * n0.inverse())
+    b0 = normalize(n0 * B * n0.inverse())
+    pin = _scale_pin(a0, b0, geo)
+    nmap = normalize(pin * n0)
+    norm_A = normalize(nmap * A * nmap.inverse())
+    norm_B = normalize(nmap * B * nmap.inverse())
     return Representation(
         A=A,
         B=B,
         core=core,
         normalizer=nmap,
-        norm_A=normalize(nmap * A * nmap.inverse(), tol),
-        norm_B=normalize(nmap * B * nmap.inverse(), tol),
-        tol=tol,
+        norm_A=norm_A,
+        norm_B=norm_B,
+        letters=letter_table(norm_A, norm_B),
+        geo=geo,
     )
 
 
-def rep_from_json(obj: dict, tol: Tolerances = DEFAULT_TOLERANCES) -> Representation:
+def rep_from_json(obj: dict, geo: float = DEFAULT_GEO) -> Representation:
     """Build a representation from {"A": matrix, "B": matrix} JSON data."""
-    return build(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]), tol)
+    return build(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]), geo)
 
 
 # the generic quadratic fixed-point solve is trusted as a cross-check only
@@ -218,7 +224,7 @@ _DISC_GATE = 1e-10
 
 
 def _crossing_position(
-    m: GroupElement, eps: float, tol: Tolerances, kind: str | None = None
+    m: GroupElement, eps: float, kind: str | None = None
 ) -> float:
     """Position where the axis of m crosses the core [0, inf].
 
@@ -228,7 +234,7 @@ def _crossing_position(
     s = ln|b/c| / 2, a ratio of directly accumulated entries that stays
     accurate when the quadratic root splitting has cancelled away. The
     quadratic solve is still run as an independent check whenever its
-    discriminant is numerically meaningful. kind is classify(m, tol) when
+    discriminant is numerically meaningful. kind is classify(m) when
     the caller has it, and is otherwise computed only for that check.
     """
     scale = max(1.0, m.max_norm())
@@ -237,7 +243,7 @@ def _crossing_position(
             f"diagonal asymmetry {abs(m.a - m.d):.3e} at scale {scale:.3e}: "
             "axis not orthogonal to the core"
         )
-    if abs(m.b) <= tol.singular * scale or abs(m.c) <= tol.singular * scale:
+    if abs(m.b) <= SINGULAR_FLOOR * scale or abs(m.c) <= SINGULAR_FLOOR * scale:
         raise OrthogonalityViolation(
             "off-diagonal entry below the certifiable floor, axis endpoint "
             "indistinguishable from a core end"
@@ -249,7 +255,7 @@ def _crossing_position(
     # a product, not ** 2: float ** raises OverflowError past |tr| ~ 1.3e154,
     # while the product overflows to inf and the cross-check is skipped
     if abs(disc) > _DISC_GATE * max(1.0, abs(tr) * abs(tr)):
-        x, y = _fixed_points(m, kind or classify(m, tol), tol)
+        x, y = _fixed_points(m, kind or classify(m))
         if x is INFINITY or y is INFINITY or x == 0 or y == 0:
             raise OrthogonalityViolation("quadratic solve put an endpoint on a core end")
         if abs(x + y) > eps * max(1.0, abs(x), abs(y)):
@@ -319,14 +325,13 @@ def _palindrome_image(rep: Representation, w: Word) -> GroupElement:
     """
     letters = w.letters
     half = len(letters) // 2
-    al, be, ga, de = rep.evaluate_normalized(
-        Word._from_reduced(letters[:half], w.labels)
-    ).entries()
+    first_half = Word._from_reduced(letters[:half])
+    al, be, ga, de = rep.evaluate_normalized(first_half).entries()
     bg, ad = be * ga, al * de
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
     if len(letters) % 2 == 0:
         return GroupElement(diag, 2 * al * be, 2 * ga * de, diag)
-    e, f, g, _ = _letter_matrices(rep.norm_A, rep.norm_B)[letters[half]]
+    e, f, g, _ = rep.letters[letters[half]]
     diag = e * diag + g * be * de + f * al * ga
     return GroupElement(
         diag,
@@ -338,13 +343,13 @@ def _palindrome_image(rep: Representation, w: Word) -> GroupElement:
 
 def _palindrome_position(rep: Representation, w: Word, m: GroupElement) -> PiImage:
     """pi_of_palindrome from m, the normalized image of the palindrome w."""
-    kind = classify(m, rep.tol)
+    kind = classify(m)
     if kind == "identity":
         raise IdentityImage(f"{w!r} evaluates to the identity")
-    eps = rep.tol.geo_scaled(len(w))
+    eps = geo_scaled(rep.geo, len(w))
     if kind == "parabolic":
         return PiImage(_parabolic_end(m, eps), PARABOLIC_END, str(w), kind)
-    s = _crossing_position(m, eps, rep.tol, kind)
+    s = _crossing_position(m, eps, kind)
     return PiImage(s, PALINDROME_WORD, str(w), kind)
 
 
@@ -371,17 +376,17 @@ def _pair_position(
     uvvu = uv * vu
     t_raw = uvvu - vu * uv
     scale = uvvu.max_norm()
-    if t_raw.max_norm() <= rep.tol.classify * max(1.0, scale):
+    if t_raw.max_norm() <= CLASSIFY_BAND * max(1.0, scale):
         raise CommutingPair(f"images of {u!r} and {v!r} commute")
     try:
-        t = normalize(t_raw, rep.tol)
+        t = normalize(t_raw)
     except SingularMatrix as exc:
         raise CommutingPair(
             f"double altitude of {u!r}, {v!r} is not determined"
         ) from exc
-    eps = rep.tol.geo_scaled(len(u) + len(v))
-    s = _crossing_position(t, eps, rep.tol)
-    return PiImage(s, PALINDROME_PAIR, f"{u}|{v}", classify(uv, rep.tol))
+    eps = geo_scaled(rep.geo, len(u) + len(v))
+    s = _crossing_position(t, eps)
+    return PiImage(s, PALINDROME_PAIR, f"{u}|{v}", classify(uv))
 
 
 def pair_perpendicular_by_axes(rep: Representation, u: Word, v: Word) -> Geodesic:
@@ -390,7 +395,7 @@ def pair_perpendicular_by_axes(rep: Representation, u: Word, v: Word) -> Geodesi
     pi_of_pair, which goes through the matrix formula instead."""
     U = rep.evaluate_normalized(u)
     V = rep.evaluate_normalized(v)
-    return common_perpendicular(axis(U * V, rep.tol), axis(V * U, rep.tol), rep.tol)
+    return common_perpendicular(axis(U * V), axis(V * U), rep.geo)
 
 
 def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:
@@ -442,20 +447,19 @@ def hexagon(rep: Representation) -> Hexagon:
 
     Raises DegenerateAxis when A, B, or AB is parabolic.
     """
-    tol = rep.tol
-    ab = normalize(rep.A * rep.B, tol)
-    if is_identity(ab, tol.classify):
+    ab = normalize(rep.A * rep.B)
+    if is_identity(ab):
         raise ElementaryGroup("product of the generators is the identity")
     for name, g in (("first generator", rep.A), ("second generator", rep.B),
                     ("generator product", ab)):
-        if classify(g, tol) == "parabolic":
+        if classify(g) == "parabolic":
             raise DegenerateAxis(f"{name} is parabolic, no proper axis")
-    ax_a = axis(rep.A, tol)
-    ax_b = axis(rep.B, tol)
-    ax_ab = axis(ab, tol)
+    ax_a = axis(rep.A)
+    ax_b = axis(rep.B)
+    ax_ab = axis(ab)
     try:
-        perp_a = common_perpendicular(ax_a, ax_ab, tol)
-        perp_b = common_perpendicular(ax_b, ax_ab, tol)
+        perp_a = common_perpendicular(ax_a, ax_ab, rep.geo)
+        perp_b = common_perpendicular(ax_b, ax_ab, rep.geo)
     except SharedEndpoint as exc:
         raise ElementaryGroup(str(exc)) from exc
     return Hexagon(ax_a, rep.core, ax_b, perp_b, ax_ab, perp_a)

@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR
 from .errors import IdentityElement, SingularMatrix
 
 
@@ -111,15 +111,15 @@ class GroupElement:
         }
 
 
-def normalize(m: GroupElement, tol: Tolerances = DEFAULT_TOLERANCES) -> GroupElement:
+def normalize(m: GroupElement) -> GroupElement:
     """Scale the matrix m to determinant one by the principal square root.
 
-    Raises SingularMatrix when |det| is below tol.singular relative to the
+    Raises SingularMatrix when |det| is below SINGULAR_FLOOR relative to the
     squared entry scale.
     """
     d = m.det()
     scale = m.max_norm()
-    if scale == 0.0 or abs(d) <= tol.singular * scale * scale:
+    if scale == 0.0 or abs(d) <= SINGULAR_FLOOR * scale * scale:
         raise SingularMatrix(f"determinant {d} too small relative to entries")
     s = cmath.sqrt(d)
     return GroupElement(m.a / s, m.b / s, m.c / s, m.d / s)
@@ -137,12 +137,12 @@ def psl_distance(g: GroupElement, h: GroupElement) -> float:
 
 
 def psl_equal(
-    g: GroupElement, h: GroupElement, tol: float = DEFAULT_TOLERANCES.geo
+    g: GroupElement, h: GroupElement, tol: float = DEFAULT_GEO
 ) -> bool:
     return psl_distance(g, h) <= tol
 
 
-def is_identity(g: GroupElement, eps: float = DEFAULT_TOLERANCES.classify) -> bool:
+def is_identity(g: GroupElement, eps: float = CLASSIFY_BAND) -> bool:
     """psl_distance(g, identity) <= eps, with the distance taken inline."""
     a, b, c, d = g.a, g.b, g.c, g.d
     direct = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
@@ -150,45 +150,41 @@ def is_identity(g: GroupElement, eps: float = DEFAULT_TOLERANCES.classify) -> bo
     return min(direct, flipped) <= eps
 
 
-def classify(g: GroupElement, tol: Tolerances = DEFAULT_TOLERANCES) -> str:
+def classify(g: GroupElement) -> str:
     """Isometry type: one of identity, parabolic, elliptic, loxodromic.
 
     The trichotomy is on the square of the trace, which is sign-independent:
     tr^2 = 4 parabolic, tr real with tr^2 < 4 elliptic, anything else
-    loxodromic. The band |tr^2 - 4| <= tol.classify is reported as parabolic.
+    loxodromic. The band |tr^2 - 4| <= CLASSIFY_BAND is reported as parabolic.
     """
-    if is_identity(g, tol.classify):
+    if is_identity(g, CLASSIFY_BAND):
         return "identity"
     t = g.trace()
     t2 = t * t
-    if abs(t2 - 4) <= tol.classify:
+    if abs(t2 - 4) <= CLASSIFY_BAND:
         return "parabolic"
-    if abs(t.imag) <= tol.classify and t2.real < 4:
+    if abs(t.imag) <= CLASSIFY_BAND and t2.real < 4:
         return "elliptic"
     return "loxodromic"
 
 
-def fixed_points(
-    g: GroupElement, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[BoundaryPoint, BoundaryPoint]:
+def fixed_points(g: GroupElement) -> tuple[BoundaryPoint, BoundaryPoint]:
     """Both fixed points of g on the boundary, sorted by boundary_key.
 
     These are the roots of c z^2 + (d - a) z - b = 0, with infinity standing
     in when c = 0. A parabolic g returns its single fixed point twice.
     Raises IdentityElement when g is (plus or minus) the identity.
     """
-    return _fixed_points(g, classify(g, tol), tol)
+    return _fixed_points(g, classify(g))
 
 
-def _fixed_points(
-    g: GroupElement, kind: str, tol: Tolerances
-) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """fixed_points(g, tol) for a caller that has kind = classify(g, tol)."""
+def _fixed_points(g: GroupElement, kind: str) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """fixed_points(g) for a caller that has kind = classify(g)."""
     if kind == "identity":
         raise IdentityElement("every point is fixed")
     a, b, c, d = g.entries()
     scale = g.max_norm()
-    if abs(c) <= tol.singular * scale:
+    if abs(c) <= SINGULAR_FLOOR * scale:
         if kind == "parabolic":
             return (INFINITY, INFINITY)
         return tuple(sorted((b / (d - a), INFINITY), key=boundary_key))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import add, neg
 from typing import Iterable, Iterator, NamedTuple
 
@@ -39,25 +38,21 @@ def _strip_inverse_ends(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[k:n - k]
 
 
-@lru_cache(maxsize=64)
-def _letter_table(labels: tuple[str, str]) -> dict[int, str]:
-    """Display character of each letter: the label, uppercased for inverses."""
-    a, b = labels
-    return {1: a, -1: a.upper(), 2: b, -2: b.upper()}
+# display character of each letter, and the letter of each character
+_CHARS = {1: "a", -1: "A", 2: "b", -2: "B"}
+_LETTER_OF = {ch: x for x, ch in _CHARS.items()}
 
 
 @dataclass(frozen=True)
 class Word:
     """Freely reduced word; construction reduces its input.
 
-    labels names the two generators for display (default "a", "b");
-    inverses display as the uppercased label. Products, reversals and
-    inverses of Words are built by _from_reduced, since their letters are
-    already valid and reduced away from the junction of a product.
+    Products, reversals and inverses of Words are built by _from_reduced,
+    since their letters are already valid and reduced away from the
+    junction of a product.
     """
 
     letters: tuple[int, ...] = ()
-    labels: tuple[str, str] = ("a", "b")
 
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
@@ -76,12 +71,11 @@ class Word:
         object.__setattr__(self, "letters", letters)
 
     @classmethod
-    def _from_reduced(cls, letters: tuple[int, ...], labels: tuple[str, str]) -> "Word":
+    def _from_reduced(cls, letters: tuple[int, ...]) -> "Word":
         """A Word holding letters as given: a tuple of valid letters with no
         adjacent inverse pair. Nothing is checked."""
         w = object.__new__(cls)
         object.__setattr__(w, "letters", letters)
-        object.__setattr__(w, "labels", labels)
         return w
 
     def __len__(self) -> int:
@@ -94,26 +88,24 @@ class Word:
         return bool(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        if self.labels != other.labels:
-            raise ValueError("cannot concatenate words over different alphabets")
         left, right = self.letters, other.letters
         # both factors are reduced, so letters cancel only at the junction
         n, k = len(left), 0
         stop = min(n, len(right))
         while k < stop and left[n - 1 - k] == -right[k]:
             k += 1
-        return Word._from_reduced(left[:n - k] + right[k:], self.labels)
+        return Word._from_reduced(left[:n - k] + right[k:])
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.letters * n, self.labels)
+        return Word(self.letters * n)
 
     def inverse(self) -> "Word":
-        return Word._from_reduced(tuple(map(neg, reversed(self.letters))), self.labels)
+        return Word._from_reduced(tuple(map(neg, reversed(self.letters))))
 
     def __str__(self) -> str:
-        return "".join(map(_letter_table(self.labels).__getitem__, self.letters))
+        return "".join(map(_CHARS.__getitem__, self.letters))
 
     def __repr__(self) -> str:
         return f"Word({str(self) or 'identity'})"
@@ -122,26 +114,25 @@ class Word:
 IDENTITY_WORD = Word()
 
 
-def reduce(raw: Iterable[int], labels: tuple[str, str] = ("a", "b")) -> Word:
+def reduce(raw: Iterable[int]) -> Word:
     """Freely reduce a raw letter sequence into a Word."""
-    return Word(tuple(raw), labels)
+    return Word(tuple(raw))
 
 
-def parse(text: str, labels: tuple[str, str] = ("a", "b")) -> Word:
+def parse(text: str) -> Word:
     """Parse text like "abA" into a Word; case selects generator vs inverse."""
-    lower_to_index = {lab: i + 1 for i, lab in enumerate(labels)}
     letters = []
     for ch in text:
-        idx = lower_to_index.get(ch.lower())
-        if idx is None:
-            raise ValueError(f"unknown letter {ch!r} for alphabet {labels}")
-        letters.append(idx if ch.islower() else -idx)
-    return Word(tuple(letters), labels)
+        x = _LETTER_OF.get(ch)
+        if x is None:
+            raise ValueError(f"unknown letter {ch!r}, expected one of a, A, b, B")
+        letters.append(x)
+    return Word(tuple(letters))
 
 
 def reverse(w: Word) -> Word:
     """The word read backwards (letter exponents kept, order flipped)."""
-    return Word._from_reduced(w.letters[::-1], w.labels)
+    return Word._from_reduced(w.letters[::-1])
 
 
 def is_palindrome(w: Word) -> bool:
@@ -161,10 +152,12 @@ def abelianize(w: Word) -> AbelianImage:
     return AbelianImage(ea, eb)
 
 
-@lru_cache(maxsize=64)
-def _letter_matrices(A: GroupElement, B: GroupElement) -> dict[int, tuple]:
+LetterTable = dict[int, tuple[complex, complex, complex, complex]]
+
+
+def letter_table(A: GroupElement, B: GroupElement) -> LetterTable:
     """Entries of each letter's matrix under a -> A, b -> B; an inverse
-    letter takes the adjugate. Shared between calls, so never mutated."""
+    letter takes the adjugate."""
     return {
         1: A.entries(), -1: A.inverse().entries(),
         2: B.entries(), -2: B.inverse().entries(),
@@ -172,27 +165,28 @@ def _letter_matrices(A: GroupElement, B: GroupElement) -> dict[int, tuple]:
 
 
 def evaluate(
-    w: Word, A: GroupElement, B: GroupElement, start: GroupElement | None = None
+    w: Word, letters: LetterTable, start: GroupElement | None = None
 ) -> GroupElement:
-    """Homomorphic image of w under a -> A, b -> B, multiplied onto start.
+    """Homomorphic image of w under the letter_table letters, multiplied
+    onto start.
 
     A left-to-right fold from start (the identity when omitted), never
     renormalized: each step is GroupElement.__mul__ of the running product
     and the next letter's matrix, with the same formula and operand order,
     carried in local variables so that only the result is built as a
     GroupElement. The fold of x * y passes through evaluate(x) after len(x)
-    letters, so when x * y does not cancel, evaluate(y, A, B, evaluate(x,
-    A, B)) is evaluate(x * y, A, B) bit for bit.
+    letters, so when x * y does not cancel, evaluate(y, t, evaluate(x, t))
+    is evaluate(x * y, t) bit for bit.
     """
     a, b, c, d = (GroupElement.identity() if start is None else start).entries()
-    for e, f, g, h in map(_letter_matrices(A, B).__getitem__, w.letters):
+    for e, f, g, h in map(letters.__getitem__, w.letters):
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return GroupElement(a, b, c, d)
 
 
 def cyclic_reduce(w: Word) -> Word:
     """Strip matching inverse letters from the two ends until none remain."""
-    return Word._from_reduced(_strip_inverse_ends(w.letters), w.labels)
+    return Word._from_reduced(_strip_inverse_ends(w.letters))
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:
@@ -308,37 +302,6 @@ def is_primitive(w: Word) -> bool:
     return True
 
 
-def rewrite_in_generators(w: Word, side: str) -> Word:
-    """Rewrite w over a new basis obtained by one elementary move.
-
-    side="a": the new basis is (a, c) with c = ab; since substituting
-    c = ab into w(a, c) recovers w(a, b) with b replaced by ab, the output
-    has the same letter pattern as w with the second letter relabeled c.
-    side="b": the new basis is (d, b) with d = ba, relabeling the first
-    letter.
-    """
-    if side == "a":
-        return Word(w.letters, (w.labels[0], "c"))
-    if side == "b":
-        return Word(w.letters, ("d", w.labels[1]))
-    raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-
-
-def expand_generators(w: Word, side: str) -> Word:
-    """Substitute the composite letter back: c -> ab (side "a") or
-    d -> ba (side "b"), returning a word over the original alphabet."""
-    if side == "a":
-        sub = {1: (1,), -1: (-1,), 2: (1, 2), -2: (-2, -1)}
-    elif side == "b":
-        sub = {1: (2, 1), -1: (-1, -2), 2: (2,), -2: (-2,)}
-    else:
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    out: list[int] = []
-    for t in w.letters:
-        out.extend(sub[t])
-    return Word(tuple(out))
-
-
 class EllipticPowerFactorization(NamedTuple):
     left: Word
     right: Word
@@ -372,7 +335,7 @@ def elliptic_power_factorization(
     return EllipticPowerFactorization(left, p2, power, is_palindrome(power))
 
 
-def reduced_words(max_len: int, labels: tuple[str, str] = ("a", "b")) -> Iterator[Word]:
+def reduced_words(max_len: int) -> Iterator[Word]:
     """All nonempty reduced words up to max_len, ordered by length then by
     letter sequence in the fixed order a, a^-1, b, b^-1."""
     frontier: list[tuple[int, ...]] = [()]
@@ -384,5 +347,5 @@ def reduced_words(max_len: int, labels: tuple[str, str] = ("a", "b")) -> Iterato
                     continue
                 grown = stem + (x,)
                 next_frontier.append(grown)
-                yield Word(grown, labels)
+                yield Word(grown)
         frontier = next_frontier

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from palcore.config import DEFAULT_TOLERANCES
 from palcore.errors import PalcoreError
 from palcore.representation import Representation, build
 from palcore.sl2c import GroupElement, classify, normalize
@@ -66,9 +65,9 @@ def random_representation(seed: int) -> Representation:
         p1, q1, p2, q2 = _separated_points(rng, 4)
         A = loxodromic_between(p1, q1, random_multiplier(rng))
         B = loxodromic_between(p2, q2, random_multiplier(rng))
-        if classify(A, DEFAULT_TOLERANCES) != "loxodromic":
+        if classify(A) != "loxodromic":
             continue
-        if classify(B, DEFAULT_TOLERANCES) != "loxodromic":
+        if classify(B) != "loxodromic":
             continue
         try:
             return build(A, B)
@@ -177,11 +176,6 @@ def exact_riley_position(text: str, mu) -> float:
         return 0.5 * (_ln_abs(b) - _ln_abs(c))
 
     return raw(text) - raw("a|b")
-
-
-@pytest.fixture
-def tol():
-    return DEFAULT_TOLERANCES
 
 
 @pytest.fixture

@@ -130,13 +130,13 @@ def test_criterion_03_pair_altitude_orthogonal_and_matches_axis_route():
                 U = rep.evaluate_normalized(u)
                 V = rep.evaluate_normalized(v)
                 uv, vu = U * V, V * U
-                t = normalize(uv * vu - vu * uv, rep.tol)
+                t = normalize(uv * vu - vu * uv)
                 perp = pair_perpendicular_by_axes(rep, u, v)
             except PalcoreError:
                 continue
-            altitude = axis(t, rep.tol)
+            altitude = axis(t)
             worst_tr = max(
-                worst_tr, orthogonality_residual(VERTICAL_AXIS, altitude, rep.tol)
+                worst_tr, orthogonality_residual(VERTICAL_AXIS, altitude)
             )
             worst_ep = max(worst_ep, geodesic_distance(altitude, perp))
             done += 1
@@ -259,7 +259,7 @@ def test_criterion_07_palindromization_fixed_points_match_closed_form():
         w = random_word(rng, rng.randint(1, 8))
         img = rep.evaluate_normalized(w)
         pal = rep.evaluate_normalized(reverse(w)) * img
-        if classify(pal, rep.tol) != "loxodromic":
+        if classify(pal) != "loxodromic":
             continue
         found += 1
         root = cmath.sqrt(img.b * img.d / (img.a * img.c))
@@ -296,11 +296,11 @@ def test_criterion_08_bounded_control_plateaus(schottky):
 
 
 # Escape radius for criterion 9. A finite position needs both off-diagonal
-# entries above tol.singular times the matrix scale, so no position the
-# program can certify exceeds 1/2 ln(1/tol.singular) = 13.8155 at default
-# tolerances, and the default radius DEFAULT_ESCAPE = 25 cannot fire on any
-# pair. 4.0 lies below that ceiling and above everything the discrete mu = 4
-# control reaches in the same probe runs (samples <= 2.98, spectrum <= 2.14).
+# entries above SINGULAR_FLOOR times the matrix scale, so no position the
+# program can certify exceeds 1/2 ln(1/SINGULAR_FLOOR) = 13.8155, and the
+# default radius DEFAULT_ESCAPE = 25 cannot fire on any pair. 4.0 lies
+# below that ceiling and above everything the discrete mu = 4 control
+# reaches in the same probe runs (samples <= 2.98, spectrum <= 2.14).
 CRITERION_09_ESCAPE = 4.0
 
 
@@ -419,13 +419,13 @@ def test_criterion_11_hexagon_closes_and_factors_the_generators():
         for k in range(6):
             worst_orth = max(
                 worst_orth,
-                orthogonality_residual(hexa[k], hexa[(k + 1) % 6], rep.tol),
+                orthogonality_residual(hexa[k], hexa[(k + 1) % 6]),
             )
-        h_core = line_matrix(hexa.core, rep.tol)
-        h_a = line_matrix(hexa.perp_a, rep.tol)
-        h_b = line_matrix(hexa.perp_b, rep.tol)
-        A = normalize(rep.A, rep.tol)
-        B = normalize(rep.B, rep.tol)
+        h_core = line_matrix(hexa.core)
+        h_a = line_matrix(hexa.perp_a)
+        h_b = line_matrix(hexa.perp_b)
+        A = normalize(rep.A)
+        B = normalize(rep.B)
         fact_a = min((h_a * h_core - A).max_norm(), (h_a * h_core + A).max_norm())
         fact_b = min((h_core * h_b - B).max_norm(), (h_core * h_b + B).max_norm())
         worst_fact = max(worst_fact, fact_a, fact_b)

@@ -1,11 +1,14 @@
-"""The names the benchmark reaches palcore through.
+"""The names and shapes the benchmark reaches palcore through.
 
 perfbench/tracer.py wraps the functions listed in its SPANS, and
 perfbench/worker.py counts witness candidates by rebinding
-palcore.probe.pi_of_palindrome. A rename or deletion in palcore would
-otherwise break the traced run or the candidate counter without failing a
-test. The tracer imports only the standard library, so it is loaded here by
-path.
+palcore.probe.pi_of_palindrome. Two of the tracer's spans also read what
+passes through them: the words.evaluate hook counts len(args[0]) as
+words.letters_evaluated, and the farey.primitive_word hook reads the
+returned node's slope, word and factorization. A rename, deletion or
+signature change in palcore would otherwise break the traced run, the
+candidate counter or a work counter without failing a test. The tracer
+imports only the standard library, so it is loaded here by path.
 """
 import importlib
 import importlib.util
@@ -13,7 +16,9 @@ import sys
 from pathlib import Path
 
 import palcore.probe  # noqa: F401  (the module; palcore.probe is the function)
+from palcore.probe import pi_spectrum
 from palcore.representation import pi_of_palindrome
+from palcore.words import Word, parse
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -37,3 +42,43 @@ def test_traced_spans_are_palcore_callables():
 
 def test_witness_counter_rebinds_a_probe_module_global():
     assert vars(sys.modules["palcore.probe"])["pi_of_palindrome"] is pi_of_palindrome
+
+
+def _spy(monkeypatch, layer: str, name: str) -> list:
+    """Wrap palcore.<layer>.<name> under every name a palcore module looks it
+    up by, as the tracer does; returns the (args, result) of each call."""
+    original = getattr(importlib.import_module(f"palcore.{layer}"), name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "palcore" or mod_name.startswith("palcore.")):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, spy)
+    return calls
+
+
+def test_evaluate_receives_the_word_first(monkeypatch, mu4):
+    calls = _spy(monkeypatch, "words", "evaluate")
+    pi_spectrum(mu4, 4)
+    pi_of_palindrome(mu4, parse("abbba"))
+    assert calls
+    assert all(isinstance(args[0], Word) for args, _ in calls)
+
+
+def test_primitive_word_nodes_carry_slope_word_and_factorization(monkeypatch, mu4):
+    calls = _spy(monkeypatch, "farey", "primitive_word")
+    pi_spectrum(mu4, 4)
+    assert calls
+    for args, node in calls:
+        assert node.slope == tuple(args)
+        assert isinstance(node.word, Word)
+        factors = node.factorization or ()
+        assert all(isinstance(w, Word) for w in factors)
+        assert len(factors) == (2 if args[0] * args[1] % 2 else 0)

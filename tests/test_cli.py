@@ -12,7 +12,9 @@ from palcore.probe import (
     INCONCLUSIVE,
     PARABOLIC_ENDS_DETECTED,
     UNBOUNDED_EVIDENCE_NONDISCRETE,
+    pi_spectrum,
 )
+from palcore.representation import rep_from_json
 
 from .conftest import hyperbolic_on_axis
 
@@ -241,6 +243,7 @@ class TestUsageErrors:
         )
         assert res.exit_code == 1
         assert res.output.startswith("error: ")
+        assert option in res.output
 
 
 class TestHexagon:
@@ -260,6 +263,39 @@ class TestHexagon:
     def test_parabolic_generators_fail(self, runner, mu4_gens):
         res = runner.invoke(main, ["hexagon", "--gens", mu4_gens])
         assert res.exit_code == 1
+
+
+class TestValidTolerance:
+    """A valid --tol-geo reaches the representation's checks."""
+
+    def _pi_map(self, runner, gens, *args):
+        res = runner.invoke(
+            main, ["pi-map", "--gens", gens, "--depth", "8", "--format", "json", *args]
+        )
+        assert res.exit_code == 0
+        return json.loads(res.output)
+
+    def test_pi_map_refuses_more_slopes_at_a_tighter_tolerance(
+        self, runner, schottky_gens
+    ):
+        default = self._pi_map(runner, schottky_gens)
+        tight = self._pi_map(runner, schottky_gens, "--tol-geo", "1e-12")
+        assert sum("error" in e for e in default) == 56
+        assert sum("error" in e for e in tight) == 63
+        with open(schottky_gens, encoding="utf-8") as fh:
+            rep = rep_from_json(json.load(fh), 1e-12)
+        assert tight == [e.to_json() for e in pi_spectrum(rep, 8)]
+
+    def test_hexagon_perpendiculars_use_the_tolerance(self, runner, schottky_gens):
+        # at 0.5 the pair still builds, but the axes of A and AB count as
+        # sharing an endpoint; at 1.5 the axes of A and B already do
+        self._pi_map(runner, schottky_gens, "--tol-geo", "0.5")
+        res = runner.invoke(main, ["hexagon", "--gens", schottky_gens, "--tol-geo", "0.5"])
+        assert res.exit_code == 1
+        assert "share an endpoint" in res.output
+        res = runner.invoke(main, ["pi-map", "--gens", schottky_gens, "--tol-geo", "1.5"])
+        assert res.exit_code == 1
+        assert "share an endpoint" in res.output
 
 
 class TestGensFileForms:

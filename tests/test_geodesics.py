@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-from palcore.config import DEFAULT_TOLERANCES as TOL
 from palcore.errors import DegenerateGeodesic, NotOrthogonal, SharedEndpoint
 from palcore.geodesics import (
     VERTICAL_AXIS,
@@ -60,63 +59,63 @@ class TestAxis:
     def test_axis_connects_fixed_points(self):
         rng = random.Random(31)
         g = random_loxodromic(rng)
-        assert axis(g, TOL) == Geodesic(*fixed_points(g, TOL))
+        assert axis(g) == Geodesic(*fixed_points(g))
 
     def test_parabolic_axis_is_marker(self):
-        assert axis(GroupElement(1, 0, 3, 1), TOL) == Geodesic(0j, 0j)
+        assert axis(GroupElement(1, 0, 3, 1)) == Geodesic(0j, 0j)
 
     def test_axis_equivariance(self):
         rng = random.Random(32)
         for _ in range(15):
             g = random_loxodromic(rng)
             h = random_mobius(rng)
-            left = axis(h * g * h.inverse(), TOL)
-            right = transform(axis(g, TOL), h)
+            left = axis(h * g * h.inverse())
+            right = transform(axis(g), h)
             assert geodesic_distance(left, right) < 1e-8
 
 
 class TestLineMatrix:
     def test_vertical_axis_form(self):
-        L = line_matrix(VERTICAL_AXIS, TOL)
+        L = line_matrix(VERTICAL_AXIS)
         assert psl_equal(L, GroupElement(1j, 0, 0, -1j), 1e-15)
 
     def test_trace_zero_det_one(self):
         rng = random.Random(7)
         for _ in range(20):
-            g = axis(random_loxodromic(rng), TOL)
-            L = line_matrix(g, TOL)
+            g = axis(random_loxodromic(rng))
+            L = line_matrix(g)
             assert abs(L.trace()) < 1e-12
             assert abs(L.det() - 1) < 1e-12
 
     def test_half_turn_fixes_endpoints(self):
         g = Geodesic(2 + 1j, -0.5 + 0j)
-        L = line_matrix(g, TOL)
+        L = line_matrix(g)
         assert chordal_distance(L.apply(g.e1), g.e1) < 1e-12
         assert chordal_distance(L.apply(g.e2), g.e2) < 1e-12
 
     def test_half_turn_is_involution(self):
         g = Geodesic(1 + 0j, INFINITY)
-        L = line_matrix(g, TOL)
+        L = line_matrix(g)
         assert psl_equal(L * L, GroupElement.identity(), 1e-12)
 
     def test_marker_rejected(self):
         with pytest.raises(DegenerateGeodesic):
-            line_matrix(Geodesic(1j, 1j), TOL)
+            line_matrix(Geodesic(1j, 1j))
 
     def test_half_turn_conjugate_reflects(self):
         # half-turn about the vertical axis is z -> -z on the boundary
         g = GroupElement(1, 1, 0, 1)
-        refl = half_turn_conjugate(VERTICAL_AXIS, g, TOL)
+        refl = half_turn_conjugate(VERTICAL_AXIS, g)
         assert psl_equal(refl, GroupElement(1, -1, 0, 1), 1e-12)
 
 
 class TestOrthogonality:
     def test_vertical_meets_centered_circle(self):
-        assert are_orthogonal(VERTICAL_AXIS, Geodesic(-1 + 0j, 1 + 0j), TOL)
-        assert orthogonality_residual(VERTICAL_AXIS, Geodesic(-2 + 0j, 2 + 0j), TOL) < 1e-15
+        assert are_orthogonal(VERTICAL_AXIS, Geodesic(-1 + 0j, 1 + 0j))
+        assert orthogonality_residual(VERTICAL_AXIS, Geodesic(-2 + 0j, 2 + 0j)) < 1e-15
 
     def test_offset_circle_is_not_orthogonal(self):
-        assert not are_orthogonal(VERTICAL_AXIS, Geodesic(1 + 0j, 2 + 0j), TOL)
+        assert not are_orthogonal(VERTICAL_AXIS, Geodesic(1 + 0j, 2 + 0j))
 
     def test_invariant_under_moebius(self):
         rng = random.Random(41)
@@ -124,93 +123,87 @@ class TestOrthogonality:
         g2 = VERTICAL_AXIS
         for _ in range(10):
             m = random_mobius(rng)
-            assert are_orthogonal(transform(g1, m), transform(g2, m), TOL)
+            assert are_orthogonal(transform(g1, m), transform(g2, m))
 
 
 class TestCommonPerpendicular:
     def test_nested_circles_give_vertical(self):
         perp = common_perpendicular(
-            Geodesic(-1 + 0j, 1 + 0j), Geodesic(-2 + 0j, 2 + 0j), TOL
+            Geodesic(-1 + 0j, 1 + 0j), Geodesic(-2 + 0j, 2 + 0j)
         )
         assert geodesic_distance(perp, VERTICAL_AXIS) < 1e-12
 
     def test_intersecting_circles_also_resolve(self):
         # |z| = 1 over the real and imaginary axes meet at the apex; the
         # common perpendicular is the vertical line through it
-        perp = common_perpendicular(
-            Geodesic(-1 + 0j, 1 + 0j), Geodesic(-1j, 1j), TOL
-        )
+        perp = common_perpendicular(Geodesic(-1 + 0j, 1 + 0j), Geodesic(-1j, 1j))
         assert geodesic_distance(perp, VERTICAL_AXIS) < 1e-12
 
     def test_perpendicular_is_orthogonal_to_both(self):
         rng = random.Random(13)
         for _ in range(15):
-            g1 = axis(random_loxodromic(rng), TOL)
-            g2 = axis(random_loxodromic(rng), TOL)
+            g1 = axis(random_loxodromic(rng))
+            g2 = axis(random_loxodromic(rng))
             try:
-                perp = common_perpendicular(g1, g2, TOL)
+                perp = common_perpendicular(g1, g2)
             except SharedEndpoint:
                 continue
-            assert orthogonality_residual(perp, g1, TOL) < 1e-9
-            assert orthogonality_residual(perp, g2, TOL) < 1e-9
+            assert orthogonality_residual(perp, g1) < 1e-9
+            assert orthogonality_residual(perp, g2) < 1e-9
 
     def test_shared_endpoint_rejected(self):
         with pytest.raises(SharedEndpoint):
-            common_perpendicular(
-                Geodesic(0j, INFINITY), Geodesic(0j, 1 + 0j), TOL
-            )
+            common_perpendicular(Geodesic(0j, INFINITY), Geodesic(0j, 1 + 0j))
 
     def test_marker_contributes_its_point(self):
         # degenerate [p, p] pins the perpendicular through p
         perp = common_perpendicular(
-            Geodesic(1 + 0j, 1 + 0j), Geodesic(-1 + 0j, -1 + 0j), TOL
+            Geodesic(1 + 0j, 1 + 0j), Geodesic(-1 + 0j, -1 + 0j)
         )
         assert perp == Geodesic(-1 + 0j, 1 + 0j)
 
     def test_marker_against_proper_geodesic(self):
-        perp = common_perpendicular(
-            Geodesic(2 + 0j, 2 + 0j), Geodesic(-1 + 0j, 1 + 0j), TOL
-        )
+        perp = common_perpendicular(Geodesic(2 + 0j, 2 + 0j), Geodesic(-1 + 0j, 1 + 0j))
         assert chordal_distance(perp.e1, 0.5 + 0j) < 1e-12 or chordal_distance(
             perp.e2, 0.5 + 0j
         ) < 1e-12
         assert any(chordal_distance(e, 2 + 0j) < 1e-12 for e in perp.endpoints())
-        assert orthogonality_residual(perp, Geodesic(-1 + 0j, 1 + 0j), TOL) < 1e-12
+        assert orthogonality_residual(perp, Geodesic(-1 + 0j, 1 + 0j)) < 1e-12
 
 
 class TestPositionOnVerticalAxis:
     def test_symmetric_circle_position(self):
-        assert position_on_vertical_axis(Geodesic(-2 + 0j, 2 + 0j), TOL) == math.log(2)
-        assert position_on_vertical_axis(Geodesic(-1 + 0j, 1 + 0j), TOL) == 0.0
+        assert position_on_vertical_axis(Geodesic(-2 + 0j, 2 + 0j)) == math.log(2)
+        assert position_on_vertical_axis(Geodesic(-1 + 0j, 1 + 0j)) == 0.0
 
     def test_complex_antipodal_endpoints(self):
         x = 1.5 * complex(math.cos(0.7), math.sin(0.7))
-        s = position_on_vertical_axis(Geodesic(x, -x), TOL)
+        s = position_on_vertical_axis(Geodesic(x, -x))
         assert abs(s - math.log(1.5)) < 1e-12
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(NotOrthogonal):
-            position_on_vertical_axis(Geodesic(1 + 0j, 2 + 0j), TOL)
+            position_on_vertical_axis(Geodesic(1 + 0j, 2 + 0j))
 
     def test_marker_rejected(self):
         with pytest.raises(DegenerateGeodesic):
-            position_on_vertical_axis(Geodesic(1 + 0j, 1 + 0j), TOL)
+            position_on_vertical_axis(Geodesic(1 + 0j, 1 + 0j))
 
     def test_eps_override_loosens_check(self):
         g = Geodesic(1 + 0j, -1.001 + 0j)
         with pytest.raises(NotOrthogonal):
-            position_on_vertical_axis(g, TOL)
-        s = position_on_vertical_axis(g, TOL, eps=0.01)
+            position_on_vertical_axis(g)
+        s = position_on_vertical_axis(g, eps=0.01)
         assert abs(s) < 1e-3
 
 
 def test_line_matrix_conjugation_transports_geodesics():
     rng = random.Random(55)
     for _ in range(10):
-        g = axis(random_loxodromic(rng), TOL)
+        g = axis(random_loxodromic(rng))
         m = random_mobius(rng)
-        left = line_matrix(transform(g, m), TOL)
-        right = m * line_matrix(g, TOL) * m.inverse()
+        left = line_matrix(transform(g, m))
+        right = m * line_matrix(g) * m.inverse()
         assert min(
             max(abs(x - y) for x, y in zip(left.entries(), right.entries())),
             max(abs(x + y) for x, y in zip(left.entries(), right.entries())),

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from palcore.config import DEFAULT_TOLERANCES as TOL
+from palcore.config import geo_scaled
 from palcore.errors import (
     CommutingPair,
     DegenerateAxis,
@@ -195,7 +195,7 @@ class TestPairRoutes:
                     img = pi_of_pair(rep, u, v)
                     perp = pair_perpendicular_by_axes(rep, u, v)
                     s_axis = position_on_vertical_axis(
-                        perp, rep.tol, eps=rep.tol.geo_scaled(len(u) + len(v))
+                        perp, eps=geo_scaled(rep.geo, len(u) + len(v))
                     )
                 except Exception:
                     continue
@@ -375,14 +375,14 @@ class TestHexagon:
         )
         assert geodesic_distance(hx.core, rep1.core) < 1e-12
         for i in range(6):
-            assert orthogonality_residual(hx[i], hx[(i + 1) % 6], TOL) < 1e-9
+            assert orthogonality_residual(hx[i], hx[(i + 1) % 6]) < 1e-9
 
     def test_random_reps_close_up(self):
         for seed in (201, 202, 203):
             rep = random_representation(seed)
             hx = hexagon(rep)
             for i in range(6):
-                assert orthogonality_residual(hx[i], hx[(i + 1) % 6], TOL) < 1e-6
+                assert orthogonality_residual(hx[i], hx[(i + 1) % 6]) < 1e-6
 
     def test_parabolic_generator_rejected(self, mu4):
         with pytest.raises(DegenerateAxis):

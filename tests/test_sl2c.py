@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from palcore.config import DEFAULT_TOLERANCES as TOL
+from palcore.config import CLASSIFY_BAND
 from palcore.errors import IdentityElement, SingularMatrix
 from palcore.sl2c import (
     INFINITY,
@@ -55,7 +55,7 @@ _perturbation_st = st.one_of(
         st.floats(-3e-9, 3e-9),
     ),
 )
-_eps_st = st.sampled_from((0.0, 1e-12, TOL.classify, 2e-9, 1e-6, float("inf")))
+_eps_st = st.sampled_from((0.0, 1e-12, CLASSIFY_BAND, 2e-9, 1e-6, float("inf")))
 
 
 class TestAlgebra:
@@ -98,12 +98,12 @@ class TestAlgebra:
 class TestNormalize:
     def test_rescales_to_det_one(self):
         g = GroupElement(2, 0, 0, 2)
-        n = normalize(g, TOL)
+        n = normalize(g)
         assert abs(n.det() - 1) < 1e-14
 
     def test_rejects_singular(self):
         with pytest.raises(SingularMatrix):
-            normalize(GroupElement(1, 1, 1, 1), TOL)
+            normalize(GroupElement(1, 1, 1, 1))
 
     def test_scale_invariant_up_to_sign(self):
         rng = random.Random(11)
@@ -111,7 +111,7 @@ class TestNormalize:
             g = random_mobius(rng)
             lam = complex(rng.uniform(0.5, 2), rng.uniform(-1, 1))
             scaled = GroupElement(*(lam * e for e in g.entries()))
-            assert psl_distance(normalize(scaled, TOL), g) < 1e-12
+            assert psl_distance(normalize(scaled), g) < 1e-12
 
 
 class TestProjectiveEquality:
@@ -149,24 +149,24 @@ class TestProjectiveEquality:
 
 class TestClassify:
     def test_canonical_forms(self):
-        assert classify(GroupElement(1, 1, 0, 1), TOL) == "parabolic"
-        assert classify(GroupElement(2, 0, 0, 0.5), TOL) == "loxodromic"
+        assert classify(GroupElement(1, 1, 0, 1)) == "parabolic"
+        assert classify(GroupElement(2, 0, 0, 0.5)) == "loxodromic"
         t = cmath.exp(0.4j)
-        assert classify(GroupElement(t, 0, 0, 1 / t), TOL) == "elliptic"
-        assert classify(GroupElement.identity(), TOL) == "identity"
-        assert classify(-GroupElement.identity(), TOL) == "identity"
+        assert classify(GroupElement(t, 0, 0, 1 / t)) == "elliptic"
+        assert classify(GroupElement.identity()) == "identity"
+        assert classify(-GroupElement.identity()) == "identity"
 
     def test_complex_trace_is_loxodromic(self):
         # tr^2 real and < 4 means elliptic only for real trace
         g = GroupElement(1.2 * cmath.exp(0.3j), 0, 0, 1 / (1.2 * cmath.exp(0.3j)))
-        assert classify(g, TOL) == "loxodromic"
+        assert classify(g) == "loxodromic"
 
     def test_conjugation_invariance(self):
         rng = random.Random(5)
         for _ in range(25):
             g = random_loxodromic(rng)
             h = random_mobius(rng)
-            assert classify(h * g * h.inverse(), TOL) == classify(g, TOL)
+            assert classify(h * g * h.inverse()) == classify(g)
 
 
 class TestFixedPoints:
@@ -174,27 +174,27 @@ class TestFixedPoints:
         rng = random.Random(23)
         for _ in range(30):
             g = random_loxodromic(rng)
-            for z in fixed_points(g, TOL):
+            for z in fixed_points(g):
                 assert chordal_distance(g.apply(z), z) < 1e-8
 
     def test_diagonal_case_sorted(self):
         g = GroupElement(2, 0, 0, 0.5)
-        assert fixed_points(g, TOL) == (0j, INFINITY)
+        assert fixed_points(g) == (0j, INFINITY)
 
     def test_parabolic_double_point(self):
         g = GroupElement(1, 0, 3, 1)
-        p, q = fixed_points(g, TOL)
+        p, q = fixed_points(g)
         assert p == q == 0j
-        assert fixed_points(GroupElement(1, 2, 0, 1), TOL) == (INFINITY, INFINITY)
+        assert fixed_points(GroupElement(1, 2, 0, 1)) == (INFINITY, INFINITY)
 
     def test_identity_raises(self):
         with pytest.raises(IdentityElement):
-            fixed_points(GroupElement.identity(), TOL)
+            fixed_points(GroupElement.identity())
 
     def test_close_fixed_points_stay_accurate(self):
         x = 1e-3
         g = loxodromic_between(complex(x), complex(-x), 2.0 + 0j)
-        p, q = fixed_points(g, TOL)
+        p, q = fixed_points(g)
         assert min(abs(p - x), abs(p + x)) < 1e-12
         assert min(abs(q - x), abs(q + x)) < 1e-12
 

@@ -1,5 +1,5 @@
 """Word layer: free reduction, reversal, palindromes, Nielsen moves,
-primitivity, basis rewriting."""
+primitivity."""
 
 import cmath
 import random
@@ -21,15 +21,14 @@ from palcore.words import (
     cyclically_equal,
     elliptic_power_factorization,
     evaluate,
-    expand_generators,
     is_palindrome,
     is_primitive,
+    letter_table,
     nielsen_reduce_pair,
     parse,
     reduce,
     reduced_words,
     reverse,
-    rewrite_in_generators,
 )
 
 from .conftest import loxodromic_between, random_loxodromic, random_palindrome
@@ -67,7 +66,7 @@ def _reference_letters(raw):
 def _reference_str(w):
     chars = []
     for x in w.letters:
-        lab = w.labels[abs(x) - 1]
+        lab = "ab"[abs(x) - 1]
         chars.append(lab if x > 0 else lab.upper())
     return "".join(chars)
 
@@ -108,7 +107,6 @@ _cancelling_raw_st = st.lists(
     ),
     max_size=40,
 ).map(lambda blocks: tuple(x for block in blocks for x in block))
-_labels_st = st.sampled_from((("a", "b"), ("a", "c"), ("d", "b"), ("x", "y")))
 _invalid_letter_st = st.sampled_from((0, 3, -3, 1.5, "a", None, (1,), [1]))
 
 
@@ -143,12 +141,11 @@ class TestReduction:
         raw = (1, 1, -1, 2, -2, -1)
         assert reduce(raw).letters == Word(raw).letters
 
-    @given(_cancelling_raw_st, _labels_st)
-    def test_matches_reference_reduction(self, raw, labels):
-        w = Word(raw, labels)
+    @given(_cancelling_raw_st)
+    def test_matches_reference_reduction(self, raw):
+        w = Word(raw)
         assert w.letters == _reference_letters(raw)
         assert type(w.letters) is tuple
-        assert w.labels == labels
 
     @given(_cancelling_raw_st, st.data())
     def test_invalid_letter_message_matches_reference(self, raw, data):
@@ -172,11 +169,10 @@ class TestReduction:
 def _junction_pair_st(draw):
     """Reduced words u, v where v opens with the inverse of a suffix of u, so
     that u * v cancels across the junction, up to the whole of both."""
-    labels = draw(_labels_st)
-    u = Word(draw(_cancelling_raw_st), labels)
+    u = Word(draw(_cancelling_raw_st))
     k = draw(st.integers(0, len(u)))
     tail = draw(_cancelling_raw_st)
-    v = Word(Word(u.letters[len(u) - k:]).inverse().letters + tail, labels)
+    v = Word(Word(u.letters[len(u) - k:]).inverse().letters + tail)
     return u, v
 
 
@@ -188,18 +184,16 @@ class TestJunction:
     def _same(got, want):
         assert got.letters == want.letters
         assert type(got.letters) is tuple
-        assert got.labels == want.labels
 
     @given(_junction_pair_st())
     def test_product_matches_validated_construction(self, pair):
         u, v = pair
-        self._same(u * v, Word(u.letters + v.letters, u.labels))
+        self._same(u * v, Word(u.letters + v.letters))
 
-    @given(word_st.flatmap(lambda w: st.tuples(st.just(w), _labels_st)))
-    def test_reverse_and_inverse_match_validated_construction(self, drawn):
-        w = Word(drawn[0].letters, drawn[1])
-        self._same(reverse(w), Word(tuple(reversed(w.letters)), w.labels))
-        self._same(w.inverse(), Word(tuple(-x for x in reversed(w.letters)), w.labels))
+    @given(word_st)
+    def test_reverse_and_inverse_match_validated_construction(self, w):
+        self._same(reverse(w), Word(tuple(reversed(w.letters))))
+        self._same(w.inverse(), Word(tuple(-x for x in reversed(w.letters))))
 
     @pytest.mark.parametrize("k", [1, 2, 50, 5000])
     def test_long_cancellation(self, k):
@@ -227,14 +221,9 @@ class TestParseAndFormat:
         with pytest.raises(ValueError):
             parse("axb")
 
-    def test_custom_labels(self):
-        w = parse("dB", labels=("d", "b"))
-        assert w.letters == (1, -2)
-        assert str(w) == "dB"
-
-    @given(_cancelling_raw_st, _labels_st)
-    def test_str_matches_letter_loop(self, raw, labels):
-        w = Word(raw, labels)
+    @given(_cancelling_raw_st)
+    def test_str_matches_letter_loop(self, raw):
+        w = Word(raw)
         assert str(w) == _reference_str(w)
 
 
@@ -248,19 +237,10 @@ class TestAlgebra:
     @given(word_st, st.integers(-6, 6))
     def test_pow_matches_repeated_product(self, w, n):
         base = w if n >= 0 else w.inverse()
-        out = Word((), w.labels)
+        out = Word(())
         for _ in range(abs(n)):
             out = out * base
         assert w**n == out
-
-    def test_mixed_alphabets_rejected(self):
-        with pytest.raises(ValueError):
-            parse("a") * parse("d", labels=("d", "b"))
-        # also when the letters would cancel, or there are none
-        with pytest.raises(ValueError, match="different alphabets"):
-            parse("ab") * parse("CA", labels=("a", "c"))
-        with pytest.raises(ValueError, match="different alphabets"):
-            Word((), ("a", "b")) * Word((), ("d", "b"))
 
     @given(word_st, word_st)
     def test_abelianize_is_additive(self, u, v):
@@ -305,15 +285,17 @@ class TestEvaluate:
         for _ in range(20):
             u = Word(tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, 8))))
             v = Word(tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, 8))))
-            lhs = evaluate(u * v, A, B)
-            rhs = evaluate(u, A, B) * evaluate(v, A, B)
+            t = letter_table(A, B)
+            lhs = evaluate(u * v, t)
+            rhs = evaluate(u, t) * evaluate(v, t)
             assert psl_distance(lhs, rhs) < 1e-9
 
     def test_letter_images(self):
         rng = random.Random(72)
         A, B = random_loxodromic(rng), random_loxodromic(rng)
-        assert psl_distance(evaluate(parse("a"), A, B), A) < 1e-12
-        assert psl_distance(evaluate(parse("B"), A, B), B.inverse()) < 1e-12
+        t = letter_table(A, B)
+        assert psl_distance(evaluate(parse("a"), t), A) < 1e-12
+        assert psl_distance(evaluate(parse("B"), t), B.inverse()) < 1e-12
 
     @settings(max_examples=60)
     @given(
@@ -322,7 +304,8 @@ class TestEvaluate:
     )
     def test_bit_identical_to_element_fold(self, pair, w):
         A, B = _EVALUATION_PAIRS[pair]
-        assert _bits(evaluate(w, A, B)) == _bits(_reference_evaluate(w, A, B))
+        got = evaluate(w, letter_table(A, B))
+        assert _bits(got) == _bits(_reference_evaluate(w, A, B))
 
     @settings(max_examples=60)
     @given(
@@ -334,8 +317,9 @@ class TestEvaluate:
         # the fold of u * v passes through evaluate(u) when nothing cancels
         assume(len(u * v) == len(u) + len(v))
         A, B = _EVALUATION_PAIRS[pair]
-        continued = evaluate(v, A, B, evaluate(u, A, B))
-        assert _bits(continued) == _bits(evaluate(u * v, A, B))
+        t = letter_table(A, B)
+        continued = evaluate(v, t, evaluate(u, t))
+        assert _bits(continued) == _bits(evaluate(u * v, t))
 
 
 class TestCyclic:
@@ -346,10 +330,10 @@ class TestCyclic:
         w = Word((1,) * 20000 + (2,) + (-1,) * 20000)
         assert cyclic_reduce(w) == parse("b")
 
-    @given(_cancelling_raw_st, _labels_st)
-    def test_cyclic_reduce_matches_reference(self, raw, labels):
-        w = Word(raw, labels)
-        assert cyclic_reduce(w) == Word(_reference_cyclic_reduce(w.letters), labels)
+    @given(_cancelling_raw_st)
+    def test_cyclic_reduce_matches_reference(self, raw):
+        w = Word(raw)
+        assert cyclic_reduce(w) == Word(_reference_cyclic_reduce(w.letters))
 
     @given(word_st, word_st)
     def test_conjugates_are_cyclically_equal(self, w, u):
@@ -406,42 +390,6 @@ class TestPrimitivity:
             u = Word(tuple(rng.choice(LETTERS) for _ in range(4)))
             w = parse("aab")
             assert is_primitive(u * w * u.inverse())
-
-
-class TestBasisRewriting:
-    def test_rewrite_is_a_relabel(self):
-        w = parse("abAB")
-        assert rewrite_in_generators(w, "a").letters == w.letters
-        assert str(rewrite_in_generators(parse("ab"), "a")) == "ac"
-        assert str(rewrite_in_generators(parse("ab"), "b")) == "db"
-
-    def test_expand_substitutes_composite(self):
-        assert expand_generators(rewrite_in_generators(parse("b"), "a"), "a") == parse("ab")
-        assert expand_generators(rewrite_in_generators(parse("a"), "b"), "b") == parse("ba")
-        assert expand_generators(rewrite_in_generators(parse("aB"), "a"), "a") == parse("aBA")
-
-    @given(word_st)
-    def test_expand_rewrite_is_the_nielsen_move(self, w):
-        # composing the relabel with expansion realizes b -> ab on the
-        # abelianization: (ea, eb) -> (ea + eb, eb)
-        img = expand_generators(rewrite_in_generators(w, "a"), "a")
-        ea, eb = abelianize(w)
-        assert abelianize(img) == AbelianImage(ea + eb, eb)
-
-    def test_expand_respects_evaluation(self):
-        rng = random.Random(14)
-        A, B = random_loxodromic(rng), random_loxodromic(rng)
-        for text in ("ac", "cA", "acac", "Ca"):
-            w_new = parse(text.replace("c", "b").replace("C", "B"))
-            w_new = rewrite_in_generators(w_new, "a")
-            expanded = expand_generators(w_new, "a")
-            lhs = evaluate(expanded, A, B)
-            rhs = evaluate(Word(w_new.letters), A, A * B)
-            assert psl_distance(lhs, rhs) < 1e-10
-
-    def test_bad_side_rejected(self):
-        with pytest.raises(ValueError):
-            rewrite_in_generators(parse("a"), "c")
 
 
 class TestEllipticPowerFactorization:
