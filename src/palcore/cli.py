@@ -83,11 +83,14 @@ def _load_rep(path: str, geo: float):
 def _emit(text: str, out: str) -> None:
     if out == "-":
         click.echo(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
+    except OSError as exc:
+        _fail(exc)
 
 
 @contextmanager

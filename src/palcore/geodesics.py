@@ -20,7 +20,6 @@ from .sl2c import (
     INFINITY,
     BoundaryPoint,
     GroupElement,
-    boundary_from_json,
     boundary_key,
     boundary_to_json,
     chordal_distance,
@@ -63,10 +62,6 @@ class Geodesic:
 
     def to_json(self) -> dict:
         return {"e1": boundary_to_json(self.e1), "e2": boundary_to_json(self.e2)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Geodesic":
-        return cls(boundary_from_json(obj["e1"]), boundary_from_json(obj["e2"]))
 
     def __repr__(self) -> str:
         return f"Geodesic[{self.e1}, {self.e2}]"

@@ -49,18 +49,28 @@ VERDICTS = (
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """Pi image of one slope, or the error that prevented it."""
+    """Pi image of one slope, or the error that prevented it.
+
+    words is the slope's palindrome, or its palindromic factor pair when
+    pq is odd, as held by the Farey cache; word is their display text.
+    """
 
     p: int
     q: int
     depth: int
+    words: tuple[Word, ...]
     image: PiImage | None = None
     error: str | None = None
+
+    @property
+    def word(self) -> str:
+        """The slope word as shown in reports: a factor pair reads u|v."""
+        return "|".join(map(str, self.words))
 
     def to_json(self) -> dict:
         out: dict = {"p": self.p, "q": self.q, "depth": self.depth}
         if self.image is not None:
-            out.update(self.image.to_json())
+            out.update(self.image.to_json(self.word))
         if self.error is not None:
             out["error"] = self.error
         return out
@@ -135,16 +145,13 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
     entries = []
     images: dict = {}
     for node in enumerate_farey(depth):
+        image = error = None
         try:
             image = rational_pi(rep, node.p, node.q, images)
-            entries.append(SpectrumEntry(node.p, node.q, node.depth, image=image))
         except PalcoreError as exc:
-            entries.append(
-                SpectrumEntry(
-                    node.p, node.q, node.depth,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            error = f"{type(exc).__name__}: {exc}"
+        words = node.factorization or (node.word,)
+        entries.append(SpectrumEntry(node.p, node.q, node.depth, words, image, error))
     return entries
 
 
@@ -160,7 +167,7 @@ def spectrum_to_csv(entries: Iterable[SpectrumEntry], stream: IO[str]) -> None:
             s_out = "inf" if e.image.s > 0 else "-inf"
         else:
             s_out = repr(e.image.s)
-        writer.writerow([e.p, e.q, s_out, e.image.element_class or "", e.image.source])
+        writer.writerow([e.p, e.q, s_out, e.image.element_class, e.image.source])
 
 
 def random_word(rng: random.Random, length: int) -> Word:
@@ -291,16 +298,16 @@ def probe(
     )
     growth = _growth_series(spectrum, depth)
 
-    # a sample's image carries its palindrome as word, like a spectrum image
     witnesses: list[WitnessRecord] = []
     tagged_parabolic = False
-    for img in chain((e.image for e in spectrum), (smp.image for smp in samples)):
+    for entry in chain(spectrum, samples):
+        img = entry.image
         if img is None:
             continue
         if img.source == PARABOLIC_END:
             tagged_parabolic = True
         elif img.finite and abs(img.s) > s_escape:
-            witnesses.append(WitnessRecord(img.word or "", img.s, img.source))
+            witnesses.append(WitnessRecord(entry.word, img.s, img.source))
     plateaued = (
         depth >= 2
         and bool(finite_spectrum)

@@ -38,6 +38,7 @@ from .sl2c import (
     INFINITY,
     GroupElement,
     _fixed_points,
+    _json_text,
     boundary_key,
     classify,
     fixed_points,
@@ -58,41 +59,30 @@ class PiImage:
 
     s is the hyperbolic position; parabolic palindromes are tagged with
     s = +/-inf at the core end they fix. source records the route taken
-    (single palindrome, palindrome pair, or parabolic end); word and
-    element_class are display metadata.
+    (single palindrome, palindrome pair, or parabolic end) and
+    element_class the isometry type of the image (of UV for a pair). The
+    word is not held: the caller passed it in, and a report that shows it
+    hands its display text to to_json.
     """
 
     s: float
     source: str
-    word: str | None = None
-    element_class: str | None = None
+    element_class: str
 
     @property
     def finite(self) -> bool:
         return math.isfinite(self.s)
 
-    def to_json(self) -> dict:
+    def to_json(self, word: str | None = None) -> dict:
         if math.isinf(self.s):
             s_out: float | str = "inf" if self.s > 0 else "-inf"
         else:
             s_out = self.s
         out: dict = {"s": s_out, "source": self.source}
-        if self.word is not None:
-            out["word"] = self.word
-        if self.element_class is not None:
-            out["class"] = self.element_class
+        if word is not None:
+            out["word"] = word
+        out["class"] = self.element_class
         return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PiImage":
-        raw = obj["s"]
-        if raw == "inf":
-            s = math.inf
-        elif raw == "-inf":
-            s = -math.inf
-        else:
-            s = float(raw)
-        return cls(s, obj["source"], obj.get("word"), obj.get("class"))
 
 
 @dataclass(frozen=True)
@@ -213,7 +203,13 @@ def build(a_raw, b_raw, geo: float = DEFAULT_GEO) -> Representation:
 
 
 def rep_from_json(obj: dict, geo: float = DEFAULT_GEO) -> Representation:
-    """Build a representation from {"A": matrix, "B": matrix} JSON data."""
+    """Build a representation from {"A": matrix, "B": matrix} JSON data.
+
+    Raises ValueError for a document that is not an object or a malformed
+    matrix (see matrix_from_json), KeyError for a missing generator.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"generator JSON must be an object, got {_json_text(obj)}")
     return build(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]), geo)
 
 
@@ -300,7 +296,8 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     images are tagged at the core end they fix. OrthogonalityViolation
     signals numerical breakdown: an exact palindrome axis is always
     orthogonal to the core. Slope words do not come through here:
-    rational_pi folds them in full.
+    rational_pi folds them in full. The result is a number with its route
+    and class; w is formatted only in a refusal message.
     """
     if not is_palindrome(w):
         raise NotPalindrome(f"{w!r} is not a palindrome")
@@ -348,9 +345,9 @@ def _palindrome_position(rep: Representation, w: Word, m: GroupElement) -> PiIma
         raise IdentityImage(f"{w!r} evaluates to the identity")
     eps = geo_scaled(rep.geo, len(w))
     if kind == "parabolic":
-        return PiImage(_parabolic_end(m, eps), PARABOLIC_END, str(w), kind)
+        return PiImage(_parabolic_end(m, eps), PARABOLIC_END, kind)
     s = _crossing_position(m, eps, kind)
-    return PiImage(s, PALINDROME_WORD, str(w), kind)
+    return PiImage(s, PALINDROME_WORD, kind)
 
 
 def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
@@ -386,7 +383,7 @@ def _pair_position(
         ) from exc
     eps = geo_scaled(rep.geo, len(u) + len(v))
     s = _crossing_position(t, eps)
-    return PiImage(s, PALINDROME_PAIR, f"{u}|{v}", classify(uv))
+    return PiImage(s, PALINDROME_PAIR, classify(uv))
 
 
 def pair_perpendicular_by_axes(rep: Representation, u: Word, v: Word) -> Geodesic:
@@ -471,7 +468,8 @@ def rational_pi(
 ) -> PiImage:
     """Pi image of the slope p/q: the palindromic representative when pq is
     even, the palindromic factor pair through its double altitude when pq
-    is odd.
+    is odd. The result carries no word: node.word, or the pair as u|v, is
+    display text for the report (SpectrumEntry.word).
 
     Each word is continued from a parent's stored image (see _slope_image),
     with the bits of a full fold from the identity. images maps slopes to

@@ -7,6 +7,7 @@ classification and fixed points are all taken up to an overall sign.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 
@@ -202,38 +203,67 @@ def _fixed_points(g: GroupElement, kind: str) -> tuple[BoundaryPoint, BoundaryPo
     return tuple(sorted((r1, r2), key=boundary_key))
 
 
+def _json_text(v) -> str:
+    """v as JSON spells it, for naming a bad input value."""
+    return json.dumps(v, default=repr)
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2
+
+
+def _real_from_json(x, entry) -> float:
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            if math.isfinite(x):
+                return float(x)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(
+        "matrix entry must be a finite number or an [re, im] pair of them, "
+        f"got {_json_text(entry)}"
+    )
+
+
 def _complex_from_json(v) -> complex:
-    """A JSON entry: a real number or an [re, im] pair."""
-    if isinstance(v, (int, float)):
-        return complex(v)
-    re, im = v
-    return complex(re, im)
+    """A JSON entry: a finite real number or an [re, im] pair of them.
+
+    Raises ValueError naming the entry for anything else: null, a boolean,
+    a string, NaN or an infinity, or a list that is not a pair.
+    """
+    if _is_pair(v):
+        return complex(_real_from_json(v[0], v), _real_from_json(v[1], v))
+    return complex(_real_from_json(v, v))
 
 
 def matrix_from_json(obj) -> GroupElement:
     """Parse a matrix from JSON data.
 
     Accepts the entry map {"a": ..., "b": ..., "c": ..., "d": ...} or row
-    form [[a, b], [c, d]]; each entry is a real number or an [re, im] pair.
+    form [[a, b], [c, d]]; each entry is a real number or an [re, im] pair
+    (see _complex_from_json). Raises ValueError naming the bad value for a
+    document of neither form or a row that is not a pair, KeyError for a
+    missing map key.
     """
     if isinstance(obj, dict):
-        entries = (obj[k] for k in "abcd")
+        entries = [obj[k] for k in "abcd"]
+    elif _is_pair(obj):
+        for row in obj:
+            if not _is_pair(row):
+                raise ValueError(
+                    f"matrix row must be a pair of entries, got {_json_text(row)}"
+                )
+        (a, b), (c, d) = obj
+        entries = [a, b, c, d]
     else:
-        rows = list(obj)
-        if len(rows) != 2 or any(len(list(r)) != 2 for r in rows):
-            raise ValueError(f"matrix JSON must be 2x2 rows or an entry map: {obj!r}")
-        (a, b), (c, d) = rows
-        entries = (a, b, c, d)
-    return GroupElement(*(_complex_from_json(v) for v in entries))
+        raise ValueError(
+            "matrix must be [[a, b], [c, d]] rows or an entry map, "
+            f"got {_json_text(obj)}"
+        )
+    return GroupElement(*map(_complex_from_json, entries))
 
 
 def boundary_to_json(z: BoundaryPoint) -> list | str:
     if z is INFINITY:
         return "inf"
     return [z.real, z.imag]
-
-
-def boundary_from_json(v) -> BoundaryPoint:
-    if v == "inf":
-        return INFINITY
-    return _complex_from_json(v)

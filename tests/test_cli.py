@@ -13,6 +13,7 @@ from palcore.probe import (
     PARABOLIC_ENDS_DETECTED,
     UNBOUNDED_EVIDENCE_NONDISCRETE,
     pi_spectrum,
+    witness_search,
 )
 from palcore.representation import rep_from_json
 
@@ -40,6 +41,35 @@ def schottky_gens(tmp_path):
 @pytest.fixture
 def mu4_gens(tmp_path):
     return write_gens(tmp_path, [[1, 1], [0, 1]], [[1, 0], [4, 1]])
+
+
+def assert_one_error_line(res, *fragments):
+    """The command failed through _fail: exit 1 and one `error:` line, not
+    a traceback (CliRunner reports an uncaught exception as exit 1 too)."""
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ")
+    assert res.output.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in res.output
+
+
+# key tuples of a spectrum entry with a position and of a refused one
+_SPECTRUM_KEYS = {
+    ("p", "q", "depth", "s", "source", "word", "class"),
+    ("p", "q", "depth", "error"),
+}
+
+# malformed matrix JSON, and the value each error line must name
+_BAD_MATRICES = [
+    ("[1, 2]", "got 1"),
+    ("5", "got 5"),
+    ("[[1, 2], [3, null]]", "got null"),
+    ("[[1, 2], [3, true]]", "got true"),
+    ("[[NaN, 0], [0, 1]]", "got NaN"),
+    ("[[1, 2], [3]]", "got [3]"),
+    ('{"a": 1, "b": 0, "c": 0, "d": "x"}', 'got "x"'),
+]
 
 
 class TestExitCodeMap:
@@ -78,6 +108,10 @@ class TestClassify:
     def test_bad_json_fails(self, runner):
         res = runner.invoke(main, ["classify", "not json"])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("matrix, named", _BAD_MATRICES)
+    def test_malformed_matrix_fails(self, runner, matrix, named):
+        assert_one_error_line(runner.invoke(main, ["classify", matrix]), named)
 
 
 class TestPrimitive:
@@ -141,6 +175,13 @@ class TestPiMap:
             main, ["pi-map", "--gens", schottky_gens, "--tol-geo", "-1"]
         )
         assert res.exit_code == 1
+
+    def test_json_entry_keys_in_report_order(self, runner, schottky_gens):
+        res = runner.invoke(
+            main,
+            ["pi-map", "--gens", schottky_gens, "--depth", "8", "--format", "json"],
+        )
+        assert {tuple(e) for e in json.loads(res.output)} == _SPECTRUM_KEYS
 
 
 class TestProbe:
@@ -298,6 +339,45 @@ class TestValidTolerance:
         assert "share an endpoint" in res.output
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", [
+        ["pi-map", "--depth", "2"],
+        ["probe", "--depth", "2"],
+        ["hexagon"],
+    ])
+    def test_missing_directory_is_one_error_line(self, runner, schottky_gens,
+                                                 tmp_path, command):
+        target = tmp_path / "missing" / "out.json"
+        res = runner.invoke(
+            main, [*command, "--gens", schottky_gens, "--out", str(target)]
+        )
+        assert_one_error_line(res, str(target))
+
+
+class TestReportKeyOrder:
+    """Key order of every record of a probe report, as the CLI writes it."""
+
+    def test_probe_records(self, runner, schottky_gens):
+        res = runner.invoke(main, [
+            "probe", "--gens", schottky_gens, "--depth", "8", "--samples", "20",
+            "--escape", "1.0",
+        ])
+        assert res.exit_code == 2
+        report = json.loads(res.output)
+        assert {tuple(e) for e in report["spectrum"]} == _SPECTRUM_KEYS
+        samples = {tuple(e) for e in report["random_palindrome_samples"]}
+        assert ("base", "word", "s", "source", "class") in samples
+        assert samples <= {("base", "word", "s", "source", "class"), ("base", "error")}
+        assert report["witnesses"]
+        assert {tuple(w) for w in report["witnesses"]} == {("word", "s", "source")}
+
+    def test_search_witness_record(self, schottky_gens):
+        with open(schottky_gens, encoding="utf-8") as fh:
+            rep = rep_from_json(json.load(fh))
+        record = witness_search(rep, 2, 1, s_escape=1.0)
+        assert list(record.to_json()) == ["word", "s", "source", "c", "d", "n"]
+
+
 class TestGensFileForms:
     def test_row_form_matrices_accepted(self, runner, tmp_path):
         gens = write_gens(
@@ -313,3 +393,16 @@ class TestGensFileForms:
         path.write_text(json.dumps({"A": [[1, 0], [0, 1]]}))
         res = runner.invoke(main, ["pi-map", "--gens", str(path)])
         assert res.exit_code == 1
+
+    def test_document_must_be_an_object(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        res = runner.invoke(main, ["probe", "--gens", str(path), "--depth", "3"])
+        assert_one_error_line(res, "must be an object", "got [1, 2]")
+
+    @pytest.mark.parametrize("matrix, named", _BAD_MATRICES)
+    def test_malformed_generator_fails(self, runner, tmp_path, matrix, named):
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"A": [[1, 1], [0, 1]], "B": {matrix}}}')
+        res = runner.invoke(main, ["probe", "--gens", str(path), "--depth", "3"])
+        assert_one_error_line(res, named)

@@ -45,9 +45,10 @@ class TestGeodesic:
         g = Geodesic(0j, 1 + 1j)
         assert geodesic_distance(g, Geodesic(1 + 1j, 0j)) == 0.0
 
-    def test_json_round_trip(self):
-        g = Geodesic(1.5 - 2j, INFINITY)
-        assert Geodesic.from_json(g.to_json()) == g
+    def test_json_encoding(self):
+        # endpoints in canonical order, inf last
+        assert Geodesic(INFINITY, 1.5 - 2j).to_json() == {"e1": [1.5, -2.0], "e2": "inf"}
+        assert Geodesic(1j, -3 + 0j).to_json() == {"e1": [-3.0, 0.0], "e2": [0.0, 1.0]}
 
     def test_transform_applies_moebius(self):
         g = Geodesic(0j, INFINITY)

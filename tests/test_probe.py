@@ -37,10 +37,19 @@ from palcore.words import Word, is_palindrome, parse, reduced_words, reverse
 from .conftest import random_representation
 
 
-def _entry_bits(p, q, depth, image, error):
+def _entry_bits(p, q, depth, image, error, word):
     if image is None:
         return (p, q, depth, error)
-    return (p, q, depth, image.s.hex(), image.source, image.element_class, image.word)
+    return (p, q, depth, image.s.hex(), image.source, image.element_class, word)
+
+
+def _display_word(node):
+    """The slope's report word, formatted here rather than by SpectrumEntry:
+    the palindrome, or the factor pair as u|v."""
+    if node.factorization is None:
+        return str(node.word)
+    u, v = node.factorization
+    return f"{u}|{v}"
 
 
 def _full_fold(rep, node):
@@ -53,16 +62,30 @@ def _full_fold(rep, node):
 
 def _slope_bits(node, image_of):
     try:
-        return _entry_bits(node.p, node.q, node.depth, image_of(node), None)
+        return _entry_bits(node.p, node.q, node.depth, image_of(node), None,
+                           _display_word(node))
     except PalcoreError as exc:
         return _entry_bits(node.p, node.q, node.depth, None,
-                           f"{type(exc).__name__}: {exc}")
+                           f"{type(exc).__name__}: {exc}", None)
 
 
 def _full_fold_spectrum(rep, depth):
     """pi_spectrum with every slope evaluated from the identity."""
     return [_slope_bits(node, lambda n: _full_fold(rep, n))
             for node in enumerate_farey(depth)]
+
+
+def _count_word_formatting(monkeypatch):
+    """Record every Word.__str__ call (repr goes through it too)."""
+    calls = []
+    inner = Word.__str__
+
+    def counted(self):
+        calls.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(Word, "__str__", counted)
+    return calls
 
 
 _SPECTRUM_PAIRS = [
@@ -101,7 +124,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("name, depth", _SPECTRUM_PAIRS)
     def test_continued_images_match_full_folds(self, name, depth, request):
         rep = _named_rep(name, request)
-        entries = [_entry_bits(e.p, e.q, e.depth, e.image, e.error)
+        entries = [_entry_bits(e.p, e.q, e.depth, e.image, e.error, e.word)
                    for e in pi_spectrum(rep, depth)]
         assert entries == _full_fold_spectrum(rep, depth)
 
@@ -132,6 +155,15 @@ class TestSpectrum:
         pi_spectrum(mu4, 10)
         full = sum(len(node.word) for node in enumerate_farey(10))
         assert 0 < sum(letters) <= 0.4 * full
+
+    def test_formats_words_only_for_refusals(self, mu4, monkeypatch):
+        # display text is built when a report is written; the only words
+        # formatted here are the two a CommutingPair refusal names
+        calls = _count_word_formatting(monkeypatch)
+        refused = [e for e in pi_spectrum(mu4, 8) if e.error]
+        assert len(refused) == 28
+        assert all(e.error.startswith("CommutingPair: ") for e in refused)
+        assert len(calls) == 2 * len(refused)
 
     def test_determinism(self, rep1):
         a = [e.to_json() for e in pi_spectrum(rep1, 5)]
@@ -277,6 +309,11 @@ class TestWitnessSearch:
     def test_none_when_threshold_unreachable(self, rep1):
         assert witness_search(rep1, 2, 1, s_escape=50.0) is None
 
+    def test_formats_no_word_without_a_witness(self, mu_half, monkeypatch):
+        calls = _count_word_formatting(monkeypatch)
+        assert witness_search(mu_half, 6, 2) is None
+        assert calls == []
+
     def test_visits_the_conjugate_push_palindromes_in_order(self, mu_half, monkeypatch):
         # The candidates must reach pi_of_palindrome(rep, word) through the
         # palcore.probe module name, one call each, in the order of the
@@ -286,7 +323,7 @@ class TestWitnessSearch:
         def recorder(rep, word, /):
             assert rep is mu_half
             seen.append(word)
-            return PiImage(0.0, PALINDROME_WORD, str(word))
+            return PiImage(0.0, PALINDROME_WORD, "loxodromic")
 
         monkeypatch.setattr(sys.modules["palcore.probe"], "pi_of_palindrome", recorder)
         assert witness_search(mu_half, 4, 2) is None

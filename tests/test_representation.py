@@ -4,6 +4,7 @@ palindrome positions, pair positions, hexagons, rational indexing."""
 import math
 import random
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -29,7 +30,6 @@ from palcore.representation import (
     PALINDROME_PAIR,
     PALINDROME_WORD,
     PARABOLIC_END,
-    PiImage,
     _palindrome_image,
     _palindrome_position,
     build,
@@ -41,7 +41,7 @@ from palcore.representation import (
     rational_pi,
     rep_from_json,
 )
-from palcore.probe import witness_search
+from palcore.probe import pi_spectrum, witness_search
 from palcore.sl2c import INFINITY, GroupElement, chordal_distance, psl_equal
 from palcore.words import LETTERS, Word, parse, reduced_words, reverse
 
@@ -82,6 +82,10 @@ class TestBuild:
         with pytest.raises(ElementaryGroup):
             build(GroupElement(1, 1, 0, 1), GroupElement(1, 2, 0, 1))
 
+    def test_json_document_must_be_an_object(self):
+        with pytest.raises(ValueError, match=r"must be an object.*got \[1, 2\]"):
+            rep_from_json([1, 2])
+
     def test_json_round_trip(self):
         rep = random_representation(5)
         again = rep_from_json(rep.to_json())
@@ -114,10 +118,14 @@ class TestRep1Oracles:
 
     def test_image_metadata(self, rep1):
         img = pi_of_palindrome(rep1, parse("aba"))
+        assert [f.name for f in fields(img)] == ["s", "source", "element_class"]
         assert img.source == PALINDROME_WORD
-        assert img.word == "aba"
         assert img.element_class == "loxodromic"
         assert img.finite
+        # the word is the caller's, written only when a report passes it
+        assert img.to_json(str(parse("aba"))) == {
+            "s": img.s, "source": PALINDROME_WORD, "word": "aba", "class": "loxodromic",
+        }
 
 
 class TestConjugationInvariance:
@@ -204,8 +212,11 @@ class TestPairRoutes:
         assert checked >= 10
 
     def test_pair_word_label(self, rep1):
-        img = pi_of_pair(rep1, parse("a"), parse("bab"))
-        assert img.word == "a|bab"
+        # the odd slope 1/3 factors as a|aba; its entry shows the pair
+        entry = _spectrum_entry(rep1, 1, 3)
+        assert entry.image == pi_of_pair(rep1, parse("a"), parse("aba"))
+        assert entry.word == "a|aba"
+        assert entry.to_json()["word"] == "a|aba"
 
 
 class TestParabolicTags:
@@ -217,10 +228,21 @@ class TestParabolicTags:
         assert up.element_class == "parabolic"
         assert not up.finite
 
-    def test_tag_json_round_trip(self, mu4):
-        img = pi_of_palindrome(mu4, parse("a"))
-        again = PiImage.from_json(img.to_json())
-        assert again == img
+    def test_tag_json(self, mu4):
+        up = pi_of_palindrome(mu4, parse("a")).to_json()
+        dn = pi_of_palindrome(mu4, parse("b")).to_json("b")
+        assert list(up.items()) == [
+            ("s", "inf"), ("source", PARABOLIC_END), ("class", "parabolic"),
+        ]
+        assert list(dn.items()) == [
+            ("s", "-inf"), ("source", PARABOLIC_END), ("word", "b"),
+            ("class", "parabolic"),
+        ]
+
+
+def _spectrum_entry(rep, p, q):
+    """The pi_spectrum entry of the slope p/q (depth 4 reaches q <= 5)."""
+    return next(e for e in pi_spectrum(rep, 4) if (e.p, e.q) == (p, q))
 
 
 def _full_fold_position(rep, w):
@@ -407,12 +429,16 @@ class TestRationalPi:
     def test_even_slope_uses_palindrome_route(self, rep1):
         img = rational_pi(rep1, 2, 5)
         assert img.source == PALINDROME_WORD
-        assert img.word == "abaaaba"
+        entry = _spectrum_entry(rep1, 2, 5)
+        assert entry.image == img
+        assert entry.word == "abaaaba"
 
     def test_odd_slope_uses_pair_route(self, rep1):
         img = rational_pi(rep1, 3, 5)
         assert img.source == PALINDROME_PAIR
-        assert img.word == "aba|ababa"
+        entry = _spectrum_entry(rep1, 3, 5)
+        assert entry.image == img
+        assert entry.word == "aba|ababa"
 
     def test_roots_match_letters(self, rep1):
         assert abs(rational_pi(rep1, 0, 1).s - pi_of_palindrome(rep1, parse("a")).s) < 1e-15

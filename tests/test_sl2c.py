@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,6 @@ from palcore.errors import IdentityElement, SingularMatrix
 from palcore.sl2c import (
     INFINITY,
     GroupElement,
-    boundary_from_json,
     boundary_key,
     boundary_to_json,
     chordal_distance,
@@ -236,10 +236,35 @@ class TestJson:
         g = matrix_from_json([[[0, 1], 2], [3, [4, -1]]])
         assert g.entries() == (1j, 2, 3, 4 - 1j)
 
-    def test_boundary_round_trip(self):
-        assert boundary_from_json(boundary_to_json(INFINITY)) is INFINITY
-        z = 1.5 - 2j
-        assert boundary_from_json(boundary_to_json(z)) == z
+    @pytest.mark.parametrize("obj, named", [
+        ([1, 2], "got 1"),
+        (5, "got 5"),
+        ("ab", 'got "ab"'),
+        ([[1, 2], [3, None]], "got null"),
+        ([[1, 2], [3, True]], "got true"),
+        ([[math.nan, 0], [0, 1]], "got NaN"),
+        ([[math.inf, 0], [0, 1]], "got Infinity"),
+        ([[1, [0, -math.inf]], [0, 1]], "got [0, -Infinity]"),
+        ([[10**400, 0], [0, 1]], "got 1000"),
+        ([[1, 2], [3]], "got [3]"),
+        ([[1, 2], [3, 4], [5, 6]], "got [[1, 2], [3, 4], [5, 6]]"),
+        ([[1, 2], [3, [4, 5, 6]]], "got [4, 5, 6]"),
+        ({"a": 1, "b": 0, "c": 0, "d": "1"}, 'got "1"'),
+        ({"a": 1, "b": False, "c": 0, "d": 1}, "got false"),
+    ])
+    def test_malformed_matrix_names_the_value(self, obj, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            matrix_from_json(obj)
+
+    def test_valid_entries_keep_their_values(self):
+        # the checks keep exact values: ints, negative zeros, [re, im] pairs
+        g = matrix_from_json({"a": [1, -0.0], "b": -0.0, "c": 2**53 + 1, "d": [0, 3]})
+        assert g.entries() == (complex(1, -0.0), complex(-0.0), complex(2**53 + 1), 3j)
+        assert math.copysign(1.0, g.a.imag) == math.copysign(1.0, g.b.real) == -1.0
+
+    def test_boundary_encoding(self):
+        assert boundary_to_json(INFINITY) == "inf"
+        assert boundary_to_json(1.5 - 2j) == [1.5, -2.0]
 
 
 @settings(max_examples=60, deadline=None)
