@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -76,7 +77,25 @@ def _load_rep(path: str, geo: float):
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         return rep_from_json(data, geo)
-    except (OSError, ValueError, KeyError, PalcoreError) as exc:
+    except (OSError, ValueError, PalcoreError) as exc:
+        _fail(exc)
+
+
+def _check_out(out: str) -> None:
+    """Fail before any work when the --out path cannot be opened for
+    writing. The check opens it for appending, which leaves an existing
+    file as it is, and removes a file that only the check created; the
+    report is written (and an existing file replaced) by _emit, once the
+    work has succeeded."""
+    if out == "-":
+        return
+    existed = os.path.lexists(out)
+    try:
+        with open(out, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(out)
+    except OSError as exc:
         _fail(exc)
 
 
@@ -140,7 +159,7 @@ def cmd_classify(matrix_json: str) -> None:
                 pts = pts[:1]
             record["fixed"] = [boundary_to_json(p) for p in pts]
         click.echo(json.dumps(record))
-    except (ValueError, KeyError, PalcoreError) as exc:
+    except (ValueError, PalcoreError) as exc:
         _fail(exc)
 
 
@@ -174,6 +193,7 @@ def cmd_primitive(slope: str) -> None:
 @click.option("--out", default="-", show_default=True, help="output path, - for stdout")
 def cmd_pi_map(gens: str, depth: int, fmt: str, tol_geo: float, out: str) -> None:
     """Position spectrum of the palindromic axes over the Farey tree."""
+    _check_out(out)
     rep = _load_rep(gens, tol_geo)
     try:
         entries = pi_spectrum(rep, depth)
@@ -209,6 +229,7 @@ def cmd_pi_map(gens: str, depth: int, fmt: str, tol_geo: float, out: str) -> Non
 def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
               plateau: float, tol_geo: float, out: str) -> None:
     """Probe the pair for discreteness evidence; exit code is the verdict."""
+    _check_out(out)
     rep = _load_rep(gens, tol_geo)
     try:
         report = probe(rep, depth, random_samples=samples, seed=seed,
@@ -226,6 +247,7 @@ def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
 @click.option("--out", default="-", show_default=True, help="output path, - for stdout")
 def cmd_hexagon(gens: str, tol_geo: float, out: str) -> None:
     """The six geodesics of the right-angled hexagon of the pair."""
+    _check_out(out)
     rep = _load_rep(gens, tol_geo)
     try:
         hexa = hexagon(rep)

@@ -17,7 +17,7 @@ DEFAULT_GEO = 1e-6
 
 def geo_scaled(geo: float, word_length: int) -> float:
     """The geometric tolerance for a product of word_length generators."""
-    return geo * max(1, word_length)
+    return geo * (word_length if word_length > 1 else 1)
 
 
 # probe thresholds, in hyperbolic length units along the core geodesic.

@@ -32,7 +32,7 @@ from .representation import (
     pi_of_palindrome,
     rational_pi,
 )
-from .words import LETTERS, Word, reduced_words, reverse
+from .words import LETTERS, Word, palindromic_doubles, reduced_words
 
 BOUNDED_CONSISTENT_WITH_GF = "BOUNDED_CONSISTENT_WITH_GF"
 UNBOUNDED_EVIDENCE_NONDISCRETE = "UNBOUNDED_EVIDENCE_NONDISCRETE"
@@ -361,15 +361,10 @@ def witness_search(
     _check_positive("s_escape", s_escape)
     vocabulary = list(reduced_words(max_word_len))
     for c in vocabulary:
-        c_inv = c.inverse()
+        powers = [(n, c ** n, c ** -n) for n in range(1, max_conj_power + 1)]
         for d in vocabulary:
-            conj_left = conj_right = Word()
-            for n in range(1, max_conj_power + 1):
-                conj_left = conj_left * c
-                conj_right = conj_right * c_inv
-                u = conj_left * d * conj_right
-                u_rev = reverse(u)
-                for pal in (u * u_rev, u_rev * u):
+            for n, conj_left, conj_right in powers:
+                for pal in palindromic_doubles(conj_left * d * conj_right):
                     try:
                         image = pi_of_palindrome(rep, pal)
                     except PalcoreError:

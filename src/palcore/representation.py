@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from operator import sub
 from typing import NamedTuple
 
 from .config import CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR, geo_scaled
@@ -35,9 +36,12 @@ from .errors import (
 from .farey import FareyNode, Slope, primitive_word
 from .geodesics import Geodesic, axis, common_perpendicular
 from .sl2c import (
+    IDENTITY,
     INFINITY,
+    Entries,
     GroupElement,
     _fixed_points,
+    _max4,
     _json_text,
     boundary_key,
     classify,
@@ -45,6 +49,7 @@ from .sl2c import (
     is_identity,
     matrix_from_json,
     normalize,
+    product,
 )
 from .words import LetterTable, Word, evaluate, is_palindrome, letter_table, reverse
 
@@ -106,16 +111,17 @@ class Representation:
     geo: float
 
     def evaluate_normalized(
-        self, w: Word, start: GroupElement | None = None
+        self, w: Word, start: GroupElement = IDENTITY
     ) -> GroupElement:
         """Image of w in the normalized frame, multiplied onto start (an
-        image in the same frame) when one is given.
+        image in the same frame) when one is given: evaluate's entries as
+        a GroupElement.
 
         The result is not renormalized: a product of unimodular matrices is
         unimodular to relative rounding error, while recomputing its
         determinant from entries of a long product cancels catastrophically.
         """
-        return evaluate(w, self.letters, start)
+        return GroupElement._make(evaluate(w, self.letters, start))
 
     def to_json(self) -> dict:
         return {"A": self.A.to_json(), "B": self.B.to_json()}
@@ -205,11 +211,15 @@ def build(a_raw, b_raw, geo: float = DEFAULT_GEO) -> Representation:
 def rep_from_json(obj: dict, geo: float = DEFAULT_GEO) -> Representation:
     """Build a representation from {"A": matrix, "B": matrix} JSON data.
 
-    Raises ValueError for a document that is not an object or a malformed
-    matrix (see matrix_from_json), KeyError for a missing generator.
+    Raises ValueError for a document that is not an object, a missing
+    generator (naming the first of "A", "B" that is absent) or a malformed
+    matrix (see matrix_from_json).
     """
     if not isinstance(obj, dict):
         raise ValueError(f"generator JSON must be an object, got {_json_text(obj)}")
+    for name in "AB":
+        if name not in obj:
+            raise ValueError(f'generator JSON has no "{name}" matrix')
     return build(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]), geo)
 
 
@@ -219,9 +229,7 @@ def rep_from_json(obj: dict, geo: float = DEFAULT_GEO) -> Representation:
 _DISC_GATE = 1e-10
 
 
-def _crossing_position(
-    m: GroupElement, eps: float, kind: str | None = None
-) -> float:
+def _crossing_position(m, eps: float, kind: str | None = None) -> float:
     """Position where the axis of m crosses the core [0, inf].
 
     m is expected to have (anti)symmetric diagonal in the normalized frame:
@@ -232,34 +240,47 @@ def _crossing_position(
     quadratic solve is still run as an independent check whenever its
     discriminant is numerically meaningful. kind is classify(m) when
     the caller has it, and is otherwise computed only for that check.
+    m is read as its entries (a, b, c, d): a GroupElement or a plain tuple.
+    Each max(1.0, v) and max(u, v) here is spelled as the comparison the
+    builtin makes, for the same result at a fraction of the call cost.
     """
-    scale = max(1.0, m.max_norm())
-    if abs(m.a - m.d) > eps * scale:
+    a, b, c, d = m
+    abs_b, abs_c = abs(b), abs(c)
+    norm = _max4(abs(a), abs_b, abs_c, abs(d))
+    scale = norm if norm > 1.0 else 1.0
+    if abs(a - d) > eps * scale:
         raise OrthogonalityViolation(
-            f"diagonal asymmetry {abs(m.a - m.d):.3e} at scale {scale:.3e}: "
+            f"diagonal asymmetry {abs(a - d):.3e} at scale {scale:.3e}: "
             "axis not orthogonal to the core"
         )
-    if abs(m.b) <= SINGULAR_FLOOR * scale or abs(m.c) <= SINGULAR_FLOOR * scale:
+    if abs_b <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
         raise OrthogonalityViolation(
             "off-diagonal entry below the certifiable floor, axis endpoint "
             "indistinguishable from a core end"
         )
-    ratio = m.b / m.c
-    s = 0.5 * math.log(abs(ratio))
-    tr = m.trace()
+    s = 0.5 * math.log(abs(b / c))
+    tr = a + d
     disc = tr * tr - 4  # unimodular input
     # a product, not ** 2: float ** raises OverflowError past |tr| ~ 1.3e154,
     # while the product overflows to inf and the cross-check is skipped
-    if abs(disc) > _DISC_GATE * max(1.0, abs(tr) * abs(tr)):
+    abs_tr = abs(tr)
+    tr2 = abs_tr * abs_tr
+    if abs(disc) > _DISC_GATE * (tr2 if tr2 > 1.0 else 1.0):
         x, y = _fixed_points(m, kind or classify(m))
         if x is INFINITY or y is INFINITY or x == 0 or y == 0:
             raise OrthogonalityViolation("quadratic solve put an endpoint on a core end")
-        if abs(x + y) > eps * max(1.0, abs(x), abs(y)):
+        abs_x, abs_y = abs(x), abs(y)
+        root_scale = abs_x if abs_x > 1.0 else 1.0
+        if abs_y > root_scale:
+            root_scale = abs_y
+        if abs(x + y) > eps * root_scale:
             raise OrthogonalityViolation(
                 f"fixed points not antipodal: residual {abs(x + y):.3e}"
             )
-        s_roots = 0.5 * (math.log(abs(x)) + math.log(abs(y)))
-        if abs(s_roots - s) > max(eps, 1e-9 * max(1.0, abs(s))):
+        s_roots = 0.5 * (math.log(abs_x) + math.log(abs_y))
+        abs_s = abs(s)
+        agree = 1e-9 * (abs_s if abs_s > 1.0 else 1.0)
+        if abs(s_roots - s) > (agree if agree > eps else eps):
             raise OrthogonalityViolation(
                 f"entry-ratio position {s:.6e} disagrees with quadratic solve "
                 f"{s_roots:.6e}"
@@ -267,16 +288,19 @@ def _crossing_position(
     return s
 
 
-def _parabolic_end(m: GroupElement, eps: float) -> float:
-    """Core-end tag of a parabolic palindrome image.
+def _parabolic_end(m, eps: float) -> float:
+    """Core-end tag of a parabolic palindrome image, read from its entries.
 
     An exactly parabolic palindrome in the normalized frame is upper or
     lower triangular with equal unit diagonal, so it fixes inf (c = 0,
     tag +inf) or 0 (b = 0, tag -inf).
     """
-    scale = max(1.0, m.max_norm())
-    small_b = abs(m.b) <= eps * scale
-    small_c = abs(m.c) <= eps * scale
+    a, b, c, d = m
+    abs_b, abs_c = abs(b), abs(c)
+    norm = _max4(abs(a), abs_b, abs_c, abs(d))
+    scale = norm if norm > 1.0 else 1.0
+    small_b = abs_b <= eps * scale
+    small_c = abs_c <= eps * scale
     if small_c and not small_b:
         return math.inf
     if small_b and not small_c:
@@ -304,8 +328,9 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     return _palindrome_position(rep, w, _palindrome_image(rep, w))
 
 
-def _palindrome_image(rep: Representation, w: Word) -> GroupElement:
-    """Normalized image of the palindrome w, folded over its first half.
+def _palindrome_image(rep: Representation, w: Word) -> Entries:
+    """Entries (a, b, c, d) of the normalized image of the palindrome w,
+    folded over its first half.
 
     Both generators have equal diagonal entries in the normalized frame, so
     the image of reverse(u) is phi(image of u), where phi swaps the
@@ -322,15 +347,14 @@ def _palindrome_image(rep: Representation, w: Word) -> GroupElement:
     """
     letters = w.letters
     half = len(letters) // 2
-    first_half = Word._from_reduced(letters[:half])
-    al, be, ga, de = rep.evaluate_normalized(first_half).entries()
+    al, be, ga, de = evaluate(Word._from_reduced(letters[:half]), rep.letters)
     bg, ad = be * ga, al * de
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
     if len(letters) % 2 == 0:
-        return GroupElement(diag, 2 * al * be, 2 * ga * de, diag)
+        return (diag, 2 * al * be, 2 * ga * de, diag)
     e, f, g, _ = rep.letters[letters[half]]
     diag = e * diag + g * be * de + f * al * ga
-    return GroupElement(
+    return (
         diag,
         2 * e * al * be + g * be * be + f * al * al,
         2 * e * ga * de + g * de * de + f * ga * ga,
@@ -338,8 +362,9 @@ def _palindrome_image(rep: Representation, w: Word) -> GroupElement:
     )
 
 
-def _palindrome_position(rep: Representation, w: Word, m: GroupElement) -> PiImage:
-    """pi_of_palindrome from m, the normalized image of the palindrome w."""
+def _palindrome_position(rep: Representation, w: Word, m) -> PiImage:
+    """pi_of_palindrome from m, the normalized image of the palindrome w
+    (its entries, or a GroupElement)."""
     kind = classify(m)
     if kind == "identity":
         raise IdentityImage(f"{w!r} evaluates to the identity")
@@ -361,19 +386,18 @@ def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
     for w in (u, v):
         if not is_palindrome(w):
             raise NotPalindrome(f"{w!r} is not a palindrome")
-    U, V = rep.evaluate_normalized(u), rep.evaluate_normalized(v)
+    U, V = evaluate(u, rep.letters), evaluate(v, rep.letters)
     return _pair_position(rep, u, v, U, V)
 
 
-def _pair_position(
-    rep: Representation, u: Word, v: Word, U: GroupElement, V: GroupElement
-) -> PiImage:
-    """pi_of_pair from U and V, the normalized images of the palindromes u, v."""
-    uv, vu = U * V, V * U
-    uvvu = uv * vu
-    t_raw = uvvu - vu * uv
-    scale = uvvu.max_norm()
-    if t_raw.max_norm() <= CLASSIFY_BAND * max(1.0, scale):
+def _pair_position(rep: Representation, u: Word, v: Word, U, V) -> PiImage:
+    """pi_of_pair from U and V, the normalized images of the palindromes u,
+    v (entries or GroupElements). The four products are entry tuples."""
+    uv, vu = product(U, (V,)), product(V, (U,))
+    uvvu = product(uv, (vu,))
+    t_raw = tuple(map(sub, uvvu, product(vu, (uv,))))
+    scale = _max4(*map(abs, uvvu))
+    if _max4(*map(abs, t_raw)) <= CLASSIFY_BAND * (scale if scale > 1.0 else 1.0):
         raise CommutingPair(f"images of {u!r} and {v!r} commute")
     try:
         t = normalize(t_raw)
@@ -464,7 +488,7 @@ def hexagon(rep: Representation) -> Hexagon:
 
 def rational_pi(
     rep: Representation, p: int, q: int,
-    images: dict[Slope, GroupElement] | None = None,
+    images: dict[Slope, Entries] | None = None,
 ) -> PiImage:
     """Pi image of the slope p/q: the palindromic representative when pq is
     even, the palindromic factor pair through its double altitude when pq
@@ -473,8 +497,8 @@ def rational_pi(
 
     Each word is continued from a parent's stored image (see _slope_image),
     with the bits of a full fold from the identity. images maps slopes to
-    normalized word images and is read and extended here; without it the
-    call starts its own. When a caller visits parents before children and
+    the entries of normalized word images and is read and extended here;
+    without it the call starts its own. When a caller visits parents before children and
     shares one map (pi_spectrum), an even slope multiplies only its lower
     parent's letters, and an odd slope, whose factors are its parents'
     words, multiplies none until a later slope needs its own image.
@@ -491,9 +515,9 @@ def rational_pi(
 
 
 def _slope_image(
-    rep: Representation, node: FareyNode, images: dict[Slope, GroupElement]
-) -> GroupElement:
-    """Normalized image of node.word, memoized in images.
+    rep: Representation, node: FareyNode, images: dict[Slope, Entries]
+) -> Entries:
+    """Entries of the normalized image of node.word, memoized in images.
 
     A slope word is its prefix parent's word (hi when pq is even, lo when
     pq is odd) followed by the other parent's word. Slope words have no
@@ -506,7 +530,7 @@ def _slope_image(
     tails: list[tuple[Slope, Word]] = []
     while node.slope not in images:
         if node.parents is None:
-            images[node.slope] = rep.evaluate_normalized(node.word)
+            images[node.slope] = evaluate(node.word, rep.letters)
             break
         lo, hi = node.parents
         if node.factorization is None:
@@ -517,5 +541,5 @@ def _slope_image(
         node = primitive_word(*prefix)
     m = images[node.slope]
     for slope, tail in reversed(tails):
-        m = images[slope] = rep.evaluate_normalized(tail, m)
+        m = images[slope] = evaluate(tail, rep.letters, m)
     return m

@@ -9,7 +9,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR
 from .errors import IdentityElement, SingularMatrix
@@ -47,9 +47,45 @@ def chordal_distance(u: BoundaryPoint, v: BoundaryPoint) -> float:
     return 2.0 * abs(u - v) / math.sqrt((1.0 + abs(u) ** 2) * (1.0 + abs(v) ** 2))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Unimodular 2x2 complex matrix, understood projectively (up to sign)."""
+def _max4(w: float, x: float, y: float, z: float) -> float:
+    """max(w, x, y, z) by the builtin's own comparisons in its order, so
+    with the same result, NaN included, at a fraction of its call cost."""
+    if x > w:
+        w = x
+    if y > w:
+        w = y
+    if z > w:
+        w = z
+    return w
+
+
+# the entries (a, b, c, d) of a matrix as a plain tuple, the form the
+# position path passes
+Entries = tuple[complex, complex, complex, complex]
+
+
+def product(m, factors) -> Entries:
+    """Entries of the matrix m multiplied on the right by each of factors
+    in turn, left to right; m and the factors are (a, b, c, d) entry
+    sequences, GroupElements or plain tuples.
+
+    This is the one matrix product formula: GroupElement.__mul__ and the
+    word fold (words.evaluate) both run it. The running product is kept in
+    local variables, so no matrix object is built per factor.
+    """
+    a, b, c, d = m
+    for e, f, g, h in factors:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return a, b, c, d
+
+
+class GroupElement(NamedTuple):
+    """Unimodular 2x2 complex matrix, understood projectively (up to sign).
+
+    A GroupElement is the tuple (a, b, c, d) of its entries, so a, b, c, d =
+    m reads it and a plain tuple of entries alike. The functions of this
+    module that take a matrix accept either.
+    """
 
     a: complex
     b: complex
@@ -58,10 +94,10 @@ class GroupElement:
 
     @classmethod
     def identity(cls) -> "GroupElement":
-        return cls(1 + 0j, 0j, 0j, 1 + 0j)
+        return IDENTITY
 
-    def entries(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a, self.b, self.c, self.d)
+    def entries(self) -> Entries:
+        return tuple(self)
 
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
@@ -70,12 +106,10 @@ class GroupElement:
         return self.a + self.d
 
     def max_norm(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        return _max4(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
-        return GroupElement(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return GroupElement._make(product(self, (other,)))
 
     def inverse(self) -> "GroupElement":
         # adjugate; exact inverse for a unimodular matrix
@@ -112,46 +146,46 @@ class GroupElement:
         }
 
 
-def normalize(m: GroupElement) -> GroupElement:
+IDENTITY = GroupElement(1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def normalize(m) -> GroupElement:
     """Scale the matrix m to determinant one by the principal square root.
 
     Raises SingularMatrix when |det| is below SINGULAR_FLOOR relative to the
     squared entry scale.
     """
-    d = m.det()
-    scale = m.max_norm()
-    if scale == 0.0 or abs(d) <= SINGULAR_FLOOR * scale * scale:
-        raise SingularMatrix(f"determinant {d} too small relative to entries")
-    s = cmath.sqrt(d)
-    return GroupElement(m.a / s, m.b / s, m.c / s, m.d / s)
+    a, b, c, d = m
+    det = a * d - b * c
+    scale = _max4(abs(a), abs(b), abs(c), abs(d))
+    if scale == 0.0 or abs(det) <= SINGULAR_FLOOR * scale * scale:
+        raise SingularMatrix(f"determinant {det} too small relative to entries")
+    s = cmath.sqrt(det)
+    return GroupElement(a / s, b / s, c / s, d / s)
 
 
-def psl_distance(g: GroupElement, h: GroupElement) -> float:
+def psl_distance(g, h) -> float:
     """Max entry distance between g and h minimized over the sign ambiguity."""
-    direct = max(
-        abs(x - y) for x, y in zip(g.entries(), h.entries())
-    )
-    flipped = max(
-        abs(x + y) for x, y in zip(g.entries(), h.entries())
-    )
+    direct = max(abs(x - y) for x, y in zip(g, h))
+    flipped = max(abs(x + y) for x, y in zip(g, h))
     return min(direct, flipped)
 
 
-def psl_equal(
-    g: GroupElement, h: GroupElement, tol: float = DEFAULT_GEO
-) -> bool:
+def psl_equal(g, h, tol: float = DEFAULT_GEO) -> bool:
     return psl_distance(g, h) <= tol
 
 
-def is_identity(g: GroupElement, eps: float = CLASSIFY_BAND) -> bool:
+def is_identity(g, eps: float = CLASSIFY_BAND) -> bool:
     """psl_distance(g, identity) <= eps, with the distance taken inline."""
-    a, b, c, d = g.a, g.b, g.c, g.d
-    direct = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
-    flipped = max(abs(a + 1), abs(b), abs(c), abs(d + 1))
-    return min(direct, flipped) <= eps
+    a, b, c, d = g
+    abs_b, abs_c = abs(b), abs(c)
+    direct = _max4(abs(a - 1), abs_b, abs_c, abs(d - 1))
+    flipped = _max4(abs(a + 1), abs_b, abs_c, abs(d + 1))
+    # min(direct, flipped), compared as the builtin compares
+    return (flipped if flipped < direct else direct) <= eps
 
 
-def classify(g: GroupElement) -> str:
+def classify(g) -> str:
     """Isometry type: one of identity, parabolic, elliptic, loxodromic.
 
     The trichotomy is on the square of the trace, which is sign-independent:
@@ -160,7 +194,8 @@ def classify(g: GroupElement) -> str:
     """
     if is_identity(g, CLASSIFY_BAND):
         return "identity"
-    t = g.trace()
+    a, _, _, d = g
+    t = a + d
     t2 = t * t
     if abs(t2 - 4) <= CLASSIFY_BAND:
         return "parabolic"
@@ -169,38 +204,40 @@ def classify(g: GroupElement) -> str:
     return "loxodromic"
 
 
-def fixed_points(g: GroupElement) -> tuple[BoundaryPoint, BoundaryPoint]:
+def fixed_points(g) -> tuple[BoundaryPoint, BoundaryPoint]:
     """Both fixed points of g on the boundary, sorted by boundary_key.
 
     These are the roots of c z^2 + (d - a) z - b = 0, with infinity standing
     in when c = 0. A parabolic g returns its single fixed point twice.
     Raises IdentityElement when g is (plus or minus) the identity.
     """
-    return _fixed_points(g, classify(g))
+    return tuple(sorted(_fixed_points(g, classify(g)), key=boundary_key))
 
 
-def _fixed_points(g: GroupElement, kind: str) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """fixed_points(g) for a caller that has kind = classify(g)."""
+def _fixed_points(g, kind: str) -> tuple[BoundaryPoint, BoundaryPoint]:
+    """The fixed-point solve: both fixed points of g, unsorted, for a
+    caller that has kind = classify(g). fixed_points sorts them."""
     if kind == "identity":
         raise IdentityElement("every point is fixed")
-    a, b, c, d = g.entries()
-    scale = g.max_norm()
+    a, b, c, d = g
+    scale = _max4(abs(a), abs(b), abs(c), abs(d))
     if abs(c) <= SINGULAR_FLOOR * scale:
         if kind == "parabolic":
             return (INFINITY, INFINITY)
-        return tuple(sorted((b / (d - a), INFINITY), key=boundary_key))
+        return (b / (d - a), INFINITY)
     if kind == "parabolic":
         p = (a - d) / (2 * c)
         return (p, p)
-    disc = g.trace() ** 2 - 4  # equals (a - d)^2 + 4bc for det 1
+    disc = (a + d) ** 2 - 4  # equals (a - d)^2 + 4bc for det 1
     sq = cmath.sqrt(disc)
     t = a - d
     # take the root with the larger numerator first, then use the product
     # of roots -b/c for the other; avoids cancellation near parabolics
-    num = t + sq if abs(t + sq) >= abs(t - sq) else t - sq
+    plus, minus = t + sq, t - sq
+    num = plus if abs(plus) >= abs(minus) else minus
     r1 = num / (2 * c)
     r2 = (-b / c) / r1 if r1 != 0 else 0j
-    return tuple(sorted((r1, r2), key=boundary_key))
+    return (r1, r2)
 
 
 def _json_text(v) -> str:
@@ -242,10 +279,13 @@ def matrix_from_json(obj) -> GroupElement:
     Accepts the entry map {"a": ..., "b": ..., "c": ..., "d": ...} or row
     form [[a, b], [c, d]]; each entry is a real number or an [re, im] pair
     (see _complex_from_json). Raises ValueError naming the bad value for a
-    document of neither form or a row that is not a pair, KeyError for a
-    missing map key.
+    document of neither form or a row that is not a pair, and naming the
+    first missing key of an entry map.
     """
     if isinstance(obj, dict):
+        for k in "abcd":
+            if k not in obj:
+                raise ValueError(f'matrix entry map has no "{k}" entry')
         entries = [obj[k] for k in "abcd"]
     elif _is_pair(obj):
         for row in obj:

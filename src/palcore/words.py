@@ -13,7 +13,7 @@ from operator import add, neg
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotPalindrome, SchemeViolation
-from .sl2c import GroupElement
+from .sl2c import IDENTITY, Entries, GroupElement, product
 
 LETTERS = (1, -1, 2, -2)
 _VALID_LETTERS = frozenset(LETTERS)
@@ -90,8 +90,8 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         left, right = self.letters, other.letters
         # both factors are reduced, so letters cancel only at the junction
-        n, k = len(left), 0
-        stop = min(n, len(right))
+        n, k, m = len(left), 0, len(right)
+        stop = n if n < m else m
         while k < stop and left[n - 1 - k] == -right[k]:
             k += 1
         return Word._from_reduced(left[:n - k] + right[k:])
@@ -135,6 +135,17 @@ def reverse(w: Word) -> Word:
     return Word._from_reduced(w.letters[::-1])
 
 
+def palindromic_doubles(u: Word) -> tuple[Word, Word]:
+    """The palindromes u reverse(u) and reverse(u) u, by concatenation.
+
+    Each junction pairs a letter with itself, which never cancels, so both
+    are reduced as written and no product is formed.
+    """
+    letters = u.letters
+    rev = letters[::-1]
+    return Word._from_reduced(letters + rev), Word._from_reduced(rev + letters)
+
+
 def is_palindrome(w: Word) -> bool:
     """True iff w reads the same forwards and backwards, letterwise."""
     return w.letters == w.letters[::-1]
@@ -152,12 +163,12 @@ def abelianize(w: Word) -> AbelianImage:
     return AbelianImage(ea, eb)
 
 
-LetterTable = dict[int, tuple[complex, complex, complex, complex]]
+LetterTable = dict[int, Entries]
 
 
 def letter_table(A: GroupElement, B: GroupElement) -> LetterTable:
-    """Entries of each letter's matrix under a -> A, b -> B; an inverse
-    letter takes the adjugate."""
+    """Entries of each letter's matrix under a -> A, b -> B, as plain
+    tuples; an inverse letter takes the adjugate."""
     return {
         1: A.entries(), -1: A.inverse().entries(),
         2: B.entries(), -2: B.inverse().entries(),
@@ -165,23 +176,21 @@ def letter_table(A: GroupElement, B: GroupElement) -> LetterTable:
 
 
 def evaluate(
-    w: Word, letters: LetterTable, start: GroupElement | None = None
-) -> GroupElement:
-    """Homomorphic image of w under the letter_table letters, multiplied
-    onto start.
+    w: Word, letters: LetterTable, start: Entries = IDENTITY
+) -> Entries:
+    """Entries (a, b, c, d) of the homomorphic image of w under the
+    letter_table letters, multiplied onto start (entries or a
+    GroupElement; the identity when omitted).
 
-    A left-to-right fold from start (the identity when omitted), never
-    renormalized: each step is GroupElement.__mul__ of the running product
-    and the next letter's matrix, with the same formula and operand order,
-    carried in local variables so that only the result is built as a
-    GroupElement. The fold of x * y passes through evaluate(x) after len(x)
-    letters, so when x * y does not cancel, evaluate(y, t, evaluate(x, t))
-    is evaluate(x * y, t) bit for bit.
+    A left-to-right fold from start, never renormalized: sl2c.product
+    multiplies the running product by the next letter's matrix with the
+    formula GroupElement.__mul__ runs, and no matrix object is built, the
+    result included (GroupElement._make wraps it where one is wanted). The
+    fold of x * y passes through evaluate(x) after len(x) letters, so when
+    x * y does not cancel, evaluate(y, t, evaluate(x, t)) is
+    evaluate(x * y, t) bit for bit.
     """
-    a, b, c, d = (GroupElement.identity() if start is None else start).entries()
-    for e, f, g, h in map(letters.__getitem__, w.letters):
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-    return GroupElement(a, b, c, d)
+    return product(start, map(letters.__getitem__, w.letters))
 
 
 def cyclic_reduce(w: Word) -> Word:

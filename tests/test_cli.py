@@ -6,6 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from palcore import cli as cli_module
 from palcore.cli import main, verdict_exit_code
 from palcore.probe import (
     BOUNDED_CONSISTENT_WITH_GF,
@@ -112,6 +113,10 @@ class TestClassify:
     @pytest.mark.parametrize("matrix, named", _BAD_MATRICES)
     def test_malformed_matrix_fails(self, runner, matrix, named):
         assert_one_error_line(runner.invoke(main, ["classify", matrix]), named)
+
+    def test_missing_entry_is_named(self, runner):
+        res = runner.invoke(main, ["classify", '{"a": 1, "b": 0, "c": 0}'])
+        assert_one_error_line(res, 'no "d" entry')
 
 
 class TestPrimitive:
@@ -353,6 +358,53 @@ class TestUnwritableOut:
         )
         assert_one_error_line(res, str(target))
 
+    @pytest.mark.parametrize("command, work", [
+        (["pi-map", "--depth", "2"], "pi_spectrum"),
+        (["probe", "--depth", "12"], "probe"),
+        (["hexagon"], "hexagon"),
+    ])
+    def test_path_is_checked_before_the_work(self, runner, schottky_gens,
+                                             tmp_path, monkeypatch, command, work):
+        calls = []
+        monkeypatch.setattr(cli_module, work, lambda *args, **kwargs: calls.append(args))
+        target = tmp_path / "missing" / "out.json"
+        res = runner.invoke(
+            main, [*command, "--gens", schottky_gens, "--out", str(target)]
+        )
+        assert_one_error_line(res, str(target))
+        assert calls == []
+
+    @pytest.mark.parametrize("command", [
+        ["pi-map", "--depth", "-1"],
+        ["probe", "--depth", "0"],
+        ["hexagon"],
+    ])
+    def test_failed_job_keeps_an_existing_file(self, runner, mu4_gens, tmp_path,
+                                               command):
+        # each job fails after the check: a negative depth, a depth below 1,
+        # and parabolic generators, which have no hexagon
+        target = tmp_path / "out.json"
+        target.write_text("earlier report\n")
+        res = runner.invoke(main, [*command, "--gens", mu4_gens, "--out", str(target)])
+        assert_one_error_line(res)
+        assert target.read_text() == "earlier report\n"
+
+    def test_failed_job_leaves_no_file(self, runner, mu4_gens, tmp_path):
+        target = tmp_path / "out.json"
+        res = runner.invoke(main, ["probe", "--gens", mu4_gens, "--depth", "0",
+                                   "--out", str(target)])
+        assert_one_error_line(res, "depth must be >= 1")
+        assert not target.exists()
+
+    def test_existing_file_is_replaced_on_success(self, runner, schottky_gens, tmp_path):
+        target = tmp_path / "out.csv"
+        target.write_text("an earlier report that is longer than the new one\n" * 50)
+        res = runner.invoke(main, ["pi-map", "--gens", schottky_gens, "--depth", "1",
+                                   "--out", str(target)])
+        assert res.exit_code == 0
+        assert target.read_text().splitlines()[0] == "p,q,s,class,source"
+        assert len(target.read_text().splitlines()) == 4
+
 
 class TestReportKeyOrder:
     """Key order of every record of a probe report, as the CLI writes it."""
@@ -392,7 +444,13 @@ class TestGensFileForms:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"A": [[1, 0], [0, 1]]}))
         res = runner.invoke(main, ["pi-map", "--gens", str(path)])
-        assert res.exit_code == 1
+        assert_one_error_line(res, 'no "B" matrix')
+
+    def test_missing_entry_of_a_generator_is_named(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"A": [[1, 1], [0, 1]], "B": {"a": 1, "b": 0, "d": 1}}))
+        res = runner.invoke(main, ["probe", "--gens", str(path), "--depth", "3"])
+        assert_one_error_line(res, 'no "c" entry')
 
     def test_document_must_be_an_object(self, runner, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,0 +1,292 @@
+"""The position kernel against the element route it replaced.
+
+Positions are computed on the four entries of each matrix: the word fold,
+the product, the classification, the fixed-point solve and the crossing
+checks all read (a, b, c, d) tuples, and no GroupElement is built per
+product. The reference implementations below are the route the library
+had before, written on GroupElements (attributes, max_norm, sorted roots,
+one element per product). Every outcome must be the same: the position's
+bits, its source and class, or the refusal's type and text.
+"""
+
+import cmath
+import math
+import sys
+
+import pytest
+
+from palcore.config import CLASSIFY_BAND, SINGULAR_FLOOR
+from palcore.errors import (
+    CommutingPair,
+    IdentityElement,
+    IdentityImage,
+    OrthogonalityViolation,
+    PalcoreError,
+    SingularMatrix,
+)
+from palcore.farey import enumerate_farey
+from palcore.probe import pi_spectrum, witness_search
+from palcore.representation import (
+    PALINDROME_PAIR,
+    PALINDROME_WORD,
+    PARABOLIC_END,
+    PiImage,
+    _crossing_position,
+    pi_of_palindrome,
+)
+from palcore.sl2c import INFINITY, GroupElement, boundary_key
+from palcore.words import Word
+
+from .conftest import random_representation
+
+# Reference implementations: the element route, one GroupElement per
+# product and per intermediate matrix, with the builtin max and min.
+
+
+def _reference_mul(g, h):
+    a, b, c, d = g.a, g.b, g.c, g.d
+    e, f, k, l = h.a, h.b, h.c, h.d
+    return GroupElement(a * e + b * k, a * f + b * l, c * e + d * k, c * f + d * l)
+
+
+def _reference_max_norm(g):
+    return max(abs(g.a), abs(g.b), abs(g.c), abs(g.d))
+
+
+def _reference_evaluate(rep, w):
+    A, B = rep.norm_A, rep.norm_B
+    table = {1: A, -1: A.inverse(), 2: B, -2: B.inverse()}
+    out = GroupElement(1 + 0j, 0j, 0j, 1 + 0j)
+    for x in w.letters:
+        out = _reference_mul(out, table[x])
+    return out
+
+
+def _reference_normalize(m):
+    d = m.a * m.d - m.b * m.c
+    scale = _reference_max_norm(m)
+    if scale == 0.0 or abs(d) <= SINGULAR_FLOOR * scale * scale:
+        raise SingularMatrix(f"determinant {d} too small relative to entries")
+    s = cmath.sqrt(d)
+    return GroupElement(m.a / s, m.b / s, m.c / s, m.d / s)
+
+
+def _reference_is_identity(g, eps):
+    direct = max(abs(g.a - 1), abs(g.b), abs(g.c), abs(g.d - 1))
+    flipped = max(abs(g.a + 1), abs(g.b), abs(g.c), abs(g.d + 1))
+    return min(direct, flipped) <= eps
+
+
+def _reference_classify(g):
+    if _reference_is_identity(g, CLASSIFY_BAND):
+        return "identity"
+    t = g.a + g.d
+    t2 = t * t
+    if abs(t2 - 4) <= CLASSIFY_BAND:
+        return "parabolic"
+    if abs(t.imag) <= CLASSIFY_BAND and t2.real < 4:
+        return "elliptic"
+    return "loxodromic"
+
+
+def _reference_fixed_points(g, kind):
+    if kind == "identity":
+        raise IdentityElement("every point is fixed")
+    a, b, c, d = g.a, g.b, g.c, g.d
+    scale = _reference_max_norm(g)
+    if abs(c) <= SINGULAR_FLOOR * scale:
+        if kind == "parabolic":
+            return (INFINITY, INFINITY)
+        return tuple(sorted((b / (d - a), INFINITY), key=boundary_key))
+    if kind == "parabolic":
+        p = (a - d) / (2 * c)
+        return (p, p)
+    disc = (g.a + g.d) ** 2 - 4
+    sq = cmath.sqrt(disc)
+    t = a - d
+    num = t + sq if abs(t + sq) >= abs(t - sq) else t - sq
+    r1 = num / (2 * c)
+    r2 = (-b / c) / r1 if r1 != 0 else 0j
+    return tuple(sorted((r1, r2), key=boundary_key))
+
+
+def _reference_crossing_position(m, eps, kind=None):
+    scale = max(1.0, _reference_max_norm(m))
+    if abs(m.a - m.d) > eps * scale:
+        raise OrthogonalityViolation(
+            f"diagonal asymmetry {abs(m.a - m.d):.3e} at scale {scale:.3e}: "
+            "axis not orthogonal to the core"
+        )
+    if abs(m.b) <= SINGULAR_FLOOR * scale or abs(m.c) <= SINGULAR_FLOOR * scale:
+        raise OrthogonalityViolation(
+            "off-diagonal entry below the certifiable floor, axis endpoint "
+            "indistinguishable from a core end"
+        )
+    s = 0.5 * math.log(abs(m.b / m.c))
+    tr = m.a + m.d
+    disc = tr * tr - 4
+    if abs(disc) > 1e-10 * max(1.0, abs(tr) * abs(tr)):
+        x, y = _reference_fixed_points(m, kind or _reference_classify(m))
+        if x is INFINITY or y is INFINITY or x == 0 or y == 0:
+            raise OrthogonalityViolation("quadratic solve put an endpoint on a core end")
+        if abs(x + y) > eps * max(1.0, abs(x), abs(y)):
+            raise OrthogonalityViolation(
+                f"fixed points not antipodal: residual {abs(x + y):.3e}"
+            )
+        s_roots = 0.5 * (math.log(abs(x)) + math.log(abs(y)))
+        if abs(s_roots - s) > max(eps, 1e-9 * max(1.0, abs(s))):
+            raise OrthogonalityViolation(
+                f"entry-ratio position {s:.6e} disagrees with quadratic solve "
+                f"{s_roots:.6e}"
+            )
+    return s
+
+
+def _reference_parabolic_end(m, eps):
+    scale = max(1.0, _reference_max_norm(m))
+    small_b = abs(m.b) <= eps * scale
+    small_c = abs(m.c) <= eps * scale
+    if small_c and not small_b:
+        return math.inf
+    if small_b and not small_c:
+        return -math.inf
+    raise OrthogonalityViolation("parabolic palindrome image does not fix a core end")
+
+
+def _reference_palindrome_image(rep, w):
+    letters = w.letters
+    half = len(letters) // 2
+    m = _reference_evaluate(rep, Word(letters[:half]))
+    al, be, ga, de = m.a, m.b, m.c, m.d
+    bg, ad = be * ga, al * de
+    diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
+    if len(letters) % 2 == 0:
+        return GroupElement(diag, 2 * al * be, 2 * ga * de, diag)
+    e, f, g, _ = rep.letters[letters[half]]
+    diag = e * diag + g * be * de + f * al * ga
+    return GroupElement(
+        diag,
+        2 * e * al * be + g * be * be + f * al * al,
+        2 * e * ga * de + g * de * de + f * ga * ga,
+        diag,
+    )
+
+
+def _reference_palindrome_position(rep, w, m):
+    kind = _reference_classify(m)
+    if kind == "identity":
+        raise IdentityImage(f"{w!r} evaluates to the identity")
+    eps = rep.geo * max(1, len(w))
+    if kind == "parabolic":
+        return PiImage(_reference_parabolic_end(m, eps), PARABOLIC_END, kind)
+    return PiImage(_reference_crossing_position(m, eps, kind), PALINDROME_WORD, kind)
+
+
+def _reference_pair_position(rep, u, v, U, V):
+    uv, vu = _reference_mul(U, V), _reference_mul(V, U)
+    uvvu = _reference_mul(uv, vu)
+    t_raw = uvvu - _reference_mul(vu, uv)
+    scale = _reference_max_norm(uvvu)
+    if _reference_max_norm(t_raw) <= CLASSIFY_BAND * max(1.0, scale):
+        raise CommutingPair(f"images of {u!r} and {v!r} commute")
+    try:
+        t = _reference_normalize(t_raw)
+    except SingularMatrix as exc:
+        raise CommutingPair(f"double altitude of {u!r}, {v!r} is not determined") from exc
+    eps = rep.geo * max(1, len(u) + len(v))
+    return PiImage(_reference_crossing_position(t, eps), PALINDROME_PAIR,
+                   _reference_classify(uv))
+
+
+def _reference_slope(rep, node):
+    """The slope's position from the fold of its whole word, or of both
+    its factors, from the identity."""
+    if node.factorization is None:
+        image = _reference_evaluate(rep, node.word)
+        return _reference_palindrome_position(rep, node.word, image)
+    u, v = node.factorization
+    return _reference_pair_position(
+        rep, u, v, _reference_evaluate(rep, u), _reference_evaluate(rep, v)
+    )
+
+
+def _refusal(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _bits(image):
+    return (image.s.hex(), image.source, image.element_class)
+
+
+def _outcome(position):
+    """What a position call gave: the bits of s with source and class, or
+    the refusal's type and text."""
+    try:
+        return _bits(position())
+    except PalcoreError as exc:
+        return _refusal(exc)
+
+
+def test_witness_grid_candidates_match_the_element_route(mu_half, monkeypatch):
+    seen = []
+
+    def recorder(rep, word):
+        try:
+            image = pi_of_palindrome(rep, word)
+        except PalcoreError as exc:
+            seen.append((word, _refusal(exc)))
+            raise
+        seen.append((word, _bits(image)))
+        return image
+
+    monkeypatch.setattr(sys.modules["palcore.probe"], "pi_of_palindrome", recorder)
+    assert witness_search(mu_half, 6, 2) is None
+    assert len(seen) == 16 * 16 * 6 * 2
+    reference = [
+        _outcome(lambda: _reference_palindrome_position(
+            mu_half, w, _reference_palindrome_image(mu_half, w)))
+        for w, _ in seen
+    ]
+    assert [outcome for _, outcome in seen] == reference
+
+
+_SPECTRUM_REPS = ("rep1", "schottky", "mu4", "mu_half", "random0", "random1")
+
+
+@pytest.mark.parametrize("name", _SPECTRUM_REPS)
+def test_spectrum_matches_the_element_route(name, request):
+    if name.startswith("random"):
+        rep = random_representation(int(name[len("random"):]))
+    else:
+        rep = request.getfixturevalue(name)
+    got = [e.error if e.image is None else _bits(e.image) for e in pi_spectrum(rep, 10)]
+    reference = [_outcome(lambda: _reference_slope(rep, node))
+                 for node in enumerate_farey(10)]
+    assert got == reference
+    # every pair has slopes refused as commuting pairs at this depth
+    assert any(isinstance(outcome, str) for outcome in reference)
+
+
+# entries reaching each refusal of _crossing_position, with eps and kind.
+# A symmetric unimodular matrix has antipodal roots whose product is b/c,
+# so the last two refusals are reached by a kind that misstates the class:
+# "parabolic" solves for the single root (a - d) / 2c. The second floor
+# case is refused only because the scale of entries below 1 is taken as 1.
+_CROSSING_REFUSALS = [
+    ((2, 1, 1, 1), 1e-6, None, "diagonal asymmetry"),
+    ((1, 1e-20, 1, 1), 1e-6, None, "below the certifiable floor"),
+    ((0.5, 9e-13, 0.5, 0.5), 1e-6, None, "below the certifiable floor"),
+    ((2.025, 1e5, 1e-5, 1.975), 1e-6, None, "fixed points not antipodal"),
+    ((3, 1e5, 1e-3, 1), 2.1, "parabolic", "disagrees with quadratic solve"),
+    ((2, 3, 1, 2), 1e-6, "parabolic", "endpoint on a core end"),
+]
+
+
+@pytest.mark.parametrize("entries, eps, kind, refusal", _CROSSING_REFUSALS)
+def test_crossing_refusals_match_the_element_route(entries, eps, kind, refusal):
+    entries = tuple(complex(x) for x in entries)
+    got = _outcome(lambda: PiImage(_crossing_position(entries, eps, kind), "", ""))
+    reference = _outcome(lambda: PiImage(
+        _reference_crossing_position(GroupElement(*entries), eps, kind), "", ""))
+    assert got == reference
+    assert got.startswith("OrthogonalityViolation: ") and refusal in got

@@ -345,6 +345,28 @@ class TestWitnessSearch:
         assert len(expected) == 16 * 16 * 4 * 2  # 16 words of length <= 2
         assert seen == expected
 
+    def test_reversed_push_repeats_a_forward_candidate(self, mu_half, monkeypatch):
+        # reverse(u) u for (C, D, n) is u' reverse(u') for (-C, reverse(D), n),
+        # -C negating each letter: reverse(C^n D C^-n) = (-C)^n reverse(D)
+        # (-C)^-n. With powers that coincide (a^2 and (aa)^1) this leaves 640
+        # distinct palindromes among the 2,048 candidates here, and 24,324
+        # among the 64,896 of witness_search(rep, 12, 3).
+        seen = []
+
+        def recorder(rep, word, /):
+            seen.append(word)
+            return PiImage(0.0, PALINDROME_WORD, "loxodromic")
+
+        monkeypatch.setattr(sys.modules["palcore.probe"], "pi_of_palindrome", recorder)
+        assert witness_search(mu_half, 4, 2) is None
+        vocabulary = [w.letters for w in reduced_words(2)]
+        keys = [(c, d, n) for c in vocabulary for d in vocabulary for n in range(1, 5)]
+        assert len(seen) == 2 * len(keys)
+        forward = {key: seen[2 * i] for i, key in enumerate(keys)}
+        for i, (c, d, n) in enumerate(keys):
+            assert seen[2 * i + 1] == forward[(tuple(-x for x in c), d[::-1], n)]
+        assert len(set(seen)) == 640
+
     @pytest.mark.parametrize("s_escape", [math.nan, 0.0, -1.0])
     def test_escape_must_be_positive(self, rep1, s_escape):
         with pytest.raises(ValueError):

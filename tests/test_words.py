@@ -79,11 +79,10 @@ def _reference_cyclic_reduce(letters):
 
 
 def _bits(g):
-    """Every entry as the hex of its real and imaginary parts: equal bits,
-    signed zeros included."""
-    return tuple(
-        (complex(z).real.hex(), complex(z).imag.hex()) for z in g.entries()
-    )
+    """Every entry of a matrix (its entry tuple or a GroupElement) as the
+    hex of its real and imaginary parts: equal bits, signed zeros
+    included."""
+    return tuple((complex(z).real.hex(), complex(z).imag.hex()) for z in g)
 
 
 _MU4 = build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, 4, 1))
@@ -287,7 +286,7 @@ class TestEvaluate:
             v = Word(tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, 8))))
             t = letter_table(A, B)
             lhs = evaluate(u * v, t)
-            rhs = evaluate(u, t) * evaluate(v, t)
+            rhs = GroupElement._make(evaluate(u, t)) * GroupElement._make(evaluate(v, t))
             assert psl_distance(lhs, rhs) < 1e-9
 
     def test_letter_images(self):
