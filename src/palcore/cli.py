@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 import click
 
-from .config import DEFAULT_ESCAPE, DEFAULT_GEO, DEFAULT_PLATEAU
+from .config import DEFAULT_ESCAPE, DEFAULT_GEO
 from .errors import PalcoreError
 from .farey import primitive_word
 from .probe import (
@@ -220,20 +220,16 @@ def cmd_pi_map(gens: str, depth: int, fmt: str, tol_geo: float, out: str) -> Non
               help="|s| threshold for escape evidence; positions beyond "
                    "1/2 ln(1/singular tolerance) = 13.8 are never certified, "
                    "so the default records no witness")
-@click.option("--plateau", default=DEFAULT_PLATEAU, show_default=True,
-              callback=_positive,
-              help="growth increment below which the spectrum counts as plateaued")
 @click.option("--tol-geo", type=float, default=DEFAULT_GEO, callback=_positive,
               help="geometric tolerance")
 @click.option("--out", default="-", show_default=True, help="output path, - for stdout")
 def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
-              plateau: float, tol_geo: float, out: str) -> None:
+              tol_geo: float, out: str) -> None:
     """Probe the pair for discreteness evidence; exit code is the verdict."""
     _check_out(out)
     rep = _load_rep(gens, tol_geo)
     try:
-        report = probe(rep, depth, random_samples=samples, seed=seed,
-                       s_escape=escape, plateau_delta=plateau)
+        report = probe(rep, depth, random_samples=samples, seed=seed, s_escape=escape)
     except (ValueError, PalcoreError) as exc:
         _fail(exc)
     _emit(json.dumps(report.to_json(), indent=2), out)

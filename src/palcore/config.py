@@ -27,4 +27,5 @@ def geo_scaled(geo: float, word_length: int) -> float:
 # no witness; pass a smaller radius to probe or witness_search (--escape
 # on the command line) for escape evidence.
 DEFAULT_ESCAPE = 25.0
+# growth of max|s| over two depths below which the spectrum has plateaued
 DEFAULT_PLATEAU = 0.01

@@ -21,10 +21,6 @@ class DegenerateGeodesic(PalcoreError):
     """Operation needs two distinct ideal endpoints."""
 
 
-class NotOrthogonal(PalcoreError):
-    """Geodesic does not cross the vertical axis at a right angle."""
-
-
 class SharedEndpoint(PalcoreError):
     """No common perpendicular: the geodesics share an ideal endpoint."""
 

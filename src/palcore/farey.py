@@ -20,11 +20,9 @@ scheme.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import IO, Iterable
 
 from .errors import InvalidRational, SchemeViolation
 from .words import Word, _is_rotation_of, is_palindrome
@@ -60,28 +58,6 @@ def _descend(p: int, q: int) -> tuple[Slope, Slope, list[Slope]]:
             hi = (mp, mq)
 
 
-def farey_parents(p: int, q: int) -> tuple[Slope, Slope]:
-    """The two Farey parents of p/q in ascending order.
-
-    They satisfy the mediant property (sums of numerators and denominators)
-    and the unimodularity |ru - ts| = 1. The roots 0/1 and 1/0 have no
-    parents and raise InvalidRational.
-    """
-    validate_slope(p, q)
-    if (p, q) in ((0, 1), (1, 0)):
-        raise InvalidRational(f"root slope {p}/{q} has no parents")
-    lo, hi, _ = _descend(p, q)
-    return lo, hi
-
-
-def slope_depth(p: int, q: int) -> int:
-    """Mediant steps from the tree roots: 0/1 and 1/0 are 0, 1/1 is 1."""
-    validate_slope(p, q)
-    if (p, q) in ((0, 1), (1, 0)):
-        return 0
-    return len(_descend(p, q)[2]) + 1
-
-
 def christoffel(p: int, q: int) -> Word:
     """Lower Christoffel word of slope p/q: q letters a and p letters b.
 
@@ -113,8 +89,10 @@ def _christoffel_letters(p: int, q: int) -> bytes:
 class FareyNode:
     """A slope with its representative word and bookkeeping.
 
-    factorization is present exactly when pq is odd; it is the pair of
-    palindromic parent words whose product is the representative.
+    depth counts mediant steps from the roots (0/1 and 1/0 are 0, 1/1 is
+    1), and parents are the two Farey parents in ascending order, None for
+    a root. factorization is present exactly when pq is odd; it is the pair
+    of palindromic parent words whose product is the representative.
     """
 
     p: int
@@ -192,16 +170,3 @@ def enumerate_farey(depth: int) -> list[FareyNode]:
     nodes.sort(key=lambda n: (n.q, n.p))
     return nodes
 
-
-def farey_to_csv(nodes: Iterable[FareyNode], stream: IO[str]) -> None:
-    """Write nodes as CSV with header p,q,word,is_palindrome,factor1,factor2."""
-    writer = csv.writer(stream)
-    writer.writerow(["p", "q", "word", "is_palindrome", "factor1", "factor2"])
-    for node in nodes:
-        pal = is_palindrome(node.word)
-        f1, f2 = "", ""
-        if node.factorization is not None:
-            f1, f2 = (str(w) for w in node.factorization)
-        writer.writerow(
-            [node.p, node.q, str(node.word), "true" if pal else "false", f1, f2]
-        )

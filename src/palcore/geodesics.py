@@ -11,11 +11,10 @@ it is still defined (the perpendicular must end at p).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_GEO
-from .errors import DegenerateGeodesic, NotOrthogonal, SharedEndpoint, SingularMatrix
+from .errors import DegenerateGeodesic, SharedEndpoint, SingularMatrix
 from .sl2c import (
     INFINITY,
     BoundaryPoint,
@@ -76,11 +75,6 @@ def geodesic_distance(g1: Geodesic, g2: Geodesic) -> float:
     return min(straight, crossed)
 
 
-def transform(g: Geodesic, m: GroupElement) -> Geodesic:
-    """Image of a geodesic under the Moebius action of m."""
-    return Geodesic(m.apply(g.e1), m.apply(g.e2))
-
-
 def axis(g: GroupElement) -> Geodesic:
     """Invariant geodesic of a non-identity element.
 
@@ -108,24 +102,9 @@ def line_matrix(g: Geodesic) -> GroupElement:
     return normalize(raw)
 
 
-def half_turn_conjugate(axis_geo: Geodesic, g: GroupElement) -> GroupElement:
-    """Conjugate g by the half-turn about axis_geo: H g H^-1."""
-    h = line_matrix(axis_geo)
-    return h * g * h.inverse()
-
-
-def are_orthogonal(g1: Geodesic, g2: Geodesic, geo: float = DEFAULT_GEO) -> bool:
-    """True iff the geodesics meet at a right angle in hyperbolic space.
-
-    Criterion: tr(L1 L2) = 0 for the line matrices, tested against geo
-    relative to the product's entry scale.
-    """
-    prod = line_matrix(g1) * line_matrix(g2)
-    return abs(prod.trace()) <= geo * max(1.0, prod.max_norm())
-
-
 def orthogonality_residual(g1: Geodesic, g2: Geodesic) -> float:
-    """|tr(L1 L2)| scaled by the product's entry size; 0 means orthogonal."""
+    """|tr(L1 L2)| for the line matrices, scaled by the product's entry
+    size; 0 means the geodesics meet at a right angle."""
     prod = line_matrix(g1) * line_matrix(g2)
     return abs(prod.trace()) / max(1.0, prod.max_norm())
 
@@ -174,29 +153,6 @@ def common_perpendicular(
             f"perpendicular between {g1} and {g2} is not determined"
         ) from exc
     return Geodesic(*fixed_points(t))
-
-
-def position_on_vertical_axis(g: Geodesic, eps: float = DEFAULT_GEO) -> float:
-    """Signed position along [0, inf] where g crosses it orthogonally.
-
-    g must have antipodal endpoints x and -x (the orthogonality condition
-    against the vertical axis); the crossing height is then |x| and the
-    hyperbolic position is ln|x|. The value returned is the symmetric mean
-    (ln|e1| + ln|e2|)/2, which equals ln|x| for exact input.
-
-    eps is the antipodality tolerance, relative to the endpoint magnitude.
-    """
-    if g.degenerate:
-        raise DegenerateGeodesic(f"no crossing position for degenerate {g}")
-    if g.e1 is INFINITY or g.e2 is INFINITY:
-        raise NotOrthogonal(f"{g} has an end at infinity, cannot cross [0, inf]")
-    x, y = g.e1, g.e2
-    scale = max(1.0, abs(x), abs(y))
-    if abs(x + y) > eps * scale:
-        raise NotOrthogonal(f"endpoints of {g} are not antipodal: |x+y|={abs(x + y)}")
-    if x == 0 or y == 0:
-        raise NotOrthogonal(f"{g} has an end at the origin, cannot cross [0, inf]")
-    return 0.5 * (math.log(abs(x)) + math.log(abs(y)))
 
 
 VERTICAL_AXIS = Geodesic(0j, INFINITY)

@@ -220,7 +220,6 @@ class ProbeReport:
     seed: int
     samples_requested: int
     s_escape: float
-    plateau_delta: float
     spectrum: tuple[SpectrumEntry, ...]
     random_palindrome_samples: tuple[SampleEntry, ...]
     interval: tuple[float, float] | None
@@ -235,7 +234,7 @@ class ProbeReport:
             "seed": self.seed,
             "samples_requested": self.samples_requested,
             "s_escape": self.s_escape,
-            "plateau_delta": self.plateau_delta,
+            "plateau_delta": DEFAULT_PLATEAU,
             "spectrum": [e.to_json() for e in self.spectrum],
             "random_palindrome_samples": [
                 e.to_json() for e in self.random_palindrome_samples
@@ -254,7 +253,6 @@ def probe(
     random_samples: int = 0,
     seed: int = 0,
     s_escape: float = DEFAULT_ESCAPE,
-    plateau_delta: float = DEFAULT_PLATEAU,
 ) -> ProbeReport:
     """Run the spectrum probe and classify the evidence.
 
@@ -264,8 +262,8 @@ def probe(
     - any parabolic-end tag: PARABOLIC_ENDS_DETECTED (with cusps the
       finite positions drift logarithmically, so no plateau is demanded;
       the interval reported covers the non-parabolic entries);
-    - growth of max|s| increased less than plateau_delta from depth-2 to
-      depth: BOUNDED_CONSISTENT_WITH_GF;
+    - growth of max|s| increased less than DEFAULT_PLATEAU (0.01) from
+      depth-2 to depth: BOUNDED_CONSISTENT_WITH_GF;
     - otherwise INCONCLUSIVE.
 
     Per-entry computation failures are recorded in the report and do not
@@ -278,14 +276,13 @@ def probe(
     witness.
 
     Raises ValueError for depth < 1, a negative random_samples, or an
-    s_escape or plateau_delta that is not positive (NaN included).
+    s_escape that is not positive (NaN included).
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if random_samples < 0:
         raise ValueError(f"random_samples must be >= 0, got {random_samples}")
     _check_positive("s_escape", s_escape)
-    _check_positive("plateau_delta", plateau_delta)
     spectrum = tuple(pi_spectrum(rep, depth))
     samples = tuple(
         sample_palindromizations(rep, random_samples, 2 * depth, seed)
@@ -311,7 +308,7 @@ def probe(
     plateaued = (
         depth >= 2
         and bool(finite_spectrum)
-        and growth[depth] - growth[depth - 2] < plateau_delta
+        and growth[depth] - growth[depth - 2] < DEFAULT_PLATEAU
     )
 
     if witnesses:
@@ -328,7 +325,6 @@ def probe(
         seed=seed,
         samples_requested=random_samples,
         s_escape=s_escape,
-        plateau_delta=plateau_delta,
         spectrum=spectrum,
         random_palindrome_samples=samples,
         interval=interval,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from cmath import isfinite
 from dataclasses import dataclass, field
 from operator import sub
 from typing import NamedTuple
@@ -36,7 +37,6 @@ from .errors import (
 from .farey import FareyNode, Slope, primitive_word
 from .geodesics import Geodesic, axis, common_perpendicular
 from .sl2c import (
-    IDENTITY,
     INFINITY,
     Entries,
     GroupElement,
@@ -110,18 +110,15 @@ class Representation:
     letters: LetterTable = field(compare=False, repr=False)
     geo: float
 
-    def evaluate_normalized(
-        self, w: Word, start: GroupElement = IDENTITY
-    ) -> GroupElement:
-        """Image of w in the normalized frame, multiplied onto start (an
-        image in the same frame) when one is given: evaluate's entries as
-        a GroupElement.
+    def evaluate_normalized(self, w: Word) -> GroupElement:
+        """Image of w in the normalized frame: evaluate's entries as a
+        GroupElement.
 
         The result is not renormalized: a product of unimodular matrices is
         unimodular to relative rounding error, while recomputing its
         determinant from entries of a long product cancels catastrophically.
         """
-        return GroupElement._make(evaluate(w, self.letters, start))
+        return GroupElement._make(evaluate(w, self.letters))
 
     def to_json(self) -> dict:
         return {"A": self.A.to_json(), "B": self.B.to_json()}
@@ -236,15 +233,25 @@ def _crossing_position(m, eps: float, kind: str | None = None) -> float:
     equal diagonal entries for a palindrome image, trace zero for a double
     altitude. Either way the axis endpoints are +/-sqrt(b/c), so
     s = ln|b/c| / 2, a ratio of directly accumulated entries that stays
-    accurate when the quadratic root splitting has cancelled away. The
-    quadratic solve is still run as an independent check whenever its
-    discriminant is numerically meaningful. kind is classify(m) when
-    the caller has it, and is otherwise computed only for that check.
+    accurate when the quadratic root splitting has cancelled away.
+
+    Refusals, each an OrthogonalityViolation: an entry that is not finite
+    (the image overflowed); unequal diagonal entries; an off-diagonal entry
+    below SINGULAR_FLOOR times the scale; and, when the discriminant is
+    numerically meaningful, roots of the quadratic solve that are not
+    antipodal. Nothing else can fail: past the floor |b/c| lies within
+    1e+/-12, and kind = classify(m) (passed when the caller has it) is
+    loxodromic or elliptic, since callers send parabolic images to
+    _parabolic_end and a double altitude has trace zero. The solve's roots
+    are then r and (-b/c)/r with r finite and nonzero, off the core ends,
+    with mean log s up to rounding (pinned in tests/test_position_kernel.py).
     m is read as its entries (a, b, c, d): a GroupElement or a plain tuple.
     Each max(1.0, v) and max(u, v) here is spelled as the comparison the
     builtin makes, for the same result at a fraction of the call cost.
     """
     a, b, c, d = m
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+        raise OrthogonalityViolation("image overflowed: an entry is not finite")
     abs_b, abs_c = abs(b), abs(c)
     norm = _max4(abs(a), abs_b, abs_c, abs(d))
     scale = norm if norm > 1.0 else 1.0
@@ -258,7 +265,6 @@ def _crossing_position(m, eps: float, kind: str | None = None) -> float:
             "off-diagonal entry below the certifiable floor, axis endpoint "
             "indistinguishable from a core end"
         )
-    s = 0.5 * math.log(abs(b / c))
     tr = a + d
     disc = tr * tr - 4  # unimodular input
     # a product, not ** 2: float ** raises OverflowError past |tr| ~ 1.3e154,
@@ -267,8 +273,6 @@ def _crossing_position(m, eps: float, kind: str | None = None) -> float:
     tr2 = abs_tr * abs_tr
     if abs(disc) > _DISC_GATE * (tr2 if tr2 > 1.0 else 1.0):
         x, y = _fixed_points(m, kind or classify(m))
-        if x is INFINITY or y is INFINITY or x == 0 or y == 0:
-            raise OrthogonalityViolation("quadratic solve put an endpoint on a core end")
         abs_x, abs_y = abs(x), abs(y)
         root_scale = abs_x if abs_x > 1.0 else 1.0
         if abs_y > root_scale:
@@ -277,15 +281,7 @@ def _crossing_position(m, eps: float, kind: str | None = None) -> float:
             raise OrthogonalityViolation(
                 f"fixed points not antipodal: residual {abs(x + y):.3e}"
             )
-        s_roots = 0.5 * (math.log(abs_x) + math.log(abs_y))
-        abs_s = abs(s)
-        agree = 1e-9 * (abs_s if abs_s > 1.0 else 1.0)
-        if abs(s_roots - s) > (agree if agree > eps else eps):
-            raise OrthogonalityViolation(
-                f"entry-ratio position {s:.6e} disagrees with quadratic solve "
-                f"{s_roots:.6e}"
-            )
-    return s
+    return 0.5 * math.log(abs(b / c))
 
 
 def _parabolic_end(m, eps: float) -> float:
@@ -428,9 +424,9 @@ def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:
     diagonal entries, written from one expression, and off-diagonal
     entries 2bd and 2ac, so its fixed points have the closed form
     +/-sqrt(P_b / P_c) and the position is ln|P_b / P_c| / 2, with only
-    len(w) letters multiplied. The quadratic fixed-point solve is
-    compared against that form whenever it is well conditioned;
-    disagreement raises OrthogonalityViolation. Raises
+    len(w) letters multiplied. The quadratic fixed-point solve checks
+    that its roots are antipodal whenever it is well conditioned (see
+    _crossing_position). Raises
     TrivialPalindromization when P evaluates to (plus or minus) the
     identity, e.g. for half-turn images with axis orthogonal to the core.
     """

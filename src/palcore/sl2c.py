@@ -11,7 +11,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .config import CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR
+from .config import CLASSIFY_BAND, SINGULAR_FLOOR
 from .errors import IdentityElement, SingularMatrix
 
 
@@ -92,10 +92,6 @@ class GroupElement(NamedTuple):
     c: complex
     d: complex
 
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return IDENTITY
-
     def entries(self) -> Entries:
         return tuple(self)
 
@@ -153,12 +149,15 @@ def normalize(m) -> GroupElement:
     """Scale the matrix m to determinant one by the principal square root.
 
     Raises SingularMatrix when |det| is below SINGULAR_FLOOR relative to the
-    squared entry scale.
+    squared entry scale, and when that square overflows, which the message
+    names.
     """
     a, b, c, d = m
     det = a * d - b * c
     scale = _max4(abs(a), abs(b), abs(c), abs(d))
     if scale == 0.0 or abs(det) <= SINGULAR_FLOOR * scale * scale:
+        if math.isinf(scale * scale):
+            raise SingularMatrix(f"entry scale {scale:.3g} overflows the determinant check")
         raise SingularMatrix(f"determinant {det} too small relative to entries")
     s = cmath.sqrt(det)
     return GroupElement(a / s, b / s, c / s, d / s)
@@ -169,10 +168,6 @@ def psl_distance(g, h) -> float:
     direct = max(abs(x - y) for x, y in zip(g, h))
     flipped = max(abs(x + y) for x, y in zip(g, h))
     return min(direct, flipped)
-
-
-def psl_equal(g, h, tol: float = DEFAULT_GEO) -> bool:
-    return psl_distance(g, h) <= tol
 
 
 def is_identity(g, eps: float = CLASSIFY_BAND) -> bool:

@@ -111,14 +111,6 @@ class Word:
         return f"Word({str(self) or 'identity'})"
 
 
-IDENTITY_WORD = Word()
-
-
-def reduce(raw: Iterable[int]) -> Word:
-    """Freely reduce a raw letter sequence into a Word."""
-    return Word(tuple(raw))
-
-
 def parse(text: str) -> Word:
     """Parse text like "abA" into a Word; case selects generator vs inverse."""
     letters = []

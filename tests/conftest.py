@@ -1,6 +1,7 @@
 """Shared fixtures: canonical control representations, seeded random
-generators in general position, and an exact-arithmetic oracle for
-positions on the Riley slice."""
+generators in general position, an exact-arithmetic oracle for positions
+on the Riley slice, and the axis-route geometry helpers that tests use as
+independent checks of the position kernel."""
 
 import math
 import random
@@ -8,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from palcore.errors import PalcoreError
+from palcore.config import DEFAULT_GEO
+from palcore.errors import DegenerateGeodesic, PalcoreError
+from palcore.geodesics import Geodesic
 from palcore.representation import Representation, build
-from palcore.sl2c import GroupElement, classify, normalize
+from palcore.sl2c import INFINITY, GroupElement, classify, normalize
 from palcore.words import LETTERS, Word, is_palindrome, parse
 
 
@@ -19,6 +22,37 @@ def hyperbolic_on_axis(r: float, half_trace: float) -> GroupElement:
     c = half_trace
     s = math.sqrt(c * c - 1)
     return GroupElement(c, r * s, s / r, c)
+
+
+def transform(g: Geodesic, m: GroupElement) -> Geodesic:
+    """Image of a geodesic under the Moebius action of m."""
+    return Geodesic(m.apply(g.e1), m.apply(g.e2))
+
+
+def position_on_vertical_axis(g: Geodesic, eps: float = DEFAULT_GEO) -> float:
+    """Signed position along [0, inf] where g crosses it orthogonally: the
+    axis route to a position, read from the endpoints rather than from a
+    matrix's entries.
+
+    g must have antipodal endpoints x and -x (the orthogonality condition
+    against the vertical axis); the crossing height is then |x| and the
+    hyperbolic position is ln|x|. The value returned is the symmetric mean
+    (ln|e1| + ln|e2|)/2, which equals ln|x| for exact input. eps is the
+    antipodality tolerance, relative to the endpoint magnitude. Raises
+    DegenerateGeodesic for a marker [p, p] and ValueError for a geodesic
+    that does not cross [0, inf] at a right angle.
+    """
+    if g.degenerate:
+        raise DegenerateGeodesic(f"no crossing position for degenerate {g}")
+    if g.e1 is INFINITY or g.e2 is INFINITY:
+        raise ValueError(f"{g} has an end at infinity, cannot cross [0, inf]")
+    x, y = g.e1, g.e2
+    scale = max(1.0, abs(x), abs(y))
+    if abs(x + y) > eps * scale:
+        raise ValueError(f"endpoints of {g} are not antipodal: |x+y|={abs(x + y)}")
+    if x == 0 or y == 0:
+        raise ValueError(f"{g} has an end at the origin, cannot cross [0, inf]")
+    return 0.5 * (math.log(abs(x)) + math.log(abs(y)))
 
 
 def loxodromic_between(p: complex, q: complex, lam: complex) -> GroupElement:

@@ -104,7 +104,13 @@ class TestClassify:
 
     def test_singular_matrix_fails(self, runner):
         res = runner.invoke(main, ["classify", '[[1, 1], [1, 1]]'])
-        assert res.exit_code == 1
+        assert_one_error_line(res, "too small relative to entries")
+
+    def test_overflowing_entries_are_named(self, runner):
+        # the determinant 1e400 overflows; that is not a small determinant
+        res = runner.invoke(main, ["classify", "[[1e200, 0], [0, 1e200]]"])
+        assert_one_error_line(res, "entry scale 1e+200 overflows the determinant check")
+        assert "too small" not in res.output
 
     def test_bad_json_fails(self, runner):
         res = runner.invoke(main, ["classify", "not json"])
@@ -234,6 +240,16 @@ class TestProbe:
         report = json.loads(res.output)
         assert report["seed"] == 5
         assert len(report["random_palindrome_samples"]) == 10
+        # the plateau is a constant, still recorded in the report
+        assert report["plateau_delta"] == 0.01
+
+    def test_plateau_is_not_an_option(self, runner, mu4_gens):
+        res = runner.invoke(main, ["probe", "--help"])
+        assert res.exit_code == 0
+        assert "--escape" in res.output and "--plateau" not in res.output
+        res = runner.invoke(main, ["probe", "--gens", mu4_gens, "--plateau", "0.5"])
+        assert res.exit_code == 1
+        assert "No such option '--plateau'" in res.output
 
     def test_out_writes_file_and_exit_code_kept(self, runner, schottky_gens, tmp_path):
         target = tmp_path / "report.json"
@@ -281,7 +297,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize("option, value", [
         ("--samples", "-3"),
         ("--escape", "nan"), ("--escape", "0"), ("--escape", "-1"),
-        ("--plateau", "nan"), ("--plateau", "0"), ("--plateau", "-0.01"),
     ])
     def test_out_of_range_probe_inputs_exit_one(self, runner, mu4_gens, option, value):
         res = runner.invoke(

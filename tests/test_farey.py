@@ -1,7 +1,6 @@
 """Rational indexing: Stern-Brocot descent, Christoffel words, primitive
-word scheme, associates, enumeration, CSV export."""
+word scheme, associates, enumeration."""
 
-import io
 import math
 import sys
 from dataclasses import replace
@@ -15,10 +14,7 @@ from palcore.farey import (
     are_associates,
     christoffel,
     enumerate_farey,
-    farey_parents,
-    farey_to_csv,
     primitive_word,
-    slope_depth,
     validate_slope,
 )
 from palcore.words import (
@@ -68,30 +64,31 @@ class TestValidation:
 
 
 class TestParents:
+    """The parents and depth a slope's node carries."""
+
     def test_known_parents(self):
-        assert farey_parents(3, 5) == ((1, 2), (2, 3))
-        assert farey_parents(1, 3) == ((0, 1), (1, 2))
-        assert farey_parents(1, 1) == ((0, 1), (1, 0))
+        assert primitive_word(3, 5).parents == ((1, 2), (2, 3))
+        assert primitive_word(1, 3).parents == ((0, 1), (1, 2))
+        assert primitive_word(1, 1).parents == ((0, 1), (1, 0))
 
     def test_roots_have_no_parents(self):
         for s in ((0, 1), (1, 0)):
-            with pytest.raises(InvalidRational):
-                farey_parents(*s)
+            assert primitive_word(*s).parents is None
 
     def test_mediant_and_unimodularity(self):
         for p, q in coprime_slopes(24):
             if (p, q) in ((0, 1), (1, 0)):
                 continue
-            (r, s), (t, u) = farey_parents(p, q)
+            (r, s), (t, u) = primitive_word(p, q).parents
             assert (r + t, s + u) == (p, q)
             assert abs(r * u - t * s) == 1
 
     def test_depths(self):
-        assert slope_depth(0, 1) == 0
-        assert slope_depth(1, 0) == 0
-        assert slope_depth(1, 1) == 1
-        assert slope_depth(3, 5) == 4
-        assert slope_depth(1, 6) == 6
+        assert primitive_word(0, 1).depth == 0
+        assert primitive_word(1, 0).depth == 0
+        assert primitive_word(1, 1).depth == 1
+        assert primitive_word(3, 5).depth == 4
+        assert primitive_word(1, 6).depth == 6
 
 
 class TestChristoffel:
@@ -205,7 +202,7 @@ class TestAssociates:
         for p, q in coprime_slopes(16):
             if (p, q) in ((0, 1), (1, 0)):
                 continue
-            (r, s), (t, u) = farey_parents(p, q)
+            (r, s), (t, u) = primitive_word(p, q).parents
             assert are_associates((r, s), (t, u))
             assert are_associates((p, q), (r, s))
             assert are_associates((p, q), (t, u))
@@ -238,27 +235,10 @@ class TestEnumeration:
             enumerate_farey(-1)
 
 
-class TestCsv:
-    def test_depth_one_golden(self):
-        buf = io.StringIO()
-        farey_to_csv(enumerate_farey(1), buf)
-        assert buf.getvalue().splitlines() == [
-            "p,q,word,is_palindrome,factor1,factor2",
-            "1,0,b,true,,",
-            "0,1,a,true,,",
-            "1,1,ab,false,a,b",
-        ]
-
-    def test_even_rows_leave_factors_empty(self):
-        buf = io.StringIO()
-        farey_to_csv(enumerate_farey(2), buf)
-        rows = {r.split(",")[0] + "/" + r.split(",")[1]: r for r in buf.getvalue().splitlines()[1:]}
-        assert rows["1/2"].endswith("true,,")
-
-
 @given(st.integers(0, 500))
 def test_depth_recursion(i):
     slopes = [s for s in coprime_slopes(30) if s not in ((0, 1), (1, 0))]
     p, q = slopes[i % len(slopes)]
-    lo, hi = farey_parents(p, q)
-    assert slope_depth(p, q) == 1 + max(slope_depth(*lo), slope_depth(*hi))
+    node = primitive_word(p, q)
+    lo, hi = node.parents
+    assert node.depth == 1 + max(primitive_word(*lo).depth, primitive_word(*hi).depth)

@@ -1,34 +1,37 @@
 """Geodesic layer: line matrices, orthogonality, common perpendiculars,
-positions on the vertical axis."""
+and the axis-route position helper of tests/conftest.py."""
 
 import math
 import random
 
 import pytest
 
-from palcore.errors import DegenerateGeodesic, NotOrthogonal, SharedEndpoint
+from palcore.config import DEFAULT_GEO
+from palcore.errors import DegenerateGeodesic, SharedEndpoint
 from palcore.geodesics import (
     VERTICAL_AXIS,
     Geodesic,
-    are_orthogonal,
     axis,
     common_perpendicular,
     geodesic_distance,
-    half_turn_conjugate,
     line_matrix,
     orthogonality_residual,
-    position_on_vertical_axis,
-    transform,
 )
 from palcore.sl2c import (
+    IDENTITY,
     INFINITY,
     GroupElement,
     chordal_distance,
     fixed_points,
-    psl_equal,
+    psl_distance,
 )
 
-from .conftest import random_loxodromic, random_mobius
+from .conftest import (
+    position_on_vertical_axis,
+    random_loxodromic,
+    random_mobius,
+    transform,
+)
 
 
 class TestGeodesic:
@@ -78,7 +81,7 @@ class TestAxis:
 class TestLineMatrix:
     def test_vertical_axis_form(self):
         L = line_matrix(VERTICAL_AXIS)
-        assert psl_equal(L, GroupElement(1j, 0, 0, -1j), 1e-15)
+        assert psl_distance(L, GroupElement(1j, 0, 0, -1j)) <= 1e-15
 
     def test_trace_zero_det_one(self):
         rng = random.Random(7)
@@ -97,7 +100,7 @@ class TestLineMatrix:
     def test_half_turn_is_involution(self):
         g = Geodesic(1 + 0j, INFINITY)
         L = line_matrix(g)
-        assert psl_equal(L * L, GroupElement.identity(), 1e-12)
+        assert psl_distance(L * L, IDENTITY) <= 1e-12
 
     def test_marker_rejected(self):
         with pytest.raises(DegenerateGeodesic):
@@ -106,17 +109,20 @@ class TestLineMatrix:
     def test_half_turn_conjugate_reflects(self):
         # half-turn about the vertical axis is z -> -z on the boundary
         g = GroupElement(1, 1, 0, 1)
-        refl = half_turn_conjugate(VERTICAL_AXIS, g)
-        assert psl_equal(refl, GroupElement(1, -1, 0, 1), 1e-12)
+        h = line_matrix(VERTICAL_AXIS)
+        refl = h * g * h.inverse()
+        assert psl_distance(refl, GroupElement(1, -1, 0, 1)) <= 1e-12
 
 
 class TestOrthogonality:
     def test_vertical_meets_centered_circle(self):
-        assert are_orthogonal(VERTICAL_AXIS, Geodesic(-1 + 0j, 1 + 0j))
+        circle = Geodesic(-1 + 0j, 1 + 0j)
+        assert orthogonality_residual(VERTICAL_AXIS, circle) <= DEFAULT_GEO
         assert orthogonality_residual(VERTICAL_AXIS, Geodesic(-2 + 0j, 2 + 0j)) < 1e-15
 
     def test_offset_circle_is_not_orthogonal(self):
-        assert not are_orthogonal(VERTICAL_AXIS, Geodesic(1 + 0j, 2 + 0j))
+        circle = Geodesic(1 + 0j, 2 + 0j)
+        assert orthogonality_residual(VERTICAL_AXIS, circle) > DEFAULT_GEO
 
     def test_invariant_under_moebius(self):
         rng = random.Random(41)
@@ -124,7 +130,8 @@ class TestOrthogonality:
         g2 = VERTICAL_AXIS
         for _ in range(10):
             m = random_mobius(rng)
-            assert are_orthogonal(transform(g1, m), transform(g2, m))
+            residual = orthogonality_residual(transform(g1, m), transform(g2, m))
+            assert residual <= DEFAULT_GEO
 
 
 class TestCommonPerpendicular:
@@ -183,7 +190,7 @@ class TestPositionOnVerticalAxis:
         assert abs(s - math.log(1.5)) < 1e-12
 
     def test_non_orthogonal_rejected(self):
-        with pytest.raises(NotOrthogonal):
+        with pytest.raises(ValueError, match="not antipodal"):
             position_on_vertical_axis(Geodesic(1 + 0j, 2 + 0j))
 
     def test_marker_rejected(self):
@@ -192,7 +199,7 @@ class TestPositionOnVerticalAxis:
 
     def test_eps_override_loosens_check(self):
         g = Geodesic(1 + 0j, -1.001 + 0j)
-        with pytest.raises(NotOrthogonal):
+        with pytest.raises(ValueError, match="not antipodal"):
             position_on_vertical_axis(g)
         s = position_on_vertical_axis(g, eps=0.01)
         assert abs(s) < 1e-3

@@ -14,6 +14,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from palcore.config import CLASSIFY_BAND, SINGULAR_FLOOR
 from palcore.errors import (
@@ -33,8 +35,9 @@ from palcore.representation import (
     PiImage,
     _crossing_position,
     pi_of_palindrome,
+    rational_pi,
 )
-from palcore.sl2c import INFINITY, GroupElement, boundary_key
+from palcore.sl2c import INFINITY, GroupElement, _fixed_points, boundary_key, classify
 from palcore.words import Word
 
 from .conftest import random_representation
@@ -111,6 +114,9 @@ def _reference_fixed_points(g, kind):
 
 
 def _reference_crossing_position(m, eps, kind=None):
+    # keeps the two refusals the library dropped as unreachable ("endpoint
+    # on a core end" and "disagrees with quadratic solve"), so every
+    # comparison on real images also confirms that neither fires
     scale = max(1.0, _reference_max_norm(m))
     if abs(m.a - m.d) > eps * scale:
         raise OrthogonalityViolation(
@@ -267,18 +273,14 @@ def test_spectrum_matches_the_element_route(name, request):
     assert any(isinstance(outcome, str) for outcome in reference)
 
 
-# entries reaching each refusal of _crossing_position, with eps and kind.
-# A symmetric unimodular matrix has antipodal roots whose product is b/c,
-# so the last two refusals are reached by a kind that misstates the class:
-# "parabolic" solves for the single root (a - d) / 2c. The second floor
-# case is refused only because the scale of entries below 1 is taken as 1.
+# entries reaching each refusal of _crossing_position that finite entries
+# can reach, with eps and kind. The second floor case is refused only
+# because the scale of entries below 1 is taken as 1.
 _CROSSING_REFUSALS = [
     ((2, 1, 1, 1), 1e-6, None, "diagonal asymmetry"),
     ((1, 1e-20, 1, 1), 1e-6, None, "below the certifiable floor"),
     ((0.5, 9e-13, 0.5, 0.5), 1e-6, None, "below the certifiable floor"),
     ((2.025, 1e5, 1e-5, 1.975), 1e-6, None, "fixed points not antipodal"),
-    ((3, 1e5, 1e-3, 1), 2.1, "parabolic", "disagrees with quadratic solve"),
-    ((2, 3, 1, 2), 1e-6, "parabolic", "endpoint on a core end"),
 ]
 
 
@@ -290,3 +292,55 @@ def test_crossing_refusals_match_the_element_route(entries, eps, kind, refusal):
         _reference_crossing_position(GroupElement(*entries), eps, kind), "", ""))
     assert got == reference
     assert got.startswith("OrthogonalityViolation: ") and refusal in got
+
+
+_entry_part_st = st.floats(-1e3, 1e3)
+_entry_st = st.builds(complex, _entry_part_st, _entry_part_st)
+
+
+# (2, 3) is the symmetric matrix [[2, 3], [1, 2]]: it reached "endpoint on
+# a core end" only under a misstated kind "parabolic"
+@example(2 + 0j, 3 + 0j)
+@given(_entry_st, _entry_st)
+def test_quadratic_solve_agrees_with_the_entry_ratio(a, b):
+    """Why _crossing_position needs no refusal for a root on a core end or
+    for a root position that disagrees with s: for a unimodular matrix
+    with equal diagonal entries past the floor, whose class is not
+    parabolic (those images go to _parabolic_end), the solve gives two
+    finite nonzero roots whose mean log is s = ln|b/c| / 2."""
+    assume(b != 0)
+    m = (a, b, (a * a - 1) / b, a)
+    scale = max(1.0, *map(abs, m))
+    assume(min(abs(m[1]), abs(m[2])) > SINGULAR_FLOOR * scale)
+    kind = classify(m)
+    assume(kind in ("loxodromic", "elliptic"))
+    x, y = _fixed_points(m, kind)
+    for root in (x, y):
+        assert root is not INFINITY and cmath.isfinite(root) and root != 0
+    s = 0.5 * math.log(abs(m[1] / m[2]))
+    s_roots = 0.5 * (math.log(abs(x)) + math.log(abs(y)))
+    assert abs(s_roots - s) <= 1e-12 * max(1.0, abs(s))
+
+
+def test_overflowed_slope_image_is_refused(mu4):
+    # UVVU - VUUV overflows for this depth-13 slope of mu = 4; the NaN
+    # double altitude used to come back as s = NaN
+    with pytest.raises(OrthogonalityViolation, match="image overflowed"):
+        rational_pi(mu4, 467, 129)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("entries", [
+    (_NAN, _NAN, _NAN, _NAN),
+    (_NAN, 2, 1, _NAN),
+    (_INF, 2, 1, _INF),
+    (1, complex(0, _NAN), 1, 1),
+    (1, 1, complex(_INF, 0), 1),
+    (2, 3, 1, complex(-_INF, 1)),
+])
+def test_non_finite_entries_are_refused(entries):
+    entries = tuple(complex(x) for x in entries)
+    with pytest.raises(OrthogonalityViolation, match="image overflowed"):
+        _crossing_position(entries, 1e-6)

@@ -23,8 +23,6 @@ from palcore.geodesics import (
     Geodesic,
     geodesic_distance,
     orthogonality_residual,
-    position_on_vertical_axis,
-    transform,
 )
 from palcore.representation import (
     PALINDROME_PAIR,
@@ -42,12 +40,19 @@ from palcore.representation import (
     rep_from_json,
 )
 from palcore.probe import pi_spectrum, witness_search
-from palcore.sl2c import INFINITY, GroupElement, chordal_distance, psl_equal
+from palcore.sl2c import (
+    IDENTITY,
+    INFINITY,
+    GroupElement,
+    chordal_distance,
+    psl_distance,
+)
 from palcore.words import LETTERS, Word, parse, reduced_words, reverse
 
 from .conftest import (
     exact_riley_position,
     hyperbolic_on_axis,
+    position_on_vertical_axis,
     random_mobius,
     random_palindrome,
     random_representation,
@@ -69,8 +74,8 @@ class TestBuild:
     def test_normalized_generators_are_conjugates(self):
         rep = random_representation(3)
         n = rep.normalizer
-        assert psl_equal(rep.norm_A, n * rep.A * n.inverse(), 1e-9)
-        assert psl_equal(rep.norm_B, n * rep.B * n.inverse(), 1e-9)
+        assert psl_distance(rep.norm_A, n * rep.A * n.inverse()) <= 1e-9
+        assert psl_distance(rep.norm_B, n * rep.B * n.inverse()) <= 1e-9
 
     def test_shared_axis_is_elementary(self):
         A = hyperbolic_on_axis(1.0, 1.5)
@@ -89,8 +94,8 @@ class TestBuild:
     def test_json_round_trip(self):
         rep = random_representation(5)
         again = rep_from_json(rep.to_json())
-        assert psl_equal(again.norm_A, rep.norm_A, 1e-12)
-        assert psl_equal(again.norm_B, rep.norm_B, 1e-12)
+        assert psl_distance(again.norm_A, rep.norm_A) <= 1e-12
+        assert psl_distance(again.norm_B, rep.norm_B) <= 1e-12
 
 
 class TestRep1Oracles:
@@ -101,7 +106,7 @@ class TestRep1Oracles:
         assert geodesic_distance(rep1.core, Geodesic(0j, INFINITY)) < 1e-12
 
     def test_normalizer_is_identity(self, rep1):
-        assert psl_equal(rep1.normalizer, GroupElement.identity(), 1e-12)
+        assert psl_distance(rep1.normalizer, IDENTITY) <= 1e-12
 
     def test_generator_positions(self, rep1):
         assert abs(pi_of_palindrome(rep1, parse("a")).s) < 1e-12

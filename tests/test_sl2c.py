@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from palcore.config import CLASSIFY_BAND
 from palcore.errors import IdentityElement, SingularMatrix
 from palcore.sl2c import (
+    IDENTITY,
     INFINITY,
     GroupElement,
     boundary_key,
@@ -23,7 +24,6 @@ from palcore.sl2c import (
     matrix_from_json,
     normalize,
     psl_distance,
-    psl_equal,
 )
 
 from .conftest import loxodromic_between, random_loxodromic, random_mobius
@@ -31,7 +31,7 @@ from .conftest import loxodromic_between, random_loxodromic, random_mobius
 
 def _reference_is_identity(g, eps):
     """is_identity as it was: the distance to a built identity element."""
-    return psl_distance(g, GroupElement.identity()) <= eps
+    return psl_distance(g, IDENTITY) <= eps
 
 
 def _outcome(fn, *args):
@@ -60,7 +60,7 @@ _eps_st = st.sampled_from((0.0, 1e-12, CLASSIFY_BAND, 2e-9, 1e-6, float("inf")))
 
 class TestAlgebra:
     def test_identity_element(self):
-        e = GroupElement.identity()
+        e = IDENTITY
         assert e.entries() == (1, 0, 0, 1)
         assert e.det() == 1
         assert e.trace() == 2
@@ -68,7 +68,7 @@ class TestAlgebra:
     def test_product_and_inverse(self):
         g = GroupElement(2, 1, 1, 1)
         h = g * g.inverse()
-        assert psl_equal(h, GroupElement.identity(), 1e-15)
+        assert psl_distance(h, IDENTITY) <= 1e-15
 
     def test_inverse_is_adjugate(self):
         g = GroupElement(3, 2, 4, 3)  # det 1
@@ -117,15 +117,14 @@ class TestNormalize:
 class TestProjectiveEquality:
     def test_sign_is_quotiented(self):
         g = GroupElement(2, 1, 1, 1)
-        assert psl_equal(g, -g, 1e-15)
         assert psl_distance(g, -g) == 0.0
 
     def test_distinct_elements_are_far(self):
-        assert not psl_equal(GroupElement(2, 1, 1, 1), GroupElement.identity(), 1e-6)
+        assert psl_distance(GroupElement(2, 1, 1, 1), IDENTITY) > 1e-6
 
     def test_is_identity_both_signs(self):
-        assert is_identity(GroupElement.identity(), 1e-12)
-        assert is_identity(-GroupElement.identity(), 1e-12)
+        assert is_identity(IDENTITY, 1e-12)
+        assert is_identity(-IDENTITY, 1e-12)
         assert not is_identity(GroupElement(1, 1e-3, 0, 1), 1e-12)
 
     # abs(d - 1) overflows to OverflowError for this d, on both sides
@@ -143,7 +142,7 @@ class TestProjectiveEquality:
         g = GroupElement(sign + da, db, dc, sign + dd)
         assert is_identity(g, eps) == _reference_is_identity(g, eps)
         # the distance itself is the sharpest threshold: equal at the boundary
-        dist = psl_distance(g, GroupElement.identity())
+        dist = psl_distance(g, IDENTITY)
         assert is_identity(g, dist) == _reference_is_identity(g, dist)
 
 
@@ -153,8 +152,8 @@ class TestClassify:
         assert classify(GroupElement(2, 0, 0, 0.5)) == "loxodromic"
         t = cmath.exp(0.4j)
         assert classify(GroupElement(t, 0, 0, 1 / t)) == "elliptic"
-        assert classify(GroupElement.identity()) == "identity"
-        assert classify(-GroupElement.identity()) == "identity"
+        assert classify(IDENTITY) == "identity"
+        assert classify(-IDENTITY) == "identity"
 
     def test_complex_trace_is_loxodromic(self):
         # tr^2 real and < 4 means elliptic only for real trace
@@ -189,7 +188,7 @@ class TestFixedPoints:
 
     def test_identity_raises(self):
         with pytest.raises(IdentityElement):
-            fixed_points(GroupElement.identity())
+            fixed_points(IDENTITY)
 
     def test_close_fixed_points_stay_accurate(self):
         x = 1e-3

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from palcore.errors import NotPalindrome
 from palcore.representation import build
-from palcore.sl2c import GroupElement, psl_distance
+from palcore.sl2c import IDENTITY, GroupElement, psl_distance
 from palcore.words import (
-    IDENTITY_WORD,
     LETTERS,
     AbelianImage,
     Word,
@@ -26,7 +25,6 @@ from palcore.words import (
     letter_table,
     nielsen_reduce_pair,
     parse,
-    reduce,
     reduced_words,
     reverse,
 )
@@ -44,7 +42,7 @@ word_st = raw_st.map(Word)
 
 def _reference_evaluate(w, A, B):
     table = {1: A, -1: A.inverse(), 2: B, -2: B.inverse()}
-    out = GroupElement.identity()
+    out = IDENTITY
     for x in w.letters:
         out = out * table[x]
     return out
@@ -136,10 +134,6 @@ class TestReduction:
         with pytest.raises(ValueError):
             Word((3,))
 
-    def test_reduce_helper_matches_constructor(self):
-        raw = (1, 1, -1, 2, -2, -1)
-        assert reduce(raw).letters == Word(raw).letters
-
     @given(_cancelling_raw_st)
     def test_matches_reference_reduction(self, raw):
         w = Word(raw)
@@ -230,7 +224,7 @@ class TestAlgebra:
     def test_pow(self):
         w = parse("ab")
         assert w**3 == w * w * w
-        assert w**0 == IDENTITY_WORD
+        assert w**0 == Word()
         assert w**-2 == (w.inverse()) * (w.inverse())
 
     @given(word_st, st.integers(-6, 6))
@@ -274,7 +268,7 @@ class TestReverse:
         assert is_palindrome(parse("abaaba"[::-1]))  # same reversed
         assert is_palindrome(parse("aBa"))
         assert not is_palindrome(parse("ab"))
-        assert is_palindrome(IDENTITY_WORD)
+        assert is_palindrome(Word())
 
 
 class TestEvaluate:
