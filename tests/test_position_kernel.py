@@ -298,25 +298,39 @@ _entry_part_st = st.floats(-1e3, 1e3)
 _entry_st = st.builds(complex, _entry_part_st, _entry_part_st)
 
 
-# (2, 3) is the symmetric matrix [[2, 3], [1, 2]]: it reached "endpoint on
-# a core end" only under a misstated kind "parabolic"
-@example(2 + 0j, 3 + 0j)
-@given(_entry_st, _entry_st)
-def test_quadratic_solve_agrees_with_the_entry_ratio(a, b):
-    """Why _crossing_position needs no refusal for a root on a core end or
-    for a root position that disagrees with s: for a unimodular matrix
-    with equal diagonal entries past the floor, whose class is not
-    parabolic (those images go to _parabolic_end), the solve gives two
-    finite nonzero roots whose mean log is s = ln|b/c| / 2."""
+def _symmetric_roots(a, b):
+    """Entries (a, b, (a*a - 1)/b, a) of a unimodular matrix with equal
+    diagonal, past the floor and not parabolic (those images go to
+    _parabolic_end), with the roots of its quadratic solve."""
     assume(b != 0)
     m = (a, b, (a * a - 1) / b, a)
     scale = max(1.0, *map(abs, m))
     assume(min(abs(m[1]), abs(m[2])) > SINGULAR_FLOOR * scale)
     kind = classify(m)
     assume(kind in ("loxodromic", "elliptic"))
-    x, y = _fixed_points(m, kind)
-    for root in (x, y):
+    return m, _fixed_points(m, kind)
+
+
+# (2, 3) is the symmetric matrix [[2, 3], [1, 2]]: it reached "endpoint on
+# a core end" only under a misstated kind "parabolic"
+@example(2 + 0j, 3 + 0j)
+@given(_entry_st, _entry_st)
+def test_quadratic_roots_stay_off_the_core_ends(a, b):
+    """Why _crossing_position needs no refusal for a root on a core end:
+    the solve gives two finite nonzero roots."""
+    _, roots = _symmetric_roots(a, b)
+    for root in roots:
         assert root is not INFINITY and cmath.isfinite(root) and root != 0
+
+
+# (3, 1e5, 8e-5, 3) is the equal-diagonal neighbour of (3, 1e5, 1e-3, 1),
+# which reached "disagrees with quadratic solve" only under "parabolic"
+@example(3 + 0j, 1e5 + 0j)
+@given(_entry_st, _entry_st)
+def test_quadratic_solve_agrees_with_the_entry_ratio(a, b):
+    """Why _crossing_position needs no refusal for a root position that
+    disagrees with s: the mean log of the two roots is s = ln|b/c| / 2."""
+    m, (x, y) = _symmetric_roots(a, b)
     s = 0.5 * math.log(abs(m[1] / m[2]))
     s_roots = 0.5 * (math.log(abs(x)) + math.log(abs(y)))
     assert abs(s_roots - s) <= 1e-12 * max(1.0, abs(s))
