@@ -33,7 +33,6 @@ from .probe import (
 )
 from .representation import hexagon, rep_from_json
 from .sl2c import boundary_to_json, classify, fixed_points, matrix_from_json, normalize
-from .words import is_palindrome
 
 _EXIT_CODES = {
     BOUNDED_CONSISTENT_WITH_GF: 0,
@@ -173,11 +172,11 @@ def cmd_primitive(slope: str) -> None:
         record: dict = {
             "p": node.p,
             "q": node.q,
-            "word": str(node.word),
-            "palindrome": is_palindrome(node.word),
+            "word": node.text,
+            "palindrome": node.text == node.text[::-1],
         }
-        if node.factorization is not None:
-            record["factors"] = [str(w) for w in node.factorization]
+        if node.factor_texts is not None:
+            record["factors"] = list(node.factor_texts)
         click.echo(json.dumps(record))
     except (ValueError, PalcoreError) as exc:
         _fail(exc)

@@ -2,10 +2,11 @@
 
 Reduced slopes p/q (including 1/0) index primitive classes of the rank-2
 free group through the Stern-Brocot tree. Each slope carries a preferred
-representative word e_{p/q} with q letters a and p letters b. The roots
-are e_{0/1} = a and e_{1/0} = b; every other slope with Farey parents
-lo < hi is built from its parents' words (Gilman-Keen, "Enumerating
-palindromes and primitives in rank two free groups", J. Algebra 2011):
+representative word e_{p/q} with q letters a and p letters b, held as its
+display text. The roots are e_{0/1} = a and e_{1/0} = b; every other slope
+with Farey parents lo < hi is built from its parents' words by _child_word
+(Gilman-Keen, "Enumerating palindromes and primitives in rank two free
+groups", J. Algebra 2011):
 
 - pq odd: e_{p/q} = e_lo e_hi, whose factors are both palindromes, so
   this is the palindromic factorization of e_{p/q};
@@ -13,19 +14,21 @@ palindromes and primitives in rank two free groups", J. Algebra 2011):
   rotation of the Christoffel word: a second one would make the
   odd-length primitive word a proper power.
 
-Every constructed word is checked at runtime to have the shape its parity
-promises and to be cyclically equivalent to the Christoffel word of its
-slope; a failure raises SchemeViolation rather than silently repairing the
-scheme.
+_child_word checks at runtime that every word it builds, for
+enumerate_farey and primitive_word alike, has the shape its parity
+promises; primitive_word also checks that its result is cyclically
+equivalent to the Christoffel word of its slope, a check the tests make on
+every enumerated slope. A failure raises SchemeViolation rather than
+silently repairing the scheme.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import InvalidRational, SchemeViolation
-from .words import Word, _is_rotation_of, is_palindrome
+from .words import Word, parse
 
 Slope = tuple[int, int]
 
@@ -41,23 +44,6 @@ def validate_slope(p: int, q: int) -> None:
         raise InvalidRational(f"{p}/{q} is not in lowest terms")
 
 
-def _descend(p: int, q: int) -> tuple[Slope, Slope, list[Slope]]:
-    """Stern-Brocot descent to p/q: returns (lower parent, upper parent,
-    path), where path lists the mediants passed on the way from the roots,
-    shallowest first; the tree depth of p/q is len(path) + 1."""
-    lo, hi = (0, 1), (1, 0)
-    path: list[Slope] = []
-    while True:
-        mp, mq = lo[0] + hi[0], lo[1] + hi[1]
-        if (mp, mq) == (p, q):
-            return lo, hi, path
-        path.append((mp, mq))
-        if p * mq > mp * q:
-            lo = (mp, mq)
-        else:
-            hi = (mp, mq)
-
-
 def christoffel(p: int, q: int) -> Word:
     """Lower Christoffel word of slope p/q: q letters a and p letters b.
 
@@ -67,78 +53,110 @@ def christoffel(p: int, q: int) -> Word:
     at k = floor((j-1)n/q) + 1, where ceil(kq/n) increases.
     """
     validate_slope(p, q)
-    return Word(tuple(_christoffel_letters(p, q)))
+    return parse(_christoffel_text(p, q))
 
 
-def _christoffel_letters(p: int, q: int) -> bytes:
-    """The letters of christoffel(p, q), one byte each (1 for a, 2 for b),
-    which is also their words._to_bytes encoding."""
+def _christoffel_text(p: int, q: int) -> str:
+    """The text of christoffel(p, q)."""
     n = p + q
     if p <= q:
-        letters = bytearray(b"\x01") * n
+        letters = bytearray(b"a") * n
         for j in range(1, p + 1):
-            letters[-(-j * n // p) - 1] = 2
+            letters[-(-j * n // p) - 1] = ord("b")
     else:
-        letters = bytearray(b"\x02") * n
+        letters = bytearray(b"b") * n
         for j in range(q):
-            letters[j * n // q] = 1
-    return bytes(letters)
+            letters[j * n // q] = ord("a")
+    return letters.decode()
 
 
-@dataclass(frozen=True)
-class FareyNode:
+class FareyNode(NamedTuple):
     """A slope with its representative word and bookkeeping.
 
     depth counts mediant steps from the roots (0/1 and 1/0 are 0, 1/1 is
     1), and parents are the two Farey parents in ascending order, None for
-    a root. factorization is present exactly when pq is odd; it is the pair
-    of palindromic parent words whose product is the representative.
+    a root. text is the representative's text; factor_texts is present
+    exactly when pq is odd, as the texts of the palindromic parent words
+    whose product is the representative. word and factorization parse
+    them into Words.
     """
 
     p: int
     q: int
     depth: int
     parents: tuple[Slope, Slope] | None
-    word: Word
-    factorization: tuple[Word, Word] | None
+    text: str
+    factor_texts: tuple[str, str] | None
 
     @property
     def slope(self) -> Slope:
         return (self.p, self.q)
 
+    @property
+    def word(self) -> Word:
+        return parse(self.text)
 
-@lru_cache(maxsize=None)
+    @property
+    def factorization(self) -> tuple[Word, Word] | None:
+        return None if self.factor_texts is None else tuple(map(parse, self.factor_texts))
+
+
+_ROOTS = (FareyNode(0, 1, 0, None, "a", None), FareyNode(1, 0, 0, None, "b", None))
+
+
+def _child_word(p: int, q: int, lo: str, hi: str) -> str:
+    """The word of p/q from the texts of its Farey parents lo < hi: the
+    palindrome hi lo when pq is even, the product lo hi of two palindromes
+    when pq is odd. Raises SchemeViolation when the palindromes are not."""
+    if p * q % 2 == 0:
+        word = hi + lo
+        if word != word[::-1]:
+            raise SchemeViolation(f"{p}/{q}: parent product {word} is not a palindrome")
+        return word
+    if lo != lo[::-1] or hi != hi[::-1]:
+        raise SchemeViolation(f"{p}/{q}: parent words are not both palindromic")
+    return lo + hi
+
+
+def _child(lo: FareyNode, hi: FareyNode) -> FareyNode:
+    """The mediant of the Farey neighbours lo < hi, one level below the
+    deeper of them, with its word built from theirs."""
+    p, q = lo.p + hi.p, lo.q + hi.q
+    return FareyNode(
+        p, q, 1 + max(lo.depth, hi.depth), (lo.slope, hi.slope),
+        _child_word(p, q, lo.text, hi.text),
+        (lo.text, hi.text) if p * q % 2 else None,
+    )
+
+
 def primitive_word(p: int, q: int) -> FareyNode:
     """Representative word e_{p/q}, with palindromic factorization when
-    pq is odd. See the module docstring for the construction."""
+    pq is odd. See the module docstring for the construction.
+
+    The Stern-Brocot descent to p/q keeps only the current lower and upper
+    bounds, so a slope d mediant steps down costs d words of growing length
+    and no recursion.
+    """
     validate_slope(p, q)
-    if (p, q) == (0, 1) or (p, q) == (1, 0):
-        return FareyNode(p, q, 0, None, christoffel(p, q), None)
-    lo, hi, path = _descend(p, q)
-    # shallowest first, so that every call finds its parents memoized and
-    # the recursion stays one level deep however deep p/q lies
-    for slope in path:
-        primitive_word(*slope)
-    left = primitive_word(*lo).word
-    right = primitive_word(*hi).word
-    if (p * q) % 2 == 0:
-        word = right * left
-        if not is_palindrome(word):
-            raise SchemeViolation(f"{p}/{q}: parent product {word} is not a palindrome")
-        factorization = None
-    else:
-        if not (is_palindrome(left) and is_palindrome(right)):
-            raise SchemeViolation(f"{p}/{q}: parent words are not both palindromic")
-        word = left * right
-        factorization = (left, right)
-    # cyclically_equal(word, christoffel(p, q)), with the Christoffel word
-    # built directly in its byte encoding
-    if not _is_rotation_of(word, _christoffel_letters(p, q)):
+    if p == 0 or q == 0:
+        return _ROOTS[q == 0]
+    lo, hi = _ROOTS
+    node = _child(lo, hi)
+    while node.slope != (p, q):
+        if p * node.q > node.p * q:
+            lo = node
+        else:
+            hi = node
+        node = _child(lo, hi)
+    # both words have p + q letters, so containment in the doubled word
+    # makes the Christoffel word a rotation of the representative
+    chris = _christoffel_text(p, q)
+    if chris not in node.text + node.text:
         raise SchemeViolation(
-            f"{p}/{q}: representative {word} is not conjugate to Christoffel "
-            f"{christoffel(p, q)}"
+            f"{p}/{q}: representative {node.text} is not conjugate to "
+            f"Christoffel {chris}"
         )
-    return FareyNode(p, q, len(path) + 1, (lo, hi), word, factorization)
+    return node
 
 
 def are_associates(s1: Slope, s2: Slope) -> bool:
@@ -152,21 +170,21 @@ def are_associates(s1: Slope, s2: Slope) -> bool:
 
 def enumerate_farey(depth: int) -> list[FareyNode]:
     """All slopes within `depth` mediant steps of the roots, as populated
-    nodes in deterministic (q, p) order. Depth 0 is just 0/1 and 1/0."""
+    nodes in deterministic (q, p) order. Depth 0 is just 0/1 and 1/0.
+
+    Each word is built from the texts of its parents, which the walk
+    passes down; both Farey parents of a slope come before it in the
+    returned order.
+    """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    slopes: list[Slope] = [(0, 1), (1, 0)]
-
-    def gather(lo: Slope, hi: Slope, level: int) -> None:
-        if level > depth:
-            return
-        med = (lo[0] + hi[0], lo[1] + hi[1])
-        slopes.append(med)
-        gather(lo, med, level + 1)
-        gather(med, hi, level + 1)
-
-    gather((0, 1), (1, 0), 1)
-    nodes = [primitive_word(p, q) for p, q in slopes]
-    nodes.sort(key=lambda n: (n.q, n.p))
+    nodes = list(_ROOTS)
+    pending = [_ROOTS] if depth > 0 else []
+    while pending:
+        lo, hi = pending.pop()
+        node = _child(lo, hi)
+        nodes.append(node)
+        if node.depth < depth:
+            pending += ((lo, node), (node, hi))
+    nodes.sort(key=itemgetter(1, 0))
     return nodes
-

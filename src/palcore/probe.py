@@ -28,11 +28,12 @@ from .representation import (
     PARABOLIC_END,
     PiImage,
     Representation,
+    _pair_position,
+    _palindrome_position,
     palindromize,
     pi_of_palindrome,
-    rational_pi,
 )
-from .words import LETTERS, Word, palindromic_doubles, reduced_words
+from .words import LETTERS, Word, evaluate, palindromic_doubles, reduced_words
 
 BOUNDED_CONSISTENT_WITH_GF = "BOUNDED_CONSISTENT_WITH_GF"
 UNBOUNDED_EVIDENCE_NONDISCRETE = "UNBOUNDED_EVIDENCE_NONDISCRETE"
@@ -51,21 +52,21 @@ VERDICTS = (
 class SpectrumEntry:
     """Pi image of one slope, or the error that prevented it.
 
-    words is the slope's palindrome, or its palindromic factor pair when
-    pq is odd, as held by the Farey cache; word is their display text.
+    words is the text of the slope's palindrome, or of its palindromic
+    factor pair when pq is odd; word is their display text.
     """
 
     p: int
     q: int
     depth: int
-    words: tuple[Word, ...]
+    words: tuple[str, ...]
     image: PiImage | None = None
     error: str | None = None
 
     @property
     def word(self) -> str:
         """The slope word as shown in reports: a factor pair reads u|v."""
-        return "|".join(map(str, self.words))
+        return "|".join(self.words)
 
     def to_json(self) -> dict:
         out: dict = {"p": self.p, "q": self.q, "depth": self.depth}
@@ -136,22 +137,37 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
 
     Entries are in deterministic (q, p) order. Per-slope failures are
     recorded on the entry, not raised. In that order both Farey parents
-    come before a slope, so each slope's word image is continued from a
-    parent's image kept for this call only (see rational_pi), with the
-    bits of a fold from the identity.
+    come before a slope, and their word images are kept for this call. A
+    fold continued from a parent's image has the bits of rational_pi's
+    fold from the identity (see words.evaluate): an even slope's image,
+    of hi + lo, is lo's text folded from hi's image; an odd slope takes U
+    and V from its parents, and keeps its own image, hi's text folded from
+    lo's, only when it is shallower than depth and so has children here.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    entries = []
+    letters = rep.letters
     images: dict = {}
-    for node in enumerate_farey(depth):
+    entries = []
+    for p, q, level, parents, text, factors in enumerate_farey(depth):
         image = error = None
         try:
-            image = rational_pi(rep, node.p, node.q, images)
+            if factors is not None:
+                lo, hi = parents
+                if level < depth:
+                    images[p, q] = evaluate(factors[1], letters, images[lo])
+                image = _pair_position(rep, *factors, images[lo], images[hi])
+            else:
+                if parents is None:
+                    m = evaluate(text, letters)
+                else:
+                    hi = parents[1]  # text is hi's sum(hi) letters, then lo's
+                    m = evaluate(text[sum(hi):], letters, images[hi])
+                images[p, q] = m
+                image = _palindrome_position(rep, text, m)
         except PalcoreError as exc:
             error = f"{type(exc).__name__}: {exc}"
-        words = node.factorization or (node.word,)
-        entries.append(SpectrumEntry(node.p, node.q, node.depth, words, image, error))
+        entries.append(SpectrumEntry(p, q, level, factors or (text,), image, error))
     return entries
 
 

@@ -34,7 +34,7 @@ from .errors import (
     SingularMatrix,
     TrivialPalindromization,
 )
-from .farey import FareyNode, Slope, primitive_word
+from .farey import primitive_word
 from .geodesics import Geodesic, axis, common_perpendicular
 from .sl2c import (
     INFINITY,
@@ -51,7 +51,15 @@ from .sl2c import (
     normalize,
     product,
 )
-from .words import LetterTable, Word, evaluate, is_palindrome, letter_table, reverse
+from .words import (
+    LetterTable,
+    Word,
+    evaluate,
+    is_palindrome,
+    letter_table,
+    reverse,
+    word_repr,
+)
 
 PALINDROME_WORD = "palindrome-word"
 PALINDROME_PAIR = "palindrome-pair"
@@ -225,6 +233,9 @@ def rep_from_json(obj: dict, geo: float = DEFAULT_GEO) -> Representation:
 # the root splitting is rounding noise while the entry ratio b/c is not
 _DISC_GATE = 1e-10
 
+# the refusal of an image with finite parts whose modulus abs() cannot hold
+_MODULUS_OVERFLOWED = "image overflowed: an entry's modulus is past the float range"
+
 
 def _crossing_position(m, eps: float, kind: str | None = None) -> float:
     """Position where the axis of m crosses the core [0, inf].
@@ -235,9 +246,10 @@ def _crossing_position(m, eps: float, kind: str | None = None) -> float:
     s = ln|b/c| / 2, a ratio of directly accumulated entries that stays
     accurate when the quadratic root splitting has cancelled away.
 
-    Refusals, each an OrthogonalityViolation: an entry that is not finite
-    (the image overflowed); unequal diagonal entries; an off-diagonal entry
-    below SINGULAR_FLOOR times the scale; and, when the discriminant is
+    Refusals, each an OrthogonalityViolation: an entry that is not finite,
+    or an overflow of abs() (the image overflowed); unequal diagonal
+    entries; an off-diagonal entry below SINGULAR_FLOOR times the scale;
+    and, when the discriminant is
     numerically meaningful, roots of the quadratic solve that are not
     antipodal. Nothing else can fail: past the floor |b/c| lies within
     1e+/-12, and kind = classify(m) (passed when the caller has it) is
@@ -252,36 +264,39 @@ def _crossing_position(m, eps: float, kind: str | None = None) -> float:
     a, b, c, d = m
     if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
         raise OrthogonalityViolation("image overflowed: an entry is not finite")
-    abs_b, abs_c = abs(b), abs(c)
-    norm = _max4(abs(a), abs_b, abs_c, abs(d))
-    scale = norm if norm > 1.0 else 1.0
-    if abs(a - d) > eps * scale:
-        raise OrthogonalityViolation(
-            f"diagonal asymmetry {abs(a - d):.3e} at scale {scale:.3e}: "
-            "axis not orthogonal to the core"
-        )
-    if abs_b <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
-        raise OrthogonalityViolation(
-            "off-diagonal entry below the certifiable floor, axis endpoint "
-            "indistinguishable from a core end"
-        )
-    tr = a + d
-    disc = tr * tr - 4  # unimodular input
-    # a product, not ** 2: float ** raises OverflowError past |tr| ~ 1.3e154,
-    # while the product overflows to inf and the cross-check is skipped
-    abs_tr = abs(tr)
-    tr2 = abs_tr * abs_tr
-    if abs(disc) > _DISC_GATE * (tr2 if tr2 > 1.0 else 1.0):
-        x, y = _fixed_points(m, kind or classify(m))
-        abs_x, abs_y = abs(x), abs(y)
-        root_scale = abs_x if abs_x > 1.0 else 1.0
-        if abs_y > root_scale:
-            root_scale = abs_y
-        if abs(x + y) > eps * root_scale:
+    try:
+        abs_b, abs_c = abs(b), abs(c)
+        norm = _max4(abs(a), abs_b, abs_c, abs(d))
+        scale = norm if norm > 1.0 else 1.0
+        if abs(a - d) > eps * scale:
             raise OrthogonalityViolation(
-                f"fixed points not antipodal: residual {abs(x + y):.3e}"
+                f"diagonal asymmetry {abs(a - d):.3e} at scale {scale:.3e}: "
+                "axis not orthogonal to the core"
             )
-    return 0.5 * math.log(abs(b / c))
+        if abs_b <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
+            raise OrthogonalityViolation(
+                "off-diagonal entry below the certifiable floor, axis endpoint "
+                "indistinguishable from a core end"
+            )
+        tr = a + d
+        disc = tr * tr - 4  # unimodular input
+        # a product, not ** 2: float ** raises OverflowError past |tr| ~ 1.3e154,
+        # while the product overflows to inf and the cross-check is skipped
+        abs_tr = abs(tr)
+        tr2 = abs_tr * abs_tr
+        if abs(disc) > _DISC_GATE * (tr2 if tr2 > 1.0 else 1.0):
+            x, y = _fixed_points(m, kind or classify(m))
+            abs_x, abs_y = abs(x), abs(y)
+            root_scale = abs_x if abs_x > 1.0 else 1.0
+            if abs_y > root_scale:
+                root_scale = abs_y
+            if abs(x + y) > eps * root_scale:
+                raise OrthogonalityViolation(
+                    f"fixed points not antipodal: residual {abs(x + y):.3e}"
+                )
+        return 0.5 * math.log(abs(b / c))
+    except OverflowError:
+        raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
 
 
 def _parabolic_end(m, eps: float) -> float:
@@ -358,17 +373,23 @@ def _palindrome_image(rep: Representation, w: Word) -> Entries:
     )
 
 
-def _palindrome_position(rep: Representation, w: Word, m) -> PiImage:
-    """pi_of_palindrome from m, the normalized image of the palindrome w
-    (its entries, or a GroupElement)."""
-    kind = classify(m)
+def _palindrome_position(rep: Representation, w: Word | str, m) -> PiImage:
+    """pi_of_palindrome from m, the normalized image of the palindrome w, a
+    Word or its text (m is its entries, or a GroupElement). An image whose
+    entries have a modulus past the float range is refused as overflowed:
+    classify raises OverflowError on it, and once classify has passed,
+    only _crossing_position, which refuses it itself, takes a larger
+    modulus than classify did."""
+    try:
+        kind = classify(m)
+    except OverflowError:
+        raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
     if kind == "identity":
-        raise IdentityImage(f"{w!r} evaluates to the identity")
+        raise IdentityImage(f"{word_repr(w)} evaluates to the identity")
     eps = geo_scaled(rep.geo, len(w))
     if kind == "parabolic":
         return PiImage(_parabolic_end(m, eps), PARABOLIC_END, kind)
-    s = _crossing_position(m, eps, kind)
-    return PiImage(s, PALINDROME_WORD, kind)
+    return PiImage(_crossing_position(m, eps, kind), PALINDROME_WORD, kind)
 
 
 def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
@@ -386,24 +407,28 @@ def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
     return _pair_position(rep, u, v, U, V)
 
 
-def _pair_position(rep: Representation, u: Word, v: Word, U, V) -> PiImage:
+def _pair_position(rep: Representation, u: Word | str, v: Word | str, U, V) -> PiImage:
     """pi_of_pair from U and V, the normalized images of the palindromes u,
-    v (entries or GroupElements). The four products are entry tuples."""
-    uv, vu = product(U, (V,)), product(V, (U,))
-    uvvu = product(uv, (vu,))
-    t_raw = tuple(map(sub, uvvu, product(vu, (uv,))))
-    scale = _max4(*map(abs, uvvu))
-    if _max4(*map(abs, t_raw)) <= CLASSIFY_BAND * (scale if scale > 1.0 else 1.0):
-        raise CommutingPair(f"images of {u!r} and {v!r} commute")
+    v, Words or their texts (U, V are entries or GroupElements). The four
+    products are entry tuples. Products whose entries have a modulus past
+    the float range are refused as overflowed."""
     try:
-        t = normalize(t_raw)
-    except SingularMatrix as exc:
-        raise CommutingPair(
-            f"double altitude of {u!r}, {v!r} is not determined"
-        ) from exc
-    eps = geo_scaled(rep.geo, len(u) + len(v))
-    s = _crossing_position(t, eps)
-    return PiImage(s, PALINDROME_PAIR, classify(uv))
+        uv, vu = product(U, (V,)), product(V, (U,))
+        uvvu = product(uv, (vu,))
+        t_raw = tuple(map(sub, uvvu, product(vu, (uv,))))
+        scale = _max4(*map(abs, uvvu))
+        if _max4(*map(abs, t_raw)) <= CLASSIFY_BAND * (scale if scale > 1.0 else 1.0):
+            raise CommutingPair(f"images of {word_repr(u)} and {word_repr(v)} commute")
+        try:
+            t = normalize(t_raw)
+        except SingularMatrix as exc:
+            raise CommutingPair(
+                f"double altitude of {word_repr(u)}, {word_repr(v)} is not determined"
+            ) from exc
+        eps = geo_scaled(rep.geo, len(u) + len(v))
+        return PiImage(_crossing_position(t, eps), PALINDROME_PAIR, classify(uv))
+    except OverflowError:
+        raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
 
 
 def pair_perpendicular_by_axes(rep: Representation, u: Word, v: Word) -> Geodesic:
@@ -482,60 +507,17 @@ def hexagon(rep: Representation) -> Hexagon:
     return Hexagon(ax_a, rep.core, ax_b, perp_b, ax_ab, perp_a)
 
 
-def rational_pi(
-    rep: Representation, p: int, q: int,
-    images: dict[Slope, Entries] | None = None,
-) -> PiImage:
+def rational_pi(rep: Representation, p: int, q: int) -> PiImage:
     """Pi image of the slope p/q: the palindromic representative when pq is
     even, the palindromic factor pair through its double altitude when pq
-    is odd. The result carries no word: node.word, or the pair as u|v, is
+    is odd. The result carries no word: node.text, or the pair as u|v, is
     display text for the report (SpectrumEntry.word).
 
-    Each word is continued from a parent's stored image (see _slope_image),
-    with the bits of a full fold from the identity. images maps slopes to
-    the entries of normalized word images and is read and extended here;
-    without it the call starts its own. When a caller visits parents before children and
-    shares one map (pi_spectrum), an even slope multiplies only its lower
-    parent's letters, and an odd slope, whose factors are its parents'
-    words, multiplies none until a later slope needs its own image.
+    The slope text, or each factor text, is folded from the identity;
+    probe.pi_spectrum gets the same bits from its parents' images.
     """
     node = primitive_word(p, q)
-    if images is None:
-        images = {}
-    if node.factorization is None:
-        return _palindrome_position(rep, node.word, _slope_image(rep, node, images))
-    lo, hi = node.parents
-    U = _slope_image(rep, primitive_word(*lo), images)
-    V = _slope_image(rep, primitive_word(*hi), images)
-    return _pair_position(rep, *node.factorization, U, V)
-
-
-def _slope_image(
-    rep: Representation, node: FareyNode, images: dict[Slope, Entries]
-) -> Entries:
-    """Entries of the normalized image of node.word, memoized in images.
-
-    A slope word is its prefix parent's word (hi when pq is even, lo when
-    pq is odd) followed by the other parent's word. Slope words have no
-    inverse letters, so nothing cancels, and the left-to-right fold of the
-    word passes through the prefix parent's image: continuing from that
-    image over the other parent's letters is the full fold, bit for bit.
-    The walk climbs prefix parents until it meets a stored image or a root,
-    then folds back down, storing every image it builds.
-    """
-    tails: list[tuple[Slope, Word]] = []
-    while node.slope not in images:
-        if node.parents is None:
-            images[node.slope] = evaluate(node.word, rep.letters)
-            break
-        lo, hi = node.parents
-        if node.factorization is None:
-            prefix, tail = hi, primitive_word(*lo).word
-        else:
-            prefix, tail = lo, node.factorization[1]
-        tails.append((node.slope, tail))
-        node = primitive_word(*prefix)
-    m = images[node.slope]
-    for slope, tail in reversed(tails):
-        m = images[slope] = evaluate(tail, rep.letters, m)
-    return m
+    if node.factor_texts is None:
+        return _palindrome_position(rep, node.text, evaluate(node.text, rep.letters))
+    u, v = node.factor_texts
+    return _pair_position(rep, u, v, evaluate(u, rep.letters), evaluate(v, rep.letters))

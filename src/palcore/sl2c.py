@@ -150,12 +150,16 @@ def normalize(m) -> GroupElement:
 
     Raises SingularMatrix when |det| is below SINGULAR_FLOOR relative to the
     squared entry scale, and when that square overflows, which the message
-    names.
+    names; so does a modulus past the float range, where abs() raises.
     """
     a, b, c, d = m
     det = a * d - b * c
-    scale = _max4(abs(a), abs(b), abs(c), abs(d))
-    if scale == 0.0 or abs(det) <= SINGULAR_FLOOR * scale * scale:
+    try:
+        scale = _max4(abs(a), abs(b), abs(c), abs(d))
+        singular = scale == 0.0 or abs(det) <= SINGULAR_FLOOR * scale * scale
+    except OverflowError:
+        scale, singular = math.inf, True
+    if singular:
         if math.isinf(scale * scale):
             raise SingularMatrix(f"entry scale {scale:.3g} overflows the determinant check")
         raise SingularMatrix(f"determinant {det} too small relative to entries")

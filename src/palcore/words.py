@@ -7,7 +7,6 @@ e.g. "abA" = a b a^-1.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from operator import add, neg
 from typing import Iterable, Iterator, NamedTuple
@@ -108,7 +107,13 @@ class Word:
         return "".join(map(_CHARS.__getitem__, self.letters))
 
     def __repr__(self) -> str:
-        return f"Word({str(self) or 'identity'})"
+        return word_repr(self)
+
+
+def word_repr(w: Word | str) -> str:
+    """A Word, or the text of one, as messages show it: Word(abA), and
+    Word(identity) for the empty word."""
+    return f"Word({w or 'identity'})"
 
 
 def parse(text: str) -> Word:
@@ -155,34 +160,36 @@ def abelianize(w: Word) -> AbelianImage:
     return AbelianImage(ea, eb)
 
 
-LetterTable = dict[int, Entries]
+LetterTable = dict[int | str, Entries]
 
 
 def letter_table(A: GroupElement, B: GroupElement) -> LetterTable:
     """Entries of each letter's matrix under a -> A, b -> B, as plain
-    tuples; an inverse letter takes the adjugate."""
-    return {
-        1: A.entries(), -1: A.inverse().entries(),
-        2: B.entries(), -2: B.inverse().entries(),
-    }
+    tuples; an inverse letter takes the adjugate. Each matrix is keyed by
+    its letter and by its display character, so a Word and its text
+    evaluate alike."""
+    a, b = A.entries(), B.entries()
+    inv_a, inv_b = A.inverse().entries(), B.inverse().entries()
+    return {1: a, -1: inv_a, 2: b, -2: inv_b, "a": a, "A": inv_a, "b": b, "B": inv_b}
 
 
 def evaluate(
-    w: Word, letters: LetterTable, start: Entries = IDENTITY
+    w: Word | str, letters: LetterTable, start: Entries = IDENTITY
 ) -> Entries:
-    """Entries (a, b, c, d) of the homomorphic image of w under the
-    letter_table letters, multiplied onto start (entries or a
-    GroupElement; the identity when omitted).
+    """Entries (a, b, c, d) of the homomorphic image of w, a Word or a
+    text such as "abA", under the letter_table letters, multiplied onto
+    start (entries or a GroupElement; the identity when omitted).
 
     A left-to-right fold from start, never renormalized: sl2c.product
     multiplies the running product by the next letter's matrix with the
     formula GroupElement.__mul__ runs, and no matrix object is built, the
     result included (GroupElement._make wraps it where one is wanted). The
     fold of x * y passes through evaluate(x) after len(x) letters, so when
-    x * y does not cancel, evaluate(y, t, evaluate(x, t)) is
-    evaluate(x * y, t) bit for bit.
+    x * y does not cancel (two slope texts never do, having no inverse
+    letters), evaluate(y, t, evaluate(x, t)) is evaluate(x * y, t) bit for
+    bit.
     """
-    return product(start, map(letters.__getitem__, w.letters))
+    return product(start, map(letters.__getitem__, w))
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -192,21 +199,9 @@ def cyclic_reduce(w: Word) -> Word:
 
 def cyclically_equal(u: Word, v: Word) -> bool:
     """True iff the cyclic reductions are rotations of one another."""
-    return _is_rotation_of(u, _to_bytes(_strip_inverse_ends(v.letters)))
-
-
-def _is_rotation_of(u: Word, target: bytes) -> bool:
-    """True iff the cyclic reduction of u is a rotation of target, the
-    _to_bytes encoding of a cyclically reduced word."""
-    cu = _to_bytes(_strip_inverse_ends(u.letters))
-    # substring search on byte strings keeps this linear in the word length
-    return len(cu) == len(target) and target in cu + cu
-
-
-def _to_bytes(letters: tuple[int, ...]) -> bytes:
-    """One byte per letter, a letter's own value for the generators (1, 2)
-    and its two's complement for the inverses (0xff, 0xfe)."""
-    return array("b", letters).tobytes()
+    cu, cv = str(cyclic_reduce(u)), str(cyclic_reduce(v))
+    # substring search on the texts keeps this linear in the word length
+    return len(cu) == len(cv) and cv in cu + cu
 
 
 class NielsenResult(NamedTuple):

@@ -5,9 +5,9 @@ perfbench/worker.py counts witness candidates by rebinding
 palcore.probe.pi_of_palindrome. Two of the tracer's spans also read what
 passes through them: the words.evaluate hook counts len(args[0]) as
 words.letters_evaluated, and the farey.primitive_word hook reads the
-returned node's slope, word and factorization. A rename, deletion or
-signature change in palcore would otherwise break the traced run, the
-candidate counter or a work counter without failing a test. The tracer
+returned node's slope and the lengths of its word and factors. A rename,
+deletion or signature change in palcore would otherwise break the traced
+run, the candidate counter or a work counter without failing a test. The tracer
 imports only the standard library, so it is loaded here by path.
 """
 import importlib
@@ -17,8 +17,8 @@ from pathlib import Path
 
 import palcore.probe  # noqa: F401  (the module; palcore.probe is the function)
 from palcore.probe import pi_spectrum
-from palcore.representation import pi_of_palindrome
-from palcore.words import Word, parse
+from palcore.representation import pi_of_palindrome, rational_pi
+from palcore.words import parse
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -69,16 +69,19 @@ def test_evaluate_receives_the_word_first(monkeypatch, mu4):
     pi_spectrum(mu4, 4)
     pi_of_palindrome(mu4, parse("abbba"))
     assert calls
-    assert all(isinstance(args[0], Word) for args, _ in calls)
+    # the hook counts len(args[0]) letters: the word or text folded
+    assert sum(len(args[0]) for args, _ in calls) > 0
+    assert all(len(args[0]) == len(str(args[0])) for args, _ in calls)
 
 
 def test_primitive_word_nodes_carry_slope_word_and_factorization(monkeypatch, mu4):
     calls = _spy(monkeypatch, "farey", "primitive_word")
-    pi_spectrum(mu4, 4)
-    assert calls
+    for p, q in ((0, 1), (2, 5), (3, 5), (13, 8)):
+        rational_pi(mu4, p, q)
+    assert len(calls) == 4
     for args, node in calls:
         assert node.slope == tuple(args)
-        assert isinstance(node.word, Word)
         factors = node.factorization or ()
-        assert all(isinstance(w, Word) for w in factors)
+        assert len(node.word) == sum(args)
         assert len(factors) == (2 if args[0] * args[1] % 2 else 0)
+        assert sum(map(len, factors)) in (0, len(node.word))

@@ -112,6 +112,15 @@ class TestClassify:
         assert_one_error_line(res, "entry scale 1e+200 overflows the determinant check")
         assert "too small" not in res.output
 
+    def test_entry_modulus_past_the_float_range_is_named(self, runner, tmp_path):
+        # both parts are finite, the modulus is not: abs() of the entry raises
+        huge = "[[[1.3e308, 1.3e308], 0], [0, 1]]"
+        res = runner.invoke(main, ["classify", huge])
+        assert_one_error_line(res, "entry scale inf overflows the determinant check")
+        gens = write_gens(tmp_path, json.loads(huge), [[1, 0], [4, 1]])
+        res = runner.invoke(main, ["probe", "--gens", gens, "--depth", "2"])
+        assert_one_error_line(res, "entry scale inf overflows the determinant check")
+
     def test_bad_json_fails(self, runner):
         res = runner.invoke(main, ["classify", "not json"])
         assert res.exit_code == 1

@@ -3,7 +3,6 @@ word scheme, associates, enumeration."""
 
 import math
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from palcore.errors import InvalidRational, SchemeViolation
 from palcore.farey import (
+    _child_word,
     are_associates,
     christoffel,
     enumerate_farey,
@@ -154,34 +154,24 @@ class TestPrimitiveWord:
 
     def test_deep_slope_needs_no_deep_recursion(self):
         # 1/1200 lies 1200 mediant steps down, beyond the interpreter's
-        # recursion limit if each word recursed into its parents cold
+        # recursion limit if each word recursed into its parents; the
+        # descent is a loop
         node = primitive_word(1, 1200)
         assert node.depth == 1200
         assert str(node.word) == "a" * 600 + "b" + "a" * 600
 
     def test_scheme_checks_raise(self, monkeypatch):
         # each of the three runtime checks fires on a scheme that breaks it:
-        # parents served with wrong words, then a wrong Christoffel word
-        farey = sys.modules["palcore.farey"]
-        build = primitive_word.__wrapped__
-        memo = primitive_word
-        for slope in ((1, 1), (1, 2), (1, 3)):
-            memo(*slope)
-        wrong = {(1, 1): parse("ba"), (1, 2): parse("aab")}
-
-        def parent(p, q):
-            node = memo(p, q)
-            return replace(node, word=wrong.get((p, q), node.word))
-
-        monkeypatch.setattr(farey, "primitive_word", parent)
+        # the child rule given parent texts of the wrong shape, then the
+        # descent given a wrong Christoffel word
         with pytest.raises(SchemeViolation, match="is not a palindrome"):
-            build(1, 2)  # b a . a from parents 1/1 and 0/1
+            _child_word(1, 2, "a", "ba")  # b a . a from parents 0/1 and 1/1
         with pytest.raises(SchemeViolation, match="not both palindromic"):
-            build(1, 3)  # a . aab from parents 0/1 and 1/2
-        monkeypatch.setattr(farey, "primitive_word", memo)
-        monkeypatch.setattr(farey, "_christoffel_letters", lambda p, q: b"\x02\x02\x01")
+            _child_word(1, 3, "a", "aab")  # a . aab from parents 0/1 and 1/2
+        farey = sys.modules["palcore.farey"]
+        monkeypatch.setattr(farey, "_christoffel_text", lambda p, q: "bba")
         with pytest.raises(SchemeViolation, match="not conjugate to Christoffel"):
-            build(1, 2)
+            primitive_word(1, 2)
 
     def test_node_metadata(self):
         node = primitive_word(3, 5)
@@ -195,6 +185,44 @@ class TestPrimitiveWord:
     def test_rejects_unreduced(self):
         with pytest.raises(InvalidRational):
             primitive_word(2, 4)
+
+
+def _assert_scheme(node):
+    """The three scheme checks on a node: the palindrome, or the two
+    palindromic factors whose product is the word, and the word a rotation
+    of the Christoffel word."""
+    text, factors = node.text, node.factor_texts
+    if factors is None:
+        assert text == text[::-1]
+    else:
+        u, v = factors
+        assert u == u[::-1] and v == v[::-1] and u + v == text
+    chris = str(christoffel(node.p, node.q))
+    assert len(text) == len(chris) and chris in text + text
+
+
+class TestOneBuilder:
+    """enumerate_farey and primitive_word build each word by one child
+    rule from the texts of its parents."""
+
+    def test_enumerated_slopes_are_the_descent_nodes(self):
+        nodes = enumerate_farey(12)
+        assert len(nodes) == 2**12 + 1
+        for node in nodes:
+            assert primitive_word(node.p, node.q) == node
+            _assert_scheme(node)
+
+    @pytest.mark.parametrize("p, q", [(1, 2000), (2000, 1), (1597, 987), (987, 1597)])
+    def test_long_slopes_pass_the_scheme_checks(self, p, q):
+        node = primitive_word(p, q)
+        assert (node.p, node.q) == (p, q) and len(node.text) == p + q
+        _assert_scheme(node)
+
+    def test_words_are_texts(self):
+        node = primitive_word(3, 5)
+        assert node.text == "abaababa" and node.factor_texts == ("aba", "ababa")
+        assert node.word == parse(node.text)
+        assert node.factorization == (parse("aba"), parse("ababa"))
 
 
 class TestAssociates:

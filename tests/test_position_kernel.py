@@ -34,6 +34,7 @@ from palcore.representation import (
     PARABOLIC_END,
     PiImage,
     _crossing_position,
+    build,
     pi_of_palindrome,
     rational_pi,
 )
@@ -301,9 +302,12 @@ _entry_st = st.builds(complex, _entry_part_st, _entry_part_st)
 def _symmetric_roots(a, b):
     """Entries (a, b, (a*a - 1)/b, a) of a unimodular matrix with equal
     diagonal, past the floor and not parabolic (those images go to
-    _parabolic_end), with the roots of its quadratic solve."""
+    _parabolic_end), with the roots of its quadratic solve. The modulus of
+    c must be finite: a larger one is refused as overflowed (see
+    test_overflowing_modulus_is_refused)."""
     assume(b != 0)
     m = (a, b, (a * a - 1) / b, a)
+    assume(math.isfinite(math.hypot(m[2].real, m[2].imag)))
     scale = max(1.0, *map(abs, m))
     assume(min(abs(m[1]), abs(m[2])) > SINGULAR_FLOOR * scale)
     kind = classify(m)
@@ -312,8 +316,10 @@ def _symmetric_roots(a, b):
 
 
 # (2, 3) is the symmetric matrix [[2, 3], [1, 2]]: it reached "endpoint on
-# a core end" only under a misstated kind "parabolic"
+# a core end" only under a misstated kind "parabolic"; the second example
+# has a c whose modulus overflows, which the helper excludes
 @example(2 + 0j, 3 + 0j)
+@example(28 + 979j, 5.335847002636874e-303j)
 @given(_entry_st, _entry_st)
 def test_quadratic_roots_stay_off_the_core_ends(a, b):
     """Why _crossing_position needs no refusal for a root on a core end:
@@ -341,6 +347,34 @@ def test_overflowed_slope_image_is_refused(mu4):
     # double altitude used to come back as s = NaN
     with pytest.raises(OrthogonalityViolation, match="image overflowed"):
         rational_pi(mu4, 467, 129)
+
+
+_MODULUS_OVERFLOWED = "image overflowed: an entry's modulus is past the float range"
+
+
+def test_overflowing_modulus_is_refused():
+    # finite parts whose modulus abs() cannot hold: c = (a*a - 1)/b of the
+    # matrix test_quadratic_roots_stay_off_the_core_ends excludes
+    a, b = 28 + 979j, 5.335847002636874e-303j
+    m = (a, b, (a * a - 1) / b, a)
+    assert all(map(cmath.isfinite, m))
+    with pytest.raises(OrthogonalityViolation, match=_MODULUS_OVERFLOWED):
+        _crossing_position(m, 1e-6)
+
+
+# a complex pair whose depth-14 images overflow
+_COMPLEX_PAIR = (GroupElement(2, 1, 1, 1), GroupElement(1, 0, 0.3 + 2.1j, 1))
+
+
+@pytest.mark.parametrize("rep, slope", [
+    # a palindrome image whose classification took abs() of such an entry
+    (lambda: build(*_COMPLEX_PAIR), (203, 288)),
+    # a factor pair whose products have such entries
+    (lambda: random_representation(0), (359, 259)),
+])
+def test_slope_images_past_the_float_range_are_refused(rep, slope):
+    with pytest.raises(OrthogonalityViolation, match=_MODULUS_OVERFLOWED):
+        rational_pi(rep(), *slope)
 
 
 _NAN, _INF = float("nan"), float("inf")

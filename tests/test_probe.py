@@ -75,6 +75,20 @@ def _full_fold_spectrum(rep, depth):
             for node in enumerate_farey(depth)]
 
 
+def _count_folded_letters(monkeypatch):
+    """Record the length of every word or text the spectrum walk folds."""
+    probe_module = sys.modules["palcore.probe"]
+    inner = probe_module.evaluate
+    letters = []
+
+    def recorder(w, *args):
+        letters.append(len(w))
+        return inner(w, *args)
+
+    monkeypatch.setattr(probe_module, "evaluate", recorder)
+    return letters
+
+
 def _count_word_formatting(monkeypatch):
     """Record every Word.__str__ call (repr goes through it too)."""
     calls = []
@@ -130,8 +144,8 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("name, depth", _SPECTRUM_PAIRS)
     def test_standalone_rational_pi_matches_full_folds(self, name, depth, request):
-        # each call starts its own image memo; the long slopes climb
-        # thousands of prefix parents
+        # each call folds its slope text, or both factor texts, from the
+        # identity; the long slopes have thousands of letters
         rep = _named_rep(name, request)
         nodes = enumerate_farey(depth) + [
             primitive_word(p, q)
@@ -143,27 +157,28 @@ class TestSpectrum:
                               for node in nodes]
 
     def test_multiplies_under_two_fifths_of_the_letters(self, mu4, monkeypatch):
-        representation = sys.modules["palcore.representation"]
-        inner = representation.evaluate
-        letters = []
-
-        def recorder(w, *args):
-            letters.append(len(w))
-            return inner(w, *args)
-
-        monkeypatch.setattr(representation, "evaluate", recorder)
+        letters = _count_folded_letters(monkeypatch)
         pi_spectrum(mu4, 10)
-        full = sum(len(node.word) for node in enumerate_farey(10))
+        full = sum(len(node.text) for node in enumerate_farey(10))
         assert 0 < sum(letters) <= 0.4 * full
 
+    def test_folds_each_stored_image_once(self, mu4, monkeypatch):
+        # one fold per root, per even slope and per odd slope above the
+        # last level, each continued from a parent's image
+        letters = _count_folded_letters(monkeypatch)
+        pi_spectrum(mu4, 12)
+        assert (len(letters), sum(letters)) == (3415, 206674)
+
     def test_formats_words_only_for_refusals(self, mu4, monkeypatch):
-        # display text is built when a report is written; the only words
-        # formatted here are the two a CommutingPair refusal names
+        # slope words are texts, so no Word is formatted; a CommutingPair
+        # refusal names its two factors in the Word(...) form
         calls = _count_word_formatting(monkeypatch)
         refused = [e for e in pi_spectrum(mu4, 8) if e.error]
         assert len(refused) == 28
-        assert all(e.error.startswith("CommutingPair: ") for e in refused)
-        assert len(calls) == 2 * len(refused)
+        assert calls == []
+        for e in refused:
+            u, v = e.words
+            assert e.error == f"CommutingPair: images of Word({u}) and Word({v}) commute"
 
     def test_determinism(self, rep1):
         a = [e.to_json() for e in pi_spectrum(rep1, 5)]

@@ -303,6 +303,21 @@ class TestEvaluate:
     @settings(max_examples=60)
     @given(
         st.sampled_from(sorted(_EVALUATION_PAIRS)),
+        st.lists(letters_st, max_size=200).map(Word),
+    )
+    def test_text_folds_as_its_parsed_word(self, pair, w):
+        # letter_table keys each matrix by its character too, so a slope
+        # text folds through the same product as its Word
+        t = letter_table(*_EVALUATION_PAIRS[pair])
+        text = str(w)
+        assert parse(text) == w
+        assert _bits(evaluate(text, t)) == _bits(evaluate(w, t))
+        start = evaluate("ab", t)
+        assert _bits(evaluate(text, t, start)) == _bits(evaluate(w, t, start))
+
+    @settings(max_examples=60)
+    @given(
+        st.sampled_from(sorted(_EVALUATION_PAIRS)),
         st.lists(letters_st, max_size=120).map(Word),
         st.lists(letters_st, max_size=120).map(Word),
     )
