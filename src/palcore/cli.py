@@ -33,6 +33,7 @@ from .probe import (
 )
 from .representation import hexagon, rep_from_json
 from .sl2c import boundary_to_json, classify, fixed_points, matrix_from_json, normalize
+from .words import is_palindrome
 
 _EXIT_CODES = {
     BOUNDED_CONSISTENT_WITH_GF: 0,
@@ -172,11 +173,11 @@ def cmd_primitive(slope: str) -> None:
         record: dict = {
             "p": node.p,
             "q": node.q,
-            "word": node.text,
-            "palindrome": node.text == node.text[::-1],
+            "word": node.word,
+            "palindrome": is_palindrome(node.word),
         }
-        if node.factor_texts is not None:
-            record["factors"] = list(node.factor_texts)
+        if node.factorization is not None:
+            record["factors"] = list(node.factorization)
         click.echo(json.dumps(record))
     except (ValueError, PalcoreError) as exc:
         _fail(exc)

@@ -2,9 +2,9 @@
 
 Reduced slopes p/q (including 1/0) index primitive classes of the rank-2
 free group through the Stern-Brocot tree. Each slope carries a preferred
-representative word e_{p/q} with q letters a and p letters b, held as its
-display text. The roots are e_{0/1} = a and e_{1/0} = b; every other slope
-with Farey parents lo < hi is built from its parents' words by _child_word
+representative Word e_{p/q} with q letters a and p letters b. The roots
+are e_{0/1} = a and e_{1/0} = b; every other slope with Farey parents
+lo < hi is built from its parents' Words by _child_word
 (Gilman-Keen, "Enumerating palindromes and primitives in rank two free
 groups", J. Algebra 2011):
 
@@ -28,7 +28,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InvalidRational, SchemeViolation
-from .words import Word, parse
+from .words import Word, is_palindrome
 
 Slope = tuple[int, int]
 
@@ -53,11 +53,6 @@ def christoffel(p: int, q: int) -> Word:
     at k = floor((j-1)n/q) + 1, where ceil(kq/n) increases.
     """
     validate_slope(p, q)
-    return parse(_christoffel_text(p, q))
-
-
-def _christoffel_text(p: int, q: int) -> str:
-    """The text of christoffel(p, q)."""
     n = p + q
     if p <= q:
         letters = bytearray(b"a") * n
@@ -67,7 +62,7 @@ def _christoffel_text(p: int, q: int) -> str:
         letters = bytearray(b"b") * n
         for j in range(q):
             letters[j * n // q] = ord("a")
-    return letters.decode()
+    return Word(letters.decode())
 
 
 class FareyNode(NamedTuple):
@@ -75,47 +70,41 @@ class FareyNode(NamedTuple):
 
     depth counts mediant steps from the roots (0/1 and 1/0 are 0, 1/1 is
     1), and parents are the two Farey parents in ascending order, None for
-    a root. text is the representative's text; factor_texts is present
-    exactly when pq is odd, as the texts of the palindromic parent words
-    whose product is the representative. word and factorization parse
-    them into Words.
+    a root. word is the representative; factorization is present exactly
+    when pq is odd, as the palindromic parent words whose product is the
+    representative.
     """
 
     p: int
     q: int
     depth: int
     parents: tuple[Slope, Slope] | None
-    text: str
-    factor_texts: tuple[str, str] | None
+    word: Word
+    factorization: tuple[Word, Word] | None
 
     @property
     def slope(self) -> Slope:
         return (self.p, self.q)
 
-    @property
-    def word(self) -> Word:
-        return parse(self.text)
 
-    @property
-    def factorization(self) -> tuple[Word, Word] | None:
-        return None if self.factor_texts is None else tuple(map(parse, self.factor_texts))
+_ROOTS = (
+    FareyNode(0, 1, 0, None, Word("a"), None),
+    FareyNode(1, 0, 0, None, Word("b"), None),
+)
 
 
-_ROOTS = (FareyNode(0, 1, 0, None, "a", None), FareyNode(1, 0, 0, None, "b", None))
-
-
-def _child_word(p: int, q: int, lo: str, hi: str) -> str:
-    """The word of p/q from the texts of its Farey parents lo < hi: the
+def _child_word(p: int, q: int, lo: Word, hi: Word) -> Word:
+    """The word of p/q from the words of its Farey parents lo < hi: the
     palindrome hi lo when pq is even, the product lo hi of two palindromes
     when pq is odd. Raises SchemeViolation when the palindromes are not."""
     if p * q % 2 == 0:
-        word = hi + lo
-        if word != word[::-1]:
+        word = hi * lo
+        if not is_palindrome(word):
             raise SchemeViolation(f"{p}/{q}: parent product {word} is not a palindrome")
         return word
-    if lo != lo[::-1] or hi != hi[::-1]:
+    if not (is_palindrome(lo) and is_palindrome(hi)):
         raise SchemeViolation(f"{p}/{q}: parent words are not both palindromic")
-    return lo + hi
+    return lo * hi
 
 
 def _child(lo: FareyNode, hi: FareyNode) -> FareyNode:
@@ -124,8 +113,8 @@ def _child(lo: FareyNode, hi: FareyNode) -> FareyNode:
     p, q = lo.p + hi.p, lo.q + hi.q
     return FareyNode(
         p, q, 1 + max(lo.depth, hi.depth), (lo.slope, hi.slope),
-        _child_word(p, q, lo.text, hi.text),
-        (lo.text, hi.text) if p * q % 2 else None,
+        _child_word(p, q, lo.word, hi.word),
+        (lo.word, hi.word) if p * q % 2 else None,
     )
 
 
@@ -150,10 +139,10 @@ def primitive_word(p: int, q: int) -> FareyNode:
         node = _child(lo, hi)
     # both words have p + q letters, so containment in the doubled word
     # makes the Christoffel word a rotation of the representative
-    chris = _christoffel_text(p, q)
-    if chris not in node.text + node.text:
+    chris = christoffel(p, q)
+    if chris not in node.word + node.word:
         raise SchemeViolation(
-            f"{p}/{q}: representative {node.text} is not conjugate to "
+            f"{p}/{q}: representative {node.word} is not conjugate to "
             f"Christoffel {chris}"
         )
     return node
@@ -172,7 +161,7 @@ def enumerate_farey(depth: int) -> list[FareyNode]:
     """All slopes within `depth` mediant steps of the roots, as populated
     nodes in deterministic (q, p) order. Depth 0 is just 0/1 and 1/0.
 
-    Each word is built from the texts of its parents, which the walk
+    Each word is built from the words of its parents, which the walk
     passes down; both Farey parents of a slope come before it in the
     returned order.
     """

@@ -48,18 +48,18 @@ VERDICTS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumEntry:
     """Pi image of one slope, or the error that prevented it.
 
-    words is the text of the slope's palindrome, or of its palindromic
-    factor pair when pq is odd; word is their display text.
+    words is the slope's palindrome, or its palindromic factor pair when
+    pq is odd; word is their display text.
     """
 
     p: int
     q: int
     depth: int
-    words: tuple[str, ...]
+    words: tuple[Word, ...]
     image: PiImage | None = None
     error: str | None = None
 
@@ -140,8 +140,8 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
     come before a slope, and their word images are kept for this call. A
     fold continued from a parent's image has the bits of rational_pi's
     fold from the identity (see words.evaluate): an even slope's image,
-    of hi + lo, is lo's text folded from hi's image; an odd slope takes U
-    and V from its parents, and keeps its own image, hi's text folded from
+    of hi * lo, is lo's word folded from hi's image; an odd slope takes U
+    and V from its parents, and keeps its own image, hi's word folded from
     lo's, only when it is shallower than depth and so has children here.
     """
     if depth < 0:
@@ -149,7 +149,7 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
     letters = rep.letters
     images: dict = {}
     entries = []
-    for p, q, level, parents, text, factors in enumerate_farey(depth):
+    for p, q, level, parents, word, factors in enumerate_farey(depth):
         image = error = None
         try:
             if factors is not None:
@@ -159,15 +159,15 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
                 image = _pair_position(rep, *factors, images[lo], images[hi])
             else:
                 if parents is None:
-                    m = evaluate(text, letters)
+                    m = evaluate(word, letters)
                 else:
-                    hi = parents[1]  # text is hi's sum(hi) letters, then lo's
-                    m = evaluate(text[sum(hi):], letters, images[hi])
+                    hi = parents[1]  # word is hi's sum(hi) letters, then lo's
+                    m = evaluate(word[sum(hi):], letters, images[hi])
                 images[p, q] = m
-                image = _palindrome_position(rep, text, m)
+                image = _palindrome_position(rep, word, m)
         except PalcoreError as exc:
             error = f"{type(exc).__name__}: {exc}"
-        entries.append(SpectrumEntry(p, q, level, factors or (text,), image, error))
+        entries.append(SpectrumEntry(p, q, level, factors or (word,), image, error))
     return entries
 
 
@@ -191,9 +191,9 @@ def random_word(rng: random.Random, length: int) -> Word:
     with no immediate backtracking."""
     letters = [rng.choice(LETTERS)]
     while len(letters) < length:
-        options = [x for x in LETTERS if x != -letters[-1]]
-        letters.append(rng.choice(options))
-    return Word(tuple(letters))
+        inverse = Word(letters[-1]).inverse()
+        letters.append(rng.choice([x for x in LETTERS if x != inverse]))
+    return Word("".join(letters))
 
 
 def sample_palindromizations(

@@ -51,22 +51,14 @@ from .sl2c import (
     normalize,
     product,
 )
-from .words import (
-    LetterTable,
-    Word,
-    evaluate,
-    is_palindrome,
-    letter_table,
-    reverse,
-    word_repr,
-)
+from .words import LetterTable, Word, evaluate, is_palindrome, letter_table, reverse
 
 PALINDROME_WORD = "palindrome-word"
 PALINDROME_PAIR = "palindrome-pair"
 PARABOLIC_END = "parabolic-end"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiImage:
     """Signed position of a palindromic axis along the core.
 
@@ -356,14 +348,13 @@ def _palindrome_image(rep: Representation, w: Word) -> Entries:
     for det M = 1), so it carries the rounding of the smaller product only,
     where al de + be ga would carry both.
     """
-    letters = w.letters
-    half = len(letters) // 2
-    al, be, ga, de = evaluate(Word._from_reduced(letters[:half]), rep.letters)
+    half = len(w) // 2
+    al, be, ga, de = evaluate(w[:half], rep.letters)
     bg, ad = be * ga, al * de
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
-    if len(letters) % 2 == 0:
+    if len(w) % 2 == 0:
         return (diag, 2 * al * be, 2 * ga * de, diag)
-    e, f, g, _ = rep.letters[letters[half]]
+    e, f, g, _ = rep.letters[w[half]]
     diag = e * diag + g * be * de + f * al * ga
     return (
         diag,
@@ -373,19 +364,19 @@ def _palindrome_image(rep: Representation, w: Word) -> Entries:
     )
 
 
-def _palindrome_position(rep: Representation, w: Word | str, m) -> PiImage:
-    """pi_of_palindrome from m, the normalized image of the palindrome w, a
-    Word or its text (m is its entries, or a GroupElement). An image whose
-    entries have a modulus past the float range is refused as overflowed:
-    classify raises OverflowError on it, and once classify has passed,
-    only _crossing_position, which refuses it itself, takes a larger
-    modulus than classify did."""
+def _palindrome_position(rep: Representation, w: Word, m) -> PiImage:
+    """pi_of_palindrome from m, the normalized image of the palindrome w
+    (its entries, or a GroupElement). An image whose entries have a modulus
+    past the float range is refused as overflowed: classify raises
+    OverflowError on it, and once classify has passed, only
+    _crossing_position, which refuses it itself, takes a larger modulus
+    than classify did."""
     try:
         kind = classify(m)
     except OverflowError:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
     if kind == "identity":
-        raise IdentityImage(f"{word_repr(w)} evaluates to the identity")
+        raise IdentityImage(f"{w!r} evaluates to the identity")
     eps = geo_scaled(rep.geo, len(w))
     if kind == "parabolic":
         return PiImage(_parabolic_end(m, eps), PARABOLIC_END, kind)
@@ -407,23 +398,23 @@ def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
     return _pair_position(rep, u, v, U, V)
 
 
-def _pair_position(rep: Representation, u: Word | str, v: Word | str, U, V) -> PiImage:
-    """pi_of_pair from U and V, the normalized images of the palindromes u,
-    v, Words or their texts (U, V are entries or GroupElements). The four
-    products are entry tuples. Products whose entries have a modulus past
-    the float range are refused as overflowed."""
+def _pair_position(rep: Representation, u: Word, v: Word, U, V) -> PiImage:
+    """pi_of_pair from U and V, the normalized images of the palindromes u
+    and v (entries or GroupElements). The four products are entry tuples.
+    Products whose entries have a modulus past the float range are refused
+    as overflowed."""
     try:
         uv, vu = product(U, (V,)), product(V, (U,))
         uvvu = product(uv, (vu,))
         t_raw = tuple(map(sub, uvvu, product(vu, (uv,))))
         scale = _max4(*map(abs, uvvu))
         if _max4(*map(abs, t_raw)) <= CLASSIFY_BAND * (scale if scale > 1.0 else 1.0):
-            raise CommutingPair(f"images of {word_repr(u)} and {word_repr(v)} commute")
+            raise CommutingPair(f"images of {u!r} and {v!r} commute")
         try:
             t = normalize(t_raw)
         except SingularMatrix as exc:
             raise CommutingPair(
-                f"double altitude of {word_repr(u)}, {word_repr(v)} is not determined"
+                f"double altitude of {u!r}, {v!r} is not determined"
             ) from exc
         eps = geo_scaled(rep.geo, len(u) + len(v))
         return PiImage(_crossing_position(t, eps), PALINDROME_PAIR, classify(uv))
@@ -510,14 +501,14 @@ def hexagon(rep: Representation) -> Hexagon:
 def rational_pi(rep: Representation, p: int, q: int) -> PiImage:
     """Pi image of the slope p/q: the palindromic representative when pq is
     even, the palindromic factor pair through its double altitude when pq
-    is odd. The result carries no word: node.text, or the pair as u|v, is
-    display text for the report (SpectrumEntry.word).
+    is odd. The result carries no word: node.word, or the pair as u|v, is
+    the text a report shows (SpectrumEntry.word).
 
-    The slope text, or each factor text, is folded from the identity;
+    The slope word, or each factor, is folded from the identity;
     probe.pi_spectrum gets the same bits from its parents' images.
     """
     node = primitive_word(p, q)
-    if node.factor_texts is None:
-        return _palindrome_position(rep, node.text, evaluate(node.text, rep.letters))
-    u, v = node.factor_texts
+    if node.factorization is None:
+        return _palindrome_position(rep, node.word, evaluate(node.word, rep.letters))
+    u, v = node.factorization
     return _pair_position(rep, u, v, evaluate(u, rep.letters), evaluate(v, rep.letters))

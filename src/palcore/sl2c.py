@@ -149,19 +149,21 @@ def normalize(m) -> GroupElement:
     """Scale the matrix m to determinant one by the principal square root.
 
     Raises SingularMatrix when |det| is below SINGULAR_FLOOR relative to the
-    squared entry scale, and when that square overflows, which the message
-    names; so does a modulus past the float range, where abs() raises.
+    squared entry scale, and, naming the overflow, when det is infinite or a
+    modulus is past the float range, where abs() raises. A NaN det fails no
+    test and gives NaN entries, which the position checks refuse.
     """
     a, b, c, d = m
     det = a * d - b * c
     try:
         scale = _max4(abs(a), abs(b), abs(c), abs(d))
-        singular = scale == 0.0 or abs(det) <= SINGULAR_FLOOR * scale * scale
+        size = abs(det)
     except OverflowError:
-        scale, singular = math.inf, True
-    if singular:
-        if math.isinf(scale * scale):
-            raise SingularMatrix(f"entry scale {scale:.3g} overflows the determinant check")
+        scale = size = math.inf
+    if math.isinf(size):
+        raise SingularMatrix(f"entry scale {scale:.3g} overflows the determinant check")
+    # |det| / scale against the floor times scale: scale squared may overflow
+    if scale == 0.0 or size / scale <= SINGULAR_FLOOR * scale:
         raise SingularMatrix(f"determinant {det} too small relative to entries")
     s = cmath.sqrt(det)
     return GroupElement(a / s, b / s, c / s, d / s)

@@ -1,135 +1,113 @@
 """Words in the free group on two letters.
 
-Letters are small integers: +1 and -1 for the first generator and its
-inverse, +2 and -2 for the second. Words are always stored freely reduced.
-Text form uses lowercase for a generator and uppercase for its inverse,
-e.g. "abA" = a b a^-1.
+A word is its text over the alphabet LETTERS = "aAbB": lowercase for a
+generator and uppercase for its inverse, e.g. "abA" = a b a^-1. A Word is
+that text, always stored freely reduced. Other modules name the generators
+a and b, but only this one knows how inverses are written.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import add, neg
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import NotPalindrome, SchemeViolation
 from .sl2c import IDENTITY, Entries, GroupElement, product
 
-LETTERS = (1, -1, 2, -2)
-_VALID_LETTERS = frozenset(LETTERS)
+# the letters a, a^-1, b, b^-1, in the order reduced_words and seeded
+# draws use
+LETTERS = "aAbB"
+# str.translate deletes every letter with this table, leaving the others
+_DROP_LETTERS = dict.fromkeys(map(ord, LETTERS))
+_INVERSE_PAIRS = ("aA", "Aa", "bB", "Bb")
 
 
-def _reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for x in raw:
-        if out and out[-1] == -x:
+def _reduce(text: str) -> str:
+    """Free reduction of text over LETTERS."""
+    out: list[str] = []
+    for ch in text:
+        if out and out[-1] == ch.swapcase():
             out.pop()
         else:
-            out.append(x)
-    return tuple(out)
+            out.append(ch)
+    return "".join(out)
 
 
-def _strip_inverse_ends(letters: tuple[int, ...]) -> tuple[int, ...]:
+def _strip_inverse_ends(text: str) -> str:
     """Drop the matching inverse letter pairs from the two ends, in one slice."""
-    n = len(letters)
+    n = len(text)
     k = 0
-    while n - 2 * k >= 2 and letters[k] == -letters[n - 1 - k]:
+    while n - 2 * k >= 2 and text[k] == text[n - 1 - k].swapcase():
         k += 1
-    return letters[k:n - k]
+    return text[k:n - k]
 
 
-# display character of each letter, and the letter of each character
-_CHARS = {1: "a", -1: "A", 2: "b", -2: "B"}
-_LETTER_OF = {ch: x for x, ch in _CHARS.items()}
+class Word(str):
+    """A freely reduced word: its text over LETTERS.
 
+    Word(text) checks the letters and reduces the text; anything but a str,
+    such as a tuple of int letters (1, 2), raises ValueError. A Word is a
+    str: len, iteration, slicing, == and hash are the text's, so
+    Word("ab") == "ab", and str(w), a slice of w and w + text (plain
+    concatenation) are plain strs. The group operations are:
 
-@dataclass(frozen=True)
-class Word:
-    """Freely reduced word; construction reduces its input.
+    - u * v, the product, reduced at the junction. Both operands must be
+      Words: w * 3 and 3 * w raise TypeError, never repeating the text;
+    - w ** n, the n-th power, of the inverse when n < 0;
+    - w.inverse(), the reversed text with each letter's case swapped.
 
-    Products, reversals and inverses of Words are built by _from_reduced,
-    since their letters are already valid and reduced away from the
-    junction of a product.
+    Words built from Words (products, inverses, reversals) are made by
+    str.__new__, which checks nothing: their text is valid and reduced.
     """
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        letters = tuple(self.letters)
-        try:
-            valid = _VALID_LETTERS.issuperset(letters)
-        except TypeError:  # an unhashable letter
-            valid = False
-        if not valid:
-            for x in letters:
-                if x not in LETTERS:
-                    raise ValueError(f"invalid letter {x!r}")
-        # reduced forms are unique, so a sequence with no adjacent inverse
-        # pair is already the stored form
-        if 0 in map(add, letters, letters[1:]):
-            letters = _reduce_letters(letters)
-        object.__setattr__(self, "letters", letters)
+    def __new__(cls, text: str = "") -> "Word":
+        if not isinstance(text, str):
+            raise ValueError(f"a Word is built from text, got {text!r}")
+        stray = text.translate(_DROP_LETTERS)
+        if stray:
+            raise ValueError(f"unknown letter {stray[0]!r}, expected one of a, A, b, B")
+        # reduced forms are unique, so text with no adjacent inverse pair is
+        # already the stored form
+        if any(pair in text for pair in _INVERSE_PAIRS):
+            text = _reduce(text)
+        return str.__new__(cls, text)
 
-    @classmethod
-    def _from_reduced(cls, letters: tuple[int, ...]) -> "Word":
-        """A Word holding letters as given: a tuple of valid letters with no
-        adjacent inverse pair. Nothing is checked."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
-        return w
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __bool__(self) -> bool:
-        return bool(self.letters)
+    @property
+    def letters(self) -> str:
+        """The text, as a plain str."""
+        return str(self)
 
     def __mul__(self, other: "Word") -> "Word":
-        left, right = self.letters, other.letters
+        if not isinstance(other, Word):
+            raise TypeError(f"a Word multiplies a Word, not {type(other).__name__}")
         # both factors are reduced, so letters cancel only at the junction
-        n, k, m = len(left), 0, len(right)
+        n, k, m = len(self), 0, len(other)
         stop = n if n < m else m
-        while k < stop and left[n - 1 - k] == -right[k]:
+        while k < stop and self[n - 1 - k] == other[k].swapcase():
             k += 1
-        return Word._from_reduced(left[:n - k] + right[k:])
+        return str.__new__(Word, self[:n - k] + other[k:])
+
+    def __rmul__(self, other) -> "Word":
+        # str's own __rmul__ would repeat the text
+        raise TypeError(f"a Word multiplies a Word, not {type(other).__name__}")
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.letters * n)
+        return Word(str.__mul__(self, n))
 
     def inverse(self) -> "Word":
-        return Word._from_reduced(tuple(map(neg, reversed(self.letters))))
-
-    def __str__(self) -> str:
-        return "".join(map(_CHARS.__getitem__, self.letters))
+        return str.__new__(Word, self[::-1].swapcase())
 
     def __repr__(self) -> str:
-        return word_repr(self)
-
-
-def word_repr(w: Word | str) -> str:
-    """A Word, or the text of one, as messages show it: Word(abA), and
-    Word(identity) for the empty word."""
-    return f"Word({w or 'identity'})"
-
-
-def parse(text: str) -> Word:
-    """Parse text like "abA" into a Word; case selects generator vs inverse."""
-    letters = []
-    for ch in text:
-        x = _LETTER_OF.get(ch)
-        if x is None:
-            raise ValueError(f"unknown letter {ch!r}, expected one of a, A, b, B")
-        letters.append(x)
-    return Word(tuple(letters))
+        """The word as messages show it: Word(abA), and Word(identity) for
+        the empty word."""
+        return f"Word({self or 'identity'})"
 
 
 def reverse(w: Word) -> Word:
     """The word read backwards (letter exponents kept, order flipped)."""
-    return Word._from_reduced(w.letters[::-1])
+    return str.__new__(Word, w[::-1])
 
 
 def palindromic_doubles(u: Word) -> tuple[Word, Word]:
@@ -138,14 +116,13 @@ def palindromic_doubles(u: Word) -> tuple[Word, Word]:
     Each junction pairs a letter with itself, which never cancels, so both
     are reduced as written and no product is formed.
     """
-    letters = u.letters
-    rev = letters[::-1]
-    return Word._from_reduced(letters + rev), Word._from_reduced(rev + letters)
+    rev = u[::-1]
+    return str.__new__(Word, u + rev), str.__new__(Word, rev + u)
 
 
 def is_palindrome(w: Word) -> bool:
     """True iff w reads the same forwards and backwards, letterwise."""
-    return w.letters == w.letters[::-1]
+    return w == w[::-1]
 
 
 class AbelianImage(NamedTuple):
@@ -155,37 +132,34 @@ class AbelianImage(NamedTuple):
 
 def abelianize(w: Word) -> AbelianImage:
     """Exponent sums of the two generators."""
-    ea = sum(1 if x == 1 else -1 for x in w.letters if abs(x) == 1)
-    eb = sum(1 if x == 2 else -1 for x in w.letters if abs(x) == 2)
-    return AbelianImage(ea, eb)
+    return AbelianImage(w.count("a") - w.count("A"), w.count("b") - w.count("B"))
 
 
-LetterTable = dict[int | str, Entries]
+LetterTable = dict[str, Entries]
 
 
 def letter_table(A: GroupElement, B: GroupElement) -> LetterTable:
     """Entries of each letter's matrix under a -> A, b -> B, as plain
-    tuples; an inverse letter takes the adjugate. Each matrix is keyed by
-    its letter and by its display character, so a Word and its text
-    evaluate alike."""
-    a, b = A.entries(), B.entries()
-    inv_a, inv_b = A.inverse().entries(), B.inverse().entries()
-    return {1: a, -1: inv_a, 2: b, -2: inv_b, "a": a, "A": inv_a, "b": b, "B": inv_b}
+    tuples keyed by the letter; an inverse letter takes the adjugate."""
+    return {
+        "a": A.entries(),
+        "A": A.inverse().entries(),
+        "b": B.entries(),
+        "B": B.inverse().entries(),
+    }
 
 
-def evaluate(
-    w: Word | str, letters: LetterTable, start: Entries = IDENTITY
-) -> Entries:
+def evaluate(w: str, letters: LetterTable, start: Entries = IDENTITY) -> Entries:
     """Entries (a, b, c, d) of the homomorphic image of w, a Word or a
-    text such as "abA", under the letter_table letters, multiplied onto
-    start (entries or a GroupElement; the identity when omitted).
+    slice of one, under the letter_table letters, multiplied onto start
+    (entries or a GroupElement; the identity when omitted).
 
     A left-to-right fold from start, never renormalized: sl2c.product
     multiplies the running product by the next letter's matrix with the
     formula GroupElement.__mul__ runs, and no matrix object is built, the
     result included (GroupElement._make wraps it where one is wanted). The
     fold of x * y passes through evaluate(x) after len(x) letters, so when
-    x * y does not cancel (two slope texts never do, having no inverse
+    x * y does not cancel (two slope words never do, having no inverse
     letters), evaluate(y, t, evaluate(x, t)) is evaluate(x * y, t) bit for
     bit.
     """
@@ -194,12 +168,12 @@ def evaluate(
 
 def cyclic_reduce(w: Word) -> Word:
     """Strip matching inverse letters from the two ends until none remain."""
-    return Word._from_reduced(_strip_inverse_ends(w.letters))
+    return str.__new__(Word, _strip_inverse_ends(w))
 
 
 def cyclically_equal(u: Word, v: Word) -> bool:
     """True iff the cyclic reductions are rotations of one another."""
-    cu, cv = str(cyclic_reduce(u)), str(cyclic_reduce(v))
+    cu, cv = cyclic_reduce(u), cyclic_reduce(v)
     # substring search on the texts keeps this linear in the word length
     return len(cu) == len(cv) and cv in cu + cu
 
@@ -241,33 +215,26 @@ def nielsen_reduce_pair(u: Word, v: Word) -> NielsenResult:
         else:
             break
     generates = (
-        len(u) == 1
-        and len(v) == 1
-        and {abs(u.letters[0]), abs(v.letters[0])} == {1, 2}
+        len(u) == 1 and len(v) == 1 and {u.lower(), v.lower()} == {"a", "b"}
     )
     return NielsenResult(u, v, generates)
 
 
-def _whitehead_images(m: int, x: int) -> tuple[dict[int, tuple[int, ...]], ...]:
+def _whitehead_tables(m: str) -> tuple[dict[int, str], ...]:
     """The three type-2 Whitehead automorphisms with multiplier m acting on
-    the other generator x; each returned as a letter substitution table."""
-
-    def table(x_image: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
-        inv = tuple(-t for t in reversed(x_image))
-        return {m: (m,), -m: (-m,), x: x_image, -x: inv}
-
-    return (
-        table((x, m)),        # x -> x m
-        table((-m, x)),       # x -> m^-1 x
-        table((-m, x, m)),    # x -> m^-1 x m
+    the other generator x, as str.translate tables that leave m and its
+    inverse as they are."""
+    x = "b" if m in "aA" else "a"
+    inv_m = m.swapcase()
+    return tuple(
+        str.maketrans({x: image, x.upper(): image[::-1].swapcase()})
+        # x -> x m, x -> m^-1 x, x -> m^-1 x m
+        for image in (x + m, inv_m + x, inv_m + x + m)
     )
 
 
-def _cyclic_length_after(letters: tuple[int, ...], sub: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    out: list[int] = []
-    for t in letters:
-        out.extend(sub[t])
-    return _strip_inverse_ends(_reduce_letters(out))
+# the twelve automorphisms, by multiplier in LETTERS order
+_WHITEHEAD = tuple(table for m in LETTERS for table in _whitehead_tables(m))
 
 
 def is_primitive(w: Word) -> bool:
@@ -277,21 +244,14 @@ def is_primitive(w: Word) -> bool:
     Whitehead automorphisms that strictly shortens the cyclic word. The
     word is primitive iff this terminates at length one.
     """
-    current = cyclic_reduce(w).letters
+    current = cyclic_reduce(w)
     if not current:
         return False
     while len(current) > 1:
-        for m in LETTERS:
-            x = 2 if abs(m) == 1 else 1
-            candidates = _whitehead_images(m, x)
-            hit = None
-            for sub in candidates:
-                image = _cyclic_length_after(current, sub)
-                if len(image) < len(current):
-                    hit = image
-                    break
-            if hit is not None:
-                current = hit
+        for table in _WHITEHEAD:
+            image = _strip_inverse_ends(_reduce(current.translate(table)))
+            if len(image) < len(current):
+                current = image
                 break
         else:
             return False
@@ -326,22 +286,22 @@ def elliptic_power_factorization(
     left = (e ** (n - 1)) * p1
     if not is_palindrome(left):
         raise SchemeViolation(f"left factor {left!r} failed the palindrome check")
-    if (left * p2).letters != power.letters:
+    if left * p2 != power:
         raise SchemeViolation("factor product does not reduce to the power")
     return EllipticPowerFactorization(left, p2, power, is_palindrome(power))
 
 
 def reduced_words(max_len: int) -> Iterator[Word]:
     """All nonempty reduced words up to max_len, ordered by length then by
-    letter sequence in the fixed order a, a^-1, b, b^-1."""
-    frontier: list[tuple[int, ...]] = [()]
+    letter sequence in the fixed order of LETTERS: a, a^-1, b, b^-1."""
+    frontier = [""]
     for _ in range(max_len):
         next_frontier = []
         for stem in frontier:
             for x in LETTERS:
-                if stem and stem[-1] == -x:
+                if stem and stem[-1] == x.swapcase():
                     continue
-                grown = stem + (x,)
+                grown = stem + x
                 next_frontier.append(grown)
-                yield Word(grown)
+                yield str.__new__(Word, grown)
         frontier = next_frontier

@@ -14,7 +14,7 @@ from palcore.errors import DegenerateGeodesic, PalcoreError
 from palcore.geodesics import Geodesic
 from palcore.representation import Representation, build
 from palcore.sl2c import INFINITY, GroupElement, classify, normalize
-from palcore.words import LETTERS, Word, is_palindrome, parse
+from palcore.words import LETTERS, Word, is_palindrome
 
 
 def hyperbolic_on_axis(r: float, half_trace: float) -> GroupElement:
@@ -115,7 +115,7 @@ def random_palindrome(rng: random.Random, max_half: int = 4) -> Word:
     while True:
         half = [rng.choice(LETTERS) for _ in range(rng.randint(1, max_half))]
         center = [rng.choice(LETTERS)] if rng.random() < 0.5 else []
-        w = Word(tuple(half) + tuple(center) + tuple(reversed(half)))
+        w = Word("".join(half + center + half[::-1]))
         if w and is_palindrome(w):
             return w
 
@@ -179,11 +179,11 @@ def riley_off_diagonal(text: str, mu) -> tuple:
         e, f, g, h = n
         return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
-    table = {1: (1, 1, 0, 1), -1: (1, -1, 0, 1), 2: (q, 0, p, q), -2: (q, 0, -p, q)}
+    table = {"a": (1, 1, 0, 1), "A": (1, -1, 0, 1), "b": (q, 0, p, q), "B": (q, 0, -p, q)}
 
     def image(w: str):
         m = (1, 0, 0, 1)
-        for x in parse(w).letters:
+        for x in w:
             m = mul(m, table[x])
         return m
 

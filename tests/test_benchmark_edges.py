@@ -18,7 +18,7 @@ from pathlib import Path
 import palcore.probe  # noqa: F401  (the module; palcore.probe is the function)
 from palcore.probe import pi_spectrum
 from palcore.representation import pi_of_palindrome, rational_pi
-from palcore.words import parse
+from palcore.words import Word
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -67,9 +67,9 @@ def _spy(monkeypatch, layer: str, name: str) -> list:
 def test_evaluate_receives_the_word_first(monkeypatch, mu4):
     calls = _spy(monkeypatch, "words", "evaluate")
     pi_spectrum(mu4, 4)
-    pi_of_palindrome(mu4, parse("abbba"))
+    pi_of_palindrome(mu4, Word("abbba"))
     assert calls
-    # the hook counts len(args[0]) letters: the word or text folded
+    # the hook counts len(args[0]) letters: the word, or the slice of one, folded
     assert sum(len(args[0]) for args, _ in calls) > 0
     assert all(len(args[0]) == len(str(args[0])) for args, _ in calls)
 
@@ -82,6 +82,8 @@ def test_primitive_word_nodes_carry_slope_word_and_factorization(monkeypatch, mu
     for args, node in calls:
         assert node.slope == tuple(args)
         factors = node.factorization or ()
+        assert isinstance(node.word, Word)
+        assert all(isinstance(w, Word) for w in factors)
         assert len(node.word) == sum(args)
         assert len(factors) == (2 if args[0] * args[1] % 2 else 0)
         assert sum(map(len, factors)) in (0, len(node.word))

@@ -112,6 +112,12 @@ class TestClassify:
         assert_one_error_line(res, "entry scale 1e+200 overflows the determinant check")
         assert "too small" not in res.output
 
+    def test_finite_determinant_at_a_large_scale_is_not_an_overflow(self, runner):
+        # the squared scale 1e320 overflows, the determinant does not
+        res = runner.invoke(main, ["classify", "[[1e160, 0], [0, 1e-160]]"])
+        assert_one_error_line(res, "determinant (1+0j) too small relative to entries")
+        assert "overflows" not in res.output
+
     def test_entry_modulus_past_the_float_range_is_named(self, runner, tmp_path):
         # both parts are finite, the modulus is not: abs() of the entry raises
         huge = "[[[1.3e308, 1.3e308], 0], [0, 1]]"

@@ -9,8 +9,9 @@ _RETIRED = (
     "half_turn_conjugate",  # h * g * h.inverse() with h = line_matrix(axis)
     "farey_parents",  # primitive_word(p, q).parents
     "slope_depth",  # primitive_word(p, q).depth
-    "reduce",  # Word(tuple(raw))
+    "reduce",  # Word(text)
     "IDENTITY_WORD",  # Word()
+    "parse",  # Word(text)
     "farey_to_csv",
     "transform",  # a test helper in tests/conftest.py
     "position_on_vertical_axis",  # a test helper in tests/conftest.py

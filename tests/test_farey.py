@@ -23,7 +23,6 @@ from palcore.words import (
     cyclically_equal,
     is_palindrome,
     is_primitive,
-    parse,
 )
 
 
@@ -39,8 +38,8 @@ def coprime_slopes(limit):
 def _reference_christoffel(p, q):
     """christoffel as it was: one floor comparison per letter."""
     n = p + q
-    return Word(tuple(
-        2 if (k * p) // n > ((k - 1) * p) // n else 1 for k in range(1, n + 1)
+    return Word("".join(
+        "b" if (k * p) // n > ((k - 1) * p) // n else "a" for k in range(1, n + 1)
     ))
 
 
@@ -93,9 +92,9 @@ class TestParents:
 
 class TestChristoffel:
     def test_roots_and_mediant(self):
-        assert christoffel(0, 1) == parse("a")
-        assert christoffel(1, 0) == parse("b")
-        assert christoffel(1, 1) == parse("ab")
+        assert christoffel(0, 1) == Word("a")
+        assert christoffel(1, 0) == Word("b")
+        assert christoffel(1, 1) == Word("ab")
 
     def test_known_words(self):
         assert str(christoffel(2, 3)) == "aabab"
@@ -148,7 +147,7 @@ class TestPrimitiveWord:
         for node in even:
             w = christoffel(node.p, node.q).letters
             rotations = {w[i:] + w[:i] for i in range(len(w))}
-            pals = [r for r in rotations if r == tuple(reversed(r))]
+            pals = [r for r in rotations if r == r[::-1]]
             assert len(pals) == 1, (node.p, node.q)
             assert primitive_word(node.p, node.q).word.letters == pals[0]
 
@@ -162,14 +161,14 @@ class TestPrimitiveWord:
 
     def test_scheme_checks_raise(self, monkeypatch):
         # each of the three runtime checks fires on a scheme that breaks it:
-        # the child rule given parent texts of the wrong shape, then the
+        # the child rule given parent words of the wrong shape, then the
         # descent given a wrong Christoffel word
         with pytest.raises(SchemeViolation, match="is not a palindrome"):
-            _child_word(1, 2, "a", "ba")  # b a . a from parents 0/1 and 1/1
+            _child_word(1, 2, Word("a"), Word("ba"))  # b a . a from parents 0/1 and 1/1
         with pytest.raises(SchemeViolation, match="not both palindromic"):
-            _child_word(1, 3, "a", "aab")  # a . aab from parents 0/1 and 1/2
+            _child_word(1, 3, Word("a"), Word("aab"))  # a . aab from parents 0/1 and 1/2
         farey = sys.modules["palcore.farey"]
-        monkeypatch.setattr(farey, "_christoffel_text", lambda p, q: "bba")
+        monkeypatch.setattr(farey, "christoffel", lambda p, q: Word("bba"))
         with pytest.raises(SchemeViolation, match="not conjugate to Christoffel"):
             primitive_word(1, 2)
 
@@ -191,19 +190,19 @@ def _assert_scheme(node):
     """The three scheme checks on a node: the palindrome, or the two
     palindromic factors whose product is the word, and the word a rotation
     of the Christoffel word."""
-    text, factors = node.text, node.factor_texts
+    word, factors = node.word, node.factorization
     if factors is None:
-        assert text == text[::-1]
+        assert word == word[::-1]
     else:
         u, v = factors
-        assert u == u[::-1] and v == v[::-1] and u + v == text
-    chris = str(christoffel(node.p, node.q))
-    assert len(text) == len(chris) and chris in text + text
+        assert u == u[::-1] and v == v[::-1] and u * v == word
+    chris = christoffel(node.p, node.q)
+    assert len(word) == len(chris) and chris in word + word
 
 
 class TestOneBuilder:
     """enumerate_farey and primitive_word build each word by one child
-    rule from the texts of its parents."""
+    rule from the words of its parents."""
 
     def test_enumerated_slopes_are_the_descent_nodes(self):
         nodes = enumerate_farey(12)
@@ -215,14 +214,14 @@ class TestOneBuilder:
     @pytest.mark.parametrize("p, q", [(1, 2000), (2000, 1), (1597, 987), (987, 1597)])
     def test_long_slopes_pass_the_scheme_checks(self, p, q):
         node = primitive_word(p, q)
-        assert (node.p, node.q) == (p, q) and len(node.text) == p + q
+        assert (node.p, node.q) == (p, q) and len(node.word) == p + q
         _assert_scheme(node)
 
     def test_words_are_texts(self):
         node = primitive_word(3, 5)
-        assert node.text == "abaababa" and node.factor_texts == ("aba", "ababa")
-        assert node.word == parse(node.text)
-        assert node.factorization == (parse("aba"), parse("ababa"))
+        # a node holds Words, each equal to its text
+        assert node.word == "abaababa" and node.factorization == ("aba", "ababa")
+        assert all(isinstance(w, Word) for w in (node.word, *node.factorization))
 
 
 class TestAssociates:

@@ -39,7 +39,6 @@ from palcore.representation import (
     rational_pi,
 )
 from palcore.sl2c import INFINITY, GroupElement, _fixed_points, boundary_key, classify
-from palcore.words import Word
 
 from .conftest import random_representation
 
@@ -59,9 +58,9 @@ def _reference_max_norm(g):
 
 def _reference_evaluate(rep, w):
     A, B = rep.norm_A, rep.norm_B
-    table = {1: A, -1: A.inverse(), 2: B, -2: B.inverse()}
+    table = {"a": A, "A": A.inverse(), "b": B, "B": B.inverse()}
     out = GroupElement(1 + 0j, 0j, 0j, 1 + 0j)
-    for x in w.letters:
+    for x in w:
         out = _reference_mul(out, table[x])
     return out
 
@@ -161,15 +160,14 @@ def _reference_parabolic_end(m, eps):
 
 
 def _reference_palindrome_image(rep, w):
-    letters = w.letters
-    half = len(letters) // 2
-    m = _reference_evaluate(rep, Word(letters[:half]))
+    half = len(w) // 2
+    m = _reference_evaluate(rep, w[:half])
     al, be, ga, de = m.a, m.b, m.c, m.d
     bg, ad = be * ga, al * de
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
-    if len(letters) % 2 == 0:
+    if len(w) % 2 == 0:
         return GroupElement(diag, 2 * al * be, 2 * ga * de, diag)
-    e, f, g, _ = rep.letters[letters[half]]
+    e, f, g, _ = rep.letters[w[half]]
     diag = e * diag + g * be * de + f * al * ga
     return GroupElement(
         diag,

@@ -32,7 +32,7 @@ from palcore.representation import (
     pi_of_pair,
     rational_pi,
 )
-from palcore.words import Word, is_palindrome, parse, reduced_words, reverse
+from palcore.words import Word, is_palindrome, reduced_words, reverse
 
 from .conftest import random_representation
 
@@ -76,7 +76,8 @@ def _full_fold_spectrum(rep, depth):
 
 
 def _count_folded_letters(monkeypatch):
-    """Record the length of every word or text the spectrum walk folds."""
+    """Record the length of every word, or slice of one, the spectrum walk
+    folds."""
     probe_module = sys.modules["palcore.probe"]
     inner = probe_module.evaluate
     letters = []
@@ -90,15 +91,15 @@ def _count_folded_letters(monkeypatch):
 
 
 def _count_word_formatting(monkeypatch):
-    """Record every Word.__str__ call (repr goes through it too)."""
+    """Record every Word.__repr__ call: the Word(...) form messages show."""
     calls = []
-    inner = Word.__str__
+    inner = Word.__repr__
 
     def counted(self):
         calls.append(self)
         return inner(self)
 
-    monkeypatch.setattr(Word, "__str__", counted)
+    monkeypatch.setattr(Word, "__repr__", counted)
     return calls
 
 
@@ -144,7 +145,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("name, depth", _SPECTRUM_PAIRS)
     def test_standalone_rational_pi_matches_full_folds(self, name, depth, request):
-        # each call folds its slope text, or both factor texts, from the
+        # each call folds its slope word, or both factors, from the
         # identity; the long slopes have thousands of letters
         rep = _named_rep(name, request)
         nodes = enumerate_farey(depth) + [
@@ -159,7 +160,7 @@ class TestSpectrum:
     def test_multiplies_under_two_fifths_of_the_letters(self, mu4, monkeypatch):
         letters = _count_folded_letters(monkeypatch)
         pi_spectrum(mu4, 10)
-        full = sum(len(node.text) for node in enumerate_farey(10))
+        full = sum(len(node.word) for node in enumerate_farey(10))
         assert 0 < sum(letters) <= 0.4 * full
 
     def test_folds_each_stored_image_once(self, mu4, monkeypatch):
@@ -170,12 +171,12 @@ class TestSpectrum:
         assert (len(letters), sum(letters)) == (3415, 206674)
 
     def test_formats_words_only_for_refusals(self, mu4, monkeypatch):
-        # slope words are texts, so no Word is formatted; a CommutingPair
-        # refusal names its two factors in the Word(...) form
+        # a CommutingPair refusal names its two factors in the Word(...)
+        # form, and no other entry formats a word
         calls = _count_word_formatting(monkeypatch)
         refused = [e for e in pi_spectrum(mu4, 8) if e.error]
         assert len(refused) == 28
-        assert calls == []
+        assert calls == [w for e in refused for w in e.words]
         for e in refused:
             u, v = e.words
             assert e.error == f"CommutingPair: images of Word({u}) and Word({v}) commute"
@@ -301,7 +302,7 @@ class TestSampling:
         for entry in sample_palindromizations(rep1, 30, 5, seed=2):
             assert 1 <= len(entry.base) <= 5
             if entry.word is not None:
-                assert is_palindrome(parse(entry.word))
+                assert is_palindrome(Word(entry.word))
                 assert len(entry.word) == 2 * len(entry.base)
 
     def test_random_word_is_reduced(self):
@@ -310,13 +311,25 @@ class TestSampling:
             w = random_word(rng, 12)
             assert len(w) == 12  # no backtracking, so nothing cancels
 
+    def test_seeded_draws_are_pinned(self, mu_half):
+        # the letters are drawn from LETTERS in the order a, A, b, B; these
+        # draws were recorded when words were int tuples
+        draws = [str(random_word(random.Random(s), 10)) for s in range(3)]
+        assert draws == ["BAAbbAbAbA", "ABababAbbA", "aaabaBBAbb"]
+        samples = sample_palindromizations(mu_half, 3, 16, 3)
+        assert [(e.base, e.word) for e in samples] == [
+            ("AbbABBaB", "BaBBAbbAAbbABBaB"),
+            ("B", "BB"),
+            ("AABABBAbb", "bbABBABAAAABABBAbb"),
+        ]
+
 
 class TestWitnessSearch:
     def test_finds_witness_at_low_threshold(self, schottky):
         rec = witness_search(schottky, max_conj_power=2, max_word_len=1, s_escape=1.0)
         assert rec is not None
         assert abs(rec.s) > 1.0
-        assert is_palindrome(parse(rec.word))
+        assert is_palindrome(Word(rec.word))
         assert rec.n <= 2
 
     def test_none_when_threshold_unreachable(self, rep1):
@@ -360,8 +373,8 @@ class TestWitnessSearch:
 
     def test_reversed_push_repeats_a_forward_candidate(self, mu_half, monkeypatch):
         # reverse(u) u for (C, D, n) is u' reverse(u') for (-C, reverse(D), n),
-        # -C negating each letter: reverse(C^n D C^-n) = (-C)^n reverse(D)
-        # (-C)^-n. With powers that coincide (a^2 and (aa)^1) this leaves 640
+        # -C inverting each letter (swapping its case): reverse(C^n D C^-n)
+        # = (-C)^n reverse(D) (-C)^-n. With powers that coincide (a^2 and (aa)^1) this leaves 640
         # distinct palindromes among the 2,048 candidates here, and 24,324
         # among the 64,896 of witness_search(rep, 12, 3).
         seen = []
@@ -372,12 +385,12 @@ class TestWitnessSearch:
 
         monkeypatch.setattr(sys.modules["palcore.probe"], "pi_of_palindrome", recorder)
         assert witness_search(mu_half, 4, 2) is None
-        vocabulary = [w.letters for w in reduced_words(2)]
+        vocabulary = list(reduced_words(2))
         keys = [(c, d, n) for c in vocabulary for d in vocabulary for n in range(1, 5)]
         assert len(seen) == 2 * len(keys)
         forward = {key: seen[2 * i] for i, key in enumerate(keys)}
         for i, (c, d, n) in enumerate(keys):
-            assert seen[2 * i + 1] == forward[(tuple(-x for x in c), d[::-1], n)]
+            assert seen[2 * i + 1] == forward[(c.swapcase(), d[::-1], n)]
         assert len(set(seen)) == 640
 
     @pytest.mark.parametrize("s_escape", [math.nan, 0.0, -1.0])

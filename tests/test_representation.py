@@ -47,7 +47,7 @@ from palcore.sl2c import (
     chordal_distance,
     psl_distance,
 )
-from palcore.words import LETTERS, Word, parse, reduced_words, reverse
+from palcore.words import LETTERS, Word, reduced_words, reverse
 
 from .conftest import (
     exact_riley_position,
@@ -109,26 +109,26 @@ class TestRep1Oracles:
         assert psl_distance(rep1.normalizer, IDENTITY) <= 1e-12
 
     def test_generator_positions(self, rep1):
-        assert abs(pi_of_palindrome(rep1, parse("a")).s) < 1e-12
-        assert abs(pi_of_palindrome(rep1, parse("b")).s - LN2) < 1e-12
+        assert abs(pi_of_palindrome(rep1, Word("a")).s) < 1e-12
+        assert abs(pi_of_palindrome(rep1, Word("b")).s - LN2) < 1e-12
 
     def test_longer_palindromes(self, rep1):
-        assert abs(pi_of_palindrome(rep1, parse("aba")).s - 0.07940627756620297) < 1e-10
-        assert abs(pi_of_palindrome(rep1, parse("bab")).s - 0.6137409029937423) < 1e-10
+        assert abs(pi_of_palindrome(rep1, Word("aba")).s - 0.07940627756620297) < 1e-10
+        assert abs(pi_of_palindrome(rep1, Word("bab")).s - 0.6137409029937423) < 1e-10
 
     def test_pair_position_is_midpoint(self, rep1):
-        img = pi_of_pair(rep1, parse("a"), parse("b"))
+        img = pi_of_pair(rep1, Word("a"), Word("b"))
         assert abs(img.s - LN2 / 2) < 1e-12
         assert img.source == PALINDROME_PAIR
 
     def test_image_metadata(self, rep1):
-        img = pi_of_palindrome(rep1, parse("aba"))
+        img = pi_of_palindrome(rep1, Word("aba"))
         assert [f.name for f in fields(img)] == ["s", "source", "element_class"]
         assert img.source == PALINDROME_WORD
         assert img.element_class == "loxodromic"
         assert img.finite
         # the word is the caller's, written only when a report passes it
-        assert img.to_json(str(parse("aba"))) == {
+        assert img.to_json(str(Word("aba"))) == {
             "s": img.s, "source": PALINDROME_WORD, "word": "aba", "class": "loxodromic",
         }
 
@@ -140,7 +140,7 @@ class TestConjugationInvariance:
 
     def test_positions_are_frame_independent_up_to_orientation(self, rep1):
         rng = random.Random(17)
-        words = [parse(t) for t in ("a", "b", "aba", "bab", "abbba")]
+        words = [Word(t) for t in ("a", "b", "aba", "bab", "abbba")]
         base = [pi_of_palindrome(rep1, w).s for w in words]
         for _ in range(5):
             m = random_mobius(rng)
@@ -154,7 +154,7 @@ class TestConjugationInvariance:
 
     def test_pair_positions_follow_the_same_orientation(self, rep1):
         rng = random.Random(18)
-        words = [parse(t) for t in ("a", "b", "bab")]
+        words = [Word(t) for t in ("a", "b", "bab")]
         for _ in range(5):
             m = random_mobius(rng)
             moved = build(m * rep1.A * m.inverse(), m * rep1.B * m.inverse())
@@ -163,15 +163,15 @@ class TestConjugationInvariance:
             sign = min((1.0, -1.0), key=lambda sg: max(
                 abs(s0 - sg * s1) for s0, s1 in zip(base, vals)
             ))
-            s0 = pi_of_pair(rep1, parse("a"), parse("b")).s
-            s1 = pi_of_pair(moved, parse("a"), parse("b")).s
+            s0 = pi_of_pair(rep1, Word("a"), Word("b")).s
+            s1 = pi_of_pair(moved, Word("a"), Word("b")).s
             assert abs(s0 - sign * s1) < 1e-9
 
 
 class TestPalindromeErrors:
     def test_rejects_non_palindrome(self, rep1):
         with pytest.raises(NotPalindrome):
-            pi_of_palindrome(rep1, parse("ab"))
+            pi_of_palindrome(rep1, Word("ab"))
 
     def test_identity_image(self):
         # B is a half-turn, so bb evaluates to minus the identity
@@ -179,22 +179,22 @@ class TestPalindromeErrors:
         B = GroupElement(0, 2, -0.5, 0)
         rep = build(A, B)
         with pytest.raises(IdentityImage):
-            pi_of_palindrome(rep, parse("bb"))
+            pi_of_palindrome(rep, Word("bb"))
 
     def test_half_turn_palindromization_is_trivial(self):
         A = hyperbolic_on_axis(1.0, 1.5)
         B = GroupElement(0, 2, -0.5, 0)
         rep = build(A, B)
         with pytest.raises(TrivialPalindromization):
-            palindromize(rep, parse("b"))
+            palindromize(rep, Word("b"))
 
 
 class TestPairRoutes:
     def test_commuting_pair_rejected(self, rep1):
         with pytest.raises(CommutingPair):
-            pi_of_pair(rep1, parse("a"), parse("a"))
+            pi_of_pair(rep1, Word("a"), Word("a"))
         with pytest.raises(CommutingPair):
-            pi_of_pair(rep1, parse("a"), parse("aa"))
+            pi_of_pair(rep1, Word("a"), Word("aa"))
 
     def test_matrix_route_matches_axis_route(self, rep1):
         rng = random.Random(29)
@@ -219,23 +219,23 @@ class TestPairRoutes:
     def test_pair_word_label(self, rep1):
         # the odd slope 1/3 factors as a|aba; its entry shows the pair
         entry = _spectrum_entry(rep1, 1, 3)
-        assert entry.image == pi_of_pair(rep1, parse("a"), parse("aba"))
+        assert entry.image == pi_of_pair(rep1, Word("a"), Word("aba"))
         assert entry.word == "a|aba"
         assert entry.to_json()["word"] == "a|aba"
 
 
 class TestParabolicTags:
     def test_parabolic_letters_are_tagged(self, mu4):
-        up = pi_of_palindrome(mu4, parse("a"))
-        dn = pi_of_palindrome(mu4, parse("b"))
+        up = pi_of_palindrome(mu4, Word("a"))
+        dn = pi_of_palindrome(mu4, Word("b"))
         assert up.s == math.inf and dn.s == -math.inf
         assert up.source == dn.source == PARABOLIC_END
         assert up.element_class == "parabolic"
         assert not up.finite
 
     def test_tag_json(self, mu4):
-        up = pi_of_palindrome(mu4, parse("a")).to_json()
-        dn = pi_of_palindrome(mu4, parse("b")).to_json("b")
+        up = pi_of_palindrome(mu4, Word("a")).to_json()
+        dn = pi_of_palindrome(mu4, Word("b")).to_json("b")
         assert list(up.items()) == [
             ("s", "inf"), ("source", PARABOLIC_END), ("class", "parabolic"),
         ]
@@ -272,8 +272,8 @@ def _long_palindromes(seed, count, max_len=200):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        half = Word(tuple(rng.choice(LETTERS) for _ in range(rng.randint(1, max_len // 2))))
-        middle = Word((rng.choice(LETTERS),)) if len(out) % 2 else Word()
+        half = Word("".join(rng.choice(LETTERS) for _ in range(rng.randint(1, max_len // 2))))
+        middle = Word(rng.choice(LETTERS)) if len(out) % 2 else Word()
         w = half * middle * reverse(half)
         if w and len(w) <= max_len:
             out.append(w)
@@ -370,13 +370,13 @@ class TestHalfFormImage:
 
 class TestPalindromize:
     def test_word_and_position(self, rep1):
-        pal, img = palindromize(rep1, parse("ab"))
+        pal, img = palindromize(rep1, Word("ab"))
         assert str(pal) == "baab"
         assert abs(img.s - pi_of_palindrome(rep1, pal).s) < 1e-15
         assert abs(img.s - 0.6043134981518137) < 1e-10
 
     def test_palindrome_input_doubles(self, rep1):
-        pal, _ = palindromize(rep1, parse("aba"))
+        pal, _ = palindromize(rep1, Word("aba"))
         assert str(pal) == "abaaba"
 
     def test_matches_direct_construction(self, rep1):
@@ -446,8 +446,8 @@ class TestRationalPi:
         assert entry.word == "aba|ababa"
 
     def test_roots_match_letters(self, rep1):
-        assert abs(rational_pi(rep1, 0, 1).s - pi_of_palindrome(rep1, parse("a")).s) < 1e-15
-        assert abs(rational_pi(rep1, 1, 0).s - pi_of_palindrome(rep1, parse("b")).s) < 1e-15
+        assert abs(rational_pi(rep1, 0, 1).s - pi_of_palindrome(rep1, Word("a")).s) < 1e-15
+        assert abs(rational_pi(rep1, 1, 0).s - pi_of_palindrome(rep1, Word("b")).s) < 1e-15
 
     def test_transform_core_positions_shift_consistently(self, rep1):
         # positions live on the core; different slopes give distinct points
