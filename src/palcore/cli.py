@@ -12,14 +12,13 @@ The probe exit code encodes the verdict: 0 for bounded or parabolic-ends,
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
 
 import click
 
-from .config import DEFAULT_ESCAPE, DEFAULT_GEO
+from .config import DEFAULT_ESCAPE
 from .errors import PalcoreError
 from .farey import primitive_word
 from .probe import (
@@ -32,7 +31,13 @@ from .probe import (
     spectrum_to_csv,
 )
 from .representation import hexagon, rep_from_json
-from .sl2c import boundary_to_json, classify, fixed_points, matrix_from_json, normalize
+from .sl2c import (
+    boundary_to_json,
+    classify,
+    fixed_points,
+    matrix_from_json,
+    normalize_input,
+)
 from .words import is_palindrome
 
 _EXIT_CODES = {
@@ -61,22 +66,17 @@ class _FlagError(click.BadParameter):
 
 
 def _positive(ctx, param, value: float) -> float:
-    """Option callback: the value must be positive (NaN fails), and for
-    --tol-geo finite as well."""
-    flag = param.opts[0]
-    if flag == "--tol-geo":
-        if not (math.isfinite(value) and value > 0):
-            raise _FlagError(f"{flag} must be finite and positive")
-    elif not value > 0:
-        raise _FlagError(f"{flag} must be positive")
+    """Option callback: the value must be positive (NaN fails)."""
+    if not value > 0:
+        raise _FlagError(f"{param.opts[0]} must be positive")
     return value
 
 
-def _load_rep(path: str, geo: float):
+def _load_rep(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return rep_from_json(data, geo)
+        return rep_from_json(data)
     except (OSError, ValueError, PalcoreError) as exc:
         _fail(exc)
 
@@ -147,7 +147,7 @@ def main() -> None:
 def cmd_classify(matrix_json: str) -> None:
     """Classify a matrix: MATRIX_JSON like "[[1,1],[0,1]]"."""
     try:
-        m = normalize(matrix_from_json(json.loads(matrix_json)))
+        m = normalize_input(matrix_from_json(json.loads(matrix_json)))
         kind = classify(m)
         record: dict = {
             "class": kind,
@@ -188,13 +188,11 @@ def cmd_primitive(slope: str) -> None:
 @click.option("--depth", default=4, show_default=True, help="Farey tree depth")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--tol-geo", type=float, default=DEFAULT_GEO, callback=_positive,
-              help="geometric tolerance")
 @click.option("--out", default="-", show_default=True, help="output path, - for stdout")
-def cmd_pi_map(gens: str, depth: int, fmt: str, tol_geo: float, out: str) -> None:
+def cmd_pi_map(gens: str, depth: int, fmt: str, out: str) -> None:
     """Position spectrum of the palindromic axes over the Farey tree."""
     _check_out(out)
-    rep = _load_rep(gens, tol_geo)
+    rep = _load_rep(gens)
     try:
         entries = pi_spectrum(rep, depth)
     except ValueError as exc:
@@ -220,14 +218,12 @@ def cmd_pi_map(gens: str, depth: int, fmt: str, tol_geo: float, out: str) -> Non
               help="|s| threshold for escape evidence; positions beyond "
                    "1/2 ln(1/singular tolerance) = 13.8 are never certified, "
                    "so the default records no witness")
-@click.option("--tol-geo", type=float, default=DEFAULT_GEO, callback=_positive,
-              help="geometric tolerance")
 @click.option("--out", default="-", show_default=True, help="output path, - for stdout")
 def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
-              tol_geo: float, out: str) -> None:
+              out: str) -> None:
     """Probe the pair for discreteness evidence; exit code is the verdict."""
     _check_out(out)
-    rep = _load_rep(gens, tol_geo)
+    rep = _load_rep(gens)
     try:
         report = probe(rep, depth, random_samples=samples, seed=seed, s_escape=escape)
     except (ValueError, PalcoreError) as exc:
@@ -238,13 +234,11 @@ def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
 
 @main.command("hexagon")
 @click.option("--gens", required=True, help="generator JSON file")
-@click.option("--tol-geo", type=float, default=DEFAULT_GEO, callback=_positive,
-              help="geometric tolerance")
 @click.option("--out", default="-", show_default=True, help="output path, - for stdout")
-def cmd_hexagon(gens: str, tol_geo: float, out: str) -> None:
+def cmd_hexagon(gens: str, out: str) -> None:
     """The six geodesics of the right-angled hexagon of the pair."""
     _check_out(out)
-    rep = _load_rep(gens, tol_geo)
+    rep = _load_rep(gens)
     try:
         hexa = hexagon(rep)
     except PalcoreError as exc:

@@ -1,9 +1,8 @@
 """Numeric tolerances and probe thresholds.
 
-Only the geometric tolerance is a setting (--tol-geo on the command line):
-it is carried as a float, and operations that consume a product of n
-generator matrices scale it by n (see geo_scaled). The other two
-tolerances are constants.
+Every tolerance is a constant: no command-line option or parameter sets
+one. The geometric tolerance grows with the number of generator matrices
+in a product, by geo_scaled.
 """
 from __future__ import annotations
 
@@ -15,9 +14,9 @@ SINGULAR_FLOOR = 1e-12
 DEFAULT_GEO = 1e-6
 
 
-def geo_scaled(geo: float, word_length: int) -> float:
+def geo_scaled(word_length: int) -> float:
     """The geometric tolerance for a product of word_length generators."""
-    return geo * (word_length if word_length > 1 else 1)
+    return DEFAULT_GEO * (word_length if word_length > 1 else 1)
 
 
 # probe thresholds, in hyperbolic length units along the core geodesic.

@@ -4,7 +4,7 @@ Reduced slopes p/q (including 1/0) index primitive classes of the rank-2
 free group through the Stern-Brocot tree. Each slope carries a preferred
 representative Word e_{p/q} with q letters a and p letters b. The roots
 are e_{0/1} = a and e_{1/0} = b; every other slope with Farey parents
-lo < hi is built from its parents' Words by _child_word
+lo < hi is built from its parents' Words by _child
 (Gilman-Keen, "Enumerating palindromes and primitives in rank two free
 groups", J. Algebra 2011):
 
@@ -14,12 +14,11 @@ groups", J. Algebra 2011):
   rotation of the Christoffel word: a second one would make the
   odd-length primitive word a proper power.
 
-_child_word checks at runtime that every word it builds, for
-enumerate_farey and primitive_word alike, has the shape its parity
-promises; primitive_word also checks that its result is cyclically
-equivalent to the Christoffel word of its slope, a check the tests make on
-every enumerated slope. A failure raises SchemeViolation rather than
-silently repairing the scheme.
+The walk makes no check per slope: the tests check the palindromes, the
+factorizations and the Christoffel conjugacy on every slope to depth 12
+and on long slopes. primitive_word checks at runtime that its result is
+cyclically equivalent to the Christoffel word of its slope, and raises
+SchemeViolation rather than silently repairing the scheme.
 """
 from __future__ import annotations
 
@@ -28,7 +27,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InvalidRational, SchemeViolation
-from .words import Word, is_palindrome
+from .words import Word
 
 Slope = tuple[int, int]
 
@@ -93,28 +92,17 @@ _ROOTS = (
 )
 
 
-def _child_word(p: int, q: int, lo: Word, hi: Word) -> Word:
-    """The word of p/q from the words of its Farey parents lo < hi: the
-    palindrome hi lo when pq is even, the product lo hi of two palindromes
-    when pq is odd. Raises SchemeViolation when the palindromes are not."""
-    if p * q % 2 == 0:
-        word = hi * lo
-        if not is_palindrome(word):
-            raise SchemeViolation(f"{p}/{q}: parent product {word} is not a palindrome")
-        return word
-    if not (is_palindrome(lo) and is_palindrome(hi)):
-        raise SchemeViolation(f"{p}/{q}: parent words are not both palindromic")
-    return lo * hi
-
-
 def _child(lo: FareyNode, hi: FareyNode) -> FareyNode:
     """The mediant of the Farey neighbours lo < hi, one level below the
-    deeper of them, with its word built from theirs."""
+    deeper of them, with its word built from theirs: the palindrome hi lo
+    when pq is even, the product lo hi of two palindromes when pq is odd."""
     p, q = lo.p + hi.p, lo.q + hi.q
+    if p * q % 2:
+        word, factorization = lo.word * hi.word, (lo.word, hi.word)
+    else:
+        word, factorization = hi.word * lo.word, None
     return FareyNode(
-        p, q, 1 + max(lo.depth, hi.depth), (lo.slope, hi.slope),
-        _child_word(p, q, lo.word, hi.word),
-        (lo.word, hi.word) if p * q % 2 else None,
+        p, q, 1 + max(lo.depth, hi.depth), (lo.slope, hi.slope), word, factorization
     )
 
 

@@ -109,17 +109,15 @@ def orthogonality_residual(g1: Geodesic, g2: Geodesic) -> float:
     return abs(prod.trace()) / max(1.0, prod.max_norm())
 
 
-def _shared_endpoint(g1: Geodesic, g2: Geodesic, eps: float) -> bool:
+def _shared_endpoint(g1: Geodesic, g2: Geodesic) -> bool:
     return any(
-        chordal_distance(u, v) <= eps
+        chordal_distance(u, v) <= DEFAULT_GEO
         for u in g1.endpoints()
         for v in g2.endpoints()
     )
 
 
-def common_perpendicular(
-    g1: Geodesic, g2: Geodesic, geo: float = DEFAULT_GEO
-) -> Geodesic:
+def common_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
     """The unique geodesic orthogonal to both inputs.
 
     Both inputs proper: take the trace-zero part of L1 L2, normalize, and
@@ -129,10 +127,10 @@ def common_perpendicular(
     other endpoint the half-turn image of p about the proper input (or the
     second marker point).
 
-    Raises SharedEndpoint when the inputs share an endpoint within geo in
-    the chordal metric (an elementary configuration).
+    Raises SharedEndpoint when the inputs share an endpoint within
+    DEFAULT_GEO in the chordal metric (an elementary configuration).
     """
-    if _shared_endpoint(g1, g2, geo):
+    if _shared_endpoint(g1, g2):
         raise SharedEndpoint(f"{g1} and {g2} share an endpoint")
     if g1.degenerate and g2.degenerate:
         return Geodesic(g1.e1, g2.e1)

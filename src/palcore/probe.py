@@ -156,7 +156,7 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
                 lo, hi = parents
                 if level < depth:
                     images[p, q] = evaluate(factors[1], letters, images[lo])
-                image = _pair_position(rep, *factors, images[lo], images[hi])
+                image = _pair_position(*factors, images[lo], images[hi])
             else:
                 if parents is None:
                     m = evaluate(word, letters)
@@ -164,7 +164,7 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
                     hi = parents[1]  # word is hi's sum(hi) letters, then lo's
                     m = evaluate(word[sum(hi):], letters, images[hi])
                 images[p, q] = m
-                image = _palindrome_position(rep, word, m)
+                image = _palindrome_position(word, m)
         except PalcoreError as exc:
             error = f"{type(exc).__name__}: {exc}"
         entries.append(SpectrumEntry(p, q, level, factors or (word,), image, error))

@@ -49,6 +49,7 @@ from .sl2c import (
     is_identity,
     matrix_from_json,
     normalize,
+    normalize_input,
     product,
 )
 from .words import LetterTable, Word, evaluate, is_palindrome, letter_table, reverse
@@ -97,8 +98,7 @@ class Representation:
     A and B are the unimodular input generators; core is their axes' common
     perpendicular in the input frame; normalizer conjugates the input frame
     to the working frame with core = [0, inf]; norm_A and norm_B are the
-    conjugated generators, and letters is their letter_table. geo is the
-    geometric tolerance of every check made with this representation.
+    conjugated generators, and letters is their letter_table.
     """
 
     A: GroupElement
@@ -108,7 +108,6 @@ class Representation:
     norm_A: GroupElement
     norm_B: GroupElement
     letters: LetterTable = field(compare=False, repr=False)
-    geo: float
 
     def evaluate_normalized(self, w: Word) -> GroupElement:
         """Image of w in the normalized frame: evaluate's entries as a
@@ -141,12 +140,12 @@ def _frame_map(core: Geodesic) -> GroupElement:
     return normalize(raw)
 
 
-def _pin_from_points(pts, geo: float) -> GroupElement:
+def _pin_from_points(pts) -> GroupElement:
     x, y = pts
     if x is INFINITY or y is INFINITY:
         raise OrthogonalityViolation("pinning axis does not cross the core")
     scale = max(1.0, abs(x), abs(y))
-    if abs(x + y) > geo * scale or x == 0 or y == 0:
+    if abs(x + y) > DEFAULT_GEO * scale or x == 0 or y == 0:
         raise OrthogonalityViolation(
             f"pinning axis endpoints are not antipodal: {x}, {y}"
         )
@@ -155,41 +154,40 @@ def _pin_from_points(pts, geo: float) -> GroupElement:
     return normalize(GroupElement(lam, 0j, 0j, 1 / lam))
 
 
-def _scale_pin(a0: GroupElement, b0: GroupElement, geo: float) -> GroupElement:
+def _scale_pin(a0: GroupElement, b0: GroupElement) -> GroupElement:
     for g in (a0, b0):
         if classify(g) in ("loxodromic", "elliptic"):
-            return _pin_from_points(fixed_points(g), geo)
+            return _pin_from_points(fixed_points(g))
     # both generators parabolic: pin the double altitude of the pair instead
     t_raw = a0 * b0 * (b0 * a0) - b0 * a0 * (a0 * b0)
     try:
         t = normalize(t_raw)
     except SingularMatrix as exc:
         raise ElementaryGroup("parabolic generators commute") from exc
-    return _pin_from_points(fixed_points(t), geo)
+    return _pin_from_points(fixed_points(t))
 
 
-def build(a_raw, b_raw, geo: float = DEFAULT_GEO) -> Representation:
+def build(a_raw, b_raw) -> Representation:
     """Construct a Representation from two matrices.
 
     Inputs are GroupElements of any nonzero determinant; they are
-    normalized to determinant 1. geo is the geometric tolerance, kept on
-    the result for its own checks. Raises ElementaryGroup when the
+    normalized to determinant 1. Raises ElementaryGroup when the
     generator axes share an endpoint (including equal or inverse
     generators and an identity generator), SingularMatrix for degenerate
     input.
     """
-    A = normalize(a_raw)
-    B = normalize(b_raw)
+    A = normalize_input(a_raw)
+    B = normalize_input(b_raw)
     ax_a = _generator_axis(A)
     ax_b = _generator_axis(B)
     try:
-        core = common_perpendicular(ax_a, ax_b, geo)
+        core = common_perpendicular(ax_a, ax_b)
     except SharedEndpoint as exc:
         raise ElementaryGroup(str(exc)) from exc
     n0 = _frame_map(core)
     a0 = normalize(n0 * A * n0.inverse())
     b0 = normalize(n0 * B * n0.inverse())
-    pin = _scale_pin(a0, b0, geo)
+    pin = _scale_pin(a0, b0)
     nmap = normalize(pin * n0)
     norm_A = normalize(nmap * A * nmap.inverse())
     norm_B = normalize(nmap * B * nmap.inverse())
@@ -201,11 +199,10 @@ def build(a_raw, b_raw, geo: float = DEFAULT_GEO) -> Representation:
         norm_A=norm_A,
         norm_B=norm_B,
         letters=letter_table(norm_A, norm_B),
-        geo=geo,
     )
 
 
-def rep_from_json(obj: dict, geo: float = DEFAULT_GEO) -> Representation:
+def rep_from_json(obj: dict) -> Representation:
     """Build a representation from {"A": matrix, "B": matrix} JSON data.
 
     Raises ValueError for a document that is not an object, a missing
@@ -217,7 +214,7 @@ def rep_from_json(obj: dict, geo: float = DEFAULT_GEO) -> Representation:
     for name in "AB":
         if name not in obj:
             raise ValueError(f'generator JSON has no "{name}" matrix')
-    return build(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]), geo)
+    return build(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]))
 
 
 # the generic quadratic fixed-point solve is trusted as a cross-check only
@@ -328,7 +325,7 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     """
     if not is_palindrome(w):
         raise NotPalindrome(f"{w!r} is not a palindrome")
-    return _palindrome_position(rep, w, _palindrome_image(rep, w))
+    return _palindrome_position(w, _palindrome_image(rep, w))
 
 
 def _palindrome_image(rep: Representation, w: Word) -> Entries:
@@ -364,7 +361,7 @@ def _palindrome_image(rep: Representation, w: Word) -> Entries:
     )
 
 
-def _palindrome_position(rep: Representation, w: Word, m) -> PiImage:
+def _palindrome_position(w: Word, m) -> PiImage:
     """pi_of_palindrome from m, the normalized image of the palindrome w
     (its entries, or a GroupElement). An image whose entries have a modulus
     past the float range is refused as overflowed: classify raises
@@ -377,7 +374,7 @@ def _palindrome_position(rep: Representation, w: Word, m) -> PiImage:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
     if kind == "identity":
         raise IdentityImage(f"{w!r} evaluates to the identity")
-    eps = geo_scaled(rep.geo, len(w))
+    eps = geo_scaled(len(w))
     if kind == "parabolic":
         return PiImage(_parabolic_end(m, eps), PARABOLIC_END, kind)
     return PiImage(_crossing_position(m, eps, kind), PALINDROME_WORD, kind)
@@ -395,10 +392,10 @@ def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
         if not is_palindrome(w):
             raise NotPalindrome(f"{w!r} is not a palindrome")
     U, V = evaluate(u, rep.letters), evaluate(v, rep.letters)
-    return _pair_position(rep, u, v, U, V)
+    return _pair_position(u, v, U, V)
 
 
-def _pair_position(rep: Representation, u: Word, v: Word, U, V) -> PiImage:
+def _pair_position(u: Word, v: Word, U, V) -> PiImage:
     """pi_of_pair from U and V, the normalized images of the palindromes u
     and v (entries or GroupElements). The four products are entry tuples.
     Products whose entries have a modulus past the float range are refused
@@ -416,7 +413,7 @@ def _pair_position(rep: Representation, u: Word, v: Word, U, V) -> PiImage:
             raise CommutingPair(
                 f"double altitude of {u!r}, {v!r} is not determined"
             ) from exc
-        eps = geo_scaled(rep.geo, len(u) + len(v))
+        eps = geo_scaled(len(u) + len(v))
         return PiImage(_crossing_position(t, eps), PALINDROME_PAIR, classify(uv))
     except OverflowError:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
@@ -428,7 +425,7 @@ def pair_perpendicular_by_axes(rep: Representation, u: Word, v: Word) -> Geodesi
     pi_of_pair, which goes through the matrix formula instead."""
     U = rep.evaluate_normalized(u)
     V = rep.evaluate_normalized(v)
-    return common_perpendicular(axis(U * V), axis(V * U), rep.geo)
+    return common_perpendicular(axis(U * V), axis(V * U))
 
 
 def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:
@@ -491,8 +488,8 @@ def hexagon(rep: Representation) -> Hexagon:
     ax_b = axis(rep.B)
     ax_ab = axis(ab)
     try:
-        perp_a = common_perpendicular(ax_a, ax_ab, rep.geo)
-        perp_b = common_perpendicular(ax_b, ax_ab, rep.geo)
+        perp_a = common_perpendicular(ax_a, ax_ab)
+        perp_b = common_perpendicular(ax_b, ax_ab)
     except SharedEndpoint as exc:
         raise ElementaryGroup(str(exc)) from exc
     return Hexagon(ax_a, rep.core, ax_b, perp_b, ax_ab, perp_a)
@@ -509,6 +506,6 @@ def rational_pi(rep: Representation, p: int, q: int) -> PiImage:
     """
     node = primitive_word(p, q)
     if node.factorization is None:
-        return _palindrome_position(rep, node.word, evaluate(node.word, rep.letters))
+        return _palindrome_position(node.word, evaluate(node.word, rep.letters))
     u, v = node.factorization
-    return _pair_position(rep, u, v, evaluate(u, rep.letters), evaluate(v, rep.letters))
+    return _pair_position(u, v, evaluate(u, rep.letters), evaluate(v, rep.letters))

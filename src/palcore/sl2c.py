@@ -151,7 +151,8 @@ def normalize(m) -> GroupElement:
     Raises SingularMatrix when |det| is below SINGULAR_FLOOR relative to the
     squared entry scale, and, naming the overflow, when det is infinite or a
     modulus is past the float range, where abs() raises. A NaN det fails no
-    test and gives NaN entries, which the position checks refuse.
+    test and gives NaN entries, which the position checks refuse; see
+    normalize_input for matrices from outside the program.
     """
     a, b, c, d = m
     det = a * d - b * c
@@ -167,6 +168,19 @@ def normalize(m) -> GroupElement:
         raise SingularMatrix(f"determinant {det} too small relative to entries")
     s = cmath.sqrt(det)
     return GroupElement(a / s, b / s, c / s, d / s)
+
+
+def normalize_input(m) -> GroupElement:
+    """normalize for a matrix from outside the program: it also refuses,
+    naming the overflow, a determinant that is NaN because the entry
+    products overflowed (inf - inf), which normalize passes on."""
+    g = normalize(m)
+    a, b, c, d = m
+    if cmath.isnan(a * d - b * c):
+        raise SingularMatrix(
+            "determinant overflows to NaN: entry products are past the float range"
+        )
+    return g
 
 
 def psl_distance(g, h) -> float:

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from palcore import cli as cli_module
+from palcore import config, geodesics, representation
 from palcore.cli import main, verdict_exit_code
 from palcore.probe import (
     BOUNDED_CONSISTENT_WITH_GF,
@@ -127,6 +128,17 @@ class TestClassify:
         res = runner.invoke(main, ["probe", "--gens", gens, "--depth", "2"])
         assert_one_error_line(res, "entry scale inf overflows the determinant check")
 
+    def test_determinant_overflowing_to_nan_is_named(self, runner, tmp_path):
+        # the entry products overflow to inf, and their difference is NaN
+        nan_det = "[[1e200, 1e200], [1e200, 1e200]]"
+        message = "determinant overflows to NaN"
+        res = runner.invoke(main, ["classify", nan_det])
+        assert_one_error_line(res, message)
+        gens = write_gens(tmp_path, json.loads(nan_det), [[1, 0], [4, 1]])
+        for command in (["probe", "--depth", "2"], ["pi-map"], ["hexagon"]):
+            res = runner.invoke(main, [*command, "--gens", gens])
+            assert_one_error_line(res, message)
+
     def test_bad_json_fails(self, runner):
         res = runner.invoke(main, ["classify", "not json"])
         assert res.exit_code == 1
@@ -197,17 +209,22 @@ class TestPiMap:
         assert res.exit_code == 1
 
     def test_bad_tolerance_fails(self, runner, schottky_gens):
-        res = runner.invoke(
-            main, ["pi-map", "--gens", schottky_gens, "--tol-geo", "-1"]
-        )
-        assert res.exit_code == 1
+        # every tolerance is a constant: no command takes one
+        for command in ("pi-map", "probe", "hexagon"):
+            res = runner.invoke(
+                main, [command, "--gens", schottky_gens, "--tol-geo", "1e-6"]
+            )
+            assert res.exit_code == 1
+            assert "No such option '--tol-geo'" in res.output
 
     def test_json_entry_keys_in_report_order(self, runner, schottky_gens):
         res = runner.invoke(
             main,
             ["pi-map", "--gens", schottky_gens, "--depth", "8", "--format", "json"],
         )
-        assert {tuple(e) for e in json.loads(res.output)} == _SPECTRUM_KEYS
+        entries = json.loads(res.output)
+        assert {tuple(e) for e in entries} == _SPECTRUM_KEYS
+        assert sum("error" in e for e in entries) == 56
 
 
 class TestProbe:
@@ -301,14 +318,6 @@ class TestUsageErrors:
         assert res.exit_code == 1
         assert message in res.output
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
-    def test_tolerance_must_be_finite_and_positive(self, runner, mu4_gens, value):
-        res = runner.invoke(
-            main, ["probe", "--gens", mu4_gens, "--depth", "6", "--tol-geo", value]
-        )
-        assert res.exit_code == 1
-        assert "--tol-geo must be finite and positive" in res.output
-
     @pytest.mark.parametrize("option, value", [
         ("--samples", "-3"),
         ("--escape", "nan"), ("--escape", "0"), ("--escape", "-1"),
@@ -342,36 +351,28 @@ class TestHexagon:
 
 
 class TestValidTolerance:
-    """A valid --tol-geo reaches the representation's checks."""
+    """The geometric tolerance constant reaches the representation's checks."""
 
-    def _pi_map(self, runner, gens, *args):
+    def _pi_map(self, runner, gens):
         res = runner.invoke(
-            main, ["pi-map", "--gens", gens, "--depth", "8", "--format", "json", *args]
+            main, ["pi-map", "--gens", gens, "--depth", "8", "--format", "json"]
         )
         assert res.exit_code == 0
         return json.loads(res.output)
 
     def test_pi_map_refuses_more_slopes_at_a_tighter_tolerance(
-        self, runner, schottky_gens
+        self, runner, schottky_gens, monkeypatch
     ):
         default = self._pi_map(runner, schottky_gens)
-        tight = self._pi_map(runner, schottky_gens, "--tol-geo", "1e-12")
+        # every module that reads the constant binds it at import
+        for module in (config, representation, geodesics):
+            monkeypatch.setattr(module, "DEFAULT_GEO", 1e-12)
+        tight = self._pi_map(runner, schottky_gens)
         assert sum("error" in e for e in default) == 56
         assert sum("error" in e for e in tight) == 63
         with open(schottky_gens, encoding="utf-8") as fh:
-            rep = rep_from_json(json.load(fh), 1e-12)
+            rep = rep_from_json(json.load(fh))
         assert tight == [e.to_json() for e in pi_spectrum(rep, 8)]
-
-    def test_hexagon_perpendiculars_use_the_tolerance(self, runner, schottky_gens):
-        # at 0.5 the pair still builds, but the axes of A and AB count as
-        # sharing an endpoint; at 1.5 the axes of A and B already do
-        self._pi_map(runner, schottky_gens, "--tol-geo", "0.5")
-        res = runner.invoke(main, ["hexagon", "--gens", schottky_gens, "--tol-geo", "0.5"])
-        assert res.exit_code == 1
-        assert "share an endpoint" in res.output
-        res = runner.invoke(main, ["pi-map", "--gens", schottky_gens, "--tol-geo", "1.5"])
-        assert res.exit_code == 1
-        assert "share an endpoint" in res.output
 
 
 class TestUnwritableOut:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from palcore.errors import InvalidRational, SchemeViolation
 from palcore.farey import (
-    _child_word,
     are_associates,
     christoffel,
     enumerate_farey,
@@ -160,13 +159,8 @@ class TestPrimitiveWord:
         assert str(node.word) == "a" * 600 + "b" + "a" * 600
 
     def test_scheme_checks_raise(self, monkeypatch):
-        # each of the three runtime checks fires on a scheme that breaks it:
-        # the child rule given parent words of the wrong shape, then the
-        # descent given a wrong Christoffel word
-        with pytest.raises(SchemeViolation, match="is not a palindrome"):
-            _child_word(1, 2, Word("a"), Word("ba"))  # b a . a from parents 0/1 and 1/1
-        with pytest.raises(SchemeViolation, match="not both palindromic"):
-            _child_word(1, 3, Word("a"), Word("aab"))  # a . aab from parents 0/1 and 1/2
+        # the one runtime check fires on a descent given a wrong
+        # Christoffel word
         farey = sys.modules["palcore.farey"]
         monkeypatch.setattr(farey, "christoffel", lambda p, q: Word("bba"))
         with pytest.raises(SchemeViolation, match="not conjugate to Christoffel"):

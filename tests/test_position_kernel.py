@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from palcore.config import CLASSIFY_BAND, SINGULAR_FLOOR
+from palcore.config import CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR
 from palcore.errors import (
     CommutingPair,
     IdentityElement,
@@ -177,17 +177,17 @@ def _reference_palindrome_image(rep, w):
     )
 
 
-def _reference_palindrome_position(rep, w, m):
+def _reference_palindrome_position(w, m):
     kind = _reference_classify(m)
     if kind == "identity":
         raise IdentityImage(f"{w!r} evaluates to the identity")
-    eps = rep.geo * max(1, len(w))
+    eps = DEFAULT_GEO * max(1, len(w))
     if kind == "parabolic":
         return PiImage(_reference_parabolic_end(m, eps), PARABOLIC_END, kind)
     return PiImage(_reference_crossing_position(m, eps, kind), PALINDROME_WORD, kind)
 
 
-def _reference_pair_position(rep, u, v, U, V):
+def _reference_pair_position(u, v, U, V):
     uv, vu = _reference_mul(U, V), _reference_mul(V, U)
     uvvu = _reference_mul(uv, vu)
     t_raw = uvvu - _reference_mul(vu, uv)
@@ -198,7 +198,7 @@ def _reference_pair_position(rep, u, v, U, V):
         t = _reference_normalize(t_raw)
     except SingularMatrix as exc:
         raise CommutingPair(f"double altitude of {u!r}, {v!r} is not determined") from exc
-    eps = rep.geo * max(1, len(u) + len(v))
+    eps = DEFAULT_GEO * max(1, len(u) + len(v))
     return PiImage(_reference_crossing_position(t, eps), PALINDROME_PAIR,
                    _reference_classify(uv))
 
@@ -208,10 +208,10 @@ def _reference_slope(rep, node):
     its factors, from the identity."""
     if node.factorization is None:
         image = _reference_evaluate(rep, node.word)
-        return _reference_palindrome_position(rep, node.word, image)
+        return _reference_palindrome_position(node.word, image)
     u, v = node.factorization
     return _reference_pair_position(
-        rep, u, v, _reference_evaluate(rep, u), _reference_evaluate(rep, v)
+        u, v, _reference_evaluate(rep, u), _reference_evaluate(rep, v)
     )
 
 
@@ -249,7 +249,7 @@ def test_witness_grid_candidates_match_the_element_route(mu_half, monkeypatch):
     assert len(seen) == 16 * 16 * 6 * 2
     reference = [
         _outcome(lambda: _reference_palindrome_position(
-            mu_half, w, _reference_palindrome_image(mu_half, w)))
+            w, _reference_palindrome_image(mu_half, w)))
         for w, _ in seen
     ]
     assert [outcome for _, outcome in seen] == reference

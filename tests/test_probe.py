@@ -56,7 +56,7 @@ def _full_fold(rep, node):
     """Pi image of a slope from the fold of its whole word, or of both its
     factors, from the identity: the reference for every continued fold."""
     if node.factorization is None:
-        return _palindrome_position(rep, node.word, rep.evaluate_normalized(node.word))
+        return _palindrome_position(node.word, rep.evaluate_normalized(node.word))
     return pi_of_pair(rep, *node.factorization)
 
 

@@ -4,7 +4,7 @@ palindrome positions, pair positions, hexagons, rational indexing."""
 import math
 import random
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -208,7 +208,7 @@ class TestPairRoutes:
                     img = pi_of_pair(rep, u, v)
                     perp = pair_perpendicular_by_axes(rep, u, v)
                     s_axis = position_on_vertical_axis(
-                        perp, eps=geo_scaled(rep.geo, len(u) + len(v))
+                        perp, eps=geo_scaled(len(u) + len(v))
                     )
                 except Exception:
                     continue
@@ -253,7 +253,7 @@ def _spectrum_entry(rep, p, q):
 def _full_fold_position(rep, w):
     """Position of the palindrome w from the fold of all its letters, the
     route slope words keep in rational_pi."""
-    return _palindrome_position(rep, w, rep.evaluate_normalized(w))
+    return _palindrome_position(w, rep.evaluate_normalized(w))
 
 
 def _outcome(position):
@@ -414,6 +414,17 @@ class TestHexagon:
     def test_parabolic_generator_rejected(self, mu4):
         with pytest.raises(DegenerateAxis):
             hexagon(mu4)
+
+    def test_axes_sharing_an_endpoint_are_refused(self, rep1):
+        # the axes of A, B and AB all end at inf, which no pair that build
+        # accepts has, so the generators are replaced on a built pair
+        rep = replace(
+            rep1,
+            A=GroupElement(2 + 0j, 0j, 0j, 0.5 + 0j),
+            B=GroupElement(3 + 0j, 1 + 0j, 0j, 1 / 3 + 0j),
+        )
+        with pytest.raises(ElementaryGroup, match="share an endpoint"):
+            hexagon(rep)
 
     def test_json_shape(self, rep1):
         entries = hexagon(rep1).to_json()
