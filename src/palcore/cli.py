@@ -85,8 +85,8 @@ def _check_out(out: str) -> None:
     """Fail before any work when the --out path cannot be opened for
     writing. The check opens it for appending, which leaves an existing
     file as it is, and removes a file that only the check created; the
-    report is written (and an existing file replaced) by _emit, once the
-    work has succeeded."""
+    report is written (and an existing file replaced) through _output, once
+    the work has succeeded."""
     if out == "-":
         return
     existed = os.path.lexists(out)
@@ -99,17 +99,24 @@ def _check_out(out: str) -> None:
         _fail(exc)
 
 
-def _emit(text: str, out: str) -> None:
+@contextmanager
+def _output(out: str):
+    """The stream a report is written into as it is serialized, with no
+    copy of it held as text: stdout, or the --out file."""
     if out == "-":
-        click.echo(text)
+        yield sys.stdout
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            yield fh
     except OSError as exc:
         _fail(exc)
+
+
+def _emit_json(obj, out: str) -> None:
+    with _output(out) as stream:
+        json.dump(obj, stream, indent=2)
+        stream.write("\n")
 
 
 @contextmanager
@@ -198,13 +205,10 @@ def cmd_pi_map(gens: str, depth: int, fmt: str, out: str) -> None:
     except ValueError as exc:
         _fail(exc)
     if fmt == "csv":
-        import io
-
-        buf = io.StringIO()
-        spectrum_to_csv(entries, buf)
-        _emit(buf.getvalue().rstrip("\n"), out)
+        with _output(out) as stream:
+            spectrum_to_csv(entries, stream)
     else:
-        _emit(json.dumps([e.to_json() for e in entries], indent=2), out)
+        _emit_json([e.to_json() for e in entries], out)
 
 
 @main.command("probe")
@@ -228,7 +232,7 @@ def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
         report = probe(rep, depth, random_samples=samples, seed=seed, s_escape=escape)
     except (ValueError, PalcoreError) as exc:
         _fail(exc)
-    _emit(json.dumps(report.to_json(), indent=2), out)
+    _emit_json(report.to_json(), out)
     sys.exit(verdict_exit_code(report.verdict))
 
 
@@ -243,7 +247,7 @@ def cmd_hexagon(gens: str, out: str) -> None:
         hexa = hexagon(rep)
     except PalcoreError as exc:
         _fail(exc)
-    _emit(json.dumps(hexa.to_json(), indent=2), out)
+    _emit_json(hexa.to_json(), out)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import cmath
 import math
 from cmath import isfinite
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import sub
 from typing import NamedTuple
 
@@ -37,6 +38,7 @@ from .errors import (
 from .farey import primitive_word
 from .geodesics import Geodesic, axis, common_perpendicular
 from .sl2c import (
+    IDENTITY,
     INFINITY,
     Entries,
     GroupElement,
@@ -52,11 +54,19 @@ from .sl2c import (
     normalize_input,
     product,
 )
-from .words import LetterTable, Word, evaluate, is_palindrome, letter_table, reverse
+from .words import (
+    LetterTable, Word, evaluate, is_palindrome, letter_table, reduced_words, reverse,
+)
 
 PALINDROME_WORD = "palindrome-word"
 PALINDROME_PAIR = "palindrome-pair"
 PARABOLIC_END = "parabolic-end"
+
+# the longest words Representation.blocks holds, and so the most letters
+# of a palindrome's first half folded per product. Timed over the 64,896
+# halves of witness_search(12, 3), 4 and 5 fold slower, and 7 and 8 save
+# at most a further 10 % for 3 and 9 times the entries (3.6 MB at 8)
+BLOCK = 6
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,6 +128,17 @@ class Representation:
         determinant from entries of a long product cancels catastrophically.
         """
         return GroupElement._make(evaluate(w, self.letters))
+
+    @cached_property
+    def blocks(self) -> LetterTable:
+        """Normalized images of the 1,456 reduced words of 1 to BLOCK
+        letters, keyed by their text and built on first use. Each is its
+        stem's image times the last letter's matrix, so it equals
+        evaluate(word, letters) bit for bit."""
+        table: LetterTable = {}
+        for w in map(str, reduced_words(BLOCK)):
+            table[w] = evaluate(w[-1], self.letters, table.get(w[:-1], IDENTITY))
+        return table
 
     def to_json(self) -> dict:
         return {"A": self.A.to_json(), "B": self.B.to_json()}
@@ -330,7 +351,9 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
 
 def _palindrome_image(rep: Representation, w: Word) -> Entries:
     """Entries (a, b, c, d) of the normalized image of the palindrome w,
-    folded over its first half.
+    folded over its first half by sl2c.product with one rep.blocks entry,
+    of up to BLOCK letters, per factor. A half of at most BLOCK letters is
+    one entry, with the bits of its letter fold.
 
     Both generators have equal diagonal entries in the normalized frame, so
     the image of reverse(u) is phi(image of u), where phi swaps the
@@ -346,7 +369,9 @@ def _palindrome_image(rep: Representation, w: Word) -> Entries:
     where al de + be ga would carry both.
     """
     half = len(w) // 2
-    al, be, ga, de = evaluate(w[:half], rep.letters)
+    u = w[:half]
+    slices = [u[i:i + BLOCK] for i in range(0, half, BLOCK)]
+    al, be, ga, de = product(IDENTITY, map(rep.blocks.__getitem__, slices))
     bg, ad = be * ga, al * de
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
     if len(w) % 2 == 0:
@@ -437,9 +462,9 @@ def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:
     diagonal entries, written from one expression, and off-diagonal
     entries 2bd and 2ac, so its fixed points have the closed form
     +/-sqrt(P_b / P_c) and the position is ln|P_b / P_c| / 2, with only
-    len(w) letters multiplied. The quadratic fixed-point solve checks
-    that its roots are antipodal whenever it is well conditioned (see
-    _crossing_position). Raises
+    the len(w) letters of reverse(w) multiplied, BLOCK to a product. The
+    quadratic fixed-point solve checks that its roots are antipodal
+    whenever it is well conditioned (see _crossing_position). Raises
     TrivialPalindromization when P evaluates to (plus or minus) the
     identity, e.g. for half-turn images with axis orthogonal to the core.
     """

@@ -1,5 +1,6 @@
 """Command line interface: output shapes, exit codes, error paths."""
 
+import io
 import json
 import math
 
@@ -15,9 +16,11 @@ from palcore.probe import (
     PARABOLIC_ENDS_DETECTED,
     UNBOUNDED_EVIDENCE_NONDISCRETE,
     pi_spectrum,
+    probe,
+    spectrum_to_csv,
     witness_search,
 )
-from palcore.representation import rep_from_json
+from palcore.representation import hexagon, rep_from_json
 
 from .conftest import hyperbolic_on_axis
 
@@ -435,6 +438,47 @@ class TestUnwritableOut:
         assert res.exit_code == 0
         assert target.read_text().splitlines()[0] == "p,q,s,class,source"
         assert len(target.read_text().splitlines()) == 4
+
+
+def _json_report(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _csv_report(entries):
+    buf = io.StringIO()
+    spectrum_to_csv(entries, buf)
+    return buf.getvalue()
+
+
+# each report command with the text its library serialization gives
+_REPORTS = {
+    "probe": (["probe", "--depth", "6", "--samples", "20", "--escape", "1.0"],
+              lambda rep: _json_report(
+                  probe(rep, 6, random_samples=20, s_escape=1.0).to_json())),
+    "pi-map json": (["pi-map", "--depth", "6", "--format", "json"],
+                    lambda rep: _json_report([e.to_json() for e in pi_spectrum(rep, 6)])),
+    "pi-map csv": (["pi-map", "--depth", "6"],
+                   lambda rep: _csv_report(pi_spectrum(rep, 6))),
+    "hexagon": (["hexagon"], lambda rep: _json_report(hexagon(rep).to_json())),
+}
+
+
+class TestStreamedReports:
+    """A report is serialized straight into stdout or the --out file, and
+    both get the bytes of the whole serialized text."""
+
+    @pytest.mark.parametrize("name", sorted(_REPORTS))
+    def test_stdout_and_file_bytes(self, runner, schottky_gens, tmp_path, name):
+        args, report = _REPORTS[name]
+        with open(schottky_gens, encoding="utf-8") as fh:
+            expected = report(rep_from_json(json.load(fh))).encode("utf-8")
+        res = runner.invoke(main, [*args, "--gens", schottky_gens])
+        assert res.stdout_bytes == expected
+        target = tmp_path / "report.out"
+        to_file = runner.invoke(main, [*args, "--gens", schottky_gens, "--out", str(target)])
+        assert to_file.exit_code == res.exit_code
+        assert to_file.stdout_bytes == b""
+        assert target.read_bytes() == expected
 
 
 class TestReportKeyOrder:

@@ -29,6 +29,7 @@ from palcore.errors import (
 from palcore.farey import enumerate_farey
 from palcore.probe import pi_spectrum, witness_search
 from palcore.representation import (
+    BLOCK,
     PALINDROME_PAIR,
     PALINDROME_WORD,
     PARABOLIC_END,
@@ -39,6 +40,7 @@ from palcore.representation import (
     rational_pi,
 )
 from palcore.sl2c import INFINITY, GroupElement, _fixed_points, boundary_key, classify
+from palcore.words import LETTERS, Word, reduced_words
 
 from .conftest import random_representation
 
@@ -159,9 +161,17 @@ def _reference_parabolic_end(m, eps):
     raise OrthogonalityViolation("parabolic palindrome image does not fix a core end")
 
 
-def _reference_palindrome_image(rep, w):
+def _reference_palindrome_image(rep, w, block=BLOCK):
+    # the first half is folded block letters a product, each slice's image
+    # itself folded letter by letter from the identity; block=None folds
+    # the half letter by letter, as the library did before its blocks table
     half = len(w) // 2
-    m = _reference_evaluate(rep, w[:half])
+    if block is None:
+        m = _reference_evaluate(rep, w[:half])
+    else:
+        m = GroupElement(1 + 0j, 0j, 0j, 1 + 0j)
+        for i in range(0, half, block):
+            m = _reference_mul(m, _reference_evaluate(rep, w[i:min(i + block, half)]))
     al, be, ga, de = m.a, m.b, m.c, m.d
     bg, ad = be * ga, al * de
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
@@ -256,6 +266,37 @@ def test_witness_grid_candidates_match_the_element_route(mu_half, monkeypatch):
 
 
 _SPECTRUM_REPS = ("rep1", "schottky", "mu4", "mu_half", "random0", "random1")
+
+
+def _short_palindromes():
+    """Every palindrome of up to 2 BLOCK + 1 letters: u reverse(u) and
+    u x reverse(u) for each reduced u of at most BLOCK letters."""
+    for u in ("", *reduced_words(BLOCK)):
+        if u:
+            yield Word(u + u[::-1])
+        for x in LETTERS:
+            if not u or x != u[-1].swapcase():
+                yield Word(u + x + u[::-1])
+
+
+@pytest.mark.parametrize("name", _SPECTRUM_REPS)
+def test_short_palindromes_keep_the_letter_fold(name, request):
+    # a first half of at most BLOCK letters is one rep.blocks entry, which
+    # the table built letter by letter, so these palindromes keep the bits
+    # of the fold the library ran before it had the table
+    if name.startswith("random"):
+        rep = random_representation(int(name[len("random"):]))
+    else:
+        rep = request.getfixturevalue(name)
+    words = list(_short_palindromes())
+    assert len(words) == 4 + 1456 * 4 and max(map(len, words)) == 2 * BLOCK + 1
+    got = [_outcome(lambda: pi_of_palindrome(rep, w)) for w in words]
+    reference = [
+        _outcome(lambda: _reference_palindrome_position(
+            w, _reference_palindrome_image(rep, w, block=None)))
+        for w in words
+    ]
+    assert got == reference
 
 
 @pytest.mark.parametrize("name", _SPECTRUM_REPS)

@@ -25,6 +25,7 @@ from palcore.geodesics import (
     orthogonality_residual,
 )
 from palcore.representation import (
+    BLOCK,
     PALINDROME_PAIR,
     PALINDROME_WORD,
     PARABOLIC_END,
@@ -47,7 +48,7 @@ from palcore.sl2c import (
     chordal_distance,
     psl_distance,
 )
-from palcore.words import LETTERS, Word, reduced_words, reverse
+from palcore.words import LETTERS, Word, evaluate, reduced_words, reverse
 
 from .conftest import (
     exact_riley_position,
@@ -306,8 +307,9 @@ class TestHalfFormImage:
 
     @pytest.mark.parametrize("name", _HALF_FORM_REPS)
     def test_positions_match_the_full_fold(self, name, request):
-        # measured over these 200 palindromes per pair: worst |ds| 5.2e-14
-        # (mu_half), at most 3.1e-14 elsewhere; no entry changes kind
+        # measured over these 200 palindromes per pair, first halves folded
+        # in BLOCK-letter slices: worst |ds| 2.9e-14 (mu_half), at most
+        # 4.5e-15 elsewhere; no entry changes kind
         rep = _named_rep(name, request)
         palindromes = _long_palindromes(5, 200)
         assert {len(w) % 2 for w in palindromes} == {0, 1}
@@ -324,8 +326,9 @@ class TestHalfFormImage:
     def test_grid_positions_match_exact_arithmetic(self, mu, monkeypatch):
         # every finite position of the witness_search(rep, 6, 2) grid (3,072
         # palindromes of up to 52 letters) against exact rational entries;
-        # measured worst |ds| 2.5e-13 at mu = 1/2 (the full fold: 1.9e-13)
-        # and 3.8e-15 at mu = 4 and mu = 3/2 + 5i/2
+        # measured worst |ds| 4.1e-13 at mu = 1/2 (the letter fold of the
+        # half: 2.5e-13; the full fold: 1.9e-13) and 3.7e-15 at mu = 4 and
+        # mu = 3/2 + 5i/2
         rep = _rational_riley(mu)
         inner = pi_of_palindrome
         images = []
@@ -366,6 +369,32 @@ class TestHalfFormImage:
         recovered = [(w, half[1]) for w, half, _ in refused_full if half[0] == "position"]
         for w, s in recovered:
             assert abs(s - exact_riley_position(str(w), 0.5)) <= 2e-8
+
+
+def _entry_bits(m):
+    return tuple((z.real.hex(), z.imag.hex()) for z in m)
+
+
+class TestBlocksTable:
+    """rep.blocks, the images of the short reduced words that
+    pi_of_palindrome folds a first half by, one entry per product."""
+
+    @pytest.mark.parametrize("name", ("mu_half", "schottky", "random0"))
+    def test_holds_each_short_reduced_word_with_its_letter_fold(self, name, request):
+        rep = _named_rep(name, request)
+        assert len(rep.blocks) == 4 + 12 + 36 + 108 + 324 + 972 == 1456
+        assert set(rep.blocks) == set(reduced_words(BLOCK))
+        for w, m in rep.blocks.items():
+            assert _entry_bits(m) == _entry_bits(evaluate(w, rep.letters)), w
+
+    def test_is_built_only_for_a_palindrome_position(self, mu4):
+        # the spectrum and the slope and pair routes keep the letter fold
+        pi_spectrum(mu4, 6)
+        rational_pi(mu4, 3, 5)
+        pi_of_pair(mu4, Word("a"), Word("b"))
+        assert "blocks" not in vars(mu4)
+        pi_of_palindrome(mu4, Word("abba"))
+        assert "blocks" in vars(mu4)
 
 
 class TestPalindromize:

@@ -379,9 +379,8 @@ class TestEvaluate:
         st.lists(letters_st, max_size=200).map("".join).map(Word),
     )
     def test_text_folds_as_its_parsed_word(self, pair, w):
-        # evaluate folds any text over LETTERS, so a plain str, such as the
-        # slice of a Word that a palindrome's first half is, folds as the
-        # Word of that text
+        # evaluate folds any text over LETTERS, so a plain str, such as a
+        # slice of a Word, folds as the Word of that text
         t = letter_table(*_EVALUATION_PAIRS[pair])
         text = str(w)
         assert Word(text) == w
