@@ -8,6 +8,8 @@ axes cross the core geodesic of the generator pair. The boundedness of
 those crossing positions is the discreteness evidence reported by the
 probe.
 """
+from types import ModuleType as _ModuleType
+
 from .config import (
     CLASSIFY_BAND,
     DEFAULT_ESCAPE,
@@ -108,86 +110,8 @@ from .words import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianImage",
-    "BOUNDED_CONSISTENT_WITH_GF",
-    "CLASSIFY_BAND",
-    "CommutingPair",
-    "DEFAULT_ESCAPE",
-    "DEFAULT_GEO",
-    "DEFAULT_PLATEAU",
-    "DegenerateAxis",
-    "DegenerateGeodesic",
-    "ElementaryGroup",
-    "EllipticPowerFactorization",
-    "FareyNode",
-    "Geodesic",
-    "GroupElement",
-    "Hexagon",
-    "INCONCLUSIVE",
-    "INFINITY",
-    "IdentityElement",
-    "IdentityImage",
-    "InvalidRational",
-    "JorgensenResult",
-    "NotPalindrome",
-    "OrthogonalityViolation",
-    "PARABOLIC_ENDS_DETECTED",
-    "PalcoreError",
-    "PiImage",
-    "ProbeReport",
-    "Representation",
-    "SINGULAR_FLOOR",
-    "SampleEntry",
-    "SchemeViolation",
-    "SharedEndpoint",
-    "SingularMatrix",
-    "SpectrumEntry",
-    "TrivialPalindromization",
-    "UNBOUNDED_EVIDENCE_NONDISCRETE",
-    "VERTICAL_AXIS",
-    "WitnessRecord",
-    "Word",
-    "abelianize",
-    "are_associates",
-    "axis",
-    "boundary_key",
-    "build",
-    "chordal_distance",
-    "christoffel",
-    "classify",
-    "common_perpendicular",
-    "cyclic_reduce",
-    "cyclically_equal",
-    "elliptic_power_factorization",
-    "enumerate_farey",
-    "evaluate",
-    "fixed_points",
-    "geodesic_distance",
-    "hexagon",
-    "is_identity",
-    "is_palindrome",
-    "is_primitive",
-    "jorgensen_baseline",
-    "letter_table",
-    "line_matrix",
-    "matrix_from_json",
-    "nielsen_reduce_pair",
-    "normalize",
-    "orthogonality_residual",
-    "pair_perpendicular_by_axes",
-    "palindromize",
-    "pi_of_pair",
-    "pi_of_palindrome",
-    "pi_spectrum",
-    "primitive_word",
-    "probe",
-    "psl_distance",
-    "rational_pi",
-    "reduced_words",
-    "rep_from_json",
-    "reverse",
-    "sample_palindromizations",
-    "spectrum_to_csv",
-    "witness_search",
-]
+# every public name bound above, so the import blocks are the one list
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

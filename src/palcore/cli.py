@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import click
 
-from .config import DEFAULT_ESCAPE
+from .config import CERTIFIABLE_CEILING, DEFAULT_ESCAPE
 from .errors import PalcoreError
 from .farey import primitive_word
 from .probe import (
@@ -220,8 +220,8 @@ def cmd_pi_map(gens: str, depth: int, fmt: str, out: str) -> None:
 @click.option("--escape", default=DEFAULT_ESCAPE, show_default=True,
               callback=_positive,
               help="|s| threshold for escape evidence; positions beyond "
-                   "1/2 ln(1/singular tolerance) = 13.8 are never certified, "
-                   "so the default records no witness")
+                   f"1/2 ln(1/singular tolerance) = {CERTIFIABLE_CEILING:.1f} "
+                   "are never certified, so the default records no witness")
 @click.option("--out", default="-", show_default=True, help="output path, - for stdout")
 def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
               out: str) -> None:

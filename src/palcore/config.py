@@ -6,6 +6,8 @@ in a product, by geo_scaled.
 """
 from __future__ import annotations
 
+import math
+
 # half-width of the trace band reported as parabolic
 CLASSIFY_BAND = 1e-9
 # relative determinant floor below which a matrix counts as singular
@@ -21,7 +23,8 @@ def geo_scaled(word_length: int) -> float:
 
 # probe thresholds, in hyperbolic length units along the core geodesic.
 # A finite position needs both off-diagonal entries above SINGULAR_FLOOR *
-# scale, so no certified |s| exceeds 1/2 ln(1/SINGULAR_FLOOR) (13.8155).
+# scale, so no certified |s| exceeds this ceiling.
+CERTIFIABLE_CEILING = 0.5 * math.log(1 / SINGULAR_FLOOR)
 # The default escape radius lies above that ceiling and therefore records
 # no witness; pass a smaller radius to probe or witness_search (--escape
 # on the command line) for escape evidence.

@@ -234,7 +234,6 @@ class ProbeReport:
 
     depth: int
     seed: int
-    samples_requested: int
     s_escape: float
     spectrum: tuple[SpectrumEntry, ...]
     random_palindrome_samples: tuple[SampleEntry, ...]
@@ -248,7 +247,7 @@ class ProbeReport:
         return {
             "depth": self.depth,
             "seed": self.seed,
-            "samples_requested": self.samples_requested,
+            "samples_requested": len(self.random_palindrome_samples),
             "s_escape": self.s_escape,
             "plateau_delta": DEFAULT_PLATEAU,
             "spectrum": [e.to_json() for e in self.spectrum],
@@ -285,11 +284,10 @@ def probe(
     Per-entry computation failures are recorded in the report and do not
     affect the verdict beyond their absence from the statistics.
 
-    No finite position exceeds 1/2 ln(1/SINGULAR_FLOOR) = 13.8155: an
-    entry whose off-diagonal entries leave a larger ratio is refused at
-    the certifiable floor. An s_escape at or above that
-    ceiling, such as the default DEFAULT_ESCAPE = 25, never records a
-    witness.
+    No finite position exceeds config.CERTIFIABLE_CEILING: an entry whose
+    off-diagonal entries leave a larger ratio is refused at the
+    certifiable floor. An s_escape at or above that ceiling, such as the
+    default DEFAULT_ESCAPE = 25, never records a witness.
 
     Raises ValueError for depth < 1, a negative random_samples, or an
     s_escape that is not positive (NaN included).
@@ -339,7 +337,6 @@ def probe(
     return ProbeReport(
         depth=depth,
         seed=seed,
-        samples_requested=random_samples,
         s_escape=s_escape,
         spectrum=spectrum,
         random_palindrome_samples=samples,
@@ -364,9 +361,9 @@ def witness_search(
     palindromes U.reverse(U) and reverse(U).U; the first with finite
     |s| > s_escape is returned with its (C, D, n) data. Returns None when
     the grid is exhausted, which is always the case for an s_escape at or
-    above the certifiable ceiling 1/2 ln(1/SINGULAR_FLOOR) = 13.8155, the
-    default DEFAULT_ESCAPE = 25 included. Raises
-    ValueError for bounds below 1 or an s_escape that is not positive.
+    above config.CERTIFIABLE_CEILING, the default DEFAULT_ESCAPE = 25
+    included. Raises ValueError for bounds below 1 or an s_escape that is
+    not positive.
     """
     if max_conj_power < 1 or max_word_len < 1:
         raise ValueError("search bounds must be >= 1")

@@ -469,8 +469,6 @@ def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:
     identity, e.g. for half-turn images with axis orthogonal to the core.
     """
     pal = reverse(w) * w
-    if not pal:
-        raise TrivialPalindromization("empty word palindromizes to the identity")
     try:
         return pal, pi_of_palindrome(rep, pal)
     except IdentityImage as exc:
@@ -526,11 +524,11 @@ def rational_pi(rep: Representation, p: int, q: int) -> PiImage:
     is odd. The result carries no word: node.word, or the pair as u|v, is
     the text a report shows (SpectrumEntry.word).
 
-    The slope word, or each factor, is folded from the identity;
-    probe.pi_spectrum gets the same bits from its parents' images.
+    The slope word is folded from the identity, and a factor pair goes
+    through pi_of_pair, which folds each factor so; probe.pi_spectrum gets
+    the same bits from its parents' images.
     """
     node = primitive_word(p, q)
     if node.factorization is None:
         return _palindrome_position(node.word, evaluate(node.word, rep.letters))
-    u, v = node.factorization
-    return _pair_position(u, v, evaluate(u, rep.letters), evaluate(v, rep.letters))
+    return pi_of_pair(rep, *node.factorization)

@@ -72,11 +72,6 @@ class Word(str):
             text = _reduce(text)
         return str.__new__(cls, text)
 
-    @property
-    def letters(self) -> str:
-        """The text, as a plain str."""
-        return str(self)
-
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             raise TypeError(f"a Word multiplies a Word, not {type(other).__name__}")

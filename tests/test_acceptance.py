@@ -173,7 +173,7 @@ def test_criterion_04_slope_enumeration_is_exact():
             )
             if (p * q) % 2 == 0:
                 rotations = [
-                    Word(chris.letters[i:] + chris.letters[:i])
+                    Word(chris[i:] + chris[:i])
                     for i in range(len(chris))
                 ]
                 palindromic = [r for r in rotations if is_palindrome(r)]
@@ -181,7 +181,7 @@ def test_criterion_04_slope_enumeration_is_exact():
                     ok
                     and node.factorization is None
                     and len(palindromic) == 1
-                    and w.letters == palindromic[0].letters
+                    and w == palindromic[0]
                 )
             else:
                 w1, w2 = node.factorization
@@ -189,7 +189,7 @@ def test_criterion_04_slope_enumeration_is_exact():
                     ok
                     and is_palindrome(w1)
                     and is_palindrome(w2)
-                    and (w1 * w2).letters == w.letters
+                    and w1 * w2 == w
                     and cyclically_equal(w, chris)
                 )
             if not ok:
@@ -450,7 +450,7 @@ def test_criterion_12_power_factorization_into_palindromes():
                 good = (
                     is_palindrome(res.left)
                     and is_palindrome(res.right)
-                    and (res.left * res.right).letters == (base**n).letters
+                    and res.left * res.right == base**n
                 )
                 failures += not good
                 checked += 1

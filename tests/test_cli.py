@@ -142,6 +142,11 @@ class TestClassify:
             res = runner.invoke(main, [*command, "--gens", gens])
             assert_one_error_line(res, message)
 
+    def test_identity_generator_is_named(self, runner, tmp_path):
+        gens = write_gens(tmp_path, [[1, 0], [0, 1]], [[1, 0], [4, 1]])
+        res = runner.invoke(main, ["probe", "--gens", gens, "--depth", "2"])
+        assert_one_error_line(res, "error: a generator is the identity")
+
     def test_bad_json_fails(self, runner):
         res = runner.invoke(main, ["classify", "not json"])
         assert res.exit_code == 1
@@ -274,6 +279,7 @@ class TestProbe:
         )
         report = json.loads(res.output)
         assert report["seed"] == 5
+        assert report["samples_requested"] == 10
         assert len(report["random_palindrome_samples"]) == 10
         # the plateau is a constant, still recorded in the report
         assert report["plateau_delta"] == 0.01
@@ -282,6 +288,7 @@ class TestProbe:
         res = runner.invoke(main, ["probe", "--help"])
         assert res.exit_code == 0
         assert "--escape" in res.output and "--plateau" not in res.output
+        assert f"= {config.CERTIFIABLE_CEILING:.1f} are never" in res.output
         res = runner.invoke(main, ["probe", "--gens", mu4_gens, "--plateau", "0.5"])
         assert res.exit_code == 1
         assert "No such option '--plateau'" in res.output

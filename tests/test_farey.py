@@ -144,11 +144,11 @@ class TestPrimitiveWord:
         even = [n for n in enumerate_farey(11) if (n.p * n.q) % 2 == 0]
         assert len(even) == 1366
         for node in even:
-            w = christoffel(node.p, node.q).letters
+            w = str(christoffel(node.p, node.q))
             rotations = {w[i:] + w[:i] for i in range(len(w))}
             pals = [r for r in rotations if r == r[::-1]]
             assert len(pals) == 1, (node.p, node.q)
-            assert primitive_word(node.p, node.q).word.letters == pals[0]
+            assert primitive_word(node.p, node.q).word == pals[0]
 
     def test_deep_slope_needs_no_deep_recursion(self):
         # 1/1200 lies 1200 mediant steps down, beyond the interpreter's

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from palcore.config import CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR
+from palcore.config import (
+    CERTIFIABLE_CEILING, CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR,
+)
 from palcore.errors import (
     CommutingPair,
     IdentityElement,
@@ -379,6 +381,22 @@ def test_quadratic_solve_agrees_with_the_entry_ratio(a, b):
     s = 0.5 * math.log(abs(m[1] / m[2]))
     s_roots = 0.5 * (math.log(abs(x)) + math.log(abs(y)))
     assert abs(s_roots - s) <= 1e-12 * max(1.0, abs(s))
+
+
+@pytest.mark.parametrize("factor", [1.001, 0.999])
+def test_the_floor_caps_positions_at_the_ceiling(factor):
+    """No certified |s| exceeds CERTIFIABLE_CEILING. The elliptic image
+    [[1/2, b], [-3/(4b), 1/2]] has |b| = sqrt(3/4 SINGULAR_FLOOR) times
+    factor: just past the floor it is positioned within 1e-3 of the
+    ceiling, and just short of it, refused."""
+    b = math.sqrt(0.75 * SINGULAR_FLOOR) * factor
+    m = (0.5 + 0j, b + 0j, -0.75 / b + 0j, 0.5 + 0j)
+    if factor < 1:
+        with pytest.raises(OrthogonalityViolation, match="below the certifiable floor"):
+            _crossing_position(m, DEFAULT_GEO)
+    else:
+        s = _crossing_position(m, DEFAULT_GEO)
+        assert CERTIFIABLE_CEILING - 1e-3 < abs(s) < CERTIFIABLE_CEILING
 
 
 def test_overflowed_slope_image_is_refused(mu4):

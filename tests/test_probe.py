@@ -443,7 +443,11 @@ class TestNonDiscreteControl:
 
     def test_near_relations_show_up_in_sampling(self, mu_half):
         entries = sample_palindromizations(mu_half, 200, 8, seed=7)
-        reasons = {e.error.split(":")[0] for e in entries if e.error}
+        errored = [e for e in entries if e.error]
+        # an errored entry reports its base word and the error, nothing else
+        assert errored
+        assert all(e.to_json() == {"base": e.base, "error": e.error} for e in errored)
+        reasons = {e.error.split(":")[0] for e in errored}
         assert reasons <= {
             "TrivialPalindromization",
             "IdentityImage",

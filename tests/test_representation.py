@@ -84,6 +84,14 @@ class TestBuild:
         with pytest.raises(ElementaryGroup):
             build(A, B)
 
+    @pytest.mark.parametrize("scale", [1, -2])
+    def test_identity_generator_is_elementary(self, scale):
+        identity = GroupElement(scale, 0, 0, scale)
+        parabolic = GroupElement(1, 0, 4, 1)
+        for pair in ((identity, parabolic), (parabolic, identity)):
+            with pytest.raises(ElementaryGroup, match="a generator is the identity"):
+                build(*pair)
+
     def test_commuting_parabolics_are_elementary(self):
         with pytest.raises(ElementaryGroup):
             build(GroupElement(1, 1, 0, 1), GroupElement(1, 2, 0, 1))
@@ -173,6 +181,9 @@ class TestPalindromeErrors:
     def test_rejects_non_palindrome(self, rep1):
         with pytest.raises(NotPalindrome):
             pi_of_palindrome(rep1, Word("ab"))
+        for pair in ((Word("ab"), Word("a")), (Word("a"), Word("ab"))):
+            with pytest.raises(NotPalindrome, match=r"Word\(ab\) is not a palindrome"):
+                pi_of_pair(rep1, *pair)
 
     def test_identity_image(self):
         # B is a half-turn, so bb evaluates to minus the identity
@@ -188,6 +199,12 @@ class TestPalindromeErrors:
         rep = build(A, B)
         with pytest.raises(TrivialPalindromization):
             palindromize(rep, Word("b"))
+
+    def test_empty_word_palindromization_is_trivial(self, rep1):
+        with pytest.raises(
+            TrivialPalindromization, match=r"Word\(identity\) palindromizes"
+        ):
+            palindromize(rep1, Word())
 
 
 class TestPairRoutes:

@@ -152,7 +152,7 @@ class TestReduction:
     @given(raw_st)
     def test_reduction_is_idempotent(self, raw):
         w = Word(raw)
-        assert Word(w.letters).letters == w.letters
+        assert Word(str(w)) == w
 
     @given(raw_st)
     def test_no_adjacent_inverses_remain(self, raw):
@@ -172,7 +172,7 @@ class TestReduction:
     def test_matches_reference_reduction(self, raw):
         w = Word(raw)
         assert w == _reference_str(_reference_letters(_ints(raw)))
-        assert type(w.letters) is str
+        assert type(str(w)) is str
 
     @given(_cancelling_raw_st, st.data())
     def test_invalid_letter_message_matches_reference(self, raw, data):
@@ -498,6 +498,8 @@ class TestEllipticPowerFactorization:
     def test_rejects_non_palindrome(self):
         with pytest.raises(NotPalindrome):
             elliptic_power_factorization(Word("ab"), Word("b"), 2)
+        with pytest.raises(NotPalindrome, match=r"Word\(ab\)"):
+            elliptic_power_factorization(Word("b"), Word("ab"), 2)
 
     def test_rejects_bad_power(self):
         with pytest.raises(ValueError):
