@@ -14,10 +14,12 @@ finite search cannot certify discreteness.
 """
 from __future__ import annotations
 
+import atexit
 import csv
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, chain
 from typing import IO, Iterable, NamedTuple
 
@@ -132,42 +134,79 @@ def jorgensen_baseline(rep: Representation) -> JorgensenResult:
     return JorgensenResult(value, value >= 1.0)
 
 
+@lru_cache(maxsize=1)
+def _spectrum_plan(depth: int) -> tuple[tuple, ...]:
+    """The walk of pi_spectrum at depth, from one enumerate_farey call:
+    per slope in (q, p) order, the tuple (p, q, level, lo, hi, fold, words).
+
+    lo and hi are the plan positions of the slope's Farey parents (None
+    for a root), fold is the Word its image folds (None for an odd slope
+    on the last level, whose image no slope here needs) and words is its
+    entry's words tuple. Every Word is one the walk built, held by
+    reference, and nothing depends on a representation or a tolerance.
+    The cache keeps the last depth only.
+    """
+    nodes = enumerate_farey(depth)
+    index = {node[:2]: i for i, node in enumerate(nodes)}
+    plan = []
+    for p, q, level, parents, word, factors in nodes:
+        if parents is None:
+            plan.append((p, q, level, None, None, word, (word,)))
+            continue
+        lo, hi = index[parents[0]], index[parents[1]]
+        if factors is None:  # word is hi's text, then lo's
+            plan.append((p, q, level, lo, hi, nodes[lo].word, (word,)))
+        else:
+            fold = factors[1] if level < depth else None
+            plan.append((p, q, level, lo, hi, fold, factors))
+    return tuple(plan)
+
+
+# the plan holds about three objects per slope that the cyclic garbage
+# collector tracks; dropping it at exit spares the interpreter's final
+# collections from walking them (about 10 ms after a depth-12 probe)
+atexit.register(_spectrum_plan.cache_clear)
+
+
 def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
     """Pi image for every slope of the Farey tree to the given depth.
 
     Entries are in deterministic (q, p) order. Per-slope failures are
-    recorded on the entry, not raised. In that order both Farey parents
-    come before a slope, and their word images are kept for this call. A
-    fold continued from a parent's image has the bits of rational_pi's
-    fold from the identity (see words.evaluate): an even slope's image,
-    of hi * lo, is lo's word folded from hi's image; an odd slope takes U
-    and V from its parents, and keeps its own image, hi's word folded from
-    lo's, only when it is shallower than depth and so has children here.
+    recorded on the entry, not raised. Consecutive calls at one depth share
+    one walk, the plan of _spectrum_plan, which holds each slope's parents
+    and the Word it folds and nothing of rep or of a tolerance. In (q, p)
+    order both Farey parents come before a slope, and their word images
+    are kept for this call. A fold continued from a parent's image has the
+    bits of rational_pi's fold from the identity (see words.evaluate): an
+    even slope's image, of hi * lo, is lo's word folded from hi's image; a
+    root's word is folded from the identity; an odd slope takes U and V
+    from its parents' images, and keeps its own image, hi's word folded
+    from lo's, only when it is shallower than depth and so has children
+    here.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     letters = rep.letters
-    images: dict = {}
+    plan = _spectrum_plan(depth)
+    images: list = [None] * len(plan)
     entries = []
-    for p, q, level, parents, word, factors in enumerate_farey(depth):
+    for i, (p, q, level, lo, hi, fold, words) in enumerate(plan):
         image = error = None
         try:
-            if factors is not None:
-                lo, hi = parents
-                if level < depth:
-                    images[p, q] = evaluate(factors[1], letters, images[lo])
-                image = _pair_position(*factors, images[lo], images[hi])
+            if len(words) == 2:
+                if fold is not None:
+                    images[i] = evaluate(fold, letters, images[lo])
+                image = _pair_position(*words, images[lo], images[hi])
             else:
-                if parents is None:
-                    m = evaluate(word, letters)
+                if lo is None:
+                    m = evaluate(fold, letters)
                 else:
-                    hi = parents[1]  # word is hi's sum(hi) letters, then lo's
-                    m = evaluate(word[sum(hi):], letters, images[hi])
-                images[p, q] = m
-                image = _palindrome_position(word, m)
+                    m = evaluate(fold, letters, images[hi])
+                images[i] = m
+                image = _palindrome_position(words[0], m)
         except PalcoreError as exc:
             error = f"{type(exc).__name__}: {exc}"
-        entries.append(SpectrumEntry(p, q, level, factors or (word,), image, error))
+        entries.append(SpectrumEntry(p, q, level, words, image, error))
     return entries
 
 

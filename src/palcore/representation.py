@@ -45,6 +45,7 @@ from .sl2c import (
     _fixed_points,
     _max4,
     _json_text,
+    _quadratic_roots,
     boundary_key,
     classify,
     fixed_points,
@@ -295,7 +296,13 @@ def _crossing_position(m, eps: float, kind: str | None = None) -> float:
         abs_tr = abs(tr)
         tr2 = abs_tr * abs_tr
         if abs(disc) > _DISC_GATE * (tr2 if tr2 > 1.0 else 1.0):
-            x, y = _fixed_points(m, kind or classify(m))
+            kind = kind or classify(m)
+            if kind == "loxodromic" or kind == "elliptic":
+                # the floor test above is _fixed_points' own at a scale no
+                # smaller, so only the solve is left of it
+                x, y = _quadratic_roots(a, b, c, d)
+            else:
+                x, y = _fixed_points(m, kind)
             abs_x, abs_y = abs(x), abs(y)
             root_scale = abs_x if abs_x > 1.0 else 1.0
             if abs_y > root_scale:

@@ -191,9 +191,16 @@ def psl_distance(g, h) -> float:
 
 
 def is_identity(g, eps: float = CLASSIFY_BAND) -> bool:
-    """psl_distance(g, identity) <= eps, with the distance taken inline."""
+    """psl_distance(g, identity) <= eps, with the distance taken inline.
+
+    Both distances are at least max(|b|, |c|), so an off-diagonal entry
+    past eps answers False at once. A NaN entry is not past eps, so it
+    meets the full comparison.
+    """
     a, b, c, d = g
     abs_b, abs_c = abs(b), abs(c)
+    if abs_b > eps or abs_c > eps:
+        return False
     direct = _max4(abs(a - 1), abs_b, abs_c, abs(d - 1))
     flipped = _max4(abs(a + 1), abs_b, abs_c, abs(d + 1))
     # min(direct, flipped), compared as the builtin compares
@@ -243,6 +250,13 @@ def _fixed_points(g, kind: str) -> tuple[BoundaryPoint, BoundaryPoint]:
     if kind == "parabolic":
         p = (a - d) / (2 * c)
         return (p, p)
+    return _quadratic_roots(a, b, c, d)
+
+
+def _quadratic_roots(a, b, c, d) -> tuple[complex, complex]:
+    """The two roots of c z^2 + (d - a) z - b = 0, unsorted: the fixed
+    points of a unimodular [[a, b], [c, d]] that is neither parabolic nor
+    the identity and whose c is past the floor _fixed_points tests."""
     disc = (a + d) ** 2 - 4  # equals (a - d)^2 + 4bc for det 1
     sq = cmath.sqrt(disc)
     t = a - d

@@ -2,10 +2,12 @@
 
 perfbench/tracer.py wraps the functions listed in its SPANS, and
 perfbench/worker.py counts witness candidates by rebinding
-palcore.probe.pi_of_palindrome. Two of the tracer's spans also read what
-passes through them: the words.evaluate hook counts len(args[0]) as
-words.letters_evaluated, and the farey.primitive_word hook reads the
-returned node's slope and the lengths of its word and factors. A rename,
+palcore.probe.pi_of_palindrome. The traced farey span times the walk
+pi_spectrum takes through the palcore.probe global enumerate_farey. Two of
+the tracer's spans also read what passes through them: the words.evaluate
+hook counts len(args[0]) as words.letters_evaluated, and the
+farey.primitive_word hook reads the returned node's slope and the lengths
+of its word and factors. A rename,
 deletion or signature change in palcore would otherwise break the traced
 run, the candidate counter or a work counter without failing a test. The tracer
 imports only the standard library, so it is loaded here by path.
@@ -16,6 +18,7 @@ import sys
 from pathlib import Path
 
 import palcore.probe  # noqa: F401  (the module; palcore.probe is the function)
+from palcore.farey import enumerate_farey
 from palcore.probe import pi_spectrum
 from palcore.representation import pi_of_palindrome, rational_pi
 from palcore.words import Word
@@ -42,6 +45,23 @@ def test_traced_spans_are_palcore_callables():
 
 def test_witness_counter_rebinds_a_probe_module_global():
     assert vars(sys.modules["palcore.probe"])["pi_of_palindrome"] is pi_of_palindrome
+
+
+def test_spectrum_walk_reads_a_probe_module_global(monkeypatch, mu4):
+    # the spectrum plan, built once per depth, calls enumerate_farey by
+    # the palcore.probe global the tracer rebinds
+    probe_module = sys.modules["palcore.probe"]
+    assert vars(probe_module)["enumerate_farey"] is enumerate_farey
+    depths = []
+
+    def walk(depth):
+        depths.append(depth)
+        return enumerate_farey(depth)
+
+    monkeypatch.setattr(probe_module, "enumerate_farey", walk)
+    probe_module._spectrum_plan.cache_clear()
+    pi_spectrum(mu4, 3)
+    assert depths == [3]
 
 
 def _spy(monkeypatch, layer: str, name: str) -> list:

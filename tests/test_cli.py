@@ -15,6 +15,7 @@ from palcore.probe import (
     INCONCLUSIVE,
     PARABOLIC_ENDS_DETECTED,
     UNBOUNDED_EVIDENCE_NONDISCRETE,
+    _spectrum_plan,
     pi_spectrum,
     probe,
     spectrum_to_csv,
@@ -377,9 +378,14 @@ class TestValidTolerance:
         # every module that reads the constant binds it at import
         for module in (config, representation, geodesics):
             monkeypatch.setattr(module, "DEFAULT_GEO", 1e-12)
+        # the spectrum plan holds no tolerance: one built at depth 8 before
+        # the constant was lowered refuses as many slopes as a new one
+        warm = self._pi_map(runner, schottky_gens)
+        _spectrum_plan.cache_clear()
         tight = self._pi_map(runner, schottky_gens)
         assert sum("error" in e for e in default) == 56
         assert sum("error" in e for e in tight) == 63
+        assert warm == tight
         with open(schottky_gens, encoding="utf-8") as fh:
             rep = rep_from_json(json.load(fh))
         assert tight == [e.to_json() for e in pi_spectrum(rep, 8)]

@@ -4,17 +4,22 @@ sampling, and the classical trace-inequality baseline."""
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import palcore
 from palcore.probe import (
     BOUNDED_CONSISTENT_WITH_GF,
     INCONCLUSIVE,
     PARABOLIC_ENDS_DETECTED,
     UNBOUNDED_EVIDENCE_NONDISCRETE,
     VERDICTS,
+    _spectrum_plan,
     jorgensen_baseline,
     pi_spectrum,
     probe,
@@ -88,6 +93,23 @@ def _count_folded_letters(monkeypatch):
 
     monkeypatch.setattr(probe_module, "evaluate", recorder)
     return letters
+
+
+def _count_walks(monkeypatch):
+    """Record the depth of every enumerate_farey call pi_spectrum makes,
+    under the name palcore.probe looks it up by, with the plan cache
+    emptied first."""
+    probe_module = sys.modules["palcore.probe"]
+    inner = probe_module.enumerate_farey
+    depths = []
+
+    def recorder(depth):
+        depths.append(depth)
+        return inner(depth)
+
+    monkeypatch.setattr(probe_module, "enumerate_farey", recorder)
+    _spectrum_plan.cache_clear()
+    return depths
 
 
 def _count_word_formatting(monkeypatch):
@@ -169,6 +191,39 @@ class TestSpectrum:
         letters = _count_folded_letters(monkeypatch)
         pi_spectrum(mu4, 12)
         assert (len(letters), sum(letters)) == (3415, 206674)
+
+    def test_plan_carries_nothing_from_one_pair_to_the_next(
+        self, mu4, schottky, monkeypatch
+    ):
+        # the walk is shared by consecutive calls at one depth and taken
+        # again when the depth changes; every spectrum keeps its full-fold bits
+        walks = _count_walks(monkeypatch)
+        calls = [(mu4, 10), (schottky, 10), (mu4, 8),
+                 (random_representation(3), 10), (mu4, 10)]
+        for rep, depth in calls:
+            entries = [_entry_bits(e.p, e.q, e.depth, e.image, e.error, e.word)
+                       for e in pi_spectrum(rep, depth)]
+            assert entries == _full_fold_spectrum(rep, depth)
+        assert walks == [10, 8, 10]
+
+    def test_plan_is_dropped_at_exit(self):
+        # atexit runs handlers last in, first out, so a handler registered
+        # before palcore is imported sees the plan after palcore's own
+        script = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: print(sys.modules['palcore.probe']"
+            "._spectrum_plan.cache_info().currsize))\n"
+            "from palcore import build, pi_spectrum\n"
+            "from palcore.sl2c import GroupElement\n"
+            "rep = build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, 4, 1))\n"
+            "pi_spectrum(rep, 3)\n"
+            "print(sys.modules['palcore.probe']._spectrum_plan.cache_info().currsize)\n"
+        )
+        src = str(Path(palcore.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60, check=True)
+        assert out.stdout.split() == ["1", "0"]
 
     def test_formats_words_only_for_refusals(self, mu4, monkeypatch):
         # a CommutingPair refusal names its two factors in the Word(...)
