@@ -227,7 +227,12 @@ def spectrum_to_csv(entries: Iterable[SpectrumEntry], stream: IO[str]) -> None:
 
 def random_word(rng: random.Random, length: int) -> Word:
     """Random reduced word of exactly the given length: uniform letters
-    with no immediate backtracking."""
+    with no immediate backtracking. Raises ValueError for a negative
+    length."""
+    if length < 0:
+        raise ValueError(f"word length must be non-negative, got {length}")
+    if length == 0:
+        return Word()
     letters = [rng.choice(LETTERS)]
     while len(letters) < length:
         inverse = Word(letters[-1]).inverse()

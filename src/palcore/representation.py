@@ -42,10 +42,8 @@ from .sl2c import (
     INFINITY,
     Entries,
     GroupElement,
-    _fixed_points,
     _max4,
     _json_text,
-    _quadratic_roots,
     boundary_key,
     classify,
     fixed_points,
@@ -239,35 +237,26 @@ def rep_from_json(obj: dict) -> Representation:
     return build(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]))
 
 
-# the generic quadratic fixed-point solve is trusted as a cross-check only
-# when the discriminant carries this many relative digits; below the gate
-# the root splitting is rounding noise while the entry ratio b/c is not
-_DISC_GATE = 1e-10
-
 # the refusal of an image with finite parts whose modulus abs() cannot hold
 _MODULUS_OVERFLOWED = "image overflowed: an entry's modulus is past the float range"
 
 
-def _crossing_position(m, eps: float, kind: str | None = None) -> float:
+def _crossing_position(m, eps: float) -> float:
     """Position where the axis of m crosses the core [0, inf].
 
     m is expected to have (anti)symmetric diagonal in the normalized frame:
     equal diagonal entries for a palindrome image, trace zero for a double
     altitude. Either way the axis endpoints are +/-sqrt(b/c), so
-    s = ln|b/c| / 2, a ratio of directly accumulated entries that stays
-    accurate when the quadratic root splitting has cancelled away.
+    s = ln|b/c| / 2, a ratio of directly accumulated entries.
 
     Refusals, each an OrthogonalityViolation: an entry that is not finite,
     or an overflow of abs() (the image overflowed); unequal diagonal
-    entries; an off-diagonal entry below SINGULAR_FLOOR times the scale;
-    and, when the discriminant is
-    numerically meaningful, roots of the quadratic solve that are not
-    antipodal. Nothing else can fail: past the floor |b/c| lies within
-    1e+/-12, and kind = classify(m) (passed when the caller has it) is
-    loxodromic or elliptic, since callers send parabolic images to
-    _parabolic_end and a double altitude has trace zero. The solve's roots
-    are then r and (-b/c)/r with r finite and nonzero, off the core ends,
-    with mean log s up to rounding (pinned in tests/test_position_kernel.py).
+    entries; an off-diagonal entry below SINGULAR_FLOOR times the scale,
+    past which |b/c| lies within 1e+/-12; and fixed points that are not
+    antipodal. By Vieta's formulas the fixed points of a unimodular m sum
+    to (a - d)/c and multiply to -b/c, so they count as antipodal, within
+    eps of their modulus sqrt|b/c|, when |a - d|/|c| <= eps max(1,
+    sqrt|b/c|); no quadratic is solved.
     m is read as its entries (a, b, c, d): a GroupElement or a plain tuple.
     Each max(1.0, v) and max(u, v) here is spelled as the comparison the
     builtin makes, for the same result at a fraction of the call cost.
@@ -279,9 +268,10 @@ def _crossing_position(m, eps: float, kind: str | None = None) -> float:
         abs_b, abs_c = abs(b), abs(c)
         norm = _max4(abs(a), abs_b, abs_c, abs(d))
         scale = norm if norm > 1.0 else 1.0
-        if abs(a - d) > eps * scale:
+        asymmetry = abs(a - d)
+        if asymmetry > eps * scale:
             raise OrthogonalityViolation(
-                f"diagonal asymmetry {abs(a - d):.3e} at scale {scale:.3e}: "
+                f"diagonal asymmetry {asymmetry:.3e} at scale {scale:.3e}: "
                 "axis not orthogonal to the core"
             )
         if abs_b <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
@@ -289,29 +279,14 @@ def _crossing_position(m, eps: float, kind: str | None = None) -> float:
                 "off-diagonal entry below the certifiable floor, axis endpoint "
                 "indistinguishable from a core end"
             )
-        tr = a + d
-        disc = tr * tr - 4  # unimodular input
-        # a product, not ** 2: float ** raises OverflowError past |tr| ~ 1.3e154,
-        # while the product overflows to inf and the cross-check is skipped
-        abs_tr = abs(tr)
-        tr2 = abs_tr * abs_tr
-        if abs(disc) > _DISC_GATE * (tr2 if tr2 > 1.0 else 1.0):
-            kind = kind or classify(m)
-            if kind == "loxodromic" or kind == "elliptic":
-                # the floor test above is _fixed_points' own at a scale no
-                # smaller, so only the solve is left of it
-                x, y = _quadratic_roots(a, b, c, d)
-            else:
-                x, y = _fixed_points(m, kind)
-            abs_x, abs_y = abs(x), abs(y)
-            root_scale = abs_x if abs_x > 1.0 else 1.0
-            if abs_y > root_scale:
-                root_scale = abs_y
-            if abs(x + y) > eps * root_scale:
-                raise OrthogonalityViolation(
-                    f"fixed points not antipodal: residual {abs(x + y):.3e}"
-                )
-        return 0.5 * math.log(abs(b / c))
+        ratio = abs(b / c)
+        residual = asymmetry / abs_c
+        modulus = math.sqrt(ratio)
+        if residual > eps * (modulus if modulus > 1.0 else 1.0):
+            raise OrthogonalityViolation(
+                f"fixed points not antipodal: residual {residual:.3e}"
+            )
+        return 0.5 * math.log(ratio)
     except OverflowError:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
 
@@ -409,7 +384,7 @@ def _palindrome_position(w: Word, m) -> PiImage:
     eps = geo_scaled(len(w))
     if kind == "parabolic":
         return PiImage(_parabolic_end(m, eps), PARABOLIC_END, kind)
-    return PiImage(_crossing_position(m, eps, kind), PALINDROME_WORD, kind)
+    return PiImage(_crossing_position(m, eps), PALINDROME_WORD, kind)
 
 
 def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
@@ -469,9 +444,7 @@ def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:
     diagonal entries, written from one expression, and off-diagonal
     entries 2bd and 2ac, so its fixed points have the closed form
     +/-sqrt(P_b / P_c) and the position is ln|P_b / P_c| / 2, with only
-    the len(w) letters of reverse(w) multiplied, BLOCK to a product. The
-    quadratic fixed-point solve checks that its roots are antipodal
-    whenever it is well conditioned (see _crossing_position). Raises
+    the len(w) letters of reverse(w) multiplied, BLOCK to a product. Raises
     TrivialPalindromization when P evaluates to (plus or minus) the
     identity, e.g. for half-turn images with axis orthogonal to the core.
     """

@@ -247,19 +247,12 @@ def _fixed_points(g, kind: str) -> tuple[BoundaryPoint, BoundaryPoint]:
         if kind == "parabolic":
             return (INFINITY, INFINITY)
         return (b / (d - a), INFINITY)
+    t = a - d
     if kind == "parabolic":
-        p = (a - d) / (2 * c)
+        p = t / (2 * c)
         return (p, p)
-    return _quadratic_roots(a, b, c, d)
-
-
-def _quadratic_roots(a, b, c, d) -> tuple[complex, complex]:
-    """The two roots of c z^2 + (d - a) z - b = 0, unsorted: the fixed
-    points of a unimodular [[a, b], [c, d]] that is neither parabolic nor
-    the identity and whose c is past the floor _fixed_points tests."""
     disc = (a + d) ** 2 - 4  # equals (a - d)^2 + 4bc for det 1
     sq = cmath.sqrt(disc)
-    t = a - d
     # take the root with the larger numerator first, then use the product
     # of roots -b/c for the other; avoids cancellation near parabolics
     plus, minus = t + sq, t - sq

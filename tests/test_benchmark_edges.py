@@ -20,7 +20,7 @@ from pathlib import Path
 import palcore.probe  # noqa: F401  (the module; palcore.probe is the function)
 from palcore.farey import enumerate_farey
 from palcore.probe import pi_spectrum
-from palcore.representation import pi_of_palindrome, rational_pi
+from palcore.representation import PALINDROME_PAIR, pi_of_palindrome, rational_pi
 from palcore.words import Word
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -107,3 +107,14 @@ def test_primitive_word_nodes_carry_slope_word_and_factorization(monkeypatch, mu
         assert len(node.word) == sum(args)
         assert len(factors) == (2 if args[0] * args[1] % 2 else 0)
         assert sum(map(len, factors)) in (0, len(node.word))
+
+
+def test_spectrum_classifies_each_image_once(monkeypatch, mu4):
+    # the tracer's sl2c.classify span: one call per palindrome image and
+    # one per positioned pair's UV; the crossing check makes none
+    calls = _spy(monkeypatch, "sl2c", "classify")
+    spectrum = pi_spectrum(mu4, 12)
+    palindromes = sum(len(e.words) == 1 for e in spectrum)
+    pairs = sum(e.image is not None and e.image.source == PALINDROME_PAIR
+                for e in spectrum)
+    assert (len(calls), palindromes, pairs) == (2837, 2732, 105)

@@ -316,38 +316,51 @@ def test_spectrum_matches_the_element_route(name, request):
 
 
 # entries reaching each refusal of _crossing_position that finite entries
-# can reach, with eps and kind. The second floor case is refused only
-# because the scale of entries below 1 is taken as 1.
+# can reach, with eps and the kind the element route is given. The second
+# floor case is refused only because the scale of entries below 1 is taken
+# as 1. The last case is unimodular, c = (ad - 1)/b, as every image the
+# kernel sees is: there both routes read a residual of 1.667e+03.
 _CROSSING_REFUSALS = [
     ((2, 1, 1, 1), 1e-6, None, "diagonal asymmetry"),
     ((1, 1e-20, 1, 1), 1e-6, None, "below the certifiable floor"),
     ((0.5, 9e-13, 0.5, 0.5), 1e-6, None, "below the certifiable floor"),
-    ((2.025, 1e5, 1e-5, 1.975), 1e-6, None, "fixed points not antipodal"),
+    ((2.025, 1e5, 2.999375e-5, 1.975), 1e-6, None, "fixed points not antipodal"),
 ]
 
 
 @pytest.mark.parametrize("entries, eps, kind, refusal", _CROSSING_REFUSALS)
 def test_crossing_refusals_match_the_element_route(entries, eps, kind, refusal):
     entries = tuple(complex(x) for x in entries)
-    got = _outcome(lambda: PiImage(_crossing_position(entries, eps, kind), "", ""))
+    got = _outcome(lambda: PiImage(_crossing_position(entries, eps), "", ""))
     reference = _outcome(lambda: PiImage(
         _reference_crossing_position(GroupElement(*entries), eps, kind), "", ""))
     assert got == reference
     assert got.startswith("OrthogonalityViolation: ") and refusal in got
 
 
+def test_antipodality_residual_is_the_root_sum_of_the_entries():
+    # determinant 3: the element route's solve, which assumes determinant 1,
+    # reads 1.188e+05 here, while the fixed points sum to |a - d|/|c|
+    with pytest.raises(OrthogonalityViolation, match="residual 5.000e[+]03$"):
+        _crossing_position((2.025 + 0j, 1e5 + 0j, 1e-5 + 0j, 1.975 + 0j), 1e-6)
+
+
 _entry_part_st = st.floats(-1e3, 1e3)
 _entry_st = st.builds(complex, _entry_part_st, _entry_part_st)
+# the second diagonal entry: None for d = a, as in a palindrome image
+_diagonal_st = st.none() | _entry_st
 
 
-def _symmetric_roots(a, b):
-    """Entries (a, b, (a*a - 1)/b, a) of a unimodular matrix with equal
-    diagonal, past the floor and not parabolic (those images go to
-    _parabolic_end), with the roots of its quadratic solve. The modulus of
+def _unimodular_roots(a, b, d=None):
+    """Entries (a, b, (a*d - 1)/b, d) of a unimodular matrix, with d = a
+    when d is None, past the floor and not parabolic (those images go to
+    _parabolic_end), with the roots _fixed_points gives it. The modulus of
     c must be finite: a larger one is refused as overflowed (see
     test_overflowing_modulus_is_refused)."""
     assume(b != 0)
-    m = (a, b, (a * a - 1) / b, a)
+    if d is None:
+        d = a
+    m = (a, b, (a * d - 1) / b, d)
     assume(math.isfinite(math.hypot(m[2].real, m[2].imag)))
     scale = max(1.0, *map(abs, m))
     assume(min(abs(m[1]), abs(m[2])) > SINGULAR_FLOOR * scale)
@@ -359,28 +372,87 @@ def _symmetric_roots(a, b):
 # (2, 3) is the symmetric matrix [[2, 3], [1, 2]]: it reached "endpoint on
 # a core end" only under a misstated kind "parabolic"; the second example
 # has a c whose modulus overflows, which the helper excludes
-@example(2 + 0j, 3 + 0j)
-@example(28 + 979j, 5.335847002636874e-303j)
-@given(_entry_st, _entry_st)
-def test_quadratic_roots_stay_off_the_core_ends(a, b):
-    """Why _crossing_position needs no refusal for a root on a core end:
-    the solve gives two finite nonzero roots."""
-    _, roots = _symmetric_roots(a, b)
+@example(2 + 0j, 3 + 0j, None)
+@example(28 + 979j, 5.335847002636874e-303j, None)
+@example(2 + 0j, 3 + 0j, 1 + 0j)
+@given(_entry_st, _entry_st, _diagonal_st)
+def test_quadratic_roots_stay_off_the_core_ends(a, b, d):
+    """_fixed_points gives a unimodular matrix that is past the floor and
+    neither parabolic nor the identity two finite nonzero roots: r and
+    (-b/c)/r, with r the root of the larger numerator."""
+    _, roots = _unimodular_roots(a, b, d)
     for root in roots:
         assert root is not INFINITY and cmath.isfinite(root) and root != 0
 
 
 # (3, 1e5, 8e-5, 3) is the equal-diagonal neighbour of (3, 1e5, 1e-3, 1),
 # which reached "disagrees with quadratic solve" only under "parabolic"
-@example(3 + 0j, 1e5 + 0j)
-@given(_entry_st, _entry_st)
-def test_quadratic_solve_agrees_with_the_entry_ratio(a, b):
-    """Why _crossing_position needs no refusal for a root position that
-    disagrees with s: the mean log of the two roots is s = ln|b/c| / 2."""
-    m, (x, y) = _symmetric_roots(a, b)
+@example(3 + 0j, 1e5 + 0j, None)
+@example(3 + 0j, 1e5 + 0j, 1 + 0j)
+@given(_entry_st, _entry_st, _diagonal_st)
+def test_quadratic_solve_agrees_with_the_entry_ratio(a, b, d):
+    """The roots _fixed_points gives multiply to -b/c, so their mean log is
+    s = ln|b/c| / 2, the position _crossing_position reads off the
+    entries, whether or not the diagonal is equal."""
+    m, (x, y) = _unimodular_roots(a, b, d)
     s = 0.5 * math.log(abs(m[1] / m[2]))
     s_roots = 0.5 * (math.log(abs(x)) + math.log(abs(y)))
     assert abs(s_roots - s) <= 1e-12 * max(1.0, abs(s))
+
+
+# n/1024 for |n| <= 2**20: a*d, a*d - 1 and (a + d)**2 are exact in
+# floats, and so is c = (a*d - 1)/b for b a power of two times a unit, so
+# the matrix is unimodular without rounding and only the solve rounds
+_dyadic_part_st = st.integers(-2**20, 2**20).map(lambda n: n / 1024)
+_dyadic_st = st.builds(complex, _dyadic_part_st, _dyadic_part_st)
+_power_st = st.builds(
+    lambda unit, k: unit * 2.0 ** k,
+    st.sampled_from((1 + 0j, -1 + 0j, 1j, -1j)),
+    st.integers(-20, 20),
+)
+
+
+@example(3 + 0j, 1024 + 0j, 1 + 0j)
+@given(_dyadic_st, _power_st, _dyadic_st)
+def test_root_sum_is_the_entry_ratio(a, b, d):
+    """Why _crossing_position reads antipodality off the entries: by
+    Vieta's formulas the fixed points of a unimodular [[a, b], [c, d]] sum
+    to (a - d)/c, so the solve's |x + y| is |a - d|/|c| up to the rounding
+    of its roots."""
+    m, (x, y) = _unimodular_roots(a, b, d)
+    assert a * d - b * m[2] == 1
+    assert abs(abs(x + y) - abs(a - d) / abs(m[2])) <= 1e-14 * max(abs(x), abs(y))
+
+
+# traces near the parabolic +/-2, near the elliptic 2i and 0, near +/-3.2,
+# where |tr|^2 passes 10, and anywhere, offset at every scale down to 1e-12
+_trace_st = st.builds(
+    lambda centre, re, im, e: centre + complex(re, im) * 10.0 ** -e,
+    st.sampled_from((2, -2, 2j, -2j, 0, 3.2, -3.2)),
+    st.floats(-1, 1),
+    st.floats(-1, 1),
+    st.integers(0, 12),
+) | _entry_st
+
+
+# the trace 2 + 5e-11 has |tr^2 - 4| = 2e-10, inside the gate's bound
+# 4e-10: classify calls it parabolic, as any band of 2e-10 or more would
+@example(2 + 5e-11 + 0j, 0j, 1 + 0j, 1 + 0j)
+@given(_trace_st, _entry_st, _entry_st, _entry_st)
+def test_the_discriminant_gate_was_open_past_classify(tr, h, b, c):
+    """Why _crossing_position lost its discriminant gate, which ran the
+    quadratic cross-check only when |tr^2 - 4| > 1e-10 max(1, |tr|^2):
+    every matrix classify calls loxodromic or elliptic passes it while
+    |tr|^2 is finite. Where |tr|^2 <= 10 the gate's bound is at most
+    1e-9 = CLASSIFY_BAND, inside which classify answers parabolic; past
+    10, |tr^2 - 4| > 0.6 |tr|^2. The gate closed only where |tr|^2
+    overflowed, past |tr| ~ 1.3e154, since inf > inf is false; the Vieta
+    test now checks those images too."""
+    m = (tr / 2 + h, b, c, tr / 2 - h)
+    assume(classify(m) in ("loxodromic", "elliptic"))
+    t = m[0] + m[3]
+    abs_t = abs(t)
+    assert abs(t * t - 4) > 1e-10 * max(1.0, abs_t * abs_t)
 
 
 @pytest.mark.parametrize("factor", [1.001, 0.999])

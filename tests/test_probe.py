@@ -365,6 +365,9 @@ class TestSampling:
         for _ in range(50):
             w = random_word(rng, 12)
             assert len(w) == 12  # no backtracking, so nothing cancels
+        assert random_word(rng, 0) == Word()
+        with pytest.raises(ValueError, match="non-negative"):
+            random_word(rng, -1)
 
     def test_seeded_draws_are_pinned(self, mu_half):
         # the letters are drawn from LETTERS in the order a, A, b, B; these
