@@ -174,8 +174,10 @@ def cmd_classify(matrix_json: str) -> None:
 @click.argument("slope")
 def cmd_primitive(slope: str) -> None:
     """Representative word of a slope: SLOPE like "3/5" (1/0 allowed)."""
+    p_text, slash, q_text = slope.partition("/")
+    if not (p_text and slash and q_text) or "/" in q_text:
+        _fail(f"slope must have the form p/q, got {slope!r}")
     try:
-        p_text, _, q_text = slope.partition("/")
         node = primitive_word(int(p_text), int(q_text))
         record: dict = {
             "p": node.p,

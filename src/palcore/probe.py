@@ -35,6 +35,7 @@ from .representation import (
     palindromize,
     pi_of_palindrome,
 )
+from .sl2c import product
 from .words import LETTERS, Word, evaluate, palindromic_doubles, reduced_words
 
 BOUNDED_CONSISTENT_WITH_GF = "BOUNDED_CONSISTENT_WITH_GF"
@@ -140,11 +141,28 @@ def _spectrum_plan(depth: int) -> tuple[tuple, ...]:
     per slope in (q, p) order, the tuple (p, q, level, lo, hi, fold, words).
 
     lo and hi are the plan positions of the slope's Farey parents (None
-    for a root), fold is the Word its image folds (None for an odd slope
-    on the last level, whose image no slope here needs) and words is its
-    entry's words tuple. Every Word is one the walk built, held by
-    reference, and nothing depends on a representation or a tolerance.
-    The cache keeps the last depth only.
+    for a root) and words is the entry's words tuple. fold says how the
+    slope's image is built:
+
+    - a Word: the letter fold. A root folds its word from the identity, an
+      even slope (word hi lo) folds lo's word from hi's image and an odd
+      slope (word lo hi) hi's word from lo's image, so the image has the
+      bits of its slope word's fold from the identity (see words.evaluate).
+    - None: one sl2c.product of the parents' images, hi * lo for an even
+      slope and lo * hi for an odd one. This is the route of every image
+      that no pair position reads, directly or through a fold started
+      from it: an even slope on the last level, whose image gives its own
+      position only, and an odd slope one level above it, whose children
+      are both even. An odd slope on the last level gets no image at all:
+      its position reads only its parents' images.
+
+    A pair position reads the images of its factors, its Farey parents,
+    and no parent of an odd slope is one of the product-route slopes, so
+    every pair position, and every image one reads, keeps the letter
+    fold's bits. Only the images of slopes shallower than depth are read.
+    Every Word is one the walk built, held by reference, and nothing
+    depends on a representation or a tolerance. The cache keeps the last
+    depth only.
     """
     nodes = enumerate_farey(depth)
     index = {node[:2]: i for i, node in enumerate(nodes)}
@@ -155,9 +173,10 @@ def _spectrum_plan(depth: int) -> tuple[tuple, ...]:
             continue
         lo, hi = index[parents[0]], index[parents[1]]
         if factors is None:  # word is hi's text, then lo's
-            plan.append((p, q, level, lo, hi, nodes[lo].word, (word,)))
+            fold = nodes[lo].word if level < depth else None
+            plan.append((p, q, level, lo, hi, fold, (word,)))
         else:
-            fold = factors[1] if level < depth else None
+            fold = factors[1] if level < depth - 1 else None
             plan.append((p, q, level, lo, hi, fold, factors))
     return tuple(plan)
 
@@ -174,15 +193,13 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
     Entries are in deterministic (q, p) order. Per-slope failures are
     recorded on the entry, not raised. Consecutive calls at one depth share
     one walk, the plan of _spectrum_plan, which holds each slope's parents
-    and the Word it folds and nothing of rep or of a tolerance. In (q, p)
-    order both Farey parents come before a slope, and their word images
-    are kept for this call. A fold continued from a parent's image has the
-    bits of rational_pi's fold from the identity (see words.evaluate): an
-    even slope's image, of hi * lo, is lo's word folded from hi's image; a
-    root's word is folded from the identity; an odd slope takes U and V
-    from its parents' images, and keeps its own image, hi's word folded
-    from lo's, only when it is shallower than depth and so has children
-    here.
+    and the route of its image and nothing of rep or of a tolerance. In
+    (q, p) order both Farey parents come before a slope; the images of the
+    slopes above the last level are kept for this call. Every entry has
+    rational_pi's outcome, and its bits but for the position of an even
+    slope on the last level: the plan forms that image as one product of
+    the parents' images, which moves the position by a few units in the
+    last place.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -196,13 +213,16 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
             if len(words) == 2:
                 if fold is not None:
                     images[i] = evaluate(fold, letters, images[lo])
+                elif level < depth:
+                    images[i] = product(images[lo], (images[hi],))
                 image = _pair_position(*words, images[lo], images[hi])
             else:
                 if lo is None:
-                    m = evaluate(fold, letters)
+                    m = images[i] = evaluate(fold, letters)
+                elif fold is None:
+                    m = product(images[hi], (images[lo],))
                 else:
-                    m = evaluate(fold, letters, images[hi])
-                images[i] = m
+                    m = images[i] = evaluate(fold, letters, images[hi])
                 image = _palindrome_position(words[0], m)
         except PalcoreError as exc:
             error = f"{type(exc).__name__}: {exc}"

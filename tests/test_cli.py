@@ -186,6 +186,11 @@ class TestPrimitive:
     def test_malformed_slope_fails(self, runner):
         assert runner.invoke(main, ["primitive", "seven"]).exit_code == 1
 
+    @pytest.mark.parametrize("slope", ["3", "1/", "3/5/7"])
+    def test_slope_not_of_the_form_p_q_is_named(self, runner, slope):
+        res = runner.invoke(main, ["primitive", slope])
+        assert_one_error_line(res, f"slope must have the form p/q, got '{slope}'")
+
 
 class TestPiMap:
     def test_csv_output(self, runner, schottky_gens):

@@ -44,7 +44,7 @@ from palcore.representation import (
 from palcore.sl2c import INFINITY, GroupElement, _fixed_points, boundary_key, classify
 from palcore.words import LETTERS, Word, reduced_words
 
-from .conftest import random_representation
+from .conftest import assert_matches_full_folds, random_representation
 
 # Reference implementations: the element route, one GroupElement per
 # product and per intermediate matrix, with the builtin max and min.
@@ -307,10 +307,13 @@ def test_spectrum_matches_the_element_route(name, request):
         rep = random_representation(int(name[len("random"):]))
     else:
         rep = request.getfixturevalue(name)
+    # every pair position, and every image one reads, keeps the bits of the
+    # element route; an even slope on the last level is one product of its
+    # parents' images and keeps its refusal text, source and class
     got = [e.error if e.image is None else _bits(e.image) for e in pi_spectrum(rep, 10)]
-    reference = [_outcome(lambda: _reference_slope(rep, node))
-                 for node in enumerate_farey(10)]
-    assert got == reference
+    nodes = enumerate_farey(10)
+    reference = [_outcome(lambda: _reference_slope(rep, node)) for node in nodes]
+    assert_matches_full_folds(nodes, 10, got, reference, s_at=0)
     # every pair has slopes refused as commuting pairs at this depth
     assert any(isinstance(outcome, str) for outcome in reference)
 

@@ -127,12 +127,26 @@ class TestProjectiveEquality:
         assert is_identity(-IDENTITY, 1e-12)
         assert not is_identity(GroupElement(1, 1e-3, 0, 1), 1e-12)
 
-    # abs(d - 1) overflows to OverflowError for this d, on both sides
+    # abs(d - 1) overflows to OverflowError for this d, on both sides; in
+    # the second, |c| = 1 is past eps, so is_identity answers False before
+    # it takes that distance; in the third, |c| itself overflows
     @example(GroupElement(1 + 0j, 0j, 0j, complex(1.2711610061536464e308,
                                                   1.2711610061536464e308)), 0.0)
+    @example(GroupElement(0j, 0j, 1j, complex(1.2711610061536462e308,
+                                              1.2711610061536464e308)), 0.0)
+    @example(GroupElement(0j, 1j, complex(1.2711610061536462e308,
+                                          1.2711610061536464e308), 0j), 0.0)
     @given(_matrix_st, _eps_st)
     def test_is_identity_matches_reference_on_any_matrix(self, g, eps):
-        assert _outcome(is_identity, g, eps) == _outcome(_reference_is_identity, g, eps)
+        expected = _outcome(_reference_is_identity, g, eps)
+        off_diagonal = _outcome(lambda: (abs(g.b), abs(g.c)))
+        if expected is OverflowError and isinstance(off_diagonal, tuple) and (
+            off_diagonal[0] > eps or off_diagonal[1] > eps
+        ):
+            # the distance the reference overflows on is at least |b| and
+            # |c|, so it is past eps: the answer is False
+            expected = False
+        assert _outcome(is_identity, g, eps) == expected
 
     @given(st.sampled_from((1, -1)), _perturbation_st, _perturbation_st,
            _perturbation_st, _perturbation_st, _eps_st)
