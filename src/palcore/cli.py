@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 
@@ -170,15 +171,20 @@ def cmd_classify(matrix_json: str) -> None:
         _fail(exc)
 
 
+# p/q in ASCII decimal digits, a minus sign allowed on each: int() would
+# also take a plus sign, spaces, underscores and non-ASCII digits
+_SLOPE = re.compile(r"(-?[0-9]+)/(-?[0-9]+)")
+
+
 @main.command("primitive")
 @click.argument("slope")
 def cmd_primitive(slope: str) -> None:
     """Representative word of a slope: SLOPE like "3/5" (1/0 allowed)."""
-    p_text, slash, q_text = slope.partition("/")
-    if not (p_text and slash and q_text) or "/" in q_text:
+    match = _SLOPE.fullmatch(slope)
+    if match is None:
         _fail(f"slope must have the form p/q, got {slope!r}")
     try:
-        node = primitive_word(int(p_text), int(q_text))
+        node = primitive_word(*map(int, match.groups()))
         record: dict = {
             "p": node.p,
             "q": node.q,

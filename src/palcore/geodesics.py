@@ -33,6 +33,8 @@ class Geodesic:
 
     Canonical order is lexicographic by (Re, Im) with inf greatest, so two
     Geodesics with the same endpoint set compare equal.
+
+    A dataclass, as its constructor orders and coerces the endpoints.
     """
 
     e1: BoundaryPoint

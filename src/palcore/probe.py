@@ -18,7 +18,6 @@ import atexit
 import csv
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 from typing import IO, Iterable, NamedTuple
@@ -51,8 +50,7 @@ VERDICTS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     """Pi image of one slope, or the error that prevented it.
 
     words is the slope's palindrome, or its palindromic factor pair when
@@ -80,8 +78,7 @@ class SpectrumEntry:
         return out
 
 
-@dataclass(frozen=True)
-class SampleEntry:
+class SampleEntry(NamedTuple):
     """Palindromization of one random word, or the error it raised."""
 
     base: str
@@ -100,8 +97,7 @@ class SampleEntry:
         return out
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(NamedTuple):
     """A palindrome whose |s| exceeded the escape threshold."""
 
     word: str
@@ -292,8 +288,7 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Everything the probe measured, plus the verdict derived from it."""
 
     depth: int

@@ -68,8 +68,7 @@ PARABOLIC_END = "parabolic-end"
 BLOCK = 6
 
 
-@dataclass(frozen=True, slots=True)
-class PiImage:
+class PiImage(NamedTuple):
     """Signed position of a palindromic axis along the core.
 
     s is the hyperbolic position; parabolic palindromes are tagged with
@@ -103,6 +102,8 @@ class PiImage:
 @dataclass(frozen=True)
 class Representation:
     """Normalized generator pair with its core geodesic.
+
+    A dataclass, as the lazily built blocks table needs an instance dict.
 
     A and B are the unimodular input generators; core is their axes' common
     perpendicular in the input frame; normalizer conjugates the input frame
@@ -250,13 +251,14 @@ def _crossing_position(m, eps: float) -> float:
     s = ln|b/c| / 2, a ratio of directly accumulated entries.
 
     Refusals, each an OrthogonalityViolation: an entry that is not finite,
-    or an overflow of abs() (the image overflowed); unequal diagonal
-    entries; an off-diagonal entry below SINGULAR_FLOOR times the scale,
-    past which |b/c| lies within 1e+/-12; and fixed points that are not
-    antipodal. By Vieta's formulas the fixed points of a unimodular m sum
-    to (a - d)/c and multiply to -b/c, so they count as antipodal, within
-    eps of their modulus sqrt|b/c|, when |a - d|/|c| <= eps max(1,
-    sqrt|b/c|); no quadratic is solved.
+    or an overflow of abs() (the image overflowed); an off-diagonal entry
+    below SINGULAR_FLOOR times the scale, past which |b/c| lies within
+    1e+/-12; and fixed points that are not antipodal. By Vieta's formulas
+    the fixed points of a unimodular m sum to (a - d)/c and multiply to
+    -b/c, so they count as antipodal, within eps of their modulus
+    sqrt|b/c|, when |a - d|/|c| <= eps max(1, sqrt|b/c|); no quadratic is
+    solved. That bound, eps max(|c|, sqrt|bc|) on |a - d|, is at most eps
+    times the scale, so unequal diagonal entries need no test of their own.
     m is read as its entries (a, b, c, d): a GroupElement or a plain tuple.
     Each max(1.0, v) and max(u, v) here is spelled as the comparison the
     builtin makes, for the same result at a fraction of the call cost.
@@ -268,19 +270,13 @@ def _crossing_position(m, eps: float) -> float:
         abs_b, abs_c = abs(b), abs(c)
         norm = _max4(abs(a), abs_b, abs_c, abs(d))
         scale = norm if norm > 1.0 else 1.0
-        asymmetry = abs(a - d)
-        if asymmetry > eps * scale:
-            raise OrthogonalityViolation(
-                f"diagonal asymmetry {asymmetry:.3e} at scale {scale:.3e}: "
-                "axis not orthogonal to the core"
-            )
         if abs_b <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
             raise OrthogonalityViolation(
                 "off-diagonal entry below the certifiable floor, axis endpoint "
                 "indistinguishable from a core end"
             )
         ratio = abs(b / c)
-        residual = asymmetry / abs_c
+        residual = abs(a - d) / abs_c
         modulus = math.sqrt(ratio)
         if residual > eps * (modulus if modulus > 1.0 else 1.0):
             raise OrthogonalityViolation(

@@ -233,12 +233,7 @@ def fixed_points(g) -> tuple[BoundaryPoint, BoundaryPoint]:
     in when c = 0. A parabolic g returns its single fixed point twice.
     Raises IdentityElement when g is (plus or minus) the identity.
     """
-    return tuple(sorted(_fixed_points(g, classify(g)), key=boundary_key))
-
-
-def _fixed_points(g, kind: str) -> tuple[BoundaryPoint, BoundaryPoint]:
-    """The fixed-point solve: both fixed points of g, unsorted, for a
-    caller that has kind = classify(g). fixed_points sorts them."""
+    kind = classify(g)
     if kind == "identity":
         raise IdentityElement("every point is fixed")
     a, b, c, d = g
@@ -246,7 +241,7 @@ def _fixed_points(g, kind: str) -> tuple[BoundaryPoint, BoundaryPoint]:
     if abs(c) <= SINGULAR_FLOOR * scale:
         if kind == "parabolic":
             return (INFINITY, INFINITY)
-        return (b / (d - a), INFINITY)
+        return (b / (d - a), INFINITY)  # infinity sorts last
     t = a - d
     if kind == "parabolic":
         p = t / (2 * c)
@@ -259,7 +254,7 @@ def _fixed_points(g, kind: str) -> tuple[BoundaryPoint, BoundaryPoint]:
     num = plus if abs(plus) >= abs(minus) else minus
     r1 = num / (2 * c)
     r2 = (-b / c) / r1 if r1 != 0 else 0j
-    return (r1, r2)
+    return tuple(sorted((r1, r2), key=boundary_key))
 
 
 def _json_text(v) -> str:

@@ -186,10 +186,16 @@ class TestPrimitive:
     def test_malformed_slope_fails(self, runner):
         assert runner.invoke(main, ["primitive", "seven"]).exit_code == 1
 
-    @pytest.mark.parametrize("slope", ["3", "1/", "3/5/7"])
+    @pytest.mark.parametrize(
+        "slope", ["3", "1/", "3/5/7", "1_0/3", "\u0661/\u0662", " 3/5", "+3/5"]
+    )
     def test_slope_not_of_the_form_p_q_is_named(self, runner, slope):
         res = runner.invoke(main, ["primitive", slope])
         assert_one_error_line(res, f"slope must have the form p/q, got '{slope}'")
+
+    def test_negative_denominator_is_out_of_range(self, runner):
+        res = runner.invoke(main, ["primitive", "3/-5"])
+        assert_one_error_line(res, "negative slope 3/-5 is out of range")
 
 
 class TestPiMap:

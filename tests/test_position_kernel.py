@@ -18,7 +18,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from palcore.config import (
-    CERTIFIABLE_CEILING, CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR,
+    CERTIFIABLE_CEILING, CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR, geo_scaled,
 )
 from palcore.errors import (
     CommutingPair,
@@ -41,7 +41,7 @@ from palcore.representation import (
     pi_of_palindrome,
     rational_pi,
 )
-from palcore.sl2c import INFINITY, GroupElement, _fixed_points, boundary_key, classify
+from palcore.sl2c import INFINITY, GroupElement, boundary_key, classify, fixed_points
 from palcore.words import LETTERS, Word, reduced_words
 
 from .conftest import assert_matches_full_folds, random_representation
@@ -122,11 +122,6 @@ def _reference_crossing_position(m, eps, kind=None):
     # on a core end" and "disagrees with quadratic solve"), so every
     # comparison on real images also confirms that neither fires
     scale = max(1.0, _reference_max_norm(m))
-    if abs(m.a - m.d) > eps * scale:
-        raise OrthogonalityViolation(
-            f"diagonal asymmetry {abs(m.a - m.d):.3e} at scale {scale:.3e}: "
-            "axis not orthogonal to the core"
-        )
     if abs(m.b) <= SINGULAR_FLOOR * scale or abs(m.c) <= SINGULAR_FLOOR * scale:
         raise OrthogonalityViolation(
             "off-diagonal entry below the certifiable floor, axis endpoint "
@@ -319,12 +314,14 @@ def test_spectrum_matches_the_element_route(name, request):
 
 
 # entries reaching each refusal of _crossing_position that finite entries
-# can reach, with eps and the kind the element route is given. The second
+# can reach, with eps and the kind the element route is given. The first
+# case has unequal diagonal entries, which the antipodality test refuses
+# (see test_unequal_diagonal_is_refused_as_not_antipodal). The second
 # floor case is refused only because the scale of entries below 1 is taken
 # as 1. The last case is unimodular, c = (ad - 1)/b, as every image the
 # kernel sees is: there both routes read a residual of 1.667e+03.
 _CROSSING_REFUSALS = [
-    ((2, 1, 1, 1), 1e-6, None, "diagonal asymmetry"),
+    ((2, 1, 1, 1), 1e-6, None, "fixed points not antipodal: residual 1.000e+00"),
     ((1, 1e-20, 1, 1), 1e-6, None, "below the certifiable floor"),
     ((0.5, 9e-13, 0.5, 0.5), 1e-6, None, "below the certifiable floor"),
     ((2.025, 1e5, 2.999375e-5, 1.975), 1e-6, None, "fixed points not antipodal"),
@@ -354,11 +351,10 @@ _entry_st = st.builds(complex, _entry_part_st, _entry_part_st)
 _diagonal_st = st.none() | _entry_st
 
 
-def _unimodular_roots(a, b, d=None):
+def _unimodular(a, b, d=None):
     """Entries (a, b, (a*d - 1)/b, d) of a unimodular matrix, with d = a
-    when d is None, past the floor and not parabolic (those images go to
-    _parabolic_end), with the roots _fixed_points gives it. The modulus of
-    c must be finite: a larger one is refused as overflowed (see
+    when d is None, past the floor. The modulus of c must be finite: a
+    larger one is refused as overflowed (see
     test_overflowing_modulus_is_refused)."""
     assume(b != 0)
     if d is None:
@@ -367,9 +363,28 @@ def _unimodular_roots(a, b, d=None):
     assume(math.isfinite(math.hypot(m[2].real, m[2].imag)))
     scale = max(1.0, *map(abs, m))
     assume(min(abs(m[1]), abs(m[2])) > SINGULAR_FLOOR * scale)
-    kind = classify(m)
-    assume(kind in ("loxodromic", "elliptic"))
-    return m, _fixed_points(m, kind)
+    return m
+
+
+def _unimodular_roots(a, b, d=None):
+    """_unimodular's matrix, not parabolic (those images go to
+    _parabolic_end), with the roots fixed_points gives it."""
+    m = _unimodular(a, b, d)
+    assume(classify(m) in ("loxodromic", "elliptic"))
+    return m, fixed_points(m)
+
+
+@given(_entry_st, _entry_st, _entry_st, st.integers(1, 4096).map(geo_scaled))
+def test_unequal_diagonal_is_refused_as_not_antipodal(a, b, d, eps):
+    """Why _crossing_position has no diagonal test of its own: its Vieta
+    test passes only when |a - d| <= eps max(|c|, sqrt|bc|), which is at
+    most eps times the scale, so a unimodular matrix past the floor whose
+    diagonal entries differ by more than that is refused as not
+    antipodal."""
+    m = _unimodular(a, b, d)
+    assume(abs(a - d) > eps * max(1.0, *map(abs, m)))
+    with pytest.raises(OrthogonalityViolation, match="fixed points not antipodal"):
+        _crossing_position(m, eps)
 
 
 # (2, 3) is the symmetric matrix [[2, 3], [1, 2]]: it reached "endpoint on
@@ -380,7 +395,7 @@ def _unimodular_roots(a, b, d=None):
 @example(2 + 0j, 3 + 0j, 1 + 0j)
 @given(_entry_st, _entry_st, _diagonal_st)
 def test_quadratic_roots_stay_off_the_core_ends(a, b, d):
-    """_fixed_points gives a unimodular matrix that is past the floor and
+    """fixed_points gives a unimodular matrix that is past the floor and
     neither parabolic nor the identity two finite nonzero roots: r and
     (-b/c)/r, with r the root of the larger numerator."""
     _, roots = _unimodular_roots(a, b, d)
@@ -394,7 +409,7 @@ def test_quadratic_roots_stay_off_the_core_ends(a, b, d):
 @example(3 + 0j, 1e5 + 0j, 1 + 0j)
 @given(_entry_st, _entry_st, _diagonal_st)
 def test_quadratic_solve_agrees_with_the_entry_ratio(a, b, d):
-    """The roots _fixed_points gives multiply to -b/c, so their mean log is
+    """The roots fixed_points gives multiply to -b/c, so their mean log is
     s = ln|b/c| / 2, the position _crossing_position reads off the
     entries, whether or not the diagonal is equal."""
     m, (x, y) = _unimodular_roots(a, b, d)

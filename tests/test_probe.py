@@ -487,6 +487,38 @@ class TestWitnessSearch:
             witness_search(rep1, 1, 0)
 
 
+_RECORD_FIELDS = {
+    "PiImage": ("s", "source", "element_class"),
+    "SpectrumEntry": ("p", "q", "depth", "words", "image", "error"),
+    "SampleEntry": ("base", "word", "image", "error"),
+    "WitnessRecord": ("word", "s", "source", "c", "d", "n"),
+    "ProbeReport": (
+        "depth", "seed", "s_escape", "spectrum", "random_palindrome_samples",
+        "interval", "growth", "verdict", "witnesses", "jorgensen",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, fields", _RECORD_FIELDS.items())
+def test_outcome_records_are_immutable_named_tuples(name, fields, mu_half):
+    """Each outcome record is a named tuple, as GroupElement is: its fields
+    keep their order, and no attribute can be set on it."""
+    report = probe(mu_half, 2, random_samples=1, s_escape=1.0)
+    record = {
+        "PiImage": report.spectrum[0].image,
+        "SpectrumEntry": report.spectrum[0],
+        "SampleEntry": report.random_palindrome_samples[0],
+        "WitnessRecord": witness_search(mu_half, 6, 2, s_escape=1.0),
+        "ProbeReport": report,
+    }[name]
+    assert type(record) is getattr(palcore, name)
+    assert isinstance(record, tuple) and record._fields == fields
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], None)
+    with pytest.raises(AttributeError):
+        record.note = "no instance dict"
+
+
 class TestJorgensenBaseline:
     def test_non_discrete_value(self, mu_half):
         res = jorgensen_baseline(mu_half)
