@@ -176,7 +176,9 @@ def cmd_classify(matrix_json: str) -> None:
 _SLOPE = re.compile(r"(-?[0-9]+)/(-?[0-9]+)")
 
 
-@main.command("primitive")
+# a slope like -1/2 reads as an unknown option, which is passed on as the
+# argument, so it meets the slope checks like every other slope
+@main.command("primitive", context_settings={"ignore_unknown_options": True})
 @click.argument("slope")
 def cmd_primitive(slope: str) -> None:
     """Representative word of a slope: SLOPE like "3/5" (1/0 allowed)."""

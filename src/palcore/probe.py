@@ -437,7 +437,7 @@ def witness_search(
                         image = pi_of_palindrome(rep, pal)
                     except PalcoreError:
                         continue
-                    if image.finite and abs(image.s) > s_escape:
+                    if abs(image.s) > s_escape and image.finite:
                         return WitnessRecord(
                             str(pal), image.s, image.source,
                             c=str(c), d=str(d), n=n,

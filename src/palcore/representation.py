@@ -62,9 +62,11 @@ PALINDROME_PAIR = "palindrome-pair"
 PARABOLIC_END = "parabolic-end"
 
 # the longest words Representation.blocks holds, and so the most letters
-# of a palindrome's first half folded per product. Timed over the 64,896
-# halves of witness_search(12, 3), 4 and 5 fold slower, and 7 and 8 save
-# at most a further 10 % for 3 and 9 times the entries (3.6 MB at 8)
+# of a palindrome's first half folded per product. The 64,896 halves of
+# witness_search(12, 3), folded from their first entry, took 0.32, 0.27,
+# 0.23, 0.20 and 0.19 s at 4 to 8 (best of 7 on one CPU of a 2-vCPU VM):
+# 7 and 8 save a further 10-15 % for 3 and 9 times the entries (3.6 MB at
+# 8), and any other value changes the bits of longer palindromes
 BLOCK = 6
 
 
@@ -242,8 +244,9 @@ def rep_from_json(obj: dict) -> Representation:
 _MODULUS_OVERFLOWED = "image overflowed: an entry's modulus is past the float range"
 
 
-def _crossing_position(m, eps: float) -> float:
-    """Position where the axis of m crosses the core [0, inf].
+def _crossing_position(m, length: int) -> float:
+    """Position where the axis of m, a product of length generator
+    matrices, crosses the core [0, inf].
 
     m is expected to have (anti)symmetric diagonal in the normalized frame:
     equal diagonal entries for a palindrome image, trace zero for a double
@@ -255,10 +258,15 @@ def _crossing_position(m, eps: float) -> float:
     below SINGULAR_FLOOR times the scale, past which |b/c| lies within
     1e+/-12; and fixed points that are not antipodal. By Vieta's formulas
     the fixed points of a unimodular m sum to (a - d)/c and multiply to
-    -b/c, so they count as antipodal, within eps of their modulus
-    sqrt|b/c|, when |a - d|/|c| <= eps max(1, sqrt|b/c|); no quadratic is
-    solved. That bound, eps max(|c|, sqrt|bc|) on |a - d|, is at most eps
-    times the scale, so unequal diagonal entries need no test of their own.
+    -b/c, so they count as antipodal, within eps = geo_scaled(length) of
+    their modulus sqrt|b/c|, when |a - d|/|c| <= eps max(1, sqrt|b/c|); no
+    quadratic is solved. That bound, eps max(|c|, sqrt|bc|) on |a - d|, is
+    at most eps times the scale, so unequal diagonal entries need no test
+    of their own.
+    The test, and the tolerance with it, is taken only when a != d: for
+    finite a == d the residual is exactly 0, which no tolerance refuses. A
+    palindrome image from _palindrome_image has both diagonal entries from
+    one expression, so it never reaches the test.
     m is read as its entries (a, b, c, d): a GroupElement or a plain tuple.
     Each max(1.0, v) and max(u, v) here is spelled as the comparison the
     builtin makes, for the same result at a fraction of the call cost.
@@ -276,12 +284,14 @@ def _crossing_position(m, eps: float) -> float:
                 "indistinguishable from a core end"
             )
         ratio = abs(b / c)
-        residual = abs(a - d) / abs_c
-        modulus = math.sqrt(ratio)
-        if residual > eps * (modulus if modulus > 1.0 else 1.0):
-            raise OrthogonalityViolation(
-                f"fixed points not antipodal: residual {residual:.3e}"
-            )
+        if a != d:
+            residual = abs(a - d) / abs_c
+            modulus = math.sqrt(ratio)
+            eps = geo_scaled(length)
+            if residual > eps * (modulus if modulus > 1.0 else 1.0):
+                raise OrthogonalityViolation(
+                    f"fixed points not antipodal: residual {residual:.3e}"
+                )
         return 0.5 * math.log(ratio)
     except OverflowError:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
@@ -314,13 +324,15 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
 
     The image is evaluated in the normalized frame from the word's first
     half (see _palindrome_image), so its diagonal entries are equal by
-    construction; its axis endpoints must be antipodal (+x, -x) within a
-    word-length-scaled tolerance, and the position is ln|x|. Parabolic
-    images are tagged at the core end they fix. OrthogonalityViolation
-    signals numerical breakdown: an exact palindrome axis is always
-    orthogonal to the core. Slope words do not come through here:
-    rational_pi folds them in full. The result is a number with its route
-    and class; w is formatted only in a refusal message.
+    construction and its axis endpoints are antipodal, +/-x with
+    x = sqrt(b/c): the antipodality test of _crossing_position, which reads
+    a - d, cannot refuse it and is not run. The position is ln|x|. Parabolic
+    images are tagged at the core end they fix, within a word-length-scaled
+    tolerance. OrthogonalityViolation signals numerical breakdown: an exact
+    palindrome axis is always orthogonal to the core. Slope words do not
+    come through here: rational_pi folds them in full. The result is a
+    number with its route and class; w is formatted only in a refusal
+    message.
     """
     if not is_palindrome(w):
         raise NotPalindrome(f"{w!r} is not a palindrome")
@@ -330,8 +342,11 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
 def _palindrome_image(rep: Representation, w: Word) -> Entries:
     """Entries (a, b, c, d) of the normalized image of the palindrome w,
     folded over its first half by sl2c.product with one rep.blocks entry,
-    of up to BLOCK letters, per factor. A half of at most BLOCK letters is
-    one entry, with the bits of its letter fold.
+    of up to BLOCK letters, per factor. The fold starts from the first
+    entry, so a half of at most BLOCK letters is that entry, with the bits
+    of its letter fold, and only an empty half (a 1-letter palindrome)
+    starts from the identity. Starting from the identity instead would
+    change no entry but the sign of a zero.
 
     Both generators have equal diagonal entries in the normalized frame, so
     the image of reverse(u) is phi(image of u), where phi swaps the
@@ -347,9 +362,14 @@ def _palindrome_image(rep: Representation, w: Word) -> Entries:
     where al de + be ga would carry both.
     """
     half = len(w) // 2
-    u = w[:half]
-    slices = [u[i:i + BLOCK] for i in range(0, half, BLOCK)]
-    al, be, ga, de = product(IDENTITY, map(rep.blocks.__getitem__, slices))
+    if half:
+        u, blocks = w[:half], rep.blocks
+        al, be, ga, de = product(
+            blocks[u[:BLOCK]],
+            [blocks[u[i:i + BLOCK]] for i in range(BLOCK, half, BLOCK)],
+        )
+    else:
+        al, be, ga, de = IDENTITY
     bg, ad = be * ga, al * de
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
     if len(w) % 2 == 0:
@@ -377,10 +397,9 @@ def _palindrome_position(w: Word, m) -> PiImage:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
     if kind == "identity":
         raise IdentityImage(f"{w!r} evaluates to the identity")
-    eps = geo_scaled(len(w))
     if kind == "parabolic":
-        return PiImage(_parabolic_end(m, eps), PARABOLIC_END, kind)
-    return PiImage(_crossing_position(m, eps), PALINDROME_WORD, kind)
+        return PiImage(_parabolic_end(m, geo_scaled(len(w))), PARABOLIC_END, kind)
+    return PiImage(_crossing_position(m, len(w)), PALINDROME_WORD, kind)
 
 
 def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
@@ -416,8 +435,9 @@ def _pair_position(u: Word, v: Word, U, V) -> PiImage:
             raise CommutingPair(
                 f"double altitude of {u!r}, {v!r} is not determined"
             ) from exc
-        eps = geo_scaled(len(u) + len(v))
-        return PiImage(_crossing_position(t, eps), PALINDROME_PAIR, classify(uv))
+        return PiImage(
+            _crossing_position(t, len(u) + len(v)), PALINDROME_PAIR, classify(uv)
+        )
     except OverflowError:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
 

@@ -197,6 +197,17 @@ class TestPrimitive:
         res = runner.invoke(main, ["primitive", "3/-5"])
         assert_one_error_line(res, "negative slope 3/-5 is out of range")
 
+    @pytest.mark.parametrize("args", [["-1/2"], ["--", "-1/2"]])
+    def test_negative_numerator_is_out_of_range(self, runner, args):
+        # a leading '-' does not make the slope an option
+        res = runner.invoke(main, ["primitive", *args])
+        assert_one_error_line(res, "negative slope -1/2 is out of range")
+
+    def test_help_is_still_an_option(self, runner):
+        res = runner.invoke(main, ["primitive", "--help"])
+        assert res.exit_code == 0
+        assert res.output.startswith("Usage: ") and "SLOPE" in res.output
+
 
 class TestPiMap:
     def test_csv_output(self, runner, schottky_gens):

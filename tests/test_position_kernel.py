@@ -37,12 +37,15 @@ from palcore.representation import (
     PARABOLIC_END,
     PiImage,
     _crossing_position,
+    _parabolic_end,
     build,
     pi_of_palindrome,
     rational_pi,
 )
-from palcore.sl2c import INFINITY, GroupElement, boundary_key, classify, fixed_points
-from palcore.words import LETTERS, Word, reduced_words
+from palcore.sl2c import (
+    IDENTITY, INFINITY, GroupElement, boundary_key, classify, fixed_points, product,
+)
+from palcore.words import LETTERS, Word, palindromic_doubles, reduced_words
 
 from .conftest import assert_matches_full_folds, random_representation
 
@@ -222,6 +225,9 @@ def _reference_slope(rep, node):
     )
 
 
+_MODULUS_OVERFLOWED = "image overflowed: an entry's modulus is past the float range"
+
+
 def _refusal(exc):
     return f"{type(exc).__name__}: {exc}"
 
@@ -260,6 +266,99 @@ def test_witness_grid_candidates_match_the_element_route(mu_half, monkeypatch):
         for w, _ in seen
     ]
     assert [outcome for _, outcome in seen] == reference
+
+
+# The palindrome route as the library ran it before its lean form: the
+# half folded by sl2c.product from the identity, and the antipodality test
+# run on every image, equal diagonal entries included. The lean route
+# starts the fold at the first block and tests only where a != d; the
+# identity product changes no entry but the sign of a zero, and a residual
+# of 0 never refuses, so every outcome must be the same.
+
+
+def _identity_fold_image(rep, w):
+    half = len(w) // 2
+    u = w[:half]
+    slices = [u[i:i + BLOCK] for i in range(0, half, BLOCK)]
+    al, be, ga, de = product(IDENTITY, map(rep.blocks.__getitem__, slices))
+    bg, ad = be * ga, al * de
+    diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
+    if len(w) % 2 == 0:
+        return (diag, 2 * al * be, 2 * ga * de, diag)
+    e, f, g, _ = rep.letters[w[half]]
+    diag = e * diag + g * be * de + f * al * ga
+    return (
+        diag,
+        2 * e * al * be + g * be * be + f * al * al,
+        2 * e * ga * de + g * de * de + f * ga * ga,
+        diag,
+    )
+
+
+def _unguarded_crossing_position(m, eps):
+    a, b, c, d = m
+    if not all(map(cmath.isfinite, m)):
+        raise OrthogonalityViolation("image overflowed: an entry is not finite")
+    try:
+        abs_c = abs(c)
+        scale = max(1.0, abs(a), abs(b), abs_c, abs(d))
+        if abs(b) <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
+            raise OrthogonalityViolation(
+                "off-diagonal entry below the certifiable floor, axis endpoint "
+                "indistinguishable from a core end"
+            )
+        ratio = abs(b / c)
+        residual = abs(a - d) / abs_c
+        if residual > eps * max(1.0, math.sqrt(ratio)):
+            raise OrthogonalityViolation(
+                f"fixed points not antipodal: residual {residual:.3e}"
+            )
+        return 0.5 * math.log(ratio)
+    except OverflowError:
+        raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
+
+
+def _identity_fold_position(rep, w):
+    m = _identity_fold_image(rep, w)
+    try:
+        kind = classify(m)
+    except OverflowError:
+        raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
+    if kind == "identity":
+        raise IdentityImage(f"{w!r} evaluates to the identity")
+    eps = geo_scaled(len(w))
+    if kind == "parabolic":
+        return PiImage(_parabolic_end(m, eps), PARABOLIC_END, kind)
+    return PiImage(_unguarded_crossing_position(m, eps), PALINDROME_WORD, kind)
+
+
+# a complex pair whose depth-14 images overflow
+_COMPLEX_PAIR = (GroupElement(2, 1, 1, 1), GroupElement(1, 0, 0.3 + 2.1j, 1))
+
+
+@pytest.mark.parametrize("name", ["mu_half", "mu4", "complex"])
+def test_lean_palindrome_route_keeps_every_outcome(name, request):
+    rep = build(*_COMPLEX_PAIR) if name == "complex" else request.getfixturevalue(name)
+    vocabulary = list(reduced_words(2))
+    # the empty word and every palindrome of 1 or 2 letters, whose half is
+    # empty or a single block, then every candidate of witness_search(6, 2),
+    # then longer pushes, of up to 3,206 letters, whose images overflow on
+    # every pair or, on mu_half, are parabolic off the core ends
+    words = [Word(), *map(Word, LETTERS), *(Word(x + x) for x in LETTERS)]
+    for c in vocabulary:
+        for d in vocabulary:
+            for n in range(1, 7):
+                words.extend(palindromic_doubles(c ** n * d * c ** -n))
+    for c, d in ((Word("ab"), Word("b")), (Word("ab"), Word("Aba"))):
+        for n in (8, 150, 400):
+            words.extend(palindromic_doubles(c ** n * d * c ** -n))
+    assert len(words) == 9 + 16 * 16 * 6 * 2 + 12
+    got = [_outcome(lambda: pi_of_palindrome(rep, w)) for w in words]
+    reference = [_outcome(lambda: _identity_fold_position(rep, w)) for w in words]
+    assert got == reference
+    assert got[0] == "IdentityImage: Word(identity) evaluates to the identity"
+    refusals = {outcome.split(":")[0] for outcome in got if isinstance(outcome, str)}
+    assert "OrthogonalityViolation" in refusals
 
 
 _SPECTRUM_REPS = ("rep1", "schottky", "mu4", "mu_half", "random0", "random1")
@@ -330,8 +429,11 @@ _CROSSING_REFUSALS = [
 
 @pytest.mark.parametrize("entries, eps, kind, refusal", _CROSSING_REFUSALS)
 def test_crossing_refusals_match_the_element_route(entries, eps, kind, refusal):
+    # each case is read as the image of one generator matrix, whose
+    # tolerance is the reference's eps
+    assert geo_scaled(1) == eps
     entries = tuple(complex(x) for x in entries)
-    got = _outcome(lambda: PiImage(_crossing_position(entries, eps), "", ""))
+    got = _outcome(lambda: PiImage(_crossing_position(entries, 1), "", ""))
     reference = _outcome(lambda: PiImage(
         _reference_crossing_position(GroupElement(*entries), eps, kind), "", ""))
     assert got == reference
@@ -342,7 +444,7 @@ def test_antipodality_residual_is_the_root_sum_of_the_entries():
     # determinant 3: the element route's solve, which assumes determinant 1,
     # reads 1.188e+05 here, while the fixed points sum to |a - d|/|c|
     with pytest.raises(OrthogonalityViolation, match="residual 5.000e[+]03$"):
-        _crossing_position((2.025 + 0j, 1e5 + 0j, 1e-5 + 0j, 1.975 + 0j), 1e-6)
+        _crossing_position((2.025 + 0j, 1e5 + 0j, 1e-5 + 0j, 1.975 + 0j), 1)
 
 
 _entry_part_st = st.floats(-1e3, 1e3)
@@ -374,17 +476,17 @@ def _unimodular_roots(a, b, d=None):
     return m, fixed_points(m)
 
 
-@given(_entry_st, _entry_st, _entry_st, st.integers(1, 4096).map(geo_scaled))
-def test_unequal_diagonal_is_refused_as_not_antipodal(a, b, d, eps):
+@given(_entry_st, _entry_st, _entry_st, st.integers(1, 4096))
+def test_unequal_diagonal_is_refused_as_not_antipodal(a, b, d, length):
     """Why _crossing_position has no diagonal test of its own: its Vieta
     test passes only when |a - d| <= eps max(|c|, sqrt|bc|), which is at
     most eps times the scale, so a unimodular matrix past the floor whose
     diagonal entries differ by more than that is refused as not
     antipodal."""
     m = _unimodular(a, b, d)
-    assume(abs(a - d) > eps * max(1.0, *map(abs, m)))
+    assume(abs(a - d) > geo_scaled(length) * max(1.0, *map(abs, m)))
     with pytest.raises(OrthogonalityViolation, match="fixed points not antipodal"):
-        _crossing_position(m, eps)
+        _crossing_position(m, length)
 
 
 # (2, 3) is the symmetric matrix [[2, 3], [1, 2]]: it reached "endpoint on
@@ -483,9 +585,9 @@ def test_the_floor_caps_positions_at_the_ceiling(factor):
     m = (0.5 + 0j, b + 0j, -0.75 / b + 0j, 0.5 + 0j)
     if factor < 1:
         with pytest.raises(OrthogonalityViolation, match="below the certifiable floor"):
-            _crossing_position(m, DEFAULT_GEO)
+            _crossing_position(m, 1)
     else:
-        s = _crossing_position(m, DEFAULT_GEO)
+        s = _crossing_position(m, 1)
         assert CERTIFIABLE_CEILING - 1e-3 < abs(s) < CERTIFIABLE_CEILING
 
 
@@ -496,9 +598,6 @@ def test_overflowed_slope_image_is_refused(mu4):
         rational_pi(mu4, 467, 129)
 
 
-_MODULUS_OVERFLOWED = "image overflowed: an entry's modulus is past the float range"
-
-
 def test_overflowing_modulus_is_refused():
     # finite parts whose modulus abs() cannot hold: c = (a*a - 1)/b of the
     # matrix test_quadratic_roots_stay_off_the_core_ends excludes
@@ -506,11 +605,7 @@ def test_overflowing_modulus_is_refused():
     m = (a, b, (a * a - 1) / b, a)
     assert all(map(cmath.isfinite, m))
     with pytest.raises(OrthogonalityViolation, match=_MODULUS_OVERFLOWED):
-        _crossing_position(m, 1e-6)
-
-
-# a complex pair whose depth-14 images overflow
-_COMPLEX_PAIR = (GroupElement(2, 1, 1, 1), GroupElement(1, 0, 0.3 + 2.1j, 1))
+        _crossing_position(m, 1)
 
 
 @pytest.mark.parametrize("rep, slope", [
@@ -538,4 +633,4 @@ _NAN, _INF = float("nan"), float("inf")
 def test_non_finite_entries_are_refused(entries):
     entries = tuple(complex(x) for x in entries)
     with pytest.raises(OrthogonalityViolation, match="image overflowed"):
-        _crossing_position(entries, 1e-6)
+        _crossing_position(entries, 1)

@@ -36,6 +36,7 @@ from palcore.representation import (
     _palindrome_position,
     build,
     pi_of_pair,
+    pi_of_palindrome,
     rational_pi,
 )
 from palcore.sl2c import GroupElement
@@ -474,6 +475,23 @@ class TestWitnessSearch:
         for i, (c, d, n) in enumerate(keys):
             assert seen[2 * i + 1] == forward[(c.swapcase(), d[::-1], n)]
         assert len(set(seen)) == 640
+
+    def test_benchmark_grid_reaches_every_candidate(self, mu_half, monkeypatch):
+        # The benchmark's witness-grid workload counts candidates as the
+        # positional calls pi_of_palindrome(rep, word) through the
+        # palcore.probe module name: 2 palindromes for each of 52 words C,
+        # 52 words D and 12 powers n, repeats included.
+        inner = pi_of_palindrome
+        seen = []
+
+        def recorder(rep, word, /):
+            seen.append(word)
+            return inner(rep, word)
+
+        monkeypatch.setattr(sys.modules["palcore.probe"], "pi_of_palindrome", recorder)
+        assert witness_search(mu_half, 12, 3) is None
+        assert len(seen) == 2 * 52 * 52 * 12 == 64_896
+        assert len(set(seen)) == 24_324
 
     @pytest.mark.parametrize("s_escape", [math.nan, 0.0, -1.0])
     def test_escape_must_be_positive(self, rep1, s_escape):
