@@ -12,6 +12,7 @@ The probe exit code encodes the verdict: 0 for bounded or parabolic-ends,
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
@@ -66,10 +67,13 @@ class _FlagError(click.BadParameter):
         return self.message
 
 
-def _positive(ctx, param, value: float) -> float:
-    """Option callback: the value must be positive (NaN fails)."""
+def _positive_finite(ctx, param, value: float) -> float:
+    """Option callback: the value must be positive (NaN fails) and finite,
+    as the report writes it as a JSON number, which has no infinity."""
     if not value > 0:
         raise _FlagError(f"{param.opts[0]} must be positive")
+    if math.isinf(value):
+        raise _FlagError(f"{param.opts[0]} must be finite")
     return value
 
 
@@ -228,7 +232,7 @@ def cmd_pi_map(gens: str, depth: int, fmt: str, out: str) -> None:
               show_default=True, help="random palindromization count")
 @click.option("--seed", default=0, show_default=True, help="sampling seed")
 @click.option("--escape", default=DEFAULT_ESCAPE, show_default=True,
-              callback=_positive,
+              callback=_positive_finite,
               help="|s| threshold for escape evidence; positions beyond "
                    f"1/2 ln(1/singular tolerance) = {CERTIFIABLE_CEILING:.1f} "
                    "are never certified, so the default records no witness")

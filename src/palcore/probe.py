@@ -222,7 +222,9 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
                 image = _palindrome_position(words[0], m)
         except PalcoreError as exc:
             error = f"{type(exc).__name__}: {exc}"
-        entries.append(SpectrumEntry(p, q, level, words, image, error))
+        entries.append(
+            tuple.__new__(SpectrumEntry, (p, q, level, words, image, error))
+        )
     return entries
 
 

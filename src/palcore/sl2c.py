@@ -71,11 +71,16 @@ def product(m, factors) -> Entries:
 
     This is the one matrix product formula: GroupElement.__mul__ and the
     word fold (words.evaluate) both run it. The running product is kept in
-    local variables, so no matrix object is built per factor.
+    local variables, so no matrix object is built per factor, and it is
+    updated one row at a time, a, b and then c, d: a row of the product
+    reads only its own row of the running product, and a two-name
+    assignment builds no tuple, where a four-name one builds and unpacks
+    one per factor.
     """
     a, b, c, d = m
     for e, f, g, h in factors:
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        a, b = a * e + b * g, a * f + b * h
+        c, d = c * e + d * g, c * f + d * h
     return a, b, c, d
 
 
@@ -213,10 +218,22 @@ def classify(g) -> str:
     The trichotomy is on the square of the trace, which is sign-independent:
     tr^2 = 4 parabolic, tr real with tr^2 < 4 elliptic, anything else
     loxodromic. The band |tr^2 - 4| <= CLASSIFY_BAND is reported as parabolic.
+
+    Both off-diagonal moduli are taken first, |b| then |c| as is_identity
+    takes them, and is_identity is called only when neither is past
+    CLASSIFY_BAND: otherwise it would answer False from those two moduli
+    alone. Most matrices on the position path are far from the identity,
+    so they skip that call. Both moduli are taken before either is
+    compared, so an OverflowError of abs(c) is raised even when |b| is
+    past the band, as is_identity raises it; a NaN modulus is not past
+    the band and meets is_identity's full comparison.
     """
-    if is_identity(g, CLASSIFY_BAND):
+    a, b, c, d = g
+    abs_b, abs_c = abs(b), abs(c)
+    if not (abs_b > CLASSIFY_BAND or abs_c > CLASSIFY_BAND) and is_identity(
+        g, CLASSIFY_BAND
+    ):
         return "identity"
-    a, _, _, d = g
     t = a + d
     t2 = t * t
     if abs(t2 - 4) <= CLASSIFY_BAND:

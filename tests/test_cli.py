@@ -354,6 +354,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("option, value", [
         ("--samples", "-3"),
         ("--escape", "nan"), ("--escape", "0"), ("--escape", "-1"),
+        # click reads 1e999 as inf; JSON has no literal for either
+        ("--escape", "inf"), ("--escape", "1e999"),
     ])
     def test_out_of_range_probe_inputs_exit_one(self, runner, mu4_gens, option, value):
         res = runner.invoke(

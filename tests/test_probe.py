@@ -537,6 +537,41 @@ def test_outcome_records_are_immutable_named_tuples(name, fields, mu_half):
         record.note = "no instance dict"
 
 
+def _assert_class_built(record, cls):
+    """record has exactly the type cls and equals cls called on its fields."""
+    assert type(record) is cls
+    assert record == cls(*(getattr(record, f) for f in cls._fields))
+
+
+@pytest.mark.parametrize("name", ("mu4", "mu_half", "schottky", "random0"))
+def test_position_path_records_are_the_class_built_records(name, request):
+    """The position path builds its PiImage and SpectrumEntry records with
+    tuple.__new__; each is the record that its class call builds from the
+    same fields, parabolic-end tags, pair positions and refusals alike."""
+    rep = _named_rep(name, request)
+    for e in pi_spectrum(rep, 8):
+        _assert_class_built(e, palcore.SpectrumEntry)
+        if e.image is not None:
+            _assert_class_built(e.image, PiImage)
+    images = []
+    for w in reduced_words(5):
+        if is_palindrome(w):
+            try:
+                images.append(pi_of_palindrome(rep, w))
+            except PalcoreError:
+                pass
+    odd_slopes = [(p, q) for p in range(1, 12, 2) for q in range(1, 12, 2)
+                  if math.gcd(p, q) == 1]
+    for p, q in odd_slopes:
+        try:
+            images.append(pi_of_pair(rep, *primitive_word(p, q).factorization))
+        except PalcoreError:
+            pass
+    assert {img.source for img in images} >= {PALINDROME_WORD, "palindrome-pair"}
+    for image in images:
+        _assert_class_built(image, PiImage)
+
+
 class TestJorgensenBaseline:
     def test_non_discrete_value(self, mu_half):
         res = jorgensen_baseline(mu_half)

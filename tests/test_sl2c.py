@@ -23,6 +23,7 @@ from palcore.sl2c import (
     is_identity,
     matrix_from_json,
     normalize,
+    product,
     psl_distance,
 )
 
@@ -56,6 +57,45 @@ _perturbation_st = st.one_of(
     ),
 )
 _eps_st = st.sampled_from((0.0, 1e-12, CLASSIFY_BAND, 2e-9, 1e-6, float("inf")))
+# entry parts that reach the edge cases of the arithmetic: signed zeros,
+# infinities, NaN, and parts whose modulus together is past the float range
+_part_st = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan,
+                     1.2711610061536464e308, -1.7e308, 5e-324)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_edge_complex_st = st.builds(complex, _part_st, _part_st)
+_edge_matrix_st = st.builds(
+    GroupElement, _edge_complex_st, _edge_complex_st, _edge_complex_st,
+    _edge_complex_st,
+)
+
+
+def _reference_product(m, factors):
+    """product as it was: the running product updated by one four-name
+    assignment per factor."""
+    a, b, c, d = m
+    for e, f, g, h in factors:
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return a, b, c, d
+
+
+def _reference_classify(g):
+    """classify as it was: is_identity first, on every matrix."""
+    if is_identity(g, CLASSIFY_BAND):
+        return "identity"
+    a, _, _, d = g
+    t = a + d
+    t2 = t * t
+    if abs(t2 - 4) <= CLASSIFY_BAND:
+        return "parabolic"
+    if abs(t.imag) <= CLASSIFY_BAND and t2.real < 4:
+        return "elliptic"
+    return "loxodromic"
+
+
+def _hex_parts(entries):
+    return [part.hex() for z in entries for part in (z.real, z.imag)]
 
 
 class TestAlgebra:
@@ -93,6 +133,20 @@ class TestAlgebra:
 
     def test_max_norm(self):
         assert GroupElement(1, -3j, 2, 0).max_norm() == 3.0
+
+    @given(
+        st.one_of(_edge_matrix_st, _matrix_st),
+        st.lists(st.one_of(_edge_matrix_st, _matrix_st), max_size=6),
+    )
+    def test_row_update_keeps_the_four_name_product_bits(self, m, factors):
+        """product updates a, b and then c, d; every part of every entry
+        has the bits of the four-name update, NaN and infinities included."""
+        assert _hex_parts(product(m, factors)) == _hex_parts(
+            _reference_product(m, factors)
+        )
+        assert _hex_parts(product(tuple(m), map(tuple, factors))) == _hex_parts(
+            _reference_product(m, factors)
+        )
 
 
 class TestNormalize:
@@ -180,6 +234,30 @@ class TestClassify:
             g = random_loxodromic(rng)
             h = random_mobius(rng)
             assert classify(h * g * h.inverse()) == classify(g)
+
+    # |b| = 1 is past the band and |c| overflows: classify must still raise
+    # the OverflowError is_identity raises, where a test that stopped at
+    # |b| would read tr^2 = 4 as parabolic
+    @example(GroupElement(1 + 0j, 1 + 0j, complex(1.2711610061536462e308,
+                                                  1.2711610061536464e308), 1 + 0j))
+    # |b| is NaN, which is not past the band: is_identity's comparison
+    # ignores it and answers True, where a <= test would read parabolic
+    @example(GroupElement(1 + 0j, complex(math.nan, 0.0), 0j, 1 + 0j))
+    @example(GroupElement(-1 + 0j, 2e-9 + 0j, 0j, -1 + 0j))
+    @given(st.one_of(
+        _matrix_st,
+        _edge_matrix_st,
+        st.builds(
+            lambda sign, da, db, dc, dd: GroupElement(sign + da, db, dc, sign + dd),
+            st.sampled_from((1, -1)), _perturbation_st, _perturbation_st,
+            _perturbation_st, _perturbation_st,
+        ),
+    ))
+    def test_band_first_matches_the_identity_first_classify(self, g):
+        """classify takes both off-diagonal moduli before is_identity; on
+        any matrix it gives the class, or raises the exception type, that
+        the is_identity-first classify does."""
+        assert _outcome(classify, g) == _outcome(_reference_classify, g)
 
 
 class TestFixedPoints:
