@@ -35,19 +35,15 @@ from .errors import (
 )
 from .farey import (
     FareyNode,
-    are_associates,
     christoffel,
     enumerate_farey,
     primitive_word,
 )
 from .geodesics import (
-    VERTICAL_AXIS,
     Geodesic,
     axis,
     common_perpendicular,
-    geodesic_distance,
     line_matrix,
-    orthogonality_residual,
 )
 from .probe import (
     BOUNDED_CONSISTENT_WITH_GF,
@@ -72,7 +68,6 @@ from .representation import (
     Representation,
     build,
     hexagon,
-    pair_perpendicular_by_axes,
     palindromize,
     pi_of_pair,
     pi_of_palindrome,
@@ -89,21 +84,14 @@ from .sl2c import (
     is_identity,
     matrix_from_json,
     normalize,
-    psl_distance,
 )
 from .words import (
-    AbelianImage,
     EllipticPowerFactorization,
     Word,
-    abelianize,
-    cyclic_reduce,
-    cyclically_equal,
     elliptic_power_factorization,
     evaluate,
     is_palindrome,
-    is_primitive,
     letter_table,
-    nielsen_reduce_pair,
     reduced_words,
     reverse,
 )

@@ -136,15 +136,6 @@ def primitive_word(p: int, q: int) -> FareyNode:
     return node
 
 
-def are_associates(s1: Slope, s2: Slope) -> bool:
-    """True iff the primitive classes are associates: |ps - rq| = 1."""
-    p, q = s1
-    r, s = s2
-    validate_slope(p, q)
-    validate_slope(r, s)
-    return abs(p * s - r * q) == 1
-
-
 def enumerate_farey(depth: int) -> list[FareyNode]:
     """All slopes within `depth` mediant steps of the roots, as populated
     nodes in deterministic (q, p) order. Depth 0 is just 0/1 and 1/0.

@@ -2,8 +2,8 @@
 
 A geodesic is determined by its two ideal endpoints in C u {inf}. The
 half-turn about a geodesic is realized by a trace-zero unimodular matrix
-(the line matrix); orthogonality and common perpendiculars reduce to trace
-conditions on products of line matrices.
+(the line matrix); the common perpendicular of two geodesics is read off
+the trace-zero part of the product of their line matrices.
 
 A degenerate pair [p, p] is allowed as a marker for the "axis" of a
 parabolic fixing p; it has no line matrix but a common perpendicular from
@@ -68,15 +68,6 @@ class Geodesic:
         return f"Geodesic[{self.e1}, {self.e2}]"
 
 
-def geodesic_distance(g1: Geodesic, g2: Geodesic) -> float:
-    """Max chordal endpoint distance, minimized over the two pairings."""
-    a1, a2 = g1.endpoints()
-    b1, b2 = g2.endpoints()
-    straight = max(chordal_distance(a1, b1), chordal_distance(a2, b2))
-    crossed = max(chordal_distance(a1, b2), chordal_distance(a2, b1))
-    return min(straight, crossed)
-
-
 def axis(g: GroupElement) -> Geodesic:
     """Invariant geodesic of a non-identity element.
 
@@ -102,13 +93,6 @@ def line_matrix(g: Geodesic) -> GroupElement:
         p, q = g.e1, g.e2
         raw = GroupElement(p + q, -2 * p * q, 2 + 0j, -(p + q))
     return normalize(raw)
-
-
-def orthogonality_residual(g1: Geodesic, g2: Geodesic) -> float:
-    """|tr(L1 L2)| for the line matrices, scaled by the product's entry
-    size; 0 means the geodesics meet at a right angle."""
-    prod = line_matrix(g1) * line_matrix(g2)
-    return abs(prod.trace()) / max(1.0, prod.max_norm())
 
 
 def _shared_endpoint(g1: Geodesic, g2: Geodesic) -> bool:
@@ -153,6 +137,3 @@ def common_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
             f"perpendicular between {g1} and {g2} is not determined"
         ) from exc
     return Geodesic(*fixed_points(t))
-
-
-VERTICAL_AXIS = Geodesic(0j, INFINITY)

@@ -124,16 +124,6 @@ class Representation:
     norm_B: GroupElement
     letters: LetterTable = field(compare=False, repr=False)
 
-    def evaluate_normalized(self, w: Word) -> GroupElement:
-        """Image of w in the normalized frame: evaluate's entries as a
-        GroupElement.
-
-        The result is not renormalized: a product of unimodular matrices is
-        unimodular to relative rounding error, while recomputing its
-        determinant from entries of a long product cancels catastrophically.
-        """
-        return GroupElement._make(evaluate(w, self.letters))
-
     @cached_property
     def blocks(self) -> LetterTable:
         """Normalized images of the 1,456 reduced words of 1 to BLOCK
@@ -451,15 +441,6 @@ def _pair_position(u: Word, v: Word, U, V) -> PiImage:
         )
     except OverflowError:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
-
-
-def pair_perpendicular_by_axes(rep: Representation, u: Word, v: Word) -> Geodesic:
-    """Independent route to the double altitude: the common perpendicular
-    of the axes of UV and VU in the normalized frame. Used to cross-check
-    pi_of_pair, which goes through the matrix formula instead."""
-    U = rep.evaluate_normalized(u)
-    V = rep.evaluate_normalized(v)
-    return common_perpendicular(axis(U * V), axis(V * U))
 
 
 def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:

@@ -188,15 +188,10 @@ def normalize_input(m) -> GroupElement:
     return g
 
 
-def psl_distance(g, h) -> float:
-    """Max entry distance between g and h minimized over the sign ambiguity."""
-    direct = max(abs(x - y) for x, y in zip(g, h))
-    flipped = max(abs(x + y) for x, y in zip(g, h))
-    return min(direct, flipped)
-
-
 def is_identity(g, eps: float = CLASSIFY_BAND) -> bool:
-    """psl_distance(g, identity) <= eps, with the distance taken inline.
+    """True iff g is within eps of the identity up to sign: the minimum,
+    over the two signs, of the maximum entry distance to +I or -I is at
+    most eps.
 
     Both distances are at least max(|b|, |c|), so an off-diagonal entry
     past eps answers False at once. A NaN entry is not past eps, so it

@@ -31,15 +31,6 @@ def _reduce(text: str) -> str:
     return "".join(out)
 
 
-def _strip_inverse_ends(text: str) -> str:
-    """Drop the matching inverse letter pairs from the two ends, in one slice."""
-    n = len(text)
-    k = 0
-    while n - 2 * k >= 2 and text[k] == text[n - 1 - k].swapcase():
-        k += 1
-    return text[k:n - k]
-
-
 class Word(str):
     """A freely reduced word: its text over LETTERS.
 
@@ -120,16 +111,6 @@ def is_palindrome(w: Word) -> bool:
     return w == w[::-1]
 
 
-class AbelianImage(NamedTuple):
-    ea: int
-    eb: int
-
-
-def abelianize(w: Word) -> AbelianImage:
-    """Exponent sums of the two generators."""
-    return AbelianImage(w.count("a") - w.count("A"), w.count("b") - w.count("B"))
-
-
 LetterTable = dict[str, Entries]
 
 
@@ -159,98 +140,6 @@ def evaluate(w: str, letters: LetterTable, start: Entries = IDENTITY) -> Entries
     bit.
     """
     return product(start, map(letters.__getitem__, w))
-
-
-def cyclic_reduce(w: Word) -> Word:
-    """Strip matching inverse letters from the two ends until none remain."""
-    return str.__new__(Word, _strip_inverse_ends(w))
-
-
-def cyclically_equal(u: Word, v: Word) -> bool:
-    """True iff the cyclic reductions are rotations of one another."""
-    cu, cv = cyclic_reduce(u), cyclic_reduce(v)
-    # substring search on the texts keeps this linear in the word length
-    return len(cu) == len(cv) and cv in cu + cu
-
-
-class NielsenResult(NamedTuple):
-    u: Word
-    v: Word
-    generates: bool
-
-
-# pair moves tried in this fixed order; first strict length drop wins
-_PAIR_MOVES = (
-    lambda u, v: (u * v, v),
-    lambda u, v: (u * v.inverse(), v),
-    lambda u, v: (v * u, v),
-    lambda u, v: (v.inverse() * u, v),
-    lambda u, v: (u, v * u),
-    lambda u, v: (u, v * u.inverse()),
-    lambda u, v: (u, u * v),
-    lambda u, v: (u, u.inverse() * v),
-)
-
-
-def nielsen_reduce_pair(u: Word, v: Word) -> NielsenResult:
-    """Greedy Nielsen reduction of a pair of words.
-
-    Repeatedly multiplies one word by the other (or an inverse) whenever the
-    total length strictly drops, trying moves in a fixed order for
-    determinism. generates is true iff the reduced pair is the standard
-    basis up to inversion: two length-one words using both letters.
-    """
-    while True:
-        total = len(u) + len(v)
-        for move in _PAIR_MOVES:
-            nu, nv = move(u, v)
-            if len(nu) + len(nv) < total:
-                u, v = nu, nv
-                break
-        else:
-            break
-    generates = (
-        len(u) == 1 and len(v) == 1 and {u.lower(), v.lower()} == {"a", "b"}
-    )
-    return NielsenResult(u, v, generates)
-
-
-def _whitehead_tables(m: str) -> tuple[dict[int, str], ...]:
-    """The three type-2 Whitehead automorphisms with multiplier m acting on
-    the other generator x, as str.translate tables that leave m and its
-    inverse as they are."""
-    x = "b" if m in "aA" else "a"
-    inv_m = m.swapcase()
-    return tuple(
-        str.maketrans({x: image, x.upper(): image[::-1].swapcase()})
-        # x -> x m, x -> m^-1 x, x -> m^-1 x m
-        for image in (x + m, inv_m + x, inv_m + x + m)
-    )
-
-
-# the twelve automorphisms, by multiplier in LETTERS order
-_WHITEHEAD = tuple(table for m in LETTERS for table in _whitehead_tables(m))
-
-
-def is_primitive(w: Word) -> bool:
-    """Whitehead test for primitivity in the rank-2 free group.
-
-    Cyclically reduce, then greedily apply any of the twelve type-2
-    Whitehead automorphisms that strictly shortens the cyclic word. The
-    word is primitive iff this terminates at length one.
-    """
-    current = cyclic_reduce(w)
-    if not current:
-        return False
-    while len(current) > 1:
-        for table in _WHITEHEAD:
-            image = _strip_inverse_ends(_reduce(current.translate(table)))
-            if len(image) < len(current):
-                current = image
-                break
-        else:
-            return False
-    return True
 
 
 class EllipticPowerFactorization(NamedTuple):

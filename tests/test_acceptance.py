@@ -16,14 +16,8 @@ import pytest
 
 from palcore.config import DEFAULT_PLATEAU
 from palcore.errors import InvalidRational, PalcoreError
-from palcore.farey import are_associates, christoffel, primitive_word
-from palcore.geodesics import (
-    VERTICAL_AXIS,
-    axis,
-    geodesic_distance,
-    line_matrix,
-    orthogonality_residual,
-)
+from palcore.farey import christoffel, primitive_word
+from palcore.geodesics import axis, line_matrix
 from palcore.probe import (
     BOUNDED_CONSISTENT_WITH_GF,
     UNBOUNDED_EVIDENCE_NONDISCRETE,
@@ -35,23 +29,30 @@ from palcore.probe import (
 from palcore.representation import (
     PARABOLIC_END,
     hexagon,
-    pair_perpendicular_by_axes,
     pi_of_pair,
 )
 from palcore.sl2c import GroupElement, classify, fixed_points, normalize
 from palcore.words import (
     Word,
-    abelianize,
-    cyclically_equal,
     elliptic_power_factorization,
     is_palindrome,
-    is_primitive,
-    nielsen_reduce_pair,
     reduced_words,
     reverse,
 )
 
 from .conftest import exact_riley_position, random_palindrome, random_representation
+from .oracles import (
+    VERTICAL_AXIS,
+    abelianize,
+    are_associates,
+    cyclically_equal,
+    evaluate_normalized,
+    geodesic_distance,
+    is_primitive,
+    nielsen_reduce_pair,
+    orthogonality_residual,
+    pair_perpendicular_by_axes,
+)
 
 
 def _record(num: int, ok: bool, detail: str) -> None:
@@ -86,7 +87,7 @@ def test_criterion_01_palindromic_axes_are_antipodal():
     worst = 0.0
     checked = 0
     for rep, w in _palindromic_sweep():
-        m = rep.evaluate_normalized(w)
+        m = evaluate_normalized(rep, w)
         x, y = fixed_points(m)
         worst = max(worst, abs(x + y) / max(1.0, abs(x)) / (1e-6 * len(w)))
         checked += 1
@@ -103,7 +104,7 @@ def test_criterion_02_palindrome_images_have_equal_diagonal():
     worst = 0.0
     checked = 0
     for rep, w in _palindromic_sweep():
-        m = rep.evaluate_normalized(w)
+        m = evaluate_normalized(rep, w)
         # |a - d| is unchanged under a global sign flip of m
         worst = max(worst, abs(m.a - m.d) / (1e-6 * len(w)))
         checked += 1
@@ -127,8 +128,8 @@ def test_criterion_03_pair_altitude_orthogonal_and_matches_axis_route():
             v = random_palindrome(rng, 3)
             try:
                 pi_of_pair(rep, u, v)
-                U = rep.evaluate_normalized(u)
-                V = rep.evaluate_normalized(v)
+                U = evaluate_normalized(rep, u)
+                V = evaluate_normalized(rep, v)
                 uv, vu = U * V, V * U
                 t = normalize(uv * vu - vu * uv)
                 perp = pair_perpendicular_by_axes(rep, u, v)
@@ -234,8 +235,8 @@ def test_criterion_06_reversed_word_swaps_the_diagonal():
         rng = random.Random(5000 + i)
         rep = reps[i % 10]
         w = random_word(rng, rng.randint(1, 10))
-        img = rep.evaluate_normalized(w)
-        rev_img = rep.evaluate_normalized(reverse(w))
+        img = evaluate_normalized(rep, w)
+        rev_img = evaluate_normalized(rep, reverse(w))
         swapped = GroupElement(img.d, img.b, img.c, img.a)
         resid = min((rev_img - swapped).max_norm(), (rev_img + swapped).max_norm())
         worst = max(worst, resid / (1e-8 * len(w)))
@@ -257,8 +258,8 @@ def test_criterion_07_palindromization_fixed_points_match_closed_form():
         rep = reps[i % 10]
         i += 1
         w = random_word(rng, rng.randint(1, 8))
-        img = rep.evaluate_normalized(w)
-        pal = rep.evaluate_normalized(reverse(w)) * img
+        img = evaluate_normalized(rep, w)
+        pal = evaluate_normalized(rep, reverse(w)) * img
         if classify(pal) != "loxodromic":
             continue
         found += 1

@@ -10,19 +10,14 @@ from hypothesis import strategies as st
 
 from palcore.errors import InvalidRational, SchemeViolation
 from palcore.farey import (
-    are_associates,
     christoffel,
     enumerate_farey,
     primitive_word,
     validate_slope,
 )
-from palcore.words import (
-    Word,
-    abelianize,
-    cyclically_equal,
-    is_palindrome,
-    is_primitive,
-)
+from palcore.words import Word, is_palindrome
+
+from .oracles import abelianize, are_associates, cyclically_equal, is_primitive
 
 
 def coprime_slopes(limit):

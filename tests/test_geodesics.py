@@ -9,13 +9,10 @@ import pytest
 from palcore.config import DEFAULT_GEO
 from palcore.errors import DegenerateGeodesic, SharedEndpoint
 from palcore.geodesics import (
-    VERTICAL_AXIS,
     Geodesic,
     axis,
     common_perpendicular,
-    geodesic_distance,
     line_matrix,
-    orthogonality_residual,
 )
 from palcore.sl2c import (
     IDENTITY,
@@ -23,7 +20,6 @@ from palcore.sl2c import (
     GroupElement,
     chordal_distance,
     fixed_points,
-    psl_distance,
 )
 
 from .conftest import (
@@ -31,6 +27,12 @@ from .conftest import (
     random_loxodromic,
     random_mobius,
     transform,
+)
+from .oracles import (
+    VERTICAL_AXIS,
+    geodesic_distance,
+    orthogonality_residual,
+    psl_distance,
 )
 
 

@@ -45,6 +45,7 @@ from palcore.words import Word, is_palindrome, reduced_words, reverse
 from .conftest import (
     assert_matches_full_folds, exact_riley_position, is_product_route, random_representation,
 )
+from .oracles import evaluate_normalized
 
 
 def _entry_bits(p, q, depth, image, error, word):
@@ -66,7 +67,7 @@ def _full_fold(rep, node):
     """Pi image of a slope from the fold of its whole word, or of both its
     factors, from the identity: the reference for every continued fold."""
     if node.factorization is None:
-        return _palindrome_position(node.word, rep.evaluate_normalized(node.word))
+        return _palindrome_position(node.word, evaluate_normalized(rep, node.word))
     return pi_of_pair(rep, *node.factorization)
 
 

@@ -19,11 +19,7 @@ from palcore.errors import (
     TrivialPalindromization,
 )
 from palcore.farey import primitive_word
-from palcore.geodesics import (
-    Geodesic,
-    geodesic_distance,
-    orthogonality_residual,
-)
+from palcore.geodesics import Geodesic
 from palcore.representation import (
     BLOCK,
     PALINDROME_PAIR,
@@ -33,7 +29,6 @@ from palcore.representation import (
     _palindrome_position,
     build,
     hexagon,
-    pair_perpendicular_by_axes,
     palindromize,
     pi_of_pair,
     pi_of_palindrome,
@@ -46,7 +41,6 @@ from palcore.sl2c import (
     INFINITY,
     GroupElement,
     chordal_distance,
-    psl_distance,
 )
 from palcore.words import LETTERS, Word, evaluate, reduced_words, reverse
 
@@ -57,6 +51,13 @@ from .conftest import (
     random_mobius,
     random_palindrome,
     random_representation,
+)
+from .oracles import (
+    evaluate_normalized,
+    geodesic_distance,
+    orthogonality_residual,
+    pair_perpendicular_by_axes,
+    psl_distance,
 )
 
 LN2 = math.log(2)
@@ -271,7 +272,7 @@ def _spectrum_entry(rep, p, q):
 def _full_fold_position(rep, w):
     """Position of the palindrome w from the fold of all its letters, the
     route slope words keep in rational_pi."""
-    return _palindrome_position(w, rep.evaluate_normalized(w))
+    return _palindrome_position(w, evaluate_normalized(rep, w))
 
 
 def _outcome(position):

@@ -24,10 +24,10 @@ from palcore.sl2c import (
     matrix_from_json,
     normalize,
     product,
-    psl_distance,
 )
 
 from .conftest import loxodromic_between, random_loxodromic, random_mobius
+from .oracles import psl_distance
 
 
 def _reference_is_identity(g, eps):

@@ -10,25 +10,28 @@ from hypothesis import strategies as st
 
 from palcore.errors import NotPalindrome
 from palcore.representation import build
-from palcore.sl2c import IDENTITY, GroupElement, psl_distance
+from palcore.sl2c import IDENTITY, GroupElement
 from palcore.words import (
     LETTERS,
-    AbelianImage,
     Word,
-    abelianize,
-    cyclic_reduce,
-    cyclically_equal,
     elliptic_power_factorization,
     evaluate,
     is_palindrome,
-    is_primitive,
     letter_table,
-    nielsen_reduce_pair,
     reduced_words,
     reverse,
 )
 
 from .conftest import loxodromic_between, random_loxodromic, random_palindrome
+from .oracles import (
+    AbelianImage,
+    abelianize,
+    cyclic_reduce,
+    cyclically_equal,
+    is_primitive,
+    nielsen_reduce_pair,
+    psl_distance,
+)
 
 letters_st = st.sampled_from(LETTERS)
 raw_st = st.lists(letters_st, max_size=24).map("".join)
