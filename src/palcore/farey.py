@@ -106,25 +106,60 @@ def _child(lo: FareyNode, hi: FareyNode) -> FareyNode:
     )
 
 
+def _run(moving: FareyNode, fixed: FareyNode, steps: int, up: bool) -> FareyNode:
+    """The bound that `steps` mediant steps of one Stern-Brocot run leave:
+    moving + steps * fixed, with `fixed` the other bound throughout and
+    `up` when the run raises the lower bound.
+
+    Each step puts the fixed word before or after the moving one (_child:
+    hi lo when the mediant's pq is even, lo hi when odd), so only the word
+    of the last step is built, as X^before W X^after. The mediants of odd
+    steps share the parity of moving + fixed and those of even steps that
+    of moving. The node carries what _child reads of a bound, no parents
+    and no factorization.
+    """
+    odd_steps = (steps + 1) // 2 * ((moving.p + fixed.p) * (moving.q + fixed.q) % 2)
+    odd_steps += steps // 2 * (moving.p * moving.q % 2)
+    even_steps = steps - odd_steps
+    before, after = (even_steps, odd_steps) if up else (odd_steps, even_steps)
+    x = str(fixed.word)
+    # positive words: the concatenation is reduced as written
+    word = str.__new__(Word, x * before + moving.word + x * after)
+    return FareyNode(
+        moving.p + steps * fixed.p,
+        moving.q + steps * fixed.q,
+        max(moving.depth, fixed.depth) + steps,
+        None,
+        word,
+        None,
+    )
+
+
 def primitive_word(p: int, q: int) -> FareyNode:
     """Representative word e_{p/q}, with palindromic factorization when
     pq is odd. See the module docstring for the construction.
 
-    The Stern-Brocot descent to p/q keeps only the current lower and upper
-    bounds, so a slope d mediant steps down costs d words of growing length
-    and no recursion.
+    The Stern-Brocot descent to p/q goes run by run: in a run of equal
+    turns one bound stays fixed, and the steps are counted, not taken
+    (_run). It builds one word per run and the slope's node from its two
+    bounds, so its cost is linear in p + q, with no recursion.
     """
     validate_slope(p, q)
     if p == 0 or q == 0:
         return _ROOTS[q == 0]
     lo, hi = _ROOTS
-    node = _child(lo, hi)
-    while node.slope != (p, q):
-        if p * node.q > node.p * q:
-            lo = node
+    while True:
+        # the mediants lo + k hi lie below p/q while k * above < below,
+        # and k lo + hi lie above it while k * below < above
+        below = p * lo.q - lo.p * q
+        above = hi.p * q - p * hi.q
+        if below > above:
+            lo = _run(lo, hi, (below - 1) // above, True)
+        elif above > below:
+            hi = _run(hi, lo, (above - 1) // below, False)
         else:
-            hi = node
-        node = _child(lo, hi)
+            break
+    node = _child(lo, hi)
     # both words have p + q letters, so containment in the doubled word
     # makes the Christoffel word a rotation of the representative
     chris = christoffel(p, q)

@@ -11,7 +11,7 @@ it is still defined (the perpendicular must end at p).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .config import DEFAULT_GEO
 from .errors import DegenerateGeodesic, SharedEndpoint, SingularMatrix
@@ -27,30 +27,32 @@ from .sl2c import (
 )
 
 
-@dataclass(frozen=True)
-class Geodesic:
+class Geodesic(tuple):
     """Unordered pair of boundary points, stored in canonical order.
 
     Canonical order is lexicographic by (Re, Im) with inf greatest, so two
-    Geodesics with the same endpoint set compare equal.
+    Geodesics with the same endpoint set compare equal and hash alike.
 
-    A dataclass, as its constructor orders and coerces the endpoints.
+    A tuple (e1, e2) built by __new__, which coerces each finite endpoint
+    to complex and orders the pair; e1 and e2 are read-only.
     """
 
-    e1: BoundaryPoint
-    e2: BoundaryPoint
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a, b = self.e1, self.e2
-        if not isinstance(a, type(INFINITY)):
-            object.__setattr__(self, "e1", complex(a))
-            a = self.e1
-        if not isinstance(b, type(INFINITY)):
-            object.__setattr__(self, "e2", complex(b))
-            b = self.e2
-        if boundary_key(a) > boundary_key(b):
-            object.__setattr__(self, "e1", b)
-            object.__setattr__(self, "e2", a)
+    def __new__(cls, e1: BoundaryPoint, e2: BoundaryPoint) -> Geodesic:
+        if e1 is not INFINITY:
+            e1 = complex(e1)
+        if e2 is not INFINITY:
+            e2 = complex(e2)
+        if boundary_key(e1) > boundary_key(e2):
+            e1, e2 = e2, e1
+        return tuple.__new__(cls, (e1, e2))
+
+    def __getnewargs__(self) -> tuple[BoundaryPoint, BoundaryPoint]:
+        return tuple(self)
+
+    e1 = property(itemgetter(0), doc="The smaller endpoint in canonical order.")
+    e2 = property(itemgetter(1), doc="The larger endpoint, inf when the pair has it.")
 
     @property
     def degenerate(self) -> bool:

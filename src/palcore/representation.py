@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from cmath import isfinite
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -104,25 +103,40 @@ class PiImage(NamedTuple):
         return out
 
 
-@dataclass(frozen=True)
 class Representation:
     """Normalized generator pair with its core geodesic.
-
-    A dataclass, as the lazily built blocks table needs an instance dict.
 
     A and B are the unimodular input generators; core is their axes' common
     perpendicular in the input frame; normalizer conjugates the input frame
     to the working frame with core = [0, inf]; norm_A and norm_B are the
     conjugated generators, and letters is their letter_table.
+
+    A plain class: its attributes are not reassigned after __init__, and
+    two representations compare by identity.
     """
 
-    A: GroupElement
-    B: GroupElement
-    core: Geodesic
-    normalizer: GroupElement
-    norm_A: GroupElement
-    norm_B: GroupElement
-    letters: LetterTable = field(compare=False, repr=False)
+    def __init__(
+        self,
+        A: GroupElement,
+        B: GroupElement,
+        core: Geodesic,
+        normalizer: GroupElement,
+        norm_A: GroupElement,
+        norm_B: GroupElement,
+        letters: LetterTable,
+    ) -> None:
+        self.A = A
+        self.B = B
+        self.core = core
+        self.normalizer = normalizer
+        self.norm_A = norm_A
+        self.norm_B = norm_B
+        self.letters = letters
+
+    def __repr__(self) -> str:
+        fields = ("A", "B", "core", "normalizer", "norm_A", "norm_B")
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in fields)
+        return f"Representation({inner})"
 
     @cached_property
     def blocks(self) -> LetterTable:

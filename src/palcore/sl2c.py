@@ -23,6 +23,11 @@ class _Infinity:
     def __repr__(self) -> str:
         return "INFINITY"
 
+    def __reduce__(self) -> str:
+        # copies and pickles are the module's one instance, which every
+        # boundary test compares by identity
+        return "INFINITY"
+
 
 INFINITY = _Infinity()
 

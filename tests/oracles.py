@@ -4,15 +4,16 @@ Each oracle checks the pipeline from outside it: Whitehead primitivity and
 Nielsen reduction check the Farey words, cyclic equality their conjugacy
 classes, abelianization their letter counts, the geodesic and PSL
 distances and the orthogonality residual the axes and images, Farey
-associates the slope pairs, and the axis route the double altitude that
-pi_of_pair takes through the matrix formula. They import only public
-palcore names, so they see the library as any caller does.
+associates the slope pairs, the step-by-step Stern-Brocot descent the
+run-by-run descent of primitive_word, and the axis route the double
+altitude that pi_of_pair takes through the matrix formula. They import
+only public palcore names, so they see the library as any caller does.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from palcore.farey import Slope, validate_slope
+from palcore.farey import FareyNode, Slope, validate_slope
 from palcore.geodesics import Geodesic, axis, common_perpendicular, line_matrix
 from palcore.representation import Representation
 from palcore.sl2c import INFINITY, GroupElement, chordal_distance
@@ -170,6 +171,33 @@ def are_associates(s1: Slope, s2: Slope) -> bool:
     validate_slope(p, q)
     validate_slope(r, s)
     return abs(p * s - r * q) == 1
+
+
+def primitive_word_by_steps(p: int, q: int) -> FareyNode:
+    """The node of p/q by one mediant step at a time, each word built
+    from its two bounds' words by the child rule (the palindrome hi lo
+    when pq is even, lo hi when odd). Quadratic in p + q: every word on
+    the path is built."""
+    validate_slope(p, q)
+    lo = FareyNode(0, 1, 0, None, Word("a"), None)
+    hi = FareyNode(1, 0, 0, None, Word("b"), None)
+    if (p, q) in (lo.slope, hi.slope):
+        return lo if q else hi
+    while True:
+        r, s = lo.p + hi.p, lo.q + hi.q
+        if r * s % 2:
+            word, factorization = lo.word * hi.word, (lo.word, hi.word)
+        else:
+            word, factorization = hi.word * lo.word, None
+        node = FareyNode(
+            r, s, 1 + max(lo.depth, hi.depth), (lo.slope, hi.slope), word, factorization
+        )
+        if (r, s) == (p, q):
+            return node
+        if p * s > r * q:
+            lo = node
+        else:
+            hi = node
 
 
 def evaluate_normalized(rep: Representation, w: Word) -> GroupElement:

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import palcore
@@ -110,3 +112,16 @@ def test_oracles_import_only_public_palcore_names():
         if name.startswith("_") or any(p.startswith("_") for p in module.split("."))
     ]
     assert private == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site hooks, so only palcore's own imports
+    # count; dataclasses and the inspect it loads were half of import palcore
+    src = str(Path(palcore.__file__).resolve().parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import palcore; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["[]"]

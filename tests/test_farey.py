@@ -2,7 +2,9 @@
 word scheme, associates, enumeration."""
 
 import math
+import random
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -17,7 +19,13 @@ from palcore.farey import (
 )
 from palcore.words import Word, is_palindrome
 
-from .oracles import abelianize, are_associates, cyclically_equal, is_primitive
+from .oracles import (
+    abelianize,
+    are_associates,
+    cyclically_equal,
+    is_primitive,
+    primitive_word_by_steps,
+)
 
 
 def coprime_slopes(limit):
@@ -211,6 +219,49 @@ class TestOneBuilder:
         # a node holds Words, each equal to its text
         assert node.word == "abaababa" and node.factorization == ("aba", "ababa")
         assert all(isinstance(w, Word) for w in (node.word, *node.factorization))
+
+
+def _seeded_long_slopes(seed, count, limit):
+    rng = random.Random(seed)
+    slopes = []
+    while len(slopes) < count:
+        p, q = rng.randint(0, limit), rng.randint(0, limit)
+        if p + q and math.gcd(p, q) == 1:
+            slopes.append((p, q))
+    return slopes
+
+
+class TestRunDescent:
+    """primitive_word descends run by run; the step-by-step descent of
+    tests/oracles.py is its reference, node for node."""
+
+    def test_every_enumerated_slope_matches_the_step_descent(self):
+        nodes = enumerate_farey(14)
+        assert len(nodes) == 2**14 + 1
+        for node in nodes[2:]:
+            got = primitive_word(node.p, node.q)
+            assert got == primitive_word_by_steps(node.p, node.q) == node
+            assert type(got.word) is Word
+            assert all(type(w) is Word for w in got.factorization or ())
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(1, 1999), (1999, 1), (2, 2001), (1597, 987), (987, 1597), (1000, 999)]
+        + _seeded_long_slopes(24, 40, 3000),
+    )
+    def test_long_slopes_match_the_step_descent(self, p, q):
+        got = primitive_word(p, q)
+        assert got == primitive_word_by_steps(p, q)
+        assert len(got.word) == p + q
+
+    def test_long_run_is_linear(self):
+        # the step descent builds 120,000 words for this slope, 7.2e9
+        # letters in all; the run descent builds one word of 120,001
+        start = time.perf_counter()
+        node = primitive_word(120000, 1)
+        assert time.perf_counter() - start < 0.5
+        assert node.depth == 120000
+        assert node.parents == ((119999, 1), (1, 0))
 
 
 class TestAssociates:

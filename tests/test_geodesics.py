@@ -1,7 +1,9 @@
 """Geodesic layer: line matrices, orthogonality, common perpendiculars,
 and the axis-route position helper of tests/conftest.py."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -42,6 +44,43 @@ class TestGeodesic:
         assert g.e1 == -1 and g.e2 == 2
         assert Geodesic(INFINITY, 0j).e2 is INFINITY
 
+    def test_endpoints_are_coerced_to_complex(self):
+        g = Geodesic(3, 1.5)
+        assert g.endpoints() == (1.5 + 0j, 3 + 0j)
+        assert all(type(e) is complex for e in g.endpoints())
+        assert Geodesic(2, INFINITY).endpoints() == (2 + 0j, INFINITY)
+        # canonical order is by real part, then imaginary part
+        assert Geodesic(1 + 1j, 1 - 1j).endpoints() == (1 - 1j, 1 + 1j)
+        assert Geodesic(-1 + 5j, 0j).endpoints() == (-1 + 5j, 0j)
+
+    def test_endpoints_are_read_only(self):
+        g = Geodesic(0j, 1j)
+        with pytest.raises(AttributeError):
+            g.e1 = 5j
+        with pytest.raises(AttributeError):
+            g.e2 = 5j
+        with pytest.raises(AttributeError):
+            g.label = "core"
+        assert g.endpoints() == (0j, 1j)
+
+    def test_equality_and_hash_go_by_the_endpoint_set(self):
+        g, h = Geodesic(2 + 1j, -1), Geodesic(-1 + 0j, 2 + 1j)
+        assert g == h and hash(g) == hash(h)
+        assert len({g, h, Geodesic(INFINITY, 0j), Geodesic(0, INFINITY)}) == 2
+        assert g != Geodesic(-1, 2)
+        assert Geodesic(1j, 1j) == Geodesic(1j, 1j) != Geodesic(1j, -1j)
+        # a copy is built again through __new__ from the two endpoints, and
+        # a copied or unpickled inf is INFINITY itself
+        assert copy.deepcopy(g) == g and type(copy.copy(g)) is Geodesic
+        vertical = Geodesic(0j, INFINITY)
+        assert copy.deepcopy(vertical).e2 is INFINITY
+        assert pickle.loads(pickle.dumps(vertical)).e2 is INFINITY
+
+    def test_repr(self):
+        assert repr(Geodesic(2, -1)) == "Geodesic[(-1+0j), (2+0j)]"
+        assert repr(Geodesic(INFINITY, 1j)) == "Geodesic[1j, INFINITY]"
+        assert str(Geodesic(0j, INFINITY)) == "Geodesic[0j, INFINITY]"
+
     def test_degenerate_marker(self):
         assert Geodesic(1j, 1j).degenerate
         assert not Geodesic(0j, 1j).degenerate
@@ -54,6 +93,8 @@ class TestGeodesic:
         # endpoints in canonical order, inf last
         assert Geodesic(INFINITY, 1.5 - 2j).to_json() == {"e1": [1.5, -2.0], "e2": "inf"}
         assert Geodesic(1j, -3 + 0j).to_json() == {"e1": [-3.0, 0.0], "e2": [0.0, 1.0]}
+        assert Geodesic(3, 1).to_json() == {"e1": [1.0, 0.0], "e2": [3.0, 0.0]}
+        assert Geodesic(INFINITY, INFINITY).to_json() == {"e1": "inf", "e2": "inf"}
 
     def test_transform_applies_moebius(self):
         g = Geodesic(0j, INFINITY)

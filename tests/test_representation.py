@@ -4,7 +4,6 @@ palindrome positions, pair positions, hexagons, rational indexing."""
 import math
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -25,6 +24,7 @@ from palcore.representation import (
     PALINDROME_PAIR,
     PALINDROME_WORD,
     PARABOLIC_END,
+    Representation,
     _palindrome_image,
     _palindrome_position,
     build,
@@ -106,6 +106,15 @@ class TestBuild:
         again = rep_from_json(rep.to_json())
         assert psl_distance(again.norm_A, rep.norm_A) <= 1e-12
         assert psl_distance(again.norm_B, rep.norm_B) <= 1e-12
+
+    def test_representations_compare_by_identity(self):
+        rep, again = random_representation(5), random_representation(5)
+        assert rep.to_json() == again.to_json()
+        assert rep == rep and rep != again
+        assert len({rep, again, rep}) == 2
+        fields = ("A", "B", "core", "normalizer", "norm_A", "norm_B", "letters")
+        assert tuple(vars(rep)) == fields
+        assert repr(rep).startswith(f"Representation(A={rep.A!r}, B={rep.B!r}, core=")
 
 
 class TestRep1Oracles:
@@ -465,10 +474,14 @@ class TestHexagon:
     def test_axes_sharing_an_endpoint_are_refused(self, rep1):
         # the axes of A, B and AB all end at inf, which no pair that build
         # accepts has, so the generators are replaced on a built pair
-        rep = replace(
-            rep1,
+        rep = Representation(
             A=GroupElement(2 + 0j, 0j, 0j, 0.5 + 0j),
             B=GroupElement(3 + 0j, 1 + 0j, 0j, 1 / 3 + 0j),
+            core=rep1.core,
+            normalizer=rep1.normalizer,
+            norm_A=rep1.norm_A,
+            norm_B=rep1.norm_B,
+            letters=rep1.letters,
         )
         with pytest.raises(ElementaryGroup, match="share an endpoint"):
             hexagon(rep)
