@@ -7,18 +7,22 @@ entry a real number or an [re, im] pair. "inf" is the literal for the
 point at infinity in all output.
 
 The probe exit code encodes the verdict: 0 for bounded or parabolic-ends,
-2 for unbounded evidence, 3 for inconclusive, 1 for any error.
+2 for unbounded evidence, 3 for inconclusive, 1 for any error, usage
+errors included.
+
+The parser is the standard library's argparse, so the package has no
+runtime dependency; it is built from the command table _COMMANDS when
+main runs, not at import.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
 import re
 import sys
 from contextlib import contextmanager
-
-import click
 
 from .config import CERTIFIABLE_CEILING, DEFAULT_ESCAPE
 from .errors import PalcoreError
@@ -56,24 +60,41 @@ def verdict_exit_code(verdict: str) -> int:
 
 
 def _fail(message) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(1)
 
 
-class _FlagError(click.BadParameter):
-    """A bad option value whose message names its flag."""
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1 on one `error:` line, as
+    every other error does: argparse's own code for them, 2, is the probe's
+    unbounded verdict."""
 
-    def format_message(self) -> str:
-        return self.message
+    def error(self, message):
+        _fail(message)
 
 
-def _positive_finite(ctx, param, value: float) -> float:
-    """Option callback: the value must be positive (NaN fails) and finite,
-    as the report writes it as a JSON number, which has no infinity."""
+def _count(text: str) -> int:
+    """The --samples value: an integer, not negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    """The --escape value: positive (NaN fails) and finite, as the report
+    writes it as a JSON number, which has no infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not value > 0:
-        raise _FlagError(f"{param.opts[0]} must be positive")
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     if math.isinf(value):
-        raise _FlagError(f"{param.opts[0]} must be finite")
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 
 
@@ -124,38 +145,41 @@ def _emit_json(obj, out: str) -> None:
         stream.write("\n")
 
 
-@contextmanager
-def _usage_exits_one():
-    try:
-        yield
-    except click.BadParameter as exc:
-        _fail(exc.format_message())
-    except click.UsageError as exc:
-        exc.exit_code = 1
-        raise
+class Command:
+    """One command of the table: the function it runs, whose docstring is
+    its help, and its arguments as argparse add_argument calls. main reads
+    `callback` when the command runs, so a wrapper assigned to it runs in
+    its place (perfbench/tracer.py wraps the probe's)."""
+
+    def __init__(self, callback, arguments) -> None:
+        self.callback = callback
+        self.arguments = arguments
 
 
-class _Group(click.Group):
-    """A click group whose usage errors exit 1, as every other error does:
-    click's own code for them, 2, is the probe's unbounded verdict. A bad
-    option value is reported as the other errors are, on one line."""
-
-    def make_context(self, *args, **kwargs):
-        with _usage_exits_one():
-            return super().make_context(*args, **kwargs)
-
-    def invoke(self, ctx):
-        with _usage_exits_one():
-            return super().invoke(ctx)
+# the command table, in the order help lists it
+_COMMANDS: dict[str, Command] = {}
 
 
-@click.group(cls=_Group)
-def main() -> None:
-    """Explore two-generator matrix groups through palindromic axes."""
+def _command(name: str, *arguments):
+    """Enter the decorated function in the table as command `name`."""
+
+    def enter(callback) -> Command:
+        command = _COMMANDS[name] = Command(callback, arguments)
+        return command
+
+    return enter
 
 
-@main.command("classify")
-@click.argument("matrix_json")
+def _option(flag: str, default, help: str, **kwargs):
+    """An option with a default, which its help shows."""
+    return (flag,), {"default": default, "help": f"{help} (default: {default})", **kwargs}
+
+
+_GENS = (("--gens",), {"required": True, "help": "generator JSON file"})
+_OUT = _option("--out", "-", "output path, - for stdout")
+
+
+@_command("classify", (("matrix_json",), {"metavar": "MATRIX_JSON"}))
 def cmd_classify(matrix_json: str) -> None:
     """Classify a matrix: MATRIX_JSON like "[[1,1],[0,1]]"."""
     try:
@@ -170,7 +194,7 @@ def cmd_classify(matrix_json: str) -> None:
             if kind == "parabolic":
                 pts = pts[:1]
             record["fixed"] = [boundary_to_json(p) for p in pts]
-        click.echo(json.dumps(record))
+        print(json.dumps(record))
     except (ValueError, PalcoreError) as exc:
         _fail(exc)
 
@@ -180,10 +204,7 @@ def cmd_classify(matrix_json: str) -> None:
 _SLOPE = re.compile(r"(-?[0-9]+)/(-?[0-9]+)")
 
 
-# a slope like -1/2 reads as an unknown option, which is passed on as the
-# argument, so it meets the slope checks like every other slope
-@main.command("primitive", context_settings={"ignore_unknown_options": True})
-@click.argument("slope")
+@_command("primitive", (("slope",), {"metavar": "SLOPE"}))
 def cmd_primitive(slope: str) -> None:
     """Representative word of a slope: SLOPE like "3/5" (1/0 allowed)."""
     match = _SLOPE.fullmatch(slope)
@@ -199,17 +220,16 @@ def cmd_primitive(slope: str) -> None:
         }
         if node.factorization is not None:
             record["factors"] = list(node.factorization)
-        click.echo(json.dumps(record))
+        print(json.dumps(record))
     except (ValueError, PalcoreError) as exc:
         _fail(exc)
 
 
-@main.command("pi-map")
-@click.option("--gens", required=True, help="generator JSON file")
-@click.option("--depth", default=4, show_default=True, help="Farey tree depth")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", default="-", show_default=True, help="output path, - for stdout")
+@_command("pi-map", _GENS,
+          _option("--depth", 4, "Farey tree depth", type=int),
+          _option("--format", "csv", "report format", dest="fmt",
+                  choices=("csv", "json")),
+          _OUT)
 def cmd_pi_map(gens: str, depth: int, fmt: str, out: str) -> None:
     """Position spectrum of the palindromic axes over the Farey tree."""
     _check_out(out)
@@ -225,18 +245,16 @@ def cmd_pi_map(gens: str, depth: int, fmt: str, out: str) -> None:
         _emit_json([e.to_json() for e in entries], out)
 
 
-@main.command("probe")
-@click.option("--gens", required=True, help="generator JSON file")
-@click.option("--depth", default=6, show_default=True, help="Farey tree depth")
-@click.option("--samples", type=click.IntRange(min=0), default=0,
-              show_default=True, help="random palindromization count")
-@click.option("--seed", default=0, show_default=True, help="sampling seed")
-@click.option("--escape", default=DEFAULT_ESCAPE, show_default=True,
-              callback=_positive_finite,
-              help="|s| threshold for escape evidence; positions beyond "
-                   f"1/2 ln(1/singular tolerance) = {CERTIFIABLE_CEILING:.1f} "
-                   "are never certified, so the default records no witness")
-@click.option("--out", default="-", show_default=True, help="output path, - for stdout")
+@_command("probe", _GENS,
+          _option("--depth", 6, "Farey tree depth", type=int),
+          _option("--samples", 0, "random palindromization count", type=_count),
+          _option("--seed", 0, "sampling seed", type=int),
+          _option("--escape", DEFAULT_ESCAPE,
+                  "|s| threshold for escape evidence; positions beyond "
+                  f"1/2 ln(1/singular tolerance) = {CERTIFIABLE_CEILING:.1f} "
+                  "are never certified, so the default records no witness",
+                  type=_positive_finite),
+          _OUT)
 def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
               out: str) -> None:
     """Probe the pair for discreteness evidence; exit code is the verdict."""
@@ -250,9 +268,7 @@ def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
     sys.exit(verdict_exit_code(report.verdict))
 
 
-@main.command("hexagon")
-@click.option("--gens", required=True, help="generator JSON file")
-@click.option("--out", default="-", show_default=True, help="output path, - for stdout")
+@_command("hexagon", _GENS, _OUT)
 def cmd_hexagon(gens: str, out: str) -> None:
     """The six geodesics of the right-angled hexagon of the pair."""
     _check_out(out)
@@ -262,6 +278,60 @@ def cmd_hexagon(gens: str, out: str) -> None:
     except PalcoreError as exc:
         _fail(exc)
     _emit_json(hexa.to_json(), out)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the command table. No option is taken by a prefix of
+    its name (allow_abbrev), so a mistyped or retired option is refused."""
+    parser = _Parser(
+        prog="palcore",
+        description="Explore two-generator matrix groups through palindromic axes.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     title="commands", required=True)
+    for name, command in _COMMANDS.items():
+        doc = command.callback.__doc__
+        sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        for flags, kwargs in command.arguments:
+            sub.add_argument(*flags, **kwargs)
+    return parser
+
+
+def _slope_as_argument(argv: list[str]) -> list[str]:
+    """argv with `--` before a primitive slope such as -1/2, which argparse
+    reads as an unknown option: the slope then meets the slope checks like
+    every other slope."""
+    if argv[0] == "primitive" and argv[1:2] and argv[1].startswith("-") \
+            and argv[1] not in ("-h", "--help", "--"):
+        return ["primitive", "--", *argv[1:]]
+    return argv
+
+
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run one palcore command on args (sys.argv[1:] when None); the call
+    always ends in SystemExit with the exit code. A bare `palcore` prints
+    the help on stderr and exits 1.
+
+    standalone_mode changes nothing. Its one caller is perfbench/worker.py,
+    which runs a traced probe in process as main(args, standalone_mode=False)
+    and reads the exit code from the SystemExit.
+    """
+    argv = sys.argv[1:] if args is None else list(args)
+    parser = _parser()
+    if not argv:
+        parser.print_help(sys.stderr)
+        sys.exit(1)
+    namespace = vars(parser.parse_args(_slope_as_argument(argv)))
+    command = _COMMANDS[namespace.pop("command")]
+    try:
+        command.callback(**namespace)
+    except BrokenPipeError:
+        # the reader of stdout has gone (`palcore pi-map ... | head`); stdout
+        # is pointed at devnull, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

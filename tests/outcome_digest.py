@@ -23,17 +23,24 @@ The input sets:
   mu_half, mu4 and a complex loxodromic pair, in the order the search
   visits them;
 - probe(mu_half, 8) with 200 random samples for seeds 0 to 3: spectrum,
-  samples, interval, growth, verdict, witnesses and Jorgensen value.
+  samples, interval, growth, verdict, witnesses and Jorgensen value;
+- the palcore command line, run in process through palcore.cli.main: the
+  stdout bytes and exit code of each run in CLI_RUNS, with the generator
+  files written from the pairs above.
 """
 from __future__ import annotations
 
 import gzip
 import hashlib
 import importlib
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from palcore.cli import main as cli_main
 from palcore.errors import PalcoreError
 from palcore.probe import pi_spectrum, probe, witness_search
 from palcore.representation import build, rep_from_json
@@ -51,20 +58,36 @@ WITNESS_CANDIDATES = 64_896
 PROBE_SEEDS = range(4)
 # sqrt(1.5^2 - 1): the off-diagonal scale of a trace-3 hyperbolic element
 _SINH = math.sqrt(1.5 * 1.5 - 1)
+# the named generator pairs
+GENERATORS = {
+    "mu4": (GroupElement(1, 1, 0, 1), GroupElement(1, 0, 4, 1)),
+    "mu_half": (GroupElement(1, 1, 0, 1), GroupElement(1, 0, 0.5, 1)),
+    # separated axes [-1, 1] and [-8, 8], trace 3 each
+    "schottky": (
+        GroupElement(1.5, _SINH, _SINH, 1.5),
+        GroupElement(1.5, 8.0 * _SINH, _SINH / 8.0, 1.5),
+    ),
+    "complex": (GroupElement(2, 1, 1, 1), GroupElement(1, 0, 0.3 + 2.1j, 1)),
+}
+# command lines; {name} stands for the generator file of that pair
+CLI_RUNS = (
+    ["probe", "--gens", "{mu4}", "--depth", "12"],
+    ["probe", "--gens", "{mu_half}", "--depth", "10", "--samples", "50",
+     "--escape", "4", "--seed", "1"],
+    *(["pi-map", "--gens", f"{{{name}}}", "--depth", "12", "--format", fmt]
+      for name in ("mu4", "mu_half", "schottky") for fmt in ("csv", "json")),
+    ["hexagon", "--gens", "{schottky}"],
+    *(["primitive", slope] for slope in (
+        "0/1", "1/0", "1/1", "2/5", "3/5", "13/8", "89/55", "2/4", "-1/2")),
+    *(["classify", matrix] for matrix in (
+        "[[2, 0], [0, 0.5]]", "[[1, 0], [3, 1]]", "[[0, -1], [1, 0]]",
+        "[[[1, 1], 2], [0.5, [1, -1]]]")),
+)
 
 
 def _pairs() -> dict:
     """The named generator pairs, built."""
-    return {
-        "mu4": build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, 4, 1)),
-        "mu_half": build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, 0.5, 1)),
-        # separated axes [-1, 1] and [-8, 8], trace 3 each
-        "schottky": build(
-            GroupElement(1.5, _SINH, _SINH, 1.5),
-            GroupElement(1.5, 8.0 * _SINH, _SINH / 8.0, 1.5),
-        ),
-        "complex": build(GroupElement(2, 1, 1, 1), GroupElement(1, 0, 0.3 + 2.1j, 1)),
-    }
+    return {name: build(A, B) for name, (A, B) in GENERATORS.items()}
 
 
 def _outcome(image, error: str | None) -> str:
@@ -148,6 +171,29 @@ def _probe_lines(rep, seed: int):
     yield f"jorgensen {report.jorgensen.value.hex()} {report.jorgensen.passed}"
 
 
+def _cli_lines():
+    """One line per run of CLI_RUNS: the command line, the exit code and the
+    SHA-256 of the stdout bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, (A, B) in GENERATORS.items():
+            files[name] = str(Path(tmp) / f"{name}.json")
+            Path(files[name]).write_text(
+                json.dumps({"A": A.to_json(), "B": B.to_json()}), encoding="utf-8"
+            )
+        for args in CLI_RUNS:
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                try:
+                    cli_main([a.format(**files) for a in args])
+                    code = None
+                except SystemExit as exc:
+                    code = exc.code
+            stdout.flush()
+            digest = hashlib.sha256(stdout.buffer.getvalue()).hexdigest()
+            yield f"{' '.join(args)} exit {code} {digest}"
+
+
 def input_sets():
     """(name, outcome lines) for every input set, computed lazily."""
     pairs = _pairs()
@@ -162,6 +208,7 @@ def input_sets():
         yield f"mu_half probe depth 8, 200 samples, seed {seed}", _probe_lines(
             pairs["mu_half"], seed
         )
+    yield f"palcore command line, {len(CLI_RUNS)} runs", _cli_lines()
 
 
 def main() -> None:

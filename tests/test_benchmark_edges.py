@@ -7,21 +7,31 @@ pi_spectrum takes through the palcore.probe global enumerate_farey. Two of
 the tracer's spans also read what passes through them: the words.evaluate
 hook counts len(args[0]) as words.letters_evaluated, and the
 farey.primitive_word hook reads the returned node's slope and the lengths
-of its word and factors. A rename,
+of its word and factors. The tracer also wraps the probe command's
+cli.cmd_probe.callback and replaces the module global cli.json, and a
+traced probe-deep run calls cli.main(args, standalone_mode=False) in
+process, reading its exit code from the SystemExit. A rename,
 deletion or signature change in palcore would otherwise break the traced
 run, the candidate counter or a work counter without failing a test. The tracer
 imports only the standard library, so it is loaded here by path.
 """
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import palcore.probe  # noqa: F401  (the module; palcore.probe is the function)
+from palcore import cli
+from palcore.config import DEFAULT_ESCAPE
 from palcore.farey import enumerate_farey
 from palcore.probe import pi_spectrum
 from palcore.representation import PALINDROME_PAIR, pi_of_palindrome, rational_pi
 from palcore.words import Word
+
+from .conftest import hyperbolic_on_axis
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -118,3 +128,72 @@ def test_spectrum_classifies_each_image_once(monkeypatch, mu4):
     pairs = sum(e.image is not None and e.image.source == PALINDROME_PAIR
                 for e in spectrum)
     assert (len(calls), palindromes, pairs) == (2837, 2732, 105)
+
+
+def _gens(tmp_path, A, B) -> str:
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"A": A, "B": B}))
+    return str(path)
+
+
+def _mu4_gens(tmp_path) -> str:
+    return _gens(tmp_path, [[1, 1], [0, 1]], [[1, 0], [4, 1]])
+
+
+def test_probe_runs_the_callback_found_on_its_command(monkeypatch, tmp_path):
+    # the tracer assigns its cli.probe span to cmd_probe.callback
+    original = cli.cmd_probe.callback
+    calls = []
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return original(**kwargs)
+
+    monkeypatch.setattr(cli.cmd_probe, "callback", spy)
+    gens, out = _mu4_gens(tmp_path), str(tmp_path / "report.json")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["probe", "--gens", gens, "--depth", "4", "--out", out])
+    assert exit_info.value.code == 0
+    assert calls == [{"gens": gens, "depth": 4, "samples": 0, "seed": 0,
+                      "escape": DEFAULT_ESCAPE, "out": out}]
+
+
+def test_report_is_written_through_the_cli_json_global(monkeypatch, tmp_path):
+    # the tracer replaces cli.json with a proxy that passes every other
+    # name on to the json module
+    class Recording:
+        def __init__(self):
+            self.read = []
+
+        def __getattr__(self, attr):
+            self.read.append(attr)
+            return getattr(json, attr)
+
+    proxy = Recording()
+    monkeypatch.setattr(cli, "json", proxy)
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit):
+        cli.main(["probe", "--gens", _mu4_gens(tmp_path), "--depth", "4",
+                  "--out", str(out)])
+    assert proxy.read == ["load", "dump"]
+    assert json.loads(out.read_text())["depth"] == 4
+
+
+@pytest.mark.parametrize("pair, args, code", [
+    ("mu4", ["--depth", "4"], 0),
+    ("schottky", ["--depth", "4", "--escape", "1.0"], 2),
+    ("schottky", ["--depth", "1"], 3),
+])
+def test_in_process_probe_ends_in_the_verdict_exit(tmp_path, pair, args, code):
+    # the call a traced probe-deep run makes
+    if pair == "mu4":
+        gens = _mu4_gens(tmp_path)
+    else:
+        gens = _gens(tmp_path, hyperbolic_on_axis(1.0, 1.5).to_json(),
+                     hyperbolic_on_axis(8.0, 1.5).to_json())
+    out = tmp_path / "probe.out.json"
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["probe", "--gens", gens, *args, "--out", str(out)],
+                 standalone_mode=False)
+    assert exit_info.value.code == code
+    assert out.exists()

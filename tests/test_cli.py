@@ -3,9 +3,13 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 from palcore import cli as cli_module
 from palcore import config, geodesics, representation
@@ -26,9 +30,31 @@ from palcore.representation import hexagon, rep_from_json
 from .conftest import hyperbolic_on_axis
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout, then stderr
+    stdout_bytes: bytes
+
+
+class Runner:
+    """Runs a command line entry point in this process with stdout and
+    stderr captured. The entry point must end in SystemExit; any other
+    exception propagates and fails the test."""
+
+    @staticmethod
+    def invoke(cli, args) -> Result:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), \
+                pytest.raises(SystemExit) as exit_info:
+            cli(args)
+        code = exit_info.value.code
+        return Result(0 if code is None else code, out.getvalue() + err.getvalue(),
+                      out.getvalue().encode("utf-8"))
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def write_gens(tmp_path, A, B, name="gens.json"):
@@ -50,10 +76,9 @@ def mu4_gens(tmp_path):
 
 
 def assert_one_error_line(res, *fragments):
-    """The command failed through _fail: exit 1 and one `error:` line, not
-    a traceback (CliRunner reports an uncaught exception as exit 1 too)."""
+    """The command failed through _fail: exit 1 and one `error:` line (an
+    uncaught exception, a traceback, propagates out of Runner.invoke)."""
     assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: ")
     assert res.output.count("\n") == 1
     for fragment in fragments:
@@ -206,7 +231,7 @@ class TestPrimitive:
     def test_help_is_still_an_option(self, runner):
         res = runner.invoke(main, ["primitive", "--help"])
         assert res.exit_code == 0
-        assert res.output.startswith("Usage: ") and "SLOPE" in res.output
+        assert res.output.startswith("usage: ") and "SLOPE" in res.output
 
 
 class TestPiMap:
@@ -245,8 +270,7 @@ class TestPiMap:
             res = runner.invoke(
                 main, [command, "--gens", schottky_gens, "--tol-geo", "1e-6"]
             )
-            assert res.exit_code == 1
-            assert "No such option '--tol-geo'" in res.output
+            assert_one_error_line(res, "unrecognized arguments: --tol-geo")
 
     def test_json_entry_keys_in_report_order(self, runner, schottky_gens):
         res = runner.invoke(
@@ -312,9 +336,9 @@ class TestProbe:
         assert res.exit_code == 0
         assert "--escape" in res.output and "--plateau" not in res.output
         assert f"= {config.CERTIFIABLE_CEILING:.1f} are never" in res.output
+        assert "Farey tree depth (default: 6)" in res.output
         res = runner.invoke(main, ["probe", "--gens", mu4_gens, "--plateau", "0.5"])
-        assert res.exit_code == 1
-        assert "No such option '--plateau'" in res.output
+        assert_one_error_line(res, "unrecognized arguments: --plateau")
 
     def test_out_writes_file_and_exit_code_kept(self, runner, schottky_gens, tmp_path):
         target = tmp_path / "report.json"
@@ -337,33 +361,58 @@ class TestProbe:
 
 
 class TestUsageErrors:
-    """Every usage error exits 1, with click's message: 2 and 3 are probe
-    verdicts."""
+    """Every usage error exits 1 on one `error:` line that names the flag or
+    command: 2 and 3 are probe verdicts."""
 
     @pytest.mark.parametrize("args, message", [
-        (["probe"], "Missing option '--gens'"),
-        (["probe", "--gens", "{gens}", "--depth", "x"], "'x' is not a valid integer"),
-        (["pi-map", "--gens", "{gens}", "--format", "xml"], "'xml' is not one of"),
-        (["bogus"], "No such command 'bogus'"),
-    ])
-    def test_click_usage_errors_exit_one(self, runner, mu4_gens, args, message):
+        (["probe"], "the following arguments are required: --gens"),
+        (["probe", "--gens", "{gens}", "--depth", "x"],
+         "argument --depth: invalid int value: 'x'"),
+        (["pi-map", "--gens", "{gens}", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        # no option is taken by a prefix of its name
+        (["pi-map", "--gens", "{gens}", "--dep", "3"], "unrecognized arguments: --dep 3"),
+    ], ids=["missing-option", "bad-int", "bad-choice", "no-such-command", "option-prefix"])
+    def test_usage_errors_exit_one(self, runner, mu4_gens, args, message):
         res = runner.invoke(main, [a.format(gens=mu4_gens) for a in args])
+        assert_one_error_line(res, message)
+
+    def test_bare_command_prints_usage_and_exits_one(self, runner):
+        res = runner.invoke(main, [])
         assert res.exit_code == 1
-        assert message in res.output
+        assert res.stdout_bytes == b""
+        assert res.output.startswith("usage: palcore ")
 
     @pytest.mark.parametrize("option, value", [
         ("--samples", "-3"),
         ("--escape", "nan"), ("--escape", "0"), ("--escape", "-1"),
-        # click reads 1e999 as inf; JSON has no literal for either
+        # float() reads 1e999 as inf; JSON has no literal for either
         ("--escape", "inf"), ("--escape", "1e999"),
     ])
     def test_out_of_range_probe_inputs_exit_one(self, runner, mu4_gens, option, value):
         res = runner.invoke(
             main, ["probe", "--gens", mu4_gens, "--depth", "3", option, value]
         )
-        assert res.exit_code == 1
-        assert res.output.startswith("error: ")
-        assert option in res.output
+        assert_one_error_line(res, option)
+
+
+class TestClosedStdout:
+    def test_reader_gone_exits_one_quietly(self, mu4_gens):
+        # a reader that stops early, as `palcore pi-map ... | head -1` does;
+        # the 1.1 MB report is far larger than a pipe holds
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "palcore.cli", "pi-map", "--gens", mu4_gens,
+             "--depth", "12", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 class TestHexagon:

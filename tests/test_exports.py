@@ -114,14 +114,24 @@ def test_oracles_import_only_public_palcore_names():
     assert private == []
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # a fresh interpreter without site hooks, so only palcore's own imports
-    # count; dataclasses and the inspect it loads were half of import palcore
+def _fresh_modules(module: str, names: set[str]) -> list[str]:
+    """Which of names are loaded after `import module` in a fresh
+    interpreter without site hooks, so that only palcore's own imports
+    count."""
     src = str(Path(palcore.__file__).resolve().parents[1])
     script = (
-        f"import sys; sys.path.insert(0, {src!r}); import palcore; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+        f"print(sorted(set(sys.modules).intersection({sorted(names)!r})))"
     )
     out = subprocess.run([sys.executable, "-I", "-S", "-c", script],
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.split() == ["[]"]
+    return ast.literal_eval(out.stdout)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses and the inspect it loads were half of import palcore, and
+    # click, with inspect, most of import palcore.cli; the library loads no
+    # part of the command line, argparse included
+    assert _fresh_modules("palcore", {"dataclasses", "inspect", "palcore.cli",
+                                      "argparse"}) == []
+    assert _fresh_modules("palcore.cli", {"click", "dataclasses", "inspect"}) == []
