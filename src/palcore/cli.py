@@ -99,30 +99,24 @@ def _positive_finite(text: str) -> float:
 
 
 def _load_rep(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return rep_from_json(data)
-    except (OSError, ValueError, PalcoreError) as exc:
-        _fail(exc)
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    return rep_from_json(data)
 
 
 def _check_out(out: str) -> None:
-    """Fail before any work when the --out path cannot be opened for
-    writing. The check opens it for appending, which leaves an existing
+    """Raise OSError before any work when the --out path cannot be opened
+    for writing. The check opens it for appending, which leaves an existing
     file as it is, and removes a file that only the check created; the
     report is written (and an existing file replaced) through _output, once
     the work has succeeded."""
     if out == "-":
         return
     existed = os.path.lexists(out)
-    try:
-        with open(out, "a", encoding="utf-8"):
-            pass
-        if not existed:
-            os.remove(out)
-    except OSError as exc:
-        _fail(exc)
+    with open(out, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(out)
 
 
 @contextmanager
@@ -132,11 +126,8 @@ def _output(out: str):
     if out == "-":
         yield sys.stdout
         return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        _fail(exc)
+    with open(out, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 def _emit_json(obj, out: str) -> None:
@@ -182,21 +173,18 @@ _OUT = _option("--out", "-", "output path, - for stdout")
 @_command("classify", (("matrix_json",), {"metavar": "MATRIX_JSON"}))
 def cmd_classify(matrix_json: str) -> None:
     """Classify a matrix: MATRIX_JSON like "[[1,1],[0,1]]"."""
-    try:
-        m = normalize_input(matrix_from_json(json.loads(matrix_json)))
-        kind = classify(m)
-        record: dict = {
-            "class": kind,
-            "trace": [m.trace().real, m.trace().imag],
-        }
-        if kind != "identity":
-            pts = fixed_points(m)
-            if kind == "parabolic":
-                pts = pts[:1]
-            record["fixed"] = [boundary_to_json(p) for p in pts]
-        print(json.dumps(record))
-    except (ValueError, PalcoreError) as exc:
-        _fail(exc)
+    m = normalize_input(matrix_from_json(json.loads(matrix_json)))
+    kind = classify(m)
+    record: dict = {
+        "class": kind,
+        "trace": [m.trace().real, m.trace().imag],
+    }
+    if kind != "identity":
+        pts = fixed_points(m)
+        if kind == "parabolic":
+            pts = pts[:1]
+        record["fixed"] = [boundary_to_json(p) for p in pts]
+    print(json.dumps(record))
 
 
 # p/q in ASCII decimal digits, a minus sign allowed on each: int() would
@@ -210,19 +198,16 @@ def cmd_primitive(slope: str) -> None:
     match = _SLOPE.fullmatch(slope)
     if match is None:
         _fail(f"slope must have the form p/q, got {slope!r}")
-    try:
-        node = primitive_word(*map(int, match.groups()))
-        record: dict = {
-            "p": node.p,
-            "q": node.q,
-            "word": node.word,
-            "palindrome": is_palindrome(node.word),
-        }
-        if node.factorization is not None:
-            record["factors"] = list(node.factorization)
-        print(json.dumps(record))
-    except (ValueError, PalcoreError) as exc:
-        _fail(exc)
+    node = primitive_word(*map(int, match.groups()))
+    record: dict = {
+        "p": node.p,
+        "q": node.q,
+        "word": node.word,
+        "palindrome": is_palindrome(node.word),
+    }
+    if node.factorization is not None:
+        record["factors"] = list(node.factorization)
+    print(json.dumps(record))
 
 
 @_command("pi-map", _GENS,
@@ -233,11 +218,7 @@ def cmd_primitive(slope: str) -> None:
 def cmd_pi_map(gens: str, depth: int, fmt: str, out: str) -> None:
     """Position spectrum of the palindromic axes over the Farey tree."""
     _check_out(out)
-    rep = _load_rep(gens)
-    try:
-        entries = pi_spectrum(rep, depth)
-    except ValueError as exc:
-        _fail(exc)
+    entries = pi_spectrum(_load_rep(gens), depth)
     if fmt == "csv":
         with _output(out) as stream:
             spectrum_to_csv(entries, stream)
@@ -259,11 +240,8 @@ def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
               out: str) -> None:
     """Probe the pair for discreteness evidence; exit code is the verdict."""
     _check_out(out)
-    rep = _load_rep(gens)
-    try:
-        report = probe(rep, depth, random_samples=samples, seed=seed, s_escape=escape)
-    except (ValueError, PalcoreError) as exc:
-        _fail(exc)
+    report = probe(_load_rep(gens), depth, random_samples=samples, seed=seed,
+                   s_escape=escape)
     _emit_json(report.to_json(), out)
     sys.exit(verdict_exit_code(report.verdict))
 
@@ -272,12 +250,7 @@ def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
 def cmd_hexagon(gens: str, out: str) -> None:
     """The six geodesics of the right-angled hexagon of the pair."""
     _check_out(out)
-    rep = _load_rep(gens)
-    try:
-        hexa = hexagon(rep)
-    except PalcoreError as exc:
-        _fail(exc)
-    _emit_json(hexa.to_json(), out)
+    _emit_json(hexagon(_load_rep(gens)).to_json(), out)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -313,6 +286,10 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
     always ends in SystemExit with the exit code. A bare `palcore` prints
     the help on stderr and exits 1.
 
+    main is the one place where a command's error, an OSError, ValueError
+    or PalcoreError, becomes one `error:` line on stderr and exit 1; the
+    commands and their helpers only raise.
+
     standalone_mode changes nothing. Its one caller is perfbench/worker.py,
     which runs a traced probe in process as main(args, standalone_mode=False)
     and reads the exit code from the SystemExit.
@@ -331,6 +308,8 @@ def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
         # is pointed at devnull, so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except (OSError, ValueError, PalcoreError) as exc:
+        _fail(exc)
     sys.exit(0)
 
 

@@ -197,8 +197,6 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
     the parents' images, which moves the position by a few units in the
     last place.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
     letters = rep.letters
     plan = _spectrum_plan(depth)
     images: list = [None] * len(plan)

@@ -260,14 +260,16 @@ def _crossing_position(m, length: int) -> float:
     altitude. Either way the axis endpoints are +/-sqrt(b/c), so
     s = ln|b/c| / 2, a ratio of directly accumulated entries.
 
-    Refusals, each an OrthogonalityViolation: an entry that is not finite,
-    or an overflow of abs() (the image overflowed); an off-diagonal entry
-    below SINGULAR_FLOOR times the scale, past which |b/c| lies within
-    1e+/-12; and fixed points that are not antipodal. By Vieta's formulas
-    the fixed points of a unimodular m sum to (a - d)/c and multiply to
-    -b/c, so they count as antipodal, within eps = geo_scaled(length) of
-    their modulus sqrt|b/c|, when |a - d|/|c| <= eps max(1, sqrt|b/c|); no
-    quadratic is solved. That bound, eps max(|c|, sqrt|bc|) on |a - d|, is
+    Refusals, each an OrthogonalityViolation: an entry that is not finite
+    (the image overflowed); an off-diagonal entry below SINGULAR_FLOOR
+    times the scale, past which |b/c|, taken as |b|/|c| from the moduli
+    already in hand, lies within 1e+/-12, so its root and log are defined;
+    and fixed points that are not antipodal. An OverflowError of abs()
+    reaches the caller, which refuses the image as overflowed. By Vieta's
+    formulas the fixed points of a unimodular m sum to (a - d)/c and
+    multiply to -b/c, so they count as antipodal, within
+    eps = geo_scaled(length) of their modulus sqrt|b/c|, when
+    |a - d|/|c| <= eps max(1, sqrt|b/c|); no quadratic is solved. That bound, eps max(|c|, sqrt|bc|) on |a - d|, is
     at most eps times the scale, so unequal diagonal entries need no test
     of their own.
     The test, and the tolerance with it, is taken only when a != d: for
@@ -281,27 +283,24 @@ def _crossing_position(m, length: int) -> float:
     a, b, c, d = m
     if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
         raise OrthogonalityViolation("image overflowed: an entry is not finite")
-    try:
-        abs_b, abs_c = abs(b), abs(c)
-        norm = _max4(abs(a), abs_b, abs_c, abs(d))
-        scale = norm if norm > 1.0 else 1.0
-        if abs_b <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
+    abs_b, abs_c = abs(b), abs(c)
+    norm = _max4(abs(a), abs_b, abs_c, abs(d))
+    scale = norm if norm > 1.0 else 1.0
+    if abs_b <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
+        raise OrthogonalityViolation(
+            "off-diagonal entry below the certifiable floor, axis endpoint "
+            "indistinguishable from a core end"
+        )
+    ratio = abs_b / abs_c
+    if a != d:
+        residual = abs(a - d) / abs_c
+        modulus = math.sqrt(ratio)
+        eps = geo_scaled(length)
+        if residual > eps * (modulus if modulus > 1.0 else 1.0):
             raise OrthogonalityViolation(
-                "off-diagonal entry below the certifiable floor, axis endpoint "
-                "indistinguishable from a core end"
+                f"fixed points not antipodal: residual {residual:.3e}"
             )
-        ratio = abs(b / c)
-        if a != d:
-            residual = abs(a - d) / abs_c
-            modulus = math.sqrt(ratio)
-            eps = geo_scaled(length)
-            if residual > eps * (modulus if modulus > 1.0 else 1.0):
-                raise OrthogonalityViolation(
-                    f"fixed points not antipodal: residual {residual:.3e}"
-                )
-        return 0.5 * math.log(ratio)
-    except OverflowError:
-        raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
+    return 0.5 * math.log(ratio)
 
 
 def _parabolic_end(m, eps: float) -> float:
@@ -393,22 +392,22 @@ def _palindrome_image(rep: Representation, w: Word) -> Entries:
 
 def _palindrome_position(w: Word, m) -> PiImage:
     """pi_of_palindrome from m, the normalized image of the palindrome w
-    (its entries, or a GroupElement). An image whose entries have a modulus
-    past the float range is refused as overflowed: classify raises
-    OverflowError on it, and once classify has passed, only
-    _crossing_position, which refuses it itself, takes a larger modulus
-    than classify did."""
+    (its entries, or a GroupElement). An image with an entry whose modulus
+    is past the float range is refused as overflowed, wherever abs() meets
+    it: in classify, _parabolic_end or _crossing_position."""
     try:
         kind = classify(m)
+        if kind == "identity":
+            raise IdentityImage(f"{w!r} evaluates to the identity")
+        if kind == "parabolic":
+            return tuple.__new__(
+                PiImage, (_parabolic_end(m, geo_scaled(len(w))), PARABOLIC_END, kind)
+            )
+        return tuple.__new__(
+            PiImage, (_crossing_position(m, len(w)), PALINDROME_WORD, kind)
+        )
     except OverflowError:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
-    if kind == "identity":
-        raise IdentityImage(f"{w!r} evaluates to the identity")
-    if kind == "parabolic":
-        return tuple.__new__(
-            PiImage, (_parabolic_end(m, geo_scaled(len(w))), PARABOLIC_END, kind)
-        )
-    return tuple.__new__(PiImage, (_crossing_position(m, len(w)), PALINDROME_WORD, kind))
 
 
 def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:

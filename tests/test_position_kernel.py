@@ -28,7 +28,7 @@ from palcore.errors import (
     PalcoreError,
     SingularMatrix,
 )
-from palcore.farey import enumerate_farey
+from palcore.farey import enumerate_farey, primitive_word
 from palcore.probe import pi_spectrum, witness_search
 from palcore.representation import (
     BLOCK,
@@ -37,6 +37,8 @@ from palcore.representation import (
     PARABOLIC_END,
     PiImage,
     _crossing_position,
+    _pair_position,
+    _palindrome_position,
     _parabolic_end,
     build,
     pi_of_palindrome,
@@ -47,7 +49,9 @@ from palcore.sl2c import (
 )
 from palcore.words import LETTERS, Word, palindromic_doubles, reduced_words
 
-from .conftest import assert_matches_full_folds, random_representation
+from .conftest import (
+    assert_matches_full_folds, exact_riley_position, random_representation,
+)
 
 # Reference implementations: the element route, one GroupElement per
 # product and per intermediate matrix, with the builtin max and min.
@@ -130,7 +134,7 @@ def _reference_crossing_position(m, eps, kind=None):
             "off-diagonal entry below the certifiable floor, axis endpoint "
             "indistinguishable from a core end"
         )
-    s = 0.5 * math.log(abs(m.b / m.c))
+    s = 0.5 * math.log(abs(m.b) / abs(m.c))
     tr = m.a + m.d
     disc = tr * tr - 4
     if abs(disc) > 1e-10 * max(1.0, abs(tr) * abs(tr)):
@@ -307,7 +311,7 @@ def _unguarded_crossing_position(m, eps):
                 "off-diagonal entry below the certifiable floor, axis endpoint "
                 "indistinguishable from a core end"
             )
-        ratio = abs(b / c)
+        ratio = abs(b) / abs_c
         residual = abs(a - d) / abs_c
         if residual > eps * max(1.0, math.sqrt(ratio)):
             raise OrthogonalityViolation(
@@ -600,12 +604,13 @@ def test_overflowed_slope_image_is_refused(mu4):
 
 def test_overflowing_modulus_is_refused():
     # finite parts whose modulus abs() cannot hold: c = (a*a - 1)/b of the
-    # matrix test_quadratic_roots_stay_off_the_core_ends excludes
+    # matrix test_quadratic_roots_stay_off_the_core_ends excludes. The
+    # OverflowError is caught once per position, around all of its steps
     a, b = 28 + 979j, 5.335847002636874e-303j
     m = (a, b, (a * a - 1) / b, a)
     assert all(map(cmath.isfinite, m))
     with pytest.raises(OrthogonalityViolation, match=_MODULUS_OVERFLOWED):
-        _crossing_position(m, 1)
+        _palindrome_position("a", m)
 
 
 @pytest.mark.parametrize("rep, slope", [
@@ -634,3 +639,60 @@ def test_non_finite_entries_are_refused(entries):
     entries = tuple(complex(x) for x in entries)
     with pytest.raises(OrthogonalityViolation, match="image overflowed"):
         _crossing_position(entries, 1)
+
+
+# a complex Riley pair near the boundary of the Riley slice, whose depth-16
+# images have entries near the float maximum
+_NEAR_BOUNDARY_MU = 0.773301174242 + 1.467711508710j
+_DBL_MAX = sys.float_info.max
+
+
+def test_depth_16_slope_near_the_float_maximum_is_positioned():
+    # the complex quotient b/c of these entries overflows its intermediate
+    # denominator and comes back 0, whose log used to raise ValueError
+    rep = build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, _NEAR_BOUNDARY_MU, 1))
+    image = rational_pi(rep, 772, 565)
+    exact = exact_riley_position(str(primitive_word(772, 565).word), _NEAR_BOUNDARY_MU)
+    assert math.isfinite(image.s)
+    assert abs(image.s - exact) <= 1e-9
+
+
+def test_entries_near_the_float_maximum_give_a_finite_position():
+    # the image of that slope's 1,337-letter word, formed as one product of
+    # its parents' images: complex(1e308, 0) / complex(1e308, 1e308) is -0j
+    m = (
+        -4.796170046492102e307 + 7.473143138215651e307j,
+        4.939640517257595e307 + 1.4092718489115298e307j,
+        -9.977382810177033e307 - 1.166564360782903e308j,
+        -4.796170046492084e307 + 7.473143138215653e307j,
+    )
+    image = _palindrome_position(primitive_word(772, 565).word, m)
+    assert image.source == PALINDROME_WORD and math.isfinite(image.s)
+
+
+# entry parts anywhere in the float range, with its ends, infinities and NaN
+# drawn often
+_extreme_part_st = st.floats() | st.sampled_from(
+    (0.0, 1.0, -1.0, 1e308, -1e308, _DBL_MAX, -_DBL_MAX, _INF, -_INF, _NAN)
+)
+_extreme_entry_st = st.builds(complex, _extreme_part_st, _extreme_part_st)
+_extreme_matrix_st = st.tuples(*[_extreme_entry_st] * 4)
+
+
+def _ends_in_a_position_or_a_refusal(position):
+    try:
+        image = position()
+    except PalcoreError:
+        return
+    assert not math.isnan(image.s)
+
+
+@example((0j, complex(1e308, 0), complex(1e308, 1e308), 0j), 1)
+@given(_extreme_matrix_st, st.integers(1, 2000))
+def test_palindrome_position_of_any_entries_is_a_position_or_a_refusal(m, length):
+    _ends_in_a_position_or_a_refusal(lambda: _palindrome_position("a" * length, m))
+
+
+@given(_extreme_matrix_st, _extreme_matrix_st)
+def test_pair_position_of_any_entries_is_a_position_or_a_refusal(U, V):
+    _ends_in_a_position_or_a_refusal(lambda: _pair_position("a", "b", U, V))
