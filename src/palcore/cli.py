@@ -23,6 +23,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from itertools import repeat
 
 from .config import CERTIFIABLE_CEILING, DEFAULT_ESCAPE
 from .errors import PalcoreError
@@ -130,10 +131,46 @@ def _output(out: str):
         yield fh
 
 
-def _emit_json(obj, out: str) -> None:
+def _emit_json(value, out: str) -> None:
+    """Write value into stdout or the --out file as json.dump(value,
+    stream, indent=2) writes it, then a newline, piece by piece: no copy of
+    the text is held. Scalars and keys are written by json.dumps, read
+    once from the module global json."""
+    dumps = json.dumps
     with _output(out) as stream:
-        json.dump(obj, stream, indent=2)
+        _write_json(value, stream.write, "\n", dumps)
         stream.write("\n")
+
+
+def _write_json(value, write, pad: str, dumps) -> None:
+    """value in json's indent-2 layout, pad being the newline and the
+    indent of the line it starts on: a dict, whose keys are strs, and a
+    list or tuple member by member, and any other value as dumps writes
+    it. A member with a json_text method (probe's spectrum and sample
+    entries) is written by that method, from its fields, in the same write
+    as its separator."""
+    if isinstance(value, dict):
+        members = zip([f"{dumps(key)}: " for key in value], value.values())
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        members, ends = zip(repeat(""), value), "[]"
+    else:
+        write(dumps(value))
+        return
+    if not value:
+        write(ends)
+        return
+    inner = pad + "  "
+    separator = ends[0]
+    for key, member in members:
+        json_text = getattr(member, "json_text", None)
+        if json_text is None:
+            write(f"{separator}{inner}{key}")
+            _write_json(member, write, inner, dumps)
+        else:
+            write(f"{separator}{inner}{key}{json_text(inner)}")
+        separator = ","
+    write(pad + ends[1])
 
 
 class Command:
@@ -223,7 +260,7 @@ def cmd_pi_map(gens: str, depth: int, fmt: str, out: str) -> None:
         with _output(out) as stream:
             spectrum_to_csv(entries, stream)
     else:
-        _emit_json([e.to_json() for e in entries], out)
+        _emit_json(entries, out)
 
 
 @_command("probe", _GENS,
@@ -242,7 +279,7 @@ def cmd_probe(gens: str, depth: int, samples: int, seed: int, escape: float,
     _check_out(out)
     report = probe(_load_rep(gens), depth, random_samples=samples, seed=seed,
                    s_escape=escape)
-    _emit_json(report.to_json(), out)
+    _emit_json(report.json_fields(), out)
     sys.exit(verdict_exit_code(report.verdict))
 
 

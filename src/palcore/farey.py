@@ -95,14 +95,25 @@ _ROOTS = (
 def _child(lo: FareyNode, hi: FareyNode) -> FareyNode:
     """The mediant of the Farey neighbours lo < hi, one level below the
     deeper of them, with its word built from theirs: the palindrome hi lo
-    when pq is even, the product lo hi of two palindromes when pq is odd."""
-    p, q = lo.p + hi.p, lo.q + hi.q
+    when pq is even, the product lo hi of two palindromes when pq is odd.
+
+    Slope words are positive, so nothing cancels at the junction and the
+    word is the plain concatenation, made a Word by str.__new__ as _run
+    makes its words. The parents are read by unpacking and the node is
+    built by tuple.__new__, the tuple FareyNode(...) builds, without the
+    Python frame of the generated __new__: enumerate_farey makes one node
+    per slope.
+    """
+    lp, lq, l_depth, _, l_word, _ = lo
+    hp, hq, h_depth, _, h_word, _ = hi
+    p, q = lp + hp, lq + hq
     if p * q % 2:
-        word, factorization = lo.word * hi.word, (lo.word, hi.word)
+        word, factorization = str.__new__(Word, l_word + h_word), (l_word, h_word)
     else:
-        word, factorization = hi.word * lo.word, None
-    return FareyNode(
-        p, q, 1 + max(lo.depth, hi.depth), (lo.slope, hi.slope), word, factorization
+        word, factorization = str.__new__(Word, h_word + l_word), None
+    depth = 1 + (l_depth if l_depth > h_depth else h_depth)
+    return tuple.__new__(
+        FareyNode, (p, q, depth, ((lp, lq), (hp, hq)), word, factorization)
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import atexit
 import csv
+import json
 import math
 import random
 from functools import lru_cache
@@ -26,6 +27,8 @@ from .config import DEFAULT_ESCAPE, DEFAULT_PLATEAU
 from .errors import PalcoreError
 from .farey import enumerate_farey
 from .representation import (
+    PALINDROME_PAIR,
+    PALINDROME_WORD,
     PARABOLIC_END,
     PiImage,
     Representation,
@@ -77,6 +80,23 @@ class SpectrumEntry(NamedTuple):
             out["error"] = self.error
         return out
 
+    def json_text(self, pad: str) -> str:
+        """to_json's object as json.dump(..., indent=2) writes it, where
+        pad, a newline and spaces, is the indent of the object's own line.
+
+        The text is formatted from the fields, with no dict built. The
+        slope word is written as it is: Word text is letters of LETTERS,
+        which JSON does not escape.
+        """
+        p, q, depth, words, image, error = self
+        keys = pad + "  "
+        text = f'{{{keys}"p": {p},{keys}"q": {q},{keys}"depth": {depth}'
+        if image is not None:
+            text += _image_text(image, '"' + "|".join(words) + '"', keys)
+        if error is not None:
+            text += f',{keys}"error": {_quote(error)}'
+        return f"{text}{pad}}}"
+
 
 class SampleEntry(NamedTuple):
     """Palindromization of one random word, or the error it raised."""
@@ -95,6 +115,51 @@ class SampleEntry(NamedTuple):
         if self.error is not None:
             out["error"] = self.error
         return out
+
+    def json_text(self, pad: str) -> str:
+        """to_json's object as text, as SpectrumEntry.json_text writes its
+        own."""
+        base, word, image, error = self
+        keys = pad + "  "
+        text = f'{{{keys}"base": {_quote(base)}'
+        if word is not None:
+            text += f',{keys}"word": {_quote(word)}'
+        if image is not None:
+            text += _image_text(image, None, keys)
+        if error is not None:
+            text += f',{keys}"error": {_quote(error)}'
+        return f"{text}{pad}}}"
+
+
+# the JSON text of the strings that entries repeat: the routes and the
+# isometry types of a position
+_QUOTED = {
+    text: json.dumps(text)
+    for text in (PALINDROME_WORD, PALINDROME_PAIR, PARABOLIC_END,
+                 "identity", "parabolic", "elliptic", "loxodromic")
+}
+
+
+def _quote(text: str) -> str:
+    """text as JSON writes a string."""
+    return _QUOTED.get(text) or json.dumps(text)
+
+
+def _image_text(image: PiImage, word: str | None, keys: str) -> str:
+    """The members PiImage.to_json gives, as json.dump(..., indent=2)
+    writes them after an earlier member, each on a line that starts with
+    keys; word is the JSON text of the word, or None for no word member.
+    A finite s is written as JSON writes a float, a tag at a core end as
+    the text "inf" or "-inf" to_json gives, and NaN as JSON writes it."""
+    s, source, kind = image
+    if s - s == 0:
+        s_text = repr(s)
+    else:
+        s_text = '"inf"' if s > 0 else '"-inf"' if s < 0 else "NaN"
+    text = f',{keys}"s": {s_text},{keys}"source": {_quote(source)}'
+    if word is not None:
+        text += f',{keys}"word": {word}'
+    return f'{text},{keys}"class": {_quote(kind)}'
 
 
 class WitnessRecord(NamedTuple):
@@ -302,23 +367,33 @@ class ProbeReport(NamedTuple):
     witnesses: tuple[WitnessRecord, ...]
     jorgensen: JorgensenResult
 
-    def to_json(self) -> dict:
+    def json_fields(self) -> dict:
+        """to_json's object with the spectrum and the samples left as
+        their entries, which a streamed writer formats one by one
+        (SpectrumEntry.json_text): the probe command writes its report so.
+        """
         return {
             "depth": self.depth,
             "seed": self.seed,
             "samples_requested": len(self.random_palindrome_samples),
             "s_escape": self.s_escape,
             "plateau_delta": DEFAULT_PLATEAU,
-            "spectrum": [e.to_json() for e in self.spectrum],
-            "random_palindrome_samples": [
-                e.to_json() for e in self.random_palindrome_samples
-            ],
+            "spectrum": self.spectrum,
+            "random_palindrome_samples": self.random_palindrome_samples,
             "interval": list(self.interval) if self.interval is not None else None,
             "growth": list(self.growth),
             "verdict": self.verdict,
             "witnesses": [w.to_json() for w in self.witnesses],
             "jorgensen": self.jorgensen.to_json(),
         }
+
+    def to_json(self) -> dict:
+        out = self.json_fields()
+        out["spectrum"] = [e.to_json() for e in self.spectrum]
+        out["random_palindrome_samples"] = [
+            e.to_json() for e in self.random_palindrome_samples
+        ]
+        return out
 
 
 def probe(

@@ -247,7 +247,9 @@ def rep_from_json(obj: dict) -> Representation:
     return build(matrix_from_json(obj["A"]), matrix_from_json(obj["B"]))
 
 
-# the refusal of an image with finite parts whose modulus abs() cannot hold
+# the refusals of an image that overflowed: an entry that is not finite,
+# and finite parts whose modulus abs() cannot hold
+_NOT_FINITE = "image overflowed: an entry is not finite"
 _MODULUS_OVERFLOWED = "image overflowed: an entry's modulus is past the float range"
 
 
@@ -260,13 +262,16 @@ def _crossing_position(m, length: int) -> float:
     altitude. Either way the axis endpoints are +/-sqrt(b/c), so
     s = ln|b/c| / 2, a ratio of directly accumulated entries.
 
-    Refusals, each an OrthogonalityViolation: an entry that is not finite
-    (the image overflowed); an off-diagonal entry below SINGULAR_FLOOR
-    times the scale, past which |b/c|, taken as |b|/|c| from the moduli
-    already in hand, lies within 1e+/-12, so its root and log are defined;
-    and fixed points that are not antipodal. An OverflowError of abs()
-    reaches the caller, which refuses the image as overflowed. By Vieta's
-    formulas the fixed points of a unimodular m sum to (a - d)/c and
+    m must have finite entries: each caller refuses an image with an entry
+    that is not finite before it gets here, once per image.
+
+    Refusals, each an OrthogonalityViolation: an off-diagonal entry below
+    SINGULAR_FLOOR times the scale, past which |b/c|, taken as |b|/|c|
+    from the moduli already in hand, lies within 1e+/-12, so its root and
+    log are defined; and fixed points that are not antipodal. An
+    OverflowError of abs() reaches the caller, which refuses the image as
+    overflowed. By Vieta's formulas the fixed points of a unimodular m sum
+    to (a - d)/c and
     multiply to -b/c, so they count as antipodal, within
     eps = geo_scaled(length) of their modulus sqrt|b/c|, when
     |a - d|/|c| <= eps max(1, sqrt|b/c|); no quadratic is solved. That bound, eps max(|c|, sqrt|bc|) on |a - d|, is
@@ -281,8 +286,6 @@ def _crossing_position(m, length: int) -> float:
     builtin makes, for the same result at a fraction of the call cost.
     """
     a, b, c, d = m
-    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
-        raise OrthogonalityViolation("image overflowed: an entry is not finite")
     abs_b, abs_c = abs(b), abs(c)
     norm = _max4(abs(a), abs_b, abs_c, abs(d))
     scale = norm if norm > 1.0 else 1.0
@@ -392,9 +395,14 @@ def _palindrome_image(rep: Representation, w: Word) -> Entries:
 
 def _palindrome_position(w: Word, m) -> PiImage:
     """pi_of_palindrome from m, the normalized image of the palindrome w
-    (its entries, or a GroupElement). An image with an entry whose modulus
-    is past the float range is refused as overflowed, wherever abs() meets
-    it: in classify, _parabolic_end or _crossing_position."""
+    (its entries, or a GroupElement). An image that overflowed is refused
+    as such: one with an entry that is not finite before it is classified,
+    as classify can read a NaN entry as the identity, and one with an entry
+    whose modulus is past the float range wherever abs() meets it, in
+    classify, _parabolic_end or _crossing_position."""
+    a, b, c, d = m
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+        raise OrthogonalityViolation(_NOT_FINITE)
     try:
         kind = classify(m)
         if kind == "identity":
@@ -430,8 +438,9 @@ def _pair_position(u: Word, v: Word, U, V) -> PiImage:
     and v (entries or GroupElements). The four products are entry tuples,
     each one sl2c.product; the difference uvvu - vuuv and the moduli of
     both are written out entry by entry, in entry order, so no iterator or
-    argument tuple is built for them. Products whose entries have a
-    modulus past the float range are refused as overflowed."""
+    argument tuple is built for them. A double altitude with an entry
+    that is not finite, and products whose entries have a modulus past the
+    float range, are refused as overflowed."""
     try:
         uv, vu = product(U, (V,)), product(V, (U,))
         a, b, c, d = product(uv, (vu,))
@@ -448,6 +457,9 @@ def _pair_position(u: Word, v: Word, U, V) -> PiImage:
             raise CommutingPair(
                 f"double altitude of {u!r}, {v!r} is not determined"
             ) from exc
+        a, b, c, d = t
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+            raise OrthogonalityViolation(_NOT_FINITE)
         return tuple.__new__(
             PiImage,
             (_crossing_position(t, len(u) + len(v)), PALINDROME_PAIR, classify(uv)),

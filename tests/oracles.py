@@ -173,25 +173,33 @@ def are_associates(s1: Slope, s2: Slope) -> bool:
     return abs(p * s - r * q) == 1
 
 
+def child_by_products(lo: FareyNode, hi: FareyNode) -> FareyNode:
+    """The child rule of farey._child, the reference of its lean form: the
+    mediant of lo < hi, with the palindrome hi lo when pq is even and lo hi
+    when odd, each a Word product, read through the node's fields and
+    slope property and built by the FareyNode call."""
+    r, s = lo.p + hi.p, lo.q + hi.q
+    if r * s % 2:
+        word, factorization = lo.word * hi.word, (lo.word, hi.word)
+    else:
+        word, factorization = hi.word * lo.word, None
+    return FareyNode(
+        r, s, 1 + max(lo.depth, hi.depth), (lo.slope, hi.slope), word, factorization
+    )
+
+
 def primitive_word_by_steps(p: int, q: int) -> FareyNode:
     """The node of p/q by one mediant step at a time, each word built
-    from its two bounds' words by the child rule (the palindrome hi lo
-    when pq is even, lo hi when odd). Quadratic in p + q: every word on
-    the path is built."""
+    from its two bounds' words by the child rule (child_by_products).
+    Quadratic in p + q: every word on the path is built."""
     validate_slope(p, q)
     lo = FareyNode(0, 1, 0, None, Word("a"), None)
     hi = FareyNode(1, 0, 0, None, Word("b"), None)
     if (p, q) in (lo.slope, hi.slope):
         return lo if q else hi
     while True:
-        r, s = lo.p + hi.p, lo.q + hi.q
-        if r * s % 2:
-            word, factorization = lo.word * hi.word, (lo.word, hi.word)
-        else:
-            word, factorization = hi.word * lo.word, None
-        node = FareyNode(
-            r, s, 1 + max(lo.depth, hi.depth), (lo.slope, hi.slope), word, factorization
-        )
+        node = child_by_products(lo, hi)
+        r, s = node.p, node.q
         if (r, s) == (p, q):
             return node
         if p * s > r * q:

@@ -160,7 +160,8 @@ def test_probe_runs_the_callback_found_on_its_command(monkeypatch, tmp_path):
 
 def test_report_is_written_through_the_cli_json_global(monkeypatch, tmp_path):
     # the tracer replaces cli.json with a proxy that passes every other
-    # name on to the json module
+    # name on to the json module; the report writer reads json.dumps from
+    # it once, for the report's keys and scalars
     class Recording:
         def __init__(self):
             self.read = []
@@ -175,7 +176,7 @@ def test_report_is_written_through_the_cli_json_global(monkeypatch, tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["probe", "--gens", _mu4_gens(tmp_path), "--depth", "4",
                   "--out", str(out)])
-    assert proxy.read == ["load", "dump"]
+    assert proxy.read == ["load", "dumps"]
     assert json.loads(out.read_text())["depth"] == 4
 
 

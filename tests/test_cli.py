@@ -10,22 +10,40 @@ from contextlib import redirect_stderr, redirect_stdout
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from palcore import cli as cli_module
 from palcore import config, geodesics, representation
 from palcore.cli import main, verdict_exit_code
+from palcore.geodesics import Geodesic
 from palcore.probe import (
     BOUNDED_CONSISTENT_WITH_GF,
     INCONCLUSIVE,
     PARABOLIC_ENDS_DETECTED,
     UNBOUNDED_EVIDENCE_NONDISCRETE,
+    JorgensenResult,
+    ProbeReport,
+    SampleEntry,
+    SpectrumEntry,
+    WitnessRecord,
     _spectrum_plan,
     pi_spectrum,
     probe,
     spectrum_to_csv,
     witness_search,
 )
-from palcore.representation import hexagon, rep_from_json
+from palcore.representation import (
+    PALINDROME_PAIR,
+    PALINDROME_WORD,
+    PARABOLIC_END,
+    Hexagon,
+    PiImage,
+    hexagon,
+    rep_from_json,
+)
+from palcore.sl2c import INFINITY
+from palcore.words import Word
 
 from .conftest import hyperbolic_on_axis
 
@@ -565,6 +583,96 @@ class TestStreamedReports:
         assert to_file.exit_code == res.exit_code
         assert to_file.stdout_bytes == b""
         assert target.read_bytes() == expected
+
+
+    def test_mu4_report_bytes(self, runner, mu4_gens, tmp_path):
+        # parabolic tags at both core ends, refusals and samples
+        with open(mu4_gens, encoding="utf-8") as fh:
+            report = probe(rep_from_json(json.load(fh)), 8, random_samples=40)
+        assert any(e.error for e in report.spectrum)
+        assert {e.image.s for e in report.spectrum if e.image} >= {math.inf, -math.inf}
+        target = tmp_path / "report.json"
+        res = runner.invoke(main, ["probe", "--gens", mu4_gens, "--depth", "8",
+                                   "--samples", "40", "--out", str(target)])
+        assert res.exit_code == 0
+        assert target.read_text(encoding="utf-8") == _json_report(report.to_json())
+
+
+def _written(value) -> str:
+    """What the report writer puts on stdout for value."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli_module._emit_json(value, "-")
+    return out.getvalue()
+
+
+# floats anywhere in the range, with the points drawn often where repr
+# turns to exponent form (1e16 and 1e-5), the zeros, subnormals and the
+# values JSON writes as NaN and Infinity
+_number_st = st.floats() | st.sampled_from((
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e16, -1e16,
+    9999999999999998.0, 1e-5, 0.0001, 9.999999999999999e-05, math.inf,
+    -math.inf, math.nan,
+))
+# any text: quotes, backslashes, control characters, non-ASCII
+_text_st = st.text()
+_label_st = st.sampled_from(
+    (PALINDROME_WORD, PALINDROME_PAIR, PARABOLIC_END, "loxodromic", "elliptic",
+     "parabolic", "identity")
+) | _text_st
+_image_st = st.none() | st.builds(PiImage, _number_st, _label_st, _label_st)
+_word_st = st.text("aAbB", min_size=1, max_size=12).map(Word)
+_spectrum_entry_st = st.builds(
+    SpectrumEntry,
+    st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 40),
+    st.lists(_word_st, min_size=1, max_size=2).map(tuple),
+    _image_st, st.none() | _text_st,
+)
+_sample_entry_st = st.builds(
+    SampleEntry, _text_st, st.none() | _text_st, _image_st, st.none() | _text_st
+)
+_witness_st = st.builds(WitnessRecord, _text_st, _number_st, _label_st) | st.builds(
+    WitnessRecord, _text_st, _number_st, _label_st, _text_st, _text_st, st.integers()
+)
+_report_st = st.builds(
+    ProbeReport,
+    depth=st.integers(1, 40),
+    seed=st.integers(),
+    # a library caller may pass an int, which JSON writes as 4, not 4.0
+    s_escape=st.integers(1, 100) | _number_st,
+    spectrum=st.lists(_spectrum_entry_st, max_size=8).map(tuple),
+    random_palindrome_samples=st.lists(_sample_entry_st, max_size=4).map(tuple),
+    interval=st.none() | st.tuples(_number_st, _number_st),
+    growth=st.lists(_number_st, max_size=5).map(tuple),
+    verdict=_text_st,
+    witnesses=st.lists(_witness_st, max_size=3).map(tuple),
+    jorgensen=st.builds(JorgensenResult, _number_st, st.booleans()),
+)
+_point_st = st.just(INFINITY) | st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+class TestReportWriter:
+    """The streamed writer formats spectrum and sample entries from their
+    fields and everything else through json.dumps; its bytes are those of
+    json.dumps(to_json(), indent=2) on any report."""
+
+    @given(_report_st)
+    def test_probe_report(self, report):
+        assert _written(report.json_fields()) == _json_report(report.to_json())
+
+    @given(st.lists(_spectrum_entry_st, max_size=8))
+    def test_pi_map_list(self, entries):
+        assert _written(entries) == _json_report([e.to_json() for e in entries])
+
+    @given(st.lists(st.builds(Geodesic, _point_st, _point_st), min_size=6, max_size=6))
+    def test_hexagon(self, geodesics):
+        value = Hexagon(*geodesics).to_json()
+        assert _written(value) == _json_report(value)
+
+    def test_hexagon_with_an_endpoint_at_infinity(self):
+        value = Hexagon(*[Geodesic(INFINITY, 1.5 - 2j)] * 6).to_json()
+        assert '"inf"' in _written(value)
+        assert _written(value) == _json_report(value)
 
 
 class TestReportKeyOrder:

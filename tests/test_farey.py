@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from palcore import farey
 from palcore.errors import InvalidRational, SchemeViolation
 from palcore.farey import (
+    FareyNode,
     christoffel,
     enumerate_farey,
     primitive_word,
@@ -22,6 +24,7 @@ from palcore.words import Word, is_palindrome
 from .oracles import (
     abelianize,
     are_associates,
+    child_by_products,
     cyclically_equal,
     is_primitive,
     primitive_word_by_steps,
@@ -262,6 +265,31 @@ class TestRunDescent:
         assert time.perf_counter() - start < 0.5
         assert node.depth == 120000
         assert node.parents == ((119999, 1), (1, 0))
+
+
+def _assert_same_nodes(got, reference):
+    assert got == reference
+    for node in got:
+        assert type(node) is FareyNode and type(node.word) is Word
+        assert all(type(w) is Word for w in node.factorization or ())
+
+
+class TestLeanChild:
+    """_child reads its parents by unpacking, concatenates their words and
+    builds its node by tuple.__new__; the child rule by Word products and
+    the FareyNode call (tests/oracles.py) is its reference, node for node."""
+
+    @pytest.mark.parametrize("depth", range(15))
+    def test_enumeration_matches_the_product_rule(self, monkeypatch, depth):
+        got = enumerate_farey(depth)
+        monkeypatch.setattr(farey, "_child", child_by_products)
+        _assert_same_nodes(got, enumerate_farey(depth))
+
+    @pytest.mark.parametrize("p, q", [(1, 2000), (2000, 1), (1597, 987), (987, 1597)])
+    def test_long_slopes_match_the_product_rule(self, monkeypatch, p, q):
+        got = primitive_word(p, q)
+        monkeypatch.setattr(farey, "_child", child_by_products)
+        _assert_same_nodes([got], [primitive_word(p, q)])
 
 
 class TestAssociates:

@@ -634,11 +634,17 @@ _NAN, _INF = float("nan"), float("inf")
     (1, complex(0, _NAN), 1, 1),
     (1, 1, complex(_INF, 0), 1),
     (2, 3, 1, complex(-_INF, 1)),
+    # a NaN entry beside an off-diagonal entry within CLASSIFY_BAND, which
+    # classify reads as the identity: these were refused as IdentityImage
+    (1, _NAN, 0, 1),
+    (1, 1e-300, _NAN, 1),
 ])
 def test_non_finite_entries_are_refused(entries):
+    # the palindrome route tests its image once, before it is classified
     entries = tuple(complex(x) for x in entries)
-    with pytest.raises(OrthogonalityViolation, match="image overflowed"):
-        _crossing_position(entries, 1)
+    with pytest.raises(OrthogonalityViolation,
+                       match="^image overflowed: an entry is not finite$"):
+        _palindrome_position(Word("aba"), entries)
 
 
 # a complex Riley pair near the boundary of the Riley slice, whose depth-16
