@@ -20,7 +20,8 @@ import json
 import math
 import random
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
+from operator import itemgetter
 from typing import IO, Iterable, NamedTuple
 
 from .config import DEFAULT_ESCAPE, DEFAULT_PLATEAU
@@ -37,7 +38,7 @@ from .representation import (
     palindromize,
     pi_of_palindrome,
 )
-from .sl2c import product
+from .sl2c import IDENTITY, product
 from .words import LETTERS, Word, evaluate, palindromic_doubles, reduced_words
 
 BOUNDED_CONSISTENT_WITH_GF = "BOUNDED_CONSISTENT_WITH_GF"
@@ -196,26 +197,113 @@ def jorgensen_baseline(rep: Representation) -> JorgensenResult:
     return JorgensenResult(value, value >= 1.0)
 
 
+def _common_prefix(u: str, v: str) -> int:
+    """The number of leading letters u and v share, for u < v: all of u
+    when v starts with it, else the longest shared prefix by binary search,
+    each step comparing one slice in C."""
+    if v.startswith(u):
+        return len(u)
+    lo, hi = 0, len(u) if len(u) < len(v) else len(v)
+    while hi - lo > 1:  # u[:lo] == v[:lo] and u[:hi] != v[:hi]
+        mid = (lo + hi) // 2
+        if v.startswith(u[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _fold_schedule(words: list, places: list) -> tuple[tuple, int]:
+    """The letter folds of the words, each shared prefix folded once: the
+    ops of the compressed prefix trie of the words, in depth-first order,
+    and the number of states the walk keeps. places[k] is the plan
+    position whose image is the fold of words[k].
+
+    An op, five consecutive fields k, word, start, end, i of the flat
+    tuple returned, folds word[start:end] from state k into state k + 1,
+    state 0 being the identity; state k + 1 is then the image of
+    word[:end], and that of plan position i when end is the word's length
+    (i is None at a branch point). Flat, the ops cost no tuple each, about
+    2 MB of a depth-16 plan.
+
+    Sorted, the words of every subtree of the trie are one run. A word
+    leaves the path of the word before it after their common prefix, and
+    the trie nodes it adds below that are its own end and the points where
+    a later word leaves its path: the running minima, above that prefix,
+    of the common prefixes of the neighbours that follow, which one
+    backward pass keeps on a stack. The sort and that pass build lists of
+    ints only, which the cyclic garbage collector does not track.
+    """
+    order = sorted(range(len(words)), key=words.__getitem__)
+    words = [words[k] for k in order]
+    # shared[k]: the letters word k shares with word k - 1
+    shared = [0, *map(_common_prefix, words, words[1:])]
+    # one int object per letter count: the ops hold tens of thousands
+    # of them
+    counts: dict[int, int] = {}
+    later: list[int] = []  # where the words after word k leave its path
+    # the ends of the trie nodes each word adds, the words from last to
+    # first and each word's ends descending, its own length first; and how
+    # many of them are branch points
+    added: list[int] = []
+    branches: list[int] = []
+    for length, cut in zip(map(len, reversed(words)), reversed(shared)):
+        added.append(counts.setdefault(length, length))
+        count = 0
+        while later and later[-1] > cut:
+            end = later.pop()
+            if end != length:
+                added.append(end)
+                count += 1
+        branches.append(count)
+        if not later or later[-1] != cut:
+            later.append(counts.setdefault(cut, cut))
+    added.reverse()
+    branches.reverse()
+    ops: list = []
+    path = [0]  # the ends of the trie nodes on the current word's path
+    height = 1
+    ends = iter(added)
+    for word, k, cut, count in zip(words, order, shared, branches):
+        while path[-1] > cut:
+            path.pop()
+        for end in islice(ends, count):
+            ops += (len(path) - 1, word, path[-1], end, None)
+            path.append(end)
+        end = next(ends)
+        ops += (len(path) - 1, word, path[-1], end, places[k])
+        path.append(end)
+        if len(path) > height:
+            height = len(path)
+    return tuple(ops), height
+
+
 @lru_cache(maxsize=1)
-def _spectrum_plan(depth: int) -> tuple[tuple, ...]:
+def _spectrum_plan(depth: int) -> tuple[tuple, int, tuple]:
     """The walk of pi_spectrum at depth, from one enumerate_farey call:
-    per slope in (q, p) order, the tuple (p, q, level, lo, hi, fold, words).
+    the fold schedule (_fold_schedule) of every image built by a letter
+    fold, the number of states it keeps, and per slope in (q, p) order the
+    tuple (p, q, level, lo, hi, words).
 
     lo and hi are the plan positions of the slope's Farey parents (None
-    for a root) and words is the entry's words tuple. fold says how the
-    slope's image is built:
+    for a root) and words is the entry's words tuple. A slope's image is
+    built one of two ways:
 
-    - a Word: the letter fold. A root folds its word from the identity, an
-      even slope (word hi lo) folds lo's word from hi's image and an odd
-      slope (word lo hi) hi's word from lo's image, so the image has the
-      bits of its slope word's fold from the identity (see words.evaluate).
-    - None: one sl2c.product of the parents' images, hi * lo for an even
-      slope and lo * hi for an odd one. This is the route of every image
-      that no pair position reads, directly or through a fold started
-      from it: an even slope on the last level, whose image gives its own
-      position only, and an odd slope one level above it, whose children
-      are both even. An odd slope on the last level gets no image at all:
-      its position reads only its parents' images.
+    - the letter fold of its FareyNode word, as rational_pi folds it from
+      the identity: a root's, an even slope's above the last level (hi lo)
+      and an odd slope's two or more levels above it (lo hi). The schedule
+      folds each prefix these words share once. Slope words never cancel,
+      so the fold of word[:end] continued over word[end:] is the fold of
+      word, bit for bit, wherever the schedule splits it (see
+      words.evaluate). Each odd word is a prefix of its lo-side child's
+      even palindrome (lo hi lo), so the odd words add no letters.
+    - one sl2c.product of the parents' images, hi * lo for an even slope
+      and lo * hi for an odd one. This is the route of every image that no
+      pair position reads, directly or through a fold: an even slope on
+      the last level, whose image gives its own position only, and an odd
+      slope one level above it, whose children are both even. An odd slope
+      on the last level gets no image at all: its position reads only its
+      parents' images.
 
     A pair position reads the images of its factors, its Farey parents,
     and no parent of an odd slope is one of the product-route slopes, so
@@ -226,20 +314,18 @@ def _spectrum_plan(depth: int) -> tuple[tuple, ...]:
     depth only.
     """
     nodes = enumerate_farey(depth)
-    index = {node[:2]: i for i, node in enumerate(nodes)}
-    plan = []
-    for p, q, level, parents, word, factors in nodes:
-        if parents is None:
-            plan.append((p, q, level, None, None, word, (word,)))
-            continue
-        lo, hi = index[parents[0]], index[parents[1]]
-        if factors is None:  # word is hi's text, then lo's
-            fold = nodes[lo].word if level < depth else None
-            plan.append((p, q, level, lo, hi, fold, (word,)))
-        else:
-            fold = factors[1] if level < depth - 1 else None
-            plan.append((p, q, level, lo, hi, fold, factors))
-    return tuple(plan)
+    # one int object per position, which the schedule and the slopes share
+    positions = list(range(len(nodes)))
+    index = dict(zip(map(itemgetter(0, 1), nodes), positions))
+    words, places, slopes = [], [], []
+    for i, (p, q, level, parents, word, factors) in zip(positions, nodes):
+        if parents is None or level < (depth if factors is None else depth - 1):
+            words.append(word)
+            places.append(i)
+        lo, hi = (index[parents[0]], index[parents[1]]) if parents else (None, None)
+        slopes.append((p, q, level, lo, hi, factors or (word,)))
+    schedule, height = _fold_schedule(words, places)
+    return schedule, height, tuple(slopes)
 
 
 # the plan holds about three objects per slope that the cyclic garbage
@@ -253,35 +339,39 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
 
     Entries are in deterministic (q, p) order. Per-slope failures are
     recorded on the entry, not raised. Consecutive calls at one depth share
-    one walk, the plan of _spectrum_plan, which holds each slope's parents
-    and the route of its image and nothing of rep or of a tolerance. In
-    (q, p) order both Farey parents come before a slope; the images of the
-    slopes above the last level are kept for this call. Every entry has
-    rational_pi's outcome, and its bits but for the position of an even
-    slope on the last level: the plan forms that image as one product of
-    the parents' images, which moves the position by a few units in the
-    last place.
+    one walk, the plan of _spectrum_plan, which holds the fold schedule,
+    each slope's parents and words, and nothing of rep or of a tolerance.
+    The schedule runs first, one words.evaluate call per segment of the
+    slope words' prefix trie, and builds every letter-fold image; then, in
+    (q, p) order, where both Farey parents come before a slope, each slope
+    gets its position, and the product-route images their one product.
+    The images of the slopes above the last level are kept for this call.
+    Every entry has rational_pi's outcome, and its bits but for the
+    position of an even slope on the last level: the plan forms that image
+    as one product of the parents' images, which moves the position by a
+    few units in the last place.
     """
     letters = rep.letters
-    plan = _spectrum_plan(depth)
-    images: list = [None] * len(plan)
+    schedule, height, slopes = _spectrum_plan(depth)
+    images: list = [None] * len(slopes)
+    states: list = [IDENTITY] * height
+    ops = iter(schedule)
+    for k, word, start, end, i in zip(ops, ops, ops, ops, ops):
+        m = states[k + 1] = evaluate(word[start:end], letters, states[k])
+        if i is not None:
+            images[i] = m
     entries = []
-    for i, (p, q, level, lo, hi, fold, words) in enumerate(plan):
+    for i, (p, q, level, lo, hi, words) in enumerate(slopes):
         image = error = None
         try:
             if len(words) == 2:
-                if fold is not None:
-                    images[i] = evaluate(fold, letters, images[lo])
-                elif level < depth:
+                if level == depth - 1:
                     images[i] = product(images[lo], (images[hi],))
                 image = _pair_position(*words, images[lo], images[hi])
             else:
-                if lo is None:
-                    m = images[i] = evaluate(fold, letters)
-                elif fold is None:
+                m = images[i]
+                if m is None:  # an even slope on the last level
                     m = product(images[hi], (images[lo],))
-                else:
-                    m = images[i] = evaluate(fold, letters, images[hi])
                 image = _palindrome_position(words[0], m)
         except PalcoreError as exc:
             error = f"{type(exc).__name__}: {exc}"

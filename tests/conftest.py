@@ -1,7 +1,9 @@
 """Shared fixtures: canonical control representations, seeded random
 generators in general position, an exact-arithmetic oracle for positions
-on the Riley slice, and the axis-route geometry helpers that tests use as
-independent checks of the position kernel."""
+on the Riley slice, the axis-route geometry helpers that tests use as
+independent checks of the position kernel, and the parent-image spectrum
+walk, which calls the library's private position kernels and so is not
+one of the public-name oracles of oracles.py."""
 
 import math
 import random
@@ -11,10 +13,14 @@ import pytest
 
 from palcore.config import DEFAULT_GEO
 from palcore.errors import DegenerateGeodesic, PalcoreError
+from palcore.farey import enumerate_farey
 from palcore.geodesics import Geodesic
-from palcore.representation import Representation, build
-from palcore.sl2c import INFINITY, GroupElement, classify, normalize
-from palcore.words import LETTERS, Word, is_palindrome
+from palcore.probe import SpectrumEntry
+from palcore.representation import (
+    Representation, _pair_position, _palindrome_position, build,
+)
+from palcore.sl2c import INFINITY, GroupElement, classify, normalize, product
+from palcore.words import LETTERS, Word, evaluate, is_palindrome
 
 
 def hyperbolic_on_axis(r: float, half_trace: float) -> GroupElement:
@@ -243,6 +249,54 @@ def assert_matches_full_folds(nodes, depth: int, got: list, reference: list, s_a
         assert g[:s_at] + g[s_at + 1:] == r[:s_at] + r[s_at + 1:], where
         ds = float.fromhex(g[s_at]) - float.fromhex(r[s_at])
         assert abs(ds) <= PRODUCT_ROUTE_TOLERANCE, where
+
+
+def pi_spectrum_by_parent_folds(rep: Representation, depth: int) -> list[SpectrumEntry]:
+    """pi_spectrum by its former walk, one fold per letter-fold image, each
+    continued from a parent's image: a root folds its word from the
+    identity, an even slope (hi lo) lo's word from hi's image and an odd
+    slope (lo hi) hi's word from lo's image. The product routes, the
+    position kernels and the (q, p) order are pi_spectrum's, so the two
+    differ only in where the folds of the slope words are split, and agree
+    bit for bit."""
+    nodes = enumerate_farey(depth)
+    index = {node[:2]: i for i, node in enumerate(nodes)}
+    plan = []
+    for p, q, level, parents, word, factors in nodes:
+        if parents is None:
+            plan.append((p, q, level, None, None, word, (word,)))
+            continue
+        lo, hi = index[parents[0]], index[parents[1]]
+        if factors is None:  # word is hi's text, then lo's
+            fold = nodes[lo].word if level < depth else None
+            plan.append((p, q, level, lo, hi, fold, (word,)))
+        else:
+            fold = factors[1] if level < depth - 1 else None
+            plan.append((p, q, level, lo, hi, fold, factors))
+    letters = rep.letters
+    images: list = [None] * len(plan)
+    entries = []
+    for i, (p, q, level, lo, hi, fold, words) in enumerate(plan):
+        image = error = None
+        try:
+            if len(words) == 2:
+                if fold is not None:
+                    images[i] = evaluate(fold, letters, images[lo])
+                elif level < depth:
+                    images[i] = product(images[lo], (images[hi],))
+                image = _pair_position(*words, images[lo], images[hi])
+            else:
+                if lo is None:
+                    m = images[i] = evaluate(fold, letters)
+                elif fold is None:
+                    m = product(images[hi], (images[lo],))
+                else:
+                    m = images[i] = evaluate(fold, letters, images[hi])
+                image = _palindrome_position(words[0], m)
+        except PalcoreError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        entries.append(SpectrumEntry(p, q, level, words, image, error))
+    return entries
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import palcore
 from palcore.probe import (
@@ -43,9 +45,11 @@ from palcore.sl2c import GroupElement
 from palcore.words import Word, is_palindrome, reduced_words, reverse
 
 from .conftest import (
-    assert_matches_full_folds, exact_riley_position, is_product_route, random_representation,
+    assert_matches_full_folds, exact_riley_position, is_product_route,
+    pi_spectrum_by_parent_folds, random_representation,
 )
 from .oracles import evaluate_normalized
+from .outcome_digest import GENERATORS, _entry_line, _sweep_reps
 
 
 def _entry_bits(p, q, depth, image, error, word):
@@ -205,19 +209,46 @@ class TestSpectrum:
         assert worst <= 2e-14
 
     def test_multiplies_under_a_seventh_of_the_letters(self, mu4, monkeypatch):
-        # measured: 7,655 of the 59,050 word letters (0.130)
+        # measured: 5,644 of the 59,050 word letters (0.096)
         letters = _count_folded_letters(monkeypatch)
         pi_spectrum(mu4, 10)
         full = sum(len(node.word) for node in enumerate_farey(10))
         assert 0 < sum(letters) <= full / 7
 
     def test_folds_each_stored_image_once(self, mu4, monkeypatch):
-        # one fold per root, per even slope above the last level and per
-        # odd slope two or more levels above it, each continued from a
-        # parent's image; the other images are one product each
+        # one words.evaluate call per segment of the prefix trie of the
+        # letter-fold words: those of the roots, of the even slopes above
+        # the last level and of the odd slopes two or more levels above
+        # it; the other images are one product each. Continued from a
+        # parent's image, each fold took 1,707 calls over 68,891 letters at
+        # depth 12 (427 over 7,655 at depth 10)
         letters = _count_folded_letters(monkeypatch)
+        pi_spectrum(mu4, 10)
+        assert (len(letters), sum(letters)) == (572, 5644)
+        letters.clear()
         pi_spectrum(mu4, 12)
-        assert (len(letters), sum(letters)) == (1707, 68891)
+        assert (len(letters), sum(letters)) == (2356, 49898)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5, 10])
+    def test_folds_each_shared_prefix_once(self, depth):
+        # the schedule folds as many letters as the words have distinct
+        # nonempty prefixes, ends one segment at each letter-fold image,
+        # and takes no letter for the odd slopes' words, each a prefix of
+        # its lo-side child's palindrome
+        _spectrum_plan.cache_clear()
+        schedule, height, slopes = _spectrum_plan(depth)
+        ops = [schedule[j:j + 5] for j in range(0, len(schedule), 5)]
+        folded = [i for *_, i in ops if i is not None]
+        words = [node.word for node in enumerate_farey(depth)
+                 if node.parents is None
+                 or node.depth < depth - (node.factorization is not None)]
+        prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
+        palindromes = {w[:k] for w in words if is_palindrome(w)
+                       for k in range(1, len(w) + 1)}
+        assert sum(end - start for _, _, start, end, _ in ops) == len(prefixes)
+        assert prefixes == palindromes
+        assert len(folded) == len(set(folded)) == len(words)
+        assert max(k for k, *_ in ops) + 2 == height
 
     def test_plan_carries_nothing_from_one_pair_to_the_next(
         self, mu4, schottky, monkeypatch
@@ -270,6 +301,57 @@ class TestSpectrum:
     def test_negative_depth_rejected(self, rep1):
         with pytest.raises(ValueError):
             pi_spectrum(rep1, -1)
+
+
+# the complex Riley pair of the depth-16 smoke, near the boundary of the
+# Riley slice: its deep images have entries near the float maximum
+_NEAR_BOUNDARY_MU = 0.773301174242 + 1.467711508710j
+
+
+def _riley(mu):
+    return build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, mu, 1))
+
+
+def _assert_matches_parent_image_walk(rep, depth):
+    """pi_spectrum(rep, depth) against the parent-image walk, entry for
+    entry: slope, depth, words and s.hex(), source and class, or the
+    error's class and text."""
+    got = [_entry_line(e) for e in pi_spectrum(rep, depth)]
+    assert got == [_entry_line(e) for e in pi_spectrum_by_parent_folds(rep, depth)]
+
+
+class TestParentImageWalk:
+    """pi_spectrum folds each prefix its slope words share once; the walk
+    it replaced continued every fold from one parent's image. Slope words
+    never cancel, so the split points move no bit."""
+
+    @pytest.mark.parametrize("name", [*GENERATORS, "near_boundary"])
+    def test_control_pairs_to_depth_12(self, name):
+        if name == "near_boundary":
+            rep = _riley(_NEAR_BOUNDARY_MU)
+        else:
+            rep = build(*GENERATORS[name])
+        for depth in range(13):
+            _assert_matches_parent_image_walk(rep, depth)
+
+    def test_slice_sweep_pool_at_depth_10(self):
+        reps = list(_sweep_reps())
+        assert len(reps) == 48
+        for _, rep in reps:
+            _assert_matches_parent_image_walk(rep, 10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.complex_numbers(min_magnitude=0.05, max_magnitude=8,
+                           allow_nan=False, allow_infinity=False),
+        st.integers(0, 8),
+    )
+    def test_complex_riley_pairs(self, mu, depth):
+        try:
+            rep = _riley(mu)
+        except PalcoreError:
+            assume(False)
+        _assert_matches_parent_image_walk(rep, depth)
 
 
 class TestCsv:

@@ -32,6 +32,7 @@ from .oracles import (
     nielsen_reduce_pair,
     psl_distance,
 )
+from .outcome_digest import GENERATORS
 
 letters_st = st.sampled_from(LETTERS)
 raw_st = st.lists(letters_st, max_size=24).map("".join)
@@ -119,6 +120,25 @@ def _bits(g):
     included."""
     return tuple((complex(z).real.hex(), complex(z).imag.hex()) for z in g)
 
+
+def _parts(m):
+    """Every entry of a matrix as the repr of its real and imaginary parts:
+    inf and NaN parts compare as text."""
+    return tuple((repr(complex(z).real), repr(complex(z).imag)) for z in m)
+
+
+# letter tables: those of the control pairs, and random complex entries large
+# enough that a few letters overflow
+_CONTROL_TABLES = [build(A, B).letters for A, B in GENERATORS.values()]
+_split_entry_st = st.builds(complex, st.floats(-1e100, 1e100), st.floats(-1e100, 1e100))
+_split_table_st = st.sampled_from(_CONTROL_TABLES) | st.tuples(
+    *[st.tuples(*[_split_entry_st] * 4)] * 4
+).map(lambda matrices: dict(zip(LETTERS, matrices)))
+# positive words: short ones, and powers of short ones up to thousands of
+# letters, which overflow the control pairs' images too
+_positive_word_st = st.text(alphabet="ab", max_size=40) | st.builds(
+    str.__mul__, st.text(alphabet="ab", min_size=1, max_size=8), st.integers(1, 600)
+)
 
 _MU4 = build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, 4, 1))
 _MU_HALF = build(GroupElement(1, 1, 0, 1), GroupElement(1, 0, 0.5, 1))
@@ -404,6 +424,17 @@ class TestEvaluate:
         t = letter_table(A, B)
         continued = evaluate(v, t, evaluate(u, t))
         assert _bits(continued) == _bits(evaluate(u * v, t))
+
+    @settings(max_examples=200)
+    @given(_split_table_st, _positive_word_st, st.data())
+    def test_fold_split_anywhere(self, table, w, data):
+        # the spectrum walk folds a slope word in segments, each continued
+        # from the image of the prefix before it: any split is the fold of
+        # the whole word, overflowed inf and NaN parts included
+        k = data.draw(st.integers(0, len(w)))
+        assert _parts(evaluate(w[k:], table, evaluate(w[:k], table))) == _parts(
+            evaluate(w, table)
+        )
 
 
 class TestCyclic:
