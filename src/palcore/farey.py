@@ -4,7 +4,8 @@ Reduced slopes p/q (including 1/0) index primitive classes of the rank-2
 free group through the Stern-Brocot tree. Each slope carries a preferred
 representative Word e_{p/q} with q letters a and p letters b. The roots
 are e_{0/1} = a and e_{1/0} = b; every other slope with Farey parents
-lo < hi is built from its parents' Words by _child
+lo < hi is built from its parents' Words by one child rule, which _child
+applies to nodes and farey_table to the columns of its table
 (Gilman-Keen, "Enumerating palindromes and primitives in rank two free
 groups", J. Algebra 2011):
 
@@ -13,6 +14,12 @@ groups", J. Algebra 2011):
 - pq even: e_{p/q} = e_hi e_lo, a palindrome. It is the only palindromic
   rotation of the Christoffel word: a second one would make the
   odd-length primitive word a proper power.
+
+The tree to a depth is walked once, by farey_table, into parallel lists
+of ints and Words in (q, p) order, with each slope's parents as places in
+those lists: no node, parent slope tuple or slope lookup per slope. The
+spectrum plan reads the table; enumerate_farey is its view as FareyNodes.
+primitive_word descends to one slope without the table.
 
 The walk makes no check per slope: the tests check the palindromes, the
 factorizations and the Christoffel conjugacy on every slope to depth 12
@@ -23,7 +30,7 @@ SchemeViolation rather than silently repairing the scheme.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import InvalidRational, SchemeViolation
@@ -99,10 +106,7 @@ def _child(lo: FareyNode, hi: FareyNode) -> FareyNode:
 
     Slope words are positive, so nothing cancels at the junction and the
     word is the plain concatenation, made a Word by str.__new__ as _run
-    makes its words. The parents are read by unpacking and the node is
-    built by tuple.__new__, the tuple FareyNode(...) builds, without the
-    Python frame of the generated __new__: enumerate_farey makes one node
-    per slope.
+    makes its words.
     """
     lp, lq, l_depth, _, l_word, _ = lo
     hp, hq, h_depth, _, h_word, _ = hi
@@ -111,9 +115,8 @@ def _child(lo: FareyNode, hi: FareyNode) -> FareyNode:
         word, factorization = str.__new__(Word, l_word + h_word), (l_word, h_word)
     else:
         word, factorization = str.__new__(Word, h_word + l_word), None
-    depth = 1 + (l_depth if l_depth > h_depth else h_depth)
-    return tuple.__new__(
-        FareyNode, (p, q, depth, ((lp, lq), (hp, hq)), word, factorization)
+    return FareyNode(
+        p, q, max(l_depth, h_depth) + 1, ((lp, lq), (hp, hq)), word, factorization
     )
 
 
@@ -182,23 +185,106 @@ def primitive_word(p: int, q: int) -> FareyNode:
     return node
 
 
+class FareyTable(NamedTuple):
+    """Every slope within `depth` mediant steps of the roots, as parallel
+    lists in (q, p) order, where both Farey parents of a slope come before
+    it. Entry i of each list belongs to the slope p[i]/q[i]:
+
+    - level[i] counts its mediant steps from the roots;
+    - lo[i] and hi[i] are the places in the lists of its Farey parents
+      lo < hi, None for a root;
+    - word[i] is its representative, and words[i] the palindromes whose
+      product it is: (word[i],) when pq is even or for a root, the factor
+      pair when pq is odd.
+
+    Only ints, Words and the words tuples are kept: no node, parent slope
+    tuple or slope lookup per slope.
+    """
+
+    p: list[int]
+    q: list[int]
+    level: list[int]
+    lo: list[int | None]
+    hi: list[int | None]
+    word: list[Word]
+    words: list[tuple[Word, ...]]
+
+
+def farey_table(depth: int) -> FareyTable:
+    """The Farey tree to `depth` as one table (FareyTable); depth 0 is
+    just 0/1 and 1/0.
+
+    The walk goes level by level. The slopes so far, in increasing order,
+    are a row of Farey neighbours, and the mediants of neighbouring pairs
+    are exactly the next level; each child's word is built from its
+    parents' words by the rule of _child. Then two stable sorts by int
+    keys, by p and then by q, give the (q, p) order, and the inverse of
+    that permutation maps the parents' walk places to their table places.
+    """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    a, b = _ROOTS[0].word, _ROOTS[1].word
+    p, q, level, lo, hi = [0, 1], [1, 0], [0, 0], [None, None], [None, None]
+    word, words = [a, b], [(a,), (b,)]
+    row = [0, 1]  # walk places of the slopes so far, in increasing order
+    new = str.__new__
+    for d in range(1, depth + 1):
+        start = len(p)
+        # positive words: the concatenation is reduced as written
+        for left, right in zip(row, row[1:]):
+            r, s = p[left] + p[right], q[left] + q[right]
+            p.append(r)
+            q.append(s)
+            u, v = word[left], word[right]
+            if r * s % 2:
+                word.append(new(Word, u + v))
+                words.append((u, v))
+            else:
+                w = new(Word, v + u)
+                word.append(w)
+                words.append((w,))
+        lo += row[:-1]
+        hi += row[1:]
+        level += [d] * (len(p) - start)
+        merged = [0] * (2 * len(row) - 1)
+        merged[::2] = row
+        merged[1::2] = range(start, len(p))
+        row = merged
+    order = sorted(range(len(p)), key=p.__getitem__)
+    order.sort(key=q.__getitem__)
+    place = [0] * len(order)
+    for k, i in enumerate(order):
+        place[i] = k
+
+    def permuted(column: list) -> list:
+        return list(map(column.__getitem__, order))
+
+    def placed(parents: list) -> list:
+        # the roots, 1/0 and 0/1, lead the (q, p) order
+        rest = map(parents.__getitem__, islice(order, 2, None))
+        return [None, None, *map(place.__getitem__, rest)]
+
+    return FareyTable(
+        permuted(p), permuted(q), permuted(level), placed(lo), placed(hi),
+        permuted(word), permuted(words),
+    )
+
+
 def enumerate_farey(depth: int) -> list[FareyNode]:
     """All slopes within `depth` mediant steps of the roots, as populated
     nodes in deterministic (q, p) order. Depth 0 is just 0/1 and 1/0.
 
-    Each word is built from the words of its parents, which the walk
-    passes down; both Farey parents of a slope come before it in the
-    returned order.
+    The nodes are a view of farey_table(depth), the one walk of the tree:
+    both Farey parents of a slope come before it in the returned order.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    nodes = list(_ROOTS)
-    pending = [_ROOTS] if depth > 0 else []
-    while pending:
-        lo, hi = pending.pop()
-        node = _child(lo, hi)
-        nodes.append(node)
-        if node.depth < depth:
-            pending += ((lo, node), (node, hi))
-    nodes.sort(key=itemgetter(1, 0))
-    return nodes
+    table = farey_table(depth)
+    slopes = list(zip(table.p, table.q))
+    return [
+        tuple.__new__(FareyNode, (
+            p, q, level,
+            None if lo is None else (slopes[lo], slopes[hi]),
+            word,
+            words if len(words) == 2 else None,
+        ))
+        for p, q, level, lo, hi, word, words in zip(*table)
+    ]

@@ -15,18 +15,16 @@ finite search cannot certify discreteness.
 from __future__ import annotations
 
 import atexit
-import csv
 import json
 import math
 import random
 from functools import lru_cache
-from itertools import accumulate, chain, islice
-from operator import itemgetter
+from itertools import accumulate, islice
 from typing import IO, Iterable, NamedTuple
 
 from .config import DEFAULT_ESCAPE, DEFAULT_PLATEAU
 from .errors import PalcoreError
-from .farey import enumerate_farey
+from .farey import farey_table
 from .representation import (
     PALINDROME_PAIR,
     PALINDROME_WORD,
@@ -280,16 +278,17 @@ def _fold_schedule(words: list, places: list) -> tuple[tuple, int]:
 
 @lru_cache(maxsize=1)
 def _spectrum_plan(depth: int) -> tuple[tuple, int, tuple]:
-    """The walk of pi_spectrum at depth, from one enumerate_farey call:
-    the fold schedule (_fold_schedule) of every image built by a letter
-    fold, the number of states it keeps, and per slope in (q, p) order the
-    tuple (p, q, level, lo, hi, words).
+    """The walk of pi_spectrum at depth, read off farey_table(depth): the
+    fold schedule (_fold_schedule) of every image built by a letter fold,
+    the number of states it keeps, and the slopes in (q, p) order, six
+    consecutive fields p, q, level, lo, hi, words per slope of one flat
+    tuple, as the schedule is flat.
 
     lo and hi are the plan positions of the slope's Farey parents (None
-    for a root) and words is the entry's words tuple. A slope's image is
-    built one of two ways:
+    for a root) and words is the entry's words tuple, both the table's.
+    A slope's image is built one of two ways:
 
-    - the letter fold of its FareyNode word, as rational_pi folds it from
+    - the letter fold of its table word, as rational_pi folds it from
       the identity: a root's, an even slope's above the last level (hi lo)
       and an odd slope's two or more levels above it (lo hi). The schedule
       folds each prefix these words share once. Slope words never cancel,
@@ -313,24 +312,25 @@ def _spectrum_plan(depth: int) -> tuple[tuple, int, tuple]:
     depends on a representation or a tolerance. The cache keeps the last
     depth only.
     """
-    nodes = enumerate_farey(depth)
-    # one int object per position, which the schedule and the slopes share
-    positions = list(range(len(nodes)))
-    index = dict(zip(map(itemgetter(0, 1), nodes), positions))
-    words, places, slopes = [], [], []
-    for i, (p, q, level, parents, word, factors) in zip(positions, nodes):
-        if parents is None or level < (depth if factors is None else depth - 1):
-            words.append(word)
-            places.append(i)
-        lo, hi = (index[parents[0]], index[parents[1]]) if parents else (None, None)
-        slopes.append((p, q, level, lo, hi, factors or (word,)))
-    schedule, height = _fold_schedule(words, places)
-    return schedule, height, tuple(slopes)
+    p, q, level, lo, hi, word, words = farey_table(depth)
+    # the letter-fold slopes: the roots, the even slopes (one word) above
+    # the last level and the odd slopes (two) two or more levels above it
+    places = [
+        i for i, n, at in zip(range(len(p)), map(len, words), level)
+        if at <= depth - n or lo[i] is None
+    ]
+    schedule, height = _fold_schedule(list(map(word.__getitem__, places)), places)
+    # flat, the slopes cost no tuple each, and the table's columns are
+    # interleaved by slice assignment
+    rows = [None] * (6 * len(p))
+    for field, column in enumerate((p, q, level, lo, hi, words)):
+        rows[field::6] = column
+    return schedule, height, tuple(rows)
 
 
-# the plan holds about three objects per slope that the cyclic garbage
-# collector tracks; dropping it at exit spares the interpreter's final
-# collections from walking them (about 10 ms after a depth-12 probe)
+# the plan holds the slopes' Words and words tuples, which the cyclic
+# garbage collector tracks; dropping it at exit spares the interpreter's
+# final collections from walking them
 atexit.register(_spectrum_plan.cache_clear)
 
 
@@ -342,9 +342,10 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
     one walk, the plan of _spectrum_plan, which holds the fold schedule,
     each slope's parents and words, and nothing of rep or of a tolerance.
     The schedule runs first, one words.evaluate call per segment of the
-    slope words' prefix trie, and builds every letter-fold image; then, in
-    (q, p) order, where both Farey parents come before a slope, each slope
-    gets its position, and the product-route images their one product.
+    slope words' prefix trie, and builds every letter-fold image; then the
+    flat slope rows are read six fields at a time, in (q, p) order, where
+    both Farey parents come before a slope, and each slope gets its
+    position, and the product-route images their one product.
     The images of the slopes above the last level are kept for this call.
     Every entry has rational_pi's outcome, and its bits but for the
     position of an even slope on the last level: the plan forms that image
@@ -352,8 +353,8 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
     few units in the last place.
     """
     letters = rep.letters
-    schedule, height, slopes = _spectrum_plan(depth)
-    images: list = [None] * len(slopes)
+    schedule, height, rows = _spectrum_plan(depth)
+    images: list = [None] * (len(rows) // 6)
     states: list = [IDENTITY] * height
     ops = iter(schedule)
     for k, word, start, end, i in zip(ops, ops, ops, ops, ops):
@@ -361,7 +362,10 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
         if i is not None:
             images[i] = m
     entries = []
-    for i, (p, q, level, lo, hi, words) in enumerate(slopes):
+    fields = iter(rows)
+    for i, (p, q, level, lo, hi, words) in enumerate(
+        zip(fields, fields, fields, fields, fields, fields)
+    ):
         image = error = None
         try:
             if len(words) == 2:
@@ -383,6 +387,8 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
 
 def spectrum_to_csv(entries: Iterable[SpectrumEntry], stream: IO[str]) -> None:
     """Write spectrum entries as CSV with header p,q,s,class,source."""
+    import csv  # only this writer needs it, and the CLI loads it only here
+
     writer = csv.writer(stream)
     writer.writerow(["p", "q", "s", "class", "source"])
     for e in entries:
@@ -429,18 +435,70 @@ def sample_palindromizations(
     return out
 
 
-def _growth_series(entries: Iterable[SpectrumEntry], depth: int) -> tuple[float, ...]:
-    """max |s| over the finite positions at tree depth <= d, for d = 0..depth."""
-    level_max = [0.0] * (depth + 1)
-    for e in entries:
-        if e.image is not None and e.image.finite:
-            level_max[e.depth] = max(level_max[e.depth], abs(e.image.s))
-    return tuple(accumulate(level_max, max))
-
-
 def _check_positive(name: str, value: float) -> None:
     if not value > 0:  # NaN fails too
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _evidence(
+    spectrum: Iterable[SpectrumEntry],
+    samples: Iterable[SampleEntry],
+    depth: int,
+    s_escape: float,
+) -> tuple[tuple[float, float] | None, tuple[float, ...], str, tuple[WitnessRecord, ...]]:
+    """The interval, growth series, verdict and witnesses of probe, from
+    one pass over the spectrum and one over the samples.
+
+    The interval is (min, max) of the finite spectrum positions, None when
+    there are none, and growth[d] is max |s| over the finite positions at
+    tree depth <= d. A parabolic-end tag raises the parabolic flag and a
+    finite |s| beyond s_escape of any other image records a witness, the
+    spectrum's first, then the samples'. Of equal values, the first
+    reached bounds the interval, as min and max keep it.
+    """
+    level_max = [0.0] * (depth + 1)
+    low = high = None
+    witnesses = []
+    tagged_parabolic = False
+    for entry in spectrum:
+        image = entry.image
+        if image is None:
+            continue
+        s, source, _ = image
+        if s - s == 0:  # finite
+            if low is None:
+                low = high = s
+            elif s < low:
+                low = s
+            elif s > high:
+                high = s
+            size = abs(s)
+            if size > level_max[entry.depth]:
+                level_max[entry.depth] = size
+            if size > s_escape and source != PARABOLIC_END:
+                witnesses.append(WitnessRecord(entry.word, s, source))
+        if source == PARABOLIC_END:
+            tagged_parabolic = True
+    for entry in samples:
+        image = entry.image
+        if image is None:
+            continue
+        if image.source == PARABOLIC_END:
+            tagged_parabolic = True
+        elif image.finite and abs(image.s) > s_escape:
+            witnesses.append(WitnessRecord(entry.word, image.s, image.source))
+    growth = tuple(accumulate(level_max, max))
+    if witnesses:
+        verdict = UNBOUNDED_EVIDENCE_NONDISCRETE
+    elif tagged_parabolic:
+        verdict = PARABOLIC_ENDS_DETECTED
+    elif (depth >= 2 and low is not None
+          and growth[depth] - growth[depth - 2] < DEFAULT_PLATEAU):
+        verdict = BOUNDED_CONSISTENT_WITH_GF
+    else:
+        verdict = INCONCLUSIVE
+    interval = None if low is None else (low, high)
+    return interval, growth, verdict, tuple(witnesses)
 
 
 class ProbeReport(NamedTuple):
@@ -525,39 +583,9 @@ def probe(
     samples = tuple(
         sample_palindromizations(rep, random_samples, 2 * depth, seed)
     )
-    finite_spectrum = [
-        e.image.s for e in spectrum if e.image is not None and e.image.finite
-    ]
-    interval = (
-        (min(finite_spectrum), max(finite_spectrum)) if finite_spectrum else None
+    interval, growth, verdict, witnesses = _evidence(
+        spectrum, samples, depth, s_escape
     )
-    growth = _growth_series(spectrum, depth)
-
-    witnesses: list[WitnessRecord] = []
-    tagged_parabolic = False
-    for entry in chain(spectrum, samples):
-        img = entry.image
-        if img is None:
-            continue
-        if img.source == PARABOLIC_END:
-            tagged_parabolic = True
-        elif img.finite and abs(img.s) > s_escape:
-            witnesses.append(WitnessRecord(entry.word, img.s, img.source))
-    plateaued = (
-        depth >= 2
-        and bool(finite_spectrum)
-        and growth[depth] - growth[depth - 2] < DEFAULT_PLATEAU
-    )
-
-    if witnesses:
-        verdict = UNBOUNDED_EVIDENCE_NONDISCRETE
-    elif tagged_parabolic:
-        verdict = PARABOLIC_ENDS_DETECTED
-    elif plateaued:
-        verdict = BOUNDED_CONSISTENT_WITH_GF
-    else:
-        verdict = INCONCLUSIVE
-
     return ProbeReport(
         depth=depth,
         seed=seed,
@@ -567,7 +595,7 @@ def probe(
         interval=interval,
         growth=growth,
         verdict=verdict,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         jorgensen=jorgensen_baseline(rep),
     )
 

@@ -2,8 +2,8 @@
 generators in general position, an exact-arithmetic oracle for positions
 on the Riley slice, the axis-route geometry helpers that tests use as
 independent checks of the position kernel, and the parent-image spectrum
-walk, which calls the library's private position kernels and so is not
-one of the public-name oracles of oracles.py."""
+walk and the node-built spectrum plan, which call the library's private
+kernels and so are not public-name oracles of oracles.py."""
 
 import math
 import random
@@ -15,7 +15,7 @@ from palcore.config import DEFAULT_GEO
 from palcore.errors import DegenerateGeodesic, PalcoreError
 from palcore.farey import enumerate_farey
 from palcore.geodesics import Geodesic
-from palcore.probe import SpectrumEntry
+from palcore.probe import SpectrumEntry, _fold_schedule
 from palcore.representation import (
     Representation, _pair_position, _palindrome_position, build,
 )
@@ -249,6 +249,25 @@ def assert_matches_full_folds(nodes, depth: int, got: list, reference: list, s_a
         assert g[:s_at] + g[s_at + 1:] == r[:s_at] + r[s_at + 1:], where
         ds = float.fromhex(g[s_at]) - float.fromhex(r[s_at])
         assert abs(ds) <= PRODUCT_ROUTE_TOLERANCE, where
+
+
+def spectrum_plan_by_nodes(depth: int) -> tuple[tuple, int, tuple]:
+    """probe._spectrum_plan by its former build, from the FareyNodes of
+    enumerate_farey with their parent slopes looked up by (p, q): the fold
+    schedule, the number of states it keeps, and per slope in (q, p) order
+    the tuple (p, q, level, lo, hi, words)."""
+    nodes = enumerate_farey(depth)
+    positions = list(range(len(nodes)))
+    index = {node[:2]: i for i, node in zip(positions, nodes)}
+    words, places, slopes = [], [], []
+    for i, (p, q, level, parents, word, factors) in zip(positions, nodes):
+        if parents is None or level < (depth if factors is None else depth - 1):
+            words.append(word)
+            places.append(i)
+        lo, hi = (index[parents[0]], index[parents[1]]) if parents else (None, None)
+        slopes.append((p, q, level, lo, hi, factors or (word,)))
+    schedule, height = _fold_schedule(words, places)
+    return schedule, height, tuple(slopes)
 
 
 def pi_spectrum_by_parent_folds(rep: Representation, depth: int) -> list[SpectrumEntry]:

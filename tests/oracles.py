@@ -5,7 +5,8 @@ Nielsen reduction check the Farey words, cyclic equality their conjugacy
 classes, abelianization their letter counts, the geodesic and PSL
 distances and the orthogonality residual the axes and images, Farey
 associates the slope pairs, the step-by-step Stern-Brocot descent the
-run-by-run descent of primitive_word, and the axis route the double
+run-by-run descent of primitive_word, the depth-first walk by parent
+nodes the table enumerate_farey reads, and the axis route the double
 altitude that pi_of_pair takes through the matrix formula. They import
 only public palcore names, so they see the library as any caller does.
 """
@@ -186,6 +187,27 @@ def child_by_products(lo: FareyNode, hi: FareyNode) -> FareyNode:
     return FareyNode(
         r, s, 1 + max(lo.depth, hi.depth), (lo.slope, hi.slope), word, factorization
     )
+
+
+def enumerate_farey_by_children(depth: int) -> list[FareyNode]:
+    """The Farey tree to depth as nodes in (q, p) order, by a depth-first
+    walk that builds each child from its two parent nodes by the child
+    rule (child_by_products): the reference of enumerate_farey, which
+    reads its nodes off one level-by-level table."""
+    roots = (
+        FareyNode(0, 1, 0, None, Word("a"), None),
+        FareyNode(1, 0, 0, None, Word("b"), None),
+    )
+    nodes = list(roots)
+    pending = [roots] if depth > 0 else []
+    while pending:
+        lo, hi = pending.pop()
+        node = child_by_products(lo, hi)
+        nodes.append(node)
+        if node.depth < depth:
+            pending += ((lo, node), (node, hi))
+    nodes.sort(key=lambda node: (node.q, node.p))
+    return nodes
 
 
 def primitive_word_by_steps(p: int, q: int) -> FareyNode:

@@ -2,8 +2,9 @@
 
 perfbench/tracer.py wraps the functions listed in its SPANS, and
 perfbench/worker.py counts witness candidates by rebinding
-palcore.probe.pi_of_palindrome. The traced farey span times the walk
-pi_spectrum takes through the palcore.probe global enumerate_farey. Two of
+palcore.probe.pi_of_palindrome. The traced farey span wraps
+enumerate_farey, the tree as nodes; pi_spectrum reads the tree through
+the palcore.probe global farey_table, which no span wraps. Two of
 the tracer's spans also read what passes through them: the words.evaluate
 hook counts len(args[0]) as words.letters_evaluated, and the
 farey.primitive_word hook reads the returned node's slope and the lengths
@@ -26,7 +27,7 @@ import pytest
 import palcore.probe  # noqa: F401  (the module; palcore.probe is the function)
 from palcore import cli
 from palcore.config import DEFAULT_ESCAPE
-from palcore.farey import enumerate_farey
+from palcore.farey import farey_table
 from palcore.probe import pi_spectrum
 from palcore.representation import PALINDROME_PAIR, pi_of_palindrome, rational_pi
 from palcore.words import Word
@@ -58,17 +59,17 @@ def test_witness_counter_rebinds_a_probe_module_global():
 
 
 def test_spectrum_walk_reads_a_probe_module_global(monkeypatch, mu4):
-    # the spectrum plan, built once per depth, calls enumerate_farey by
-    # the palcore.probe global the tracer rebinds
+    # the spectrum plan, built once per depth, calls farey_table by a
+    # palcore.probe global, which a tracer can rebind
     probe_module = sys.modules["palcore.probe"]
-    assert vars(probe_module)["enumerate_farey"] is enumerate_farey
+    assert vars(probe_module)["farey_table"] is farey_table
     depths = []
 
     def walk(depth):
         depths.append(depth)
-        return enumerate_farey(depth)
+        return farey_table(depth)
 
-    monkeypatch.setattr(probe_module, "enumerate_farey", walk)
+    monkeypatch.setattr(probe_module, "farey_table", walk)
     probe_module._spectrum_plan.cache_clear()
     pi_spectrum(mu4, 3)
     assert depths == [3]

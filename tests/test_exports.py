@@ -49,6 +49,9 @@ _ENTRY_POINTS = {
     "witness_search",
     # the palindromic factorization of criterion 12, not an oracle
     "elliptic_power_factorization",
+    # the tree as nodes, for the tests and for perfbench's tracer, which
+    # wraps it by name; the library reads the tree as farey_table
+    "enumerate_farey",
 }
 
 
@@ -135,3 +138,8 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert _fresh_modules("palcore", {"dataclasses", "inspect", "palcore.cli",
                                       "argparse"}) == []
     assert _fresh_modules("palcore.cli", {"click", "dataclasses", "inspect"}) == []
+
+
+def test_cli_import_loads_no_csv():
+    # only spectrum_to_csv writes CSV, and it imports csv when it runs
+    assert _fresh_modules("palcore.cli", {"csv"}) == []

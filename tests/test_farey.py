@@ -26,6 +26,7 @@ from .oracles import (
     are_associates,
     child_by_products,
     cyclically_equal,
+    enumerate_farey_by_children,
     is_primitive,
     primitive_word_by_steps,
 )
@@ -272,18 +273,24 @@ def _assert_same_nodes(got, reference):
     for node in got:
         assert type(node) is FareyNode and type(node.word) is Word
         assert all(type(w) is Word for w in node.factorization or ())
+        parents = node.parents
+        assert parents is None or (
+            type(parents) is tuple
+            and all(type(s) is tuple and len(s) == 2 for s in parents)
+        )
+        assert node.factorization is None or type(node.factorization) is tuple
 
 
 class TestLeanChild:
-    """_child reads its parents by unpacking, concatenates their words and
-    builds its node by tuple.__new__; the child rule by Word products and
-    the FareyNode call (tests/oracles.py) is its reference, node for node."""
+    """_child concatenates its parents' words, and farey_table those of
+    each level's neighbours; the child rule by Word products
+    (tests/oracles.py) is their reference, node for node, and for the
+    table through the depth-first walk by parent nodes,
+    enumerate_farey_by_children."""
 
     @pytest.mark.parametrize("depth", range(15))
-    def test_enumeration_matches_the_product_rule(self, monkeypatch, depth):
-        got = enumerate_farey(depth)
-        monkeypatch.setattr(farey, "_child", child_by_products)
-        _assert_same_nodes(got, enumerate_farey(depth))
+    def test_enumeration_matches_the_product_rule(self, depth):
+        _assert_same_nodes(enumerate_farey(depth), enumerate_farey_by_children(depth))
 
     @pytest.mark.parametrize("p, q", [(1, 2000), (2000, 1), (1597, 987), (987, 1597)])
     def test_long_slopes_match_the_product_rule(self, monkeypatch, p, q):

@@ -8,19 +8,25 @@ import os
 import random
 import subprocess
 import sys
+from itertools import accumulate, chain
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import palcore
+from palcore.config import DEFAULT_PLATEAU
 from palcore.probe import (
     BOUNDED_CONSISTENT_WITH_GF,
     INCONCLUSIVE,
     PARABOLIC_ENDS_DETECTED,
     UNBOUNDED_EVIDENCE_NONDISCRETE,
     VERDICTS,
+    SampleEntry,
+    SpectrumEntry,
+    WitnessRecord,
+    _evidence,
     _spectrum_plan,
     jorgensen_baseline,
     pi_spectrum,
@@ -33,7 +39,9 @@ from palcore.probe import (
 from palcore.errors import PalcoreError
 from palcore.farey import enumerate_farey, primitive_word
 from palcore.representation import (
+    PALINDROME_PAIR,
     PALINDROME_WORD,
+    PARABOLIC_END,
     PiImage,
     _palindrome_position,
     build,
@@ -46,7 +54,7 @@ from palcore.words import Word, is_palindrome, reduced_words, reverse
 
 from .conftest import (
     assert_matches_full_folds, exact_riley_position, is_product_route,
-    pi_spectrum_by_parent_folds, random_representation,
+    pi_spectrum_by_parent_folds, random_representation, spectrum_plan_by_nodes,
 )
 from .oracles import evaluate_normalized
 from .outcome_digest import GENERATORS, _entry_line, _sweep_reps
@@ -111,18 +119,18 @@ def _count_folded_letters(monkeypatch):
 
 
 def _count_walks(monkeypatch):
-    """Record the depth of every enumerate_farey call pi_spectrum makes,
+    """Record the depth of every farey_table call pi_spectrum makes,
     under the name palcore.probe looks it up by, with the plan cache
     emptied first."""
     probe_module = sys.modules["palcore.probe"]
-    inner = probe_module.enumerate_farey
+    inner = probe_module.farey_table
     depths = []
 
     def recorder(depth):
         depths.append(depth)
         return inner(depth)
 
-    monkeypatch.setattr(probe_module, "enumerate_farey", recorder)
+    monkeypatch.setattr(probe_module, "farey_table", recorder)
     _spectrum_plan.cache_clear()
     return depths
 
@@ -249,6 +257,22 @@ class TestSpectrum:
         assert prefixes == palindromes
         assert len(folded) == len(set(folded)) == len(words)
         assert max(k for k, *_ in ops) + 2 == height
+
+    @pytest.mark.parametrize("depth", range(13))
+    def test_flat_plan_matches_the_node_plan(self, depth):
+        # the plan read off farey_table against its former build from
+        # FareyNodes and a slope lookup: the same schedule, and the same
+        # six fields per slope, flat, each of the same type
+        _spectrum_plan.cache_clear()
+        schedule, height, rows = _spectrum_plan(depth)
+        reference = spectrum_plan_by_nodes(depth)
+        assert (schedule, height) == reference[:2]
+        assert type(rows) is tuple
+        slopes = [rows[k:k + 6] for k in range(0, len(rows), 6)]
+        assert slopes == list(reference[2])
+        assert ([tuple(map(type, row)) for row in slopes]
+                == [tuple(map(type, row)) for row in reference[2]])
+        assert all(type(w) is Word for *_, words in slopes for w in words)
 
     def test_plan_carries_nothing_from_one_pair_to_the_next(
         self, mu4, schottky, monkeypatch
@@ -447,6 +471,115 @@ class TestVerdicts:
         assert json.dumps(a) == json.dumps(b)
         for key in ("verdict", "interval", "growth", "spectrum", "jorgensen"):
             assert key in a
+
+
+def _growth_series(entries, depth):
+    """max |s| over the finite positions at tree depth <= d, for d = 0..depth."""
+    level_max = [0.0] * (depth + 1)
+    for e in entries:
+        if e.image is not None and e.image.finite:
+            level_max[e.depth] = max(level_max[e.depth], abs(e.image.s))
+    return tuple(accumulate(level_max, max))
+
+
+def evidence_by_passes(spectrum, samples, depth, s_escape):
+    """probe's interval, growth, verdict and witnesses by its former three
+    passes over the spectrum: the finite positions for the interval, the
+    growth series, and the witness and parabolic-tag scan over the
+    spectrum, then the samples."""
+    finite_spectrum = [
+        e.image.s for e in spectrum if e.image is not None and e.image.finite
+    ]
+    interval = (
+        (min(finite_spectrum), max(finite_spectrum)) if finite_spectrum else None
+    )
+    growth = _growth_series(spectrum, depth)
+    witnesses = []
+    tagged_parabolic = False
+    for entry in chain(spectrum, samples):
+        img = entry.image
+        if img is None:
+            continue
+        if img.source == PARABOLIC_END:
+            tagged_parabolic = True
+        elif img.finite and abs(img.s) > s_escape:
+            witnesses.append(WitnessRecord(entry.word, img.s, img.source))
+    plateaued = (
+        depth >= 2
+        and bool(finite_spectrum)
+        and growth[depth] - growth[depth - 2] < DEFAULT_PLATEAU
+    )
+    if witnesses:
+        verdict = UNBOUNDED_EVIDENCE_NONDISCRETE
+    elif tagged_parabolic:
+        verdict = PARABOLIC_ENDS_DETECTED
+    elif plateaued:
+        verdict = BOUNDED_CONSISTENT_WITH_GF
+    else:
+        verdict = INCONCLUSIVE
+    return interval, growth, verdict, tuple(witnesses)
+
+
+# few distinct values, so that ties at the extremes are common; 0.0 and
+# -0.0 tie but differ in repr, which tells which of them is kept
+_SYNTHETIC_S = st.sampled_from(
+    [0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 3.0, -3.0, math.inf, -math.inf, math.nan]
+)
+_SOURCES = st.sampled_from([PALINDROME_WORD, PALINDROME_PAIR, PARABOLIC_END])
+_IMAGES = st.none() | st.builds(
+    lambda s, source: PiImage(s, source, "loxodromic"), _SYNTHETIC_S, _SOURCES
+)
+
+
+@st.composite
+def _synthetic_evidence(draw):
+    depth = draw(st.integers(1, 4))
+    spectrum = [
+        SpectrumEntry(k, 1, level, (Word("ab"[k % 2]),), image,
+                      None if image else "CommutingPair: synthetic")
+        for k, (level, image) in enumerate(draw(st.lists(
+            st.tuples(st.integers(0, depth), _IMAGES), max_size=12)))
+    ]
+    samples = [
+        SampleEntry("ab", "aba", image) if image else SampleEntry("ab", error="x")
+        for image in draw(st.lists(_IMAGES, max_size=4))
+    ]
+    s_escape = draw(st.sampled_from([0.25, 1.0, 2.0, 25.0]))
+    return spectrum, samples, depth, s_escape
+
+
+def _entry(level, s, source=PALINDROME_WORD):
+    return SpectrumEntry(1, 1, level, (Word("aba"),), PiImage(s, source, "parabolic"))
+
+
+class TestEvidenceInOnePass:
+    """probe reads its interval, growth, verdict and witnesses off one pass
+    over the spectrum (probe._evidence); the former three passes are the
+    reference, repr for repr, so a kept -0.0 and the witness order count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_synthetic_evidence())
+    # no finite position at all
+    @example(([_entry(1, math.inf, PARABOLIC_END), _entry(2, -math.inf, PARABOLIC_END)],
+              [], 2, 1.0))
+    # ties at the min and the max, with 0.0 and -0.0
+    @example(([_entry(0, 0.0), _entry(1, -0.0), _entry(2, 1.5), _entry(2, 1.5),
+               _entry(1, -1.5), _entry(2, -1.5)], [], 2, 25.0))
+    # an escape below the largest |s|, in the spectrum and a sample
+    @example(([_entry(1, 3.0), _entry(2, -0.5), _entry(2, -3.0)],
+              [SampleEntry("a", "a", PiImage(-1.5, PALINDROME_WORD, "elliptic"))],
+              2, 1.0))
+    def test_matches_the_three_passes(self, evidence):
+        assert repr(_evidence(*evidence)) == repr(evidence_by_passes(*evidence))
+
+    def test_probe_reports_the_reference_evidence(self, mu4):
+        report = probe(mu4, 8, random_samples=20, s_escape=0.5)
+        reference = evidence_by_passes(report.spectrum,
+                                       report.random_palindrome_samples, 8, 0.5)
+        assert repr(reference) == repr(
+            (report.interval, report.growth, report.verdict, report.witnesses)
+        )
+        assert report.witnesses
 
 
 class TestSampling:
