@@ -15,11 +15,13 @@ groups", J. Algebra 2011):
   rotation of the Christoffel word: a second one would make the
   odd-length primitive word a proper power.
 
-The tree to a depth is walked once, by farey_table, into parallel lists
-of ints and Words in (q, p) order, with each slope's parents as places in
-those lists: no node, parent slope tuple or slope lookup per slope. The
-spectrum plan reads the table; enumerate_farey is its view as FareyNodes.
-primitive_word descends to one slope without the table.
+The tree to a depth is walked once, by farey_table, level by level into
+parallel lists of ints and Words, in the order the walk fills them: each
+slope's parents are its places in those lists, and one list of places
+gives the (q, p) order. No node, parent slope tuple or slope lookup is
+made per slope. The spectrum plan reads the table in walk order;
+enumerate_farey is its view as FareyNodes in (q, p) order. primitive_word
+descends to one slope without the table.
 
 The walk makes no check per slope: the tests check the palindromes, the
 factorizations and the Christoffel conjugacy on every slope to depth 12
@@ -30,7 +32,6 @@ SchemeViolation rather than silently repairing the scheme.
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import NamedTuple
 
 from .errors import InvalidRational, SchemeViolation
@@ -187,18 +188,21 @@ def primitive_word(p: int, q: int) -> FareyNode:
 
 class FareyTable(NamedTuple):
     """Every slope within `depth` mediant steps of the roots, as parallel
-    lists in (q, p) order, where both Farey parents of a slope come before
-    it. Entry i of each list belongs to the slope p[i]/q[i]:
+    lists in the order of the level-by-level walk: the roots 0/1 and 1/0,
+    then each level in increasing slope order, so both Farey parents of a
+    slope come before it. Entry i of each list belongs to the slope
+    p[i]/q[i]:
 
     - level[i] counts its mediant steps from the roots;
-    - lo[i] and hi[i] are the places in the lists of its Farey parents
-      lo < hi, None for a root;
+    - lo[i] and hi[i] are the places of its Farey parents lo < hi, None
+      for a root;
     - word[i] is its representative, and words[i] the palindromes whose
       product it is: (word[i],) when pq is even or for a root, the factor
       pair when pq is odd.
 
-    Only ints, Words and the words tuples are kept: no node, parent slope
-    tuple or slope lookup per slope.
+    order lists the places in (q, p) order, 1/0 and then 0/1 first. Only
+    ints, Words and the words tuples are kept: no node, parent slope tuple
+    or slope lookup per slope.
     """
 
     p: list[int]
@@ -208,6 +212,7 @@ class FareyTable(NamedTuple):
     hi: list[int | None]
     word: list[Word]
     words: list[tuple[Word, ...]]
+    order: list[int]
 
 
 def farey_table(depth: int) -> FareyTable:
@@ -217,9 +222,9 @@ def farey_table(depth: int) -> FareyTable:
     The walk goes level by level. The slopes so far, in increasing order,
     are a row of Farey neighbours, and the mediants of neighbouring pairs
     are exactly the next level; each child's word is built from its
-    parents' words by the rule of _child. Then two stable sorts by int
-    keys, by p and then by q, give the (q, p) order, and the inverse of
-    that permutation maps the parents' walk places to their table places.
+    parents' words by the rule of _child. The last row holds every place
+    in increasing slope order, so one stable sort of it by q is the (q, p)
+    order, made of the walk's own place ints.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -250,41 +255,28 @@ def farey_table(depth: int) -> FareyTable:
         merged[::2] = row
         merged[1::2] = range(start, len(p))
         row = merged
-    order = sorted(range(len(p)), key=p.__getitem__)
-    order.sort(key=q.__getitem__)
-    place = [0] * len(order)
-    for k, i in enumerate(order):
-        place[i] = k
-
-    def permuted(column: list) -> list:
-        return list(map(column.__getitem__, order))
-
-    def placed(parents: list) -> list:
-        # the roots, 1/0 and 0/1, lead the (q, p) order
-        rest = map(parents.__getitem__, islice(order, 2, None))
-        return [None, None, *map(place.__getitem__, rest)]
-
-    return FareyTable(
-        permuted(p), permuted(q), permuted(level), placed(lo), placed(hi),
-        permuted(word), permuted(words),
-    )
+    # of equal q, the slope order is the p order
+    row.sort(key=q.__getitem__)
+    return FareyTable(p, q, level, lo, hi, word, words, row)
 
 
 def enumerate_farey(depth: int) -> list[FareyNode]:
     """All slopes within `depth` mediant steps of the roots, as populated
     nodes in deterministic (q, p) order. Depth 0 is just 0/1 and 1/0.
 
-    The nodes are a view of farey_table(depth), the one walk of the tree:
-    both Farey parents of a slope come before it in the returned order.
+    The nodes are a view of farey_table(depth), the one walk of the tree,
+    built in walk order and returned in the table's (q, p) order, where
+    both Farey parents of a slope come before it too.
     """
-    table = farey_table(depth)
-    slopes = list(zip(table.p, table.q))
-    return [
-        tuple.__new__(FareyNode, (
+    *columns, order = farey_table(depth)
+    slopes = list(zip(columns[0], columns[1]))
+    nodes = [
+        FareyNode(
             p, q, level,
             None if lo is None else (slopes[lo], slopes[hi]),
             word,
             words if len(words) == 2 else None,
-        ))
-        for p, q, level, lo, hi, word, words in zip(*table)
+        )
+        for p, q, level, lo, hi, word, words in zip(*columns)
     ]
+    return list(map(nodes.__getitem__, order))

