@@ -37,7 +37,7 @@ from .representation import (
     pi_of_palindrome,
 )
 from .sl2c import IDENTITY, product
-from .words import LETTERS, Word, evaluate, palindromic_doubles, reduced_words
+from .words import LETTERS, Word, evaluate, reduced_words
 
 BOUNDED_CONSISTENT_WITH_GF = "BOUNDED_CONSISTENT_WITH_GF"
 UNBOUNDED_EVIDENCE_NONDISCRETE = "UNBOUNDED_EVIDENCE_NONDISCRETE"
@@ -612,22 +612,40 @@ def witness_search(
 
     For words C, D up to max_word_len (ordered by length, then letters) and
     powers n up to max_conj_power, form U = C^n D C^-n and test the two
-    palindromes U.reverse(U) and reverse(U).U; the first with finite
-    |s| > s_escape is returned with its (C, D, n) data. Returns None when
-    the grid is exhausted, which is always the case for an s_escape at or
-    above config.CERTIFIABLE_CEILING, the default DEFAULT_ESCAPE = 25
-    included. Raises ValueError for bounds below 1 or an s_escape that is
-    not positive.
+    palindromes U reverse(U) and reverse(U) U, each one positional
+    pi_of_palindrome(rep, word) call; the first with finite |s| > s_escape
+    is returned with its (C, D, n) data. Returns None when the grid is
+    exhausted, which is always the case for an s_escape at or above
+    config.CERTIFIABLE_CEILING, the default DEFAULT_ESCAPE = 25 included.
+    Raises ValueError for bounds below 1 or an s_escape that is not
+    positive.
+
+    U is built from the previous power's X = C^(n-1) D C^-(n-1), starting
+    from X = D, as C X C^-1. With x the last letter of C, C^-1 starts with
+    the inverse of x, so the product cancels only where X starts with the
+    inverse of x or ends in x; otherwise U is the text of C, X and C^-1
+    joined, which is its reduced form, and where it cancels U is their
+    Word product. Neither palindrome cancels at its junction, which pairs
+    a letter with itself, so both are joined texts.
     """
     if max_conj_power < 1 or max_word_len < 1:
         raise ValueError("search bounds must be >= 1")
     _check_positive("s_escape", s_escape)
     vocabulary = list(reduced_words(max_word_len))
+    powers = range(1, max_conj_power + 1)
     for c in vocabulary:
-        powers = [(n, c ** n, c ** -n) for n in range(1, max_conj_power + 1)]
+        c_inv = c.inverse()
+        last = c[-1]
+        last_inverse = c_inv[0]
         for d in vocabulary:
-            for n, conj_left, conj_right in powers:
-                for pal in palindromic_doubles(conj_left * d * conj_right):
+            u = d
+            for n in powers:
+                if u[0] == last_inverse or u[-1] == last:
+                    u = c * u * c_inv
+                else:
+                    u = str.__new__(Word, c + u + c_inv)
+                rev = u[::-1]
+                for pal in (str.__new__(Word, u + rev), str.__new__(Word, rev + u)):
                     try:
                         image = pi_of_palindrome(rep, pal)
                     except PalcoreError:

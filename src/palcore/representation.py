@@ -38,7 +38,6 @@ from .geodesics import Geodesic, axis, common_perpendicular
 from .sl2c import (
     IDENTITY,
     INFINITY,
-    Entries,
     GroupElement,
     _max4,
     _json_text,
@@ -61,10 +60,11 @@ PARABOLIC_END = "parabolic-end"
 
 # the longest words Representation.blocks holds, and so the most letters
 # of a palindrome's first half folded per product. The 64,896 halves of
-# witness_search(12, 3), folded from their first entry, took 0.32, 0.27,
-# 0.23, 0.20 and 0.19 s at 4 to 8 (best of 7 on one CPU of a 2-vCPU VM):
-# 7 and 8 save a further 10-15 % for 3 and 9 times the entries (3.6 MB at
-# 8), and any other value changes the bits of longer palindromes
+# witness_search(12, 3) on mu_half, folded from their first entry, took
+# 0.21, 0.17, 0.15, 0.13 and 0.12 s at 4 to 8 (best of 7 on one CPU of a
+# 2-vCPU VM, Python 3.11): 7 and 8 save a further 9-15 % for 3 and 9
+# times the entries (0.4 MB at 6, 3.8 MB at 8), and any other value
+# changes the bits of longer palindromes
 BLOCK = 6
 
 
@@ -253,9 +253,12 @@ _NOT_FINITE = "image overflowed: an entry is not finite"
 _MODULUS_OVERFLOWED = "image overflowed: an entry's modulus is past the float range"
 
 
-def _crossing_position(m, length: int) -> float:
-    """Position where the axis of m, a product of length generator
-    matrices, crosses the core [0, inf].
+def _crossing_position(a, d, abs_b: float, abs_c: float, scale: float,
+                       length: int) -> float:
+    """Position where the axis of m = [[a, b], [c, d]], a product of length
+    generator matrices, crosses the core [0, inf], from its diagonal
+    entries, the moduli |b| and |c| and the entry scale max(1, |a|, |b|,
+    |c|, |d|) its caller has taken.
 
     m is expected to have (anti)symmetric diagonal in the normalized frame:
     equal diagonal entries for a palindrome image, trace zero for a double
@@ -263,32 +266,23 @@ def _crossing_position(m, length: int) -> float:
     s = ln|b/c| / 2, a ratio of directly accumulated entries.
 
     m must have finite entries: each caller refuses an image with an entry
-    that is not finite before it gets here, once per image.
+    that is not finite before it gets here, once per image, and refuses an
+    OverflowError of abs(), here or where it took the moduli, as overflowed.
 
     Refusals, each an OrthogonalityViolation: an off-diagonal entry below
-    SINGULAR_FLOOR times the scale, past which |b/c|, taken as |b|/|c|
-    from the moduli already in hand, lies within 1e+/-12, so its root and
-    log are defined; and fixed points that are not antipodal. An
-    OverflowError of abs() reaches the caller, which refuses the image as
-    overflowed. By Vieta's formulas the fixed points of a unimodular m sum
-    to (a - d)/c and
-    multiply to -b/c, so they count as antipodal, within
-    eps = geo_scaled(length) of their modulus sqrt|b/c|, when
-    |a - d|/|c| <= eps max(1, sqrt|b/c|); no quadratic is solved. That bound, eps max(|c|, sqrt|bc|) on |a - d|, is
-    at most eps times the scale, so unequal diagonal entries need no test
-    of their own.
+    SINGULAR_FLOOR times the scale, past which |b/c|, taken as |b|/|c|,
+    lies within 1e+/-12, so its root and log are defined; and fixed points
+    that are not antipodal. By Vieta's formulas the fixed points of a
+    unimodular m sum to (a - d)/c and multiply to -b/c, so they count as
+    antipodal, within eps = geo_scaled(length) of their modulus sqrt|b/c|,
+    when |a - d|/|c| <= eps max(1, sqrt|b/c|); no quadratic is solved.
+    That bound, eps max(|c|, sqrt|bc|) on |a - d|, is at most eps times
+    the scale, so unequal diagonal entries need no test of their own.
     The test, and the tolerance with it, is taken only when a != d: for
     finite a == d the residual is exactly 0, which no tolerance refuses. A
-    palindrome image from _palindrome_image has both diagonal entries from
+    palindrome image from pi_of_palindrome has both diagonal entries from
     one expression, so it never reaches the test.
-    m is read as its entries (a, b, c, d): a GroupElement or a plain tuple.
-    Each max(1.0, v) and max(u, v) here is spelled as the comparison the
-    builtin makes, for the same result at a fraction of the call cost.
     """
-    a, b, c, d = m
-    abs_b, abs_c = abs(b), abs(c)
-    norm = _max4(abs(a), abs_b, abs_c, abs(d))
-    scale = norm if norm > 1.0 else 1.0
     if abs_b <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
         raise OrthogonalityViolation(
             "off-diagonal entry below the certifiable floor, axis endpoint "
@@ -306,70 +300,42 @@ def _crossing_position(m, length: int) -> float:
     return 0.5 * math.log(ratio)
 
 
-def _parabolic_end(m, eps: float) -> float:
-    """Core-end tag of a parabolic palindrome image, read from its entries.
-
-    An exactly parabolic palindrome in the normalized frame is upper or
-    lower triangular with equal unit diagonal, so it fixes inf (c = 0,
-    tag +inf) or 0 (b = 0, tag -inf).
-    """
-    a, b, c, d = m
-    abs_b, abs_c = abs(b), abs(c)
-    norm = _max4(abs(a), abs_b, abs_c, abs(d))
-    scale = norm if norm > 1.0 else 1.0
-    small_b = abs_b <= eps * scale
-    small_c = abs_c <= eps * scale
-    if small_c and not small_b:
-        return math.inf
-    if small_b and not small_c:
-        return -math.inf
-    raise OrthogonalityViolation(
-        "parabolic palindrome image does not fix a core end"
-    )
-
-
 def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     """Position of the axis of a palindromic word on the core.
 
-    The image is evaluated in the normalized frame from the word's first
-    half (see _palindrome_image), so its diagonal entries are equal by
-    construction and its axis endpoints are antipodal, +/-x with
-    x = sqrt(b/c): the antipodality test of _crossing_position, which reads
-    a - d, cannot refuse it and is not run. The position is ln|x|. Parabolic
-    images are tagged at the core end they fix, within a word-length-scaled
-    tolerance. OrthogonalityViolation signals numerical breakdown: an exact
-    palindrome axis is always orthogonal to the core. Slope words do not
-    come through here: rational_pi folds them in full. The result is a
-    number with its route and class; w is formatted only in a refusal
-    message.
-    """
-    if not is_palindrome(w):
-        raise NotPalindrome(f"{w!r} is not a palindrome")
-    return _palindrome_position(w, _palindrome_image(rep, w))
-
-
-def _palindrome_image(rep: Representation, w: Word) -> Entries:
-    """Entries (a, b, c, d) of the normalized image of the palindrome w,
-    folded over its first half by sl2c.product with one rep.blocks entry,
-    of up to BLOCK letters, per factor. The fold starts from the first
-    entry, so a half of at most BLOCK letters is that entry, with the bits
-    of its letter fold, and only an empty half (a 1-letter palindrome)
-    starts from the identity. Starting from the identity instead would
-    change no entry but the sign of a zero.
+    The image is formed in the normalized frame from the word's first half
+    u, folded by sl2c.product with one rep.blocks entry, of up to BLOCK
+    letters, per factor. The fold starts from the first entry, so a half
+    of at most BLOCK letters is that entry, with the bits of its letter
+    fold, and only an empty half (a 1-letter palindrome) starts from the
+    identity. Starting from the identity instead would change no entry but
+    the sign of a zero.
 
     Both generators have equal diagonal entries in the normalized frame, so
     the image of reverse(u) is phi(image of u), where phi swaps the
-    diagonal entries. With M = [[al, be], [ga, de]] the image of the first
-    half u, the image of u reverse(u) is M phi(M) = [[D, 2 al be],
-    [2 ga de, D]] with D = al de + be ga, and the image of u x reverse(u),
-    with L = [[e, f], [g, e]] the middle letter's matrix, is M L phi(M) =
+    diagonal entries. With M = [[al, be], [ga, de]] the image of u, the
+    image of u reverse(u) is M phi(M) = [[D, 2 al be], [2 ga de, D]] with
+    D = al de + be ga, and the image of u x reverse(u), with
+    L = [[e, f], [g, e]] the middle letter's matrix, is M L phi(M) =
     [[E, 2 e al be + g be^2 + f al^2], [2 e ga de + g de^2 + f ga^2, E]]
     with E = e D + g be de + f al ga. Each diagonal is written from one
-    expression, so its two entries are equal bit for bit. D is taken as
-    1 + 2 be ga when |be ga| <= |al de| and as 2 al de - 1 otherwise (equal
-    for det M = 1), so it carries the rounding of the smaller product only,
-    where al de + be ga would carry both.
+    expression, so its two entries are equal bit for bit, and the axis
+    endpoints are antipodal, +/-x with x = sqrt(b/c): the antipodality
+    test of _crossing_position, which reads a - d, cannot refuse the image
+    and is not run. D is taken as 1 + 2 be ga when |be ga| <= |al de| and
+    as 2 al de - 1 otherwise (equal for det M = 1), so it carries the
+    rounding of the smaller product only, where al de + be ga would carry
+    both.
+
+    The position is ln|x|, and _palindrome_position reads it, or the core
+    end a parabolic image fixes, or a refusal. OrthogonalityViolation
+    signals numerical breakdown: an exact palindrome axis is always
+    orthogonal to the core. Slope words do not come through here:
+    rational_pi folds them in full. The result is a number with its route
+    and class; w is formatted only in a refusal message.
     """
+    if not is_palindrome(w):
+        raise NotPalindrome(f"{w!r} is not a palindrome")
     half = len(w) // 2
     if half:
         u, blocks = w[:half], rep.blocks
@@ -382,24 +348,35 @@ def _palindrome_image(rep: Representation, w: Word) -> Entries:
     bg, ad = be * ga, al * de
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
     if len(w) % 2 == 0:
-        return (diag, 2 * al * be, 2 * ga * de, diag)
+        return _palindrome_position(w, (diag, 2 * al * be, 2 * ga * de, diag))
     e, f, g, _ = rep.letters[w[half]]
     diag = e * diag + g * be * de + f * al * ga
-    return (
+    return _palindrome_position(w, (
         diag,
         2 * e * al * be + g * be * be + f * al * al,
         2 * e * ga * de + g * de * de + f * ga * ga,
         diag,
-    )
+    ))
 
 
 def _palindrome_position(w: Word, m) -> PiImage:
-    """pi_of_palindrome from m, the normalized image of the palindrome w
-    (its entries, or a GroupElement). An image that overflowed is refused
-    as such: one with an entry that is not finite before it is classified,
-    as classify can read a NaN entry as the identity, and one with an entry
-    whose modulus is past the float range wherever abs() meets it, in
-    classify, _parabolic_end or _crossing_position."""
+    """The position of the palindrome w from m, its normalized image (its
+    entries, or a GroupElement), in one pass: the class from one classify
+    call, then |b|, |c| and the entry scale, which give a parabolic image
+    its core-end tag and any other its crossing (_crossing_position). The
+    one palindrome kernel: pi_of_palindrome, rational_pi and
+    probe.pi_spectrum all end here.
+
+    An exactly parabolic palindrome in the normalized frame is upper or
+    lower triangular with equal unit diagonal, so it fixes inf (c = 0, tag
+    +inf) or 0 (b = 0, tag -inf); off-diagonal entries within
+    geo_scaled(len(w)) times the scale count as 0.
+
+    An image that overflowed is refused as such: one with an entry that is
+    not finite before it is classified, as classify can read a NaN entry
+    as the identity, and one with an entry whose modulus is past the float
+    range wherever abs() meets it.
+    """
     a, b, c, d = m
     if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
         raise OrthogonalityViolation(_NOT_FINITE)
@@ -407,15 +384,25 @@ def _palindrome_position(w: Word, m) -> PiImage:
         kind = classify(m)
         if kind == "identity":
             raise IdentityImage(f"{w!r} evaluates to the identity")
-        if kind == "parabolic":
-            return tuple.__new__(
-                PiImage, (_parabolic_end(m, geo_scaled(len(w))), PARABOLIC_END, kind)
-            )
-        return tuple.__new__(
-            PiImage, (_crossing_position(m, len(w)), PALINDROME_WORD, kind)
-        )
+        abs_b, abs_c = abs(b), abs(c)
+        scale = _max4(abs(a), abs_b, abs_c, abs(d))
+        if scale < 1.0:
+            scale = 1.0
+        if kind != "parabolic":
+            return tuple.__new__(PiImage, (
+                _crossing_position(a, d, abs_b, abs_c, scale, len(w)),
+                PALINDROME_WORD, kind,
+            ))
     except OverflowError:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
+    eps = geo_scaled(len(w)) * scale
+    small_b = abs_b <= eps
+    small_c = abs_c <= eps
+    if small_c and not small_b:
+        return tuple.__new__(PiImage, (math.inf, PARABOLIC_END, kind))
+    if small_b and not small_c:
+        return tuple.__new__(PiImage, (-math.inf, PARABOLIC_END, kind))
+    raise OrthogonalityViolation("parabolic palindrome image does not fix a core end")
 
 
 def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
@@ -460,10 +447,14 @@ def _pair_position(u: Word, v: Word, U, V) -> PiImage:
         a, b, c, d = t
         if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
             raise OrthogonalityViolation(_NOT_FINITE)
-        return tuple.__new__(
-            PiImage,
-            (_crossing_position(t, len(u) + len(v)), PALINDROME_PAIR, classify(uv)),
-        )
+        abs_b, abs_c = abs(b), abs(c)
+        scale = _max4(abs(a), abs_b, abs_c, abs(d))
+        if scale < 1.0:
+            scale = 1.0
+        return tuple.__new__(PiImage, (
+            _crossing_position(a, d, abs_b, abs_c, scale, len(u) + len(v)),
+            PALINDROME_PAIR, classify(uv),
+        ))
     except OverflowError:
         raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None
 

@@ -96,16 +96,6 @@ def reverse(w: Word) -> Word:
     return str.__new__(Word, w[::-1])
 
 
-def palindromic_doubles(u: Word) -> tuple[Word, Word]:
-    """The palindromes u reverse(u) and reverse(u) u, by concatenation.
-
-    Each junction pairs a letter with itself, which never cancels, so both
-    are reduced as written and no product is formed.
-    """
-    rev = u[::-1]
-    return str.__new__(Word, u + rev), str.__new__(Word, rev + u)
-
-
 def is_palindrome(w: Word) -> bool:
     """True iff w reads the same forwards and backwards, letterwise."""
     return w == w[::-1]

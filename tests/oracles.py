@@ -6,18 +6,26 @@ classes, abelianization their letter counts, the geodesic and PSL
 distances and the orthogonality residual the axes and images, Farey
 associates the slope pairs, the step-by-step Stern-Brocot descent the
 run-by-run descent of primitive_word, the depth-first walk by parent
-nodes the table enumerate_farey reads, and the axis route the double
-altitude that pi_of_pair takes through the matrix formula. They import
-only public palcore names, so they see the library as any caller does.
+nodes the table enumerate_farey reads, the axis route the double
+altitude that pi_of_pair takes through the matrix formula, and the chain
+of classification, parabolic-end tag and crossing the one-pass palindrome
+kernel folded together. They import only public palcore names, so they
+see the library as any caller does.
 """
 from __future__ import annotations
 
+import math
+from cmath import isfinite
 from typing import NamedTuple
 
+from palcore.config import SINGULAR_FLOOR, geo_scaled
+from palcore.errors import IdentityImage, OrthogonalityViolation
 from palcore.farey import FareyNode, Slope, validate_slope
 from palcore.geodesics import Geodesic, axis, common_perpendicular, line_matrix
-from palcore.representation import Representation
-from palcore.sl2c import INFINITY, GroupElement, chordal_distance
+from palcore.representation import (
+    PALINDROME_WORD, PARABOLIC_END, PiImage, Representation,
+)
+from palcore.sl2c import INFINITY, GroupElement, chordal_distance, classify
 from palcore.words import LETTERS, Word, evaluate
 
 # words
@@ -248,3 +256,72 @@ def pair_perpendicular_by_axes(rep: Representation, u: Word, v: Word) -> Geodesi
     U = evaluate_normalized(rep, u)
     V = evaluate_normalized(rep, v)
     return common_perpendicular(axis(U * V), axis(V * U))
+
+
+# the palindrome position as a chain of steps
+
+
+_NOT_FINITE = "image overflowed: an entry is not finite"
+_MODULUS_OVERFLOWED = "image overflowed: an entry's modulus is past the float range"
+
+
+def _entry_scale(m) -> tuple[float, float, float]:
+    """|b|, |c| and max(1, |a|, |b|, |c|, |d|) of the entries m."""
+    a, b, c, d = m
+    abs_b, abs_c = abs(b), abs(c)
+    norm = max(abs(a), abs_b, abs_c, abs(d))
+    return abs_b, abs_c, norm if norm > 1.0 else 1.0
+
+
+def crossing_position_by_steps(m, length: int) -> float:
+    """Where the axis of m, a product of length generator matrices, crosses
+    the core: its own moduli and scale, the floor test, then the Vieta
+    antipodality test where a != d, then ln|b/c| / 2."""
+    a, _, _, d = m
+    abs_b, abs_c, scale = _entry_scale(m)
+    if abs_b <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
+        raise OrthogonalityViolation(
+            "off-diagonal entry below the certifiable floor, axis endpoint "
+            "indistinguishable from a core end"
+        )
+    ratio = abs_b / abs_c
+    if a != d:
+        residual = abs(a - d) / abs_c
+        modulus = math.sqrt(ratio)
+        if residual > geo_scaled(length) * (modulus if modulus > 1.0 else 1.0):
+            raise OrthogonalityViolation(
+                f"fixed points not antipodal: residual {residual:.3e}"
+            )
+    return 0.5 * math.log(ratio)
+
+
+def parabolic_end_by_steps(m, eps: float) -> float:
+    """Core end a parabolic palindrome image fixes, from its own moduli:
+    inf where c is within eps times the scale of 0 and b is not, -inf the
+    other way round."""
+    abs_b, abs_c, scale = _entry_scale(m)
+    small_b = abs_b <= eps * scale
+    small_c = abs_c <= eps * scale
+    if small_c and not small_b:
+        return math.inf
+    if small_b and not small_c:
+        return -math.inf
+    raise OrthogonalityViolation("parabolic palindrome image does not fix a core end")
+
+
+def palindrome_position_by_steps(w: Word, m) -> PiImage:
+    """The position of the palindrome w from its normalized image m, as a
+    chain: the finiteness test, classify, then parabolic_end_by_steps or
+    crossing_position_by_steps, each taking the moduli again, with an
+    OverflowError of abs() anywhere refused as overflowed."""
+    if not all(map(isfinite, m)):
+        raise OrthogonalityViolation(_NOT_FINITE)
+    try:
+        kind = classify(m)
+        if kind == "identity":
+            raise IdentityImage(f"{w!r} evaluates to the identity")
+        if kind == "parabolic":
+            return PiImage(parabolic_end_by_steps(m, geo_scaled(len(w))), PARABOLIC_END, kind)
+        return PiImage(crossing_position_by_steps(m, len(w)), PALINDROME_WORD, kind)
+    except OverflowError:
+        raise OrthogonalityViolation(_MODULUS_OVERFLOWED) from None

@@ -39,7 +39,6 @@ from palcore.representation import (
     _crossing_position,
     _pair_position,
     _palindrome_position,
-    _parabolic_end,
     build,
     pi_of_palindrome,
     rational_pi,
@@ -47,11 +46,12 @@ from palcore.representation import (
 from palcore.sl2c import (
     IDENTITY, INFINITY, GroupElement, boundary_key, classify, fixed_points, product,
 )
-from palcore.words import LETTERS, Word, palindromic_doubles, reduced_words
+from palcore.words import LETTERS, Word, reduced_words, reverse
 
 from .conftest import (
     assert_matches_full_folds, exact_riley_position, random_representation,
 )
+from .oracles import palindrome_position_by_steps, parabolic_end_by_steps
 
 # Reference implementations: the element route, one GroupElement per
 # product and per intermediate matrix, with the builtin max and min.
@@ -249,27 +249,42 @@ def _outcome(position):
         return _refusal(exc)
 
 
-def test_witness_grid_candidates_match_the_element_route(mu_half, monkeypatch):
+def assert_witness_candidates_match_the_element_route(rep, max_conj_power, max_word_len):
+    """Every candidate of witness_search(rep, max_conj_power, max_word_len),
+    recorded at its pi_of_palindrome call, has the outcome of the element
+    route, refusal texts included. The search must find no witness, so it
+    visits all of them; returns how many it visited."""
+    probe_module = sys.modules["palcore.probe"]
     seen = []
 
-    def recorder(rep, word):
+    def recorder(rep_, word):
         try:
-            image = pi_of_palindrome(rep, word)
+            image = pi_of_palindrome(rep_, word)
         except PalcoreError as exc:
             seen.append((word, _refusal(exc)))
             raise
         seen.append((word, _bits(image)))
         return image
 
-    monkeypatch.setattr(sys.modules["palcore.probe"], "pi_of_palindrome", recorder)
-    assert witness_search(mu_half, 6, 2) is None
-    assert len(seen) == 16 * 16 * 6 * 2
+    probe_module.pi_of_palindrome = recorder
+    try:
+        assert witness_search(rep, max_conj_power, max_word_len) is None
+    finally:
+        probe_module.pi_of_palindrome = pi_of_palindrome
+    vocabulary = sum(4 * 3 ** (k - 1) for k in range(1, max_word_len + 1))
+    assert len(seen) == vocabulary * vocabulary * max_conj_power * 2
     reference = [
         _outcome(lambda: _reference_palindrome_position(
-            w, _reference_palindrome_image(mu_half, w)))
+            w, _reference_palindrome_image(rep, w)))
         for w, _ in seen
     ]
     assert [outcome for _, outcome in seen] == reference
+    return len(seen)
+
+
+def test_witness_grid_candidates_match_the_element_route(mu_half):
+    # CI runs the (12, 3) grid of the benchmark on three pairs
+    assert assert_witness_candidates_match_the_element_route(mu_half, 6, 2) == 3072
 
 
 # The palindrome route as the library ran it before its lean form: the
@@ -332,12 +347,17 @@ def _identity_fold_position(rep, w):
         raise IdentityImage(f"{w!r} evaluates to the identity")
     eps = geo_scaled(len(w))
     if kind == "parabolic":
-        return PiImage(_parabolic_end(m, eps), PARABOLIC_END, kind)
+        return PiImage(parabolic_end_by_steps(m, eps), PARABOLIC_END, kind)
     return PiImage(_unguarded_crossing_position(m, eps), PALINDROME_WORD, kind)
 
 
 # a complex pair whose depth-14 images overflow
 _COMPLEX_PAIR = (GroupElement(2, 1, 1, 1), GroupElement(1, 0, 0.3 + 2.1j, 1))
+
+
+def _doubles(u):
+    """The palindromes u reverse(u) and reverse(u) u of a Word u."""
+    return [u * reverse(u), reverse(u) * u]
 
 
 @pytest.mark.parametrize("name", ["mu_half", "mu4", "complex"])
@@ -352,10 +372,10 @@ def test_lean_palindrome_route_keeps_every_outcome(name, request):
     for c in vocabulary:
         for d in vocabulary:
             for n in range(1, 7):
-                words.extend(palindromic_doubles(c ** n * d * c ** -n))
+                words.extend(_doubles(c ** n * d * c ** -n))
     for c, d in ((Word("ab"), Word("b")), (Word("ab"), Word("Aba"))):
         for n in (8, 150, 400):
-            words.extend(palindromic_doubles(c ** n * d * c ** -n))
+            words.extend(_doubles(c ** n * d * c ** -n))
     assert len(words) == 9 + 16 * 16 * 6 * 2 + 12
     got = [_outcome(lambda: pi_of_palindrome(rep, w)) for w in words]
     reference = [_outcome(lambda: _identity_fold_position(rep, w)) for w in words]
@@ -416,6 +436,14 @@ def test_spectrum_matches_the_element_route(name, request):
     assert any(isinstance(outcome, str) for outcome in reference)
 
 
+def _crossing(m, length):
+    """_crossing_position of the entries m, given the moduli and entry
+    scale the kernel takes."""
+    a, b, c, d = m
+    scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
+    return _crossing_position(a, d, abs(b), abs(c), scale, length)
+
+
 # entries reaching each refusal of _crossing_position that finite entries
 # can reach, with eps and the kind the element route is given. The first
 # case has unequal diagonal entries, which the antipodality test refuses
@@ -437,7 +465,7 @@ def test_crossing_refusals_match_the_element_route(entries, eps, kind, refusal):
     # tolerance is the reference's eps
     assert geo_scaled(1) == eps
     entries = tuple(complex(x) for x in entries)
-    got = _outcome(lambda: PiImage(_crossing_position(entries, 1), "", ""))
+    got = _outcome(lambda: PiImage(_crossing(entries, 1), "", ""))
     reference = _outcome(lambda: PiImage(
         _reference_crossing_position(GroupElement(*entries), eps, kind), "", ""))
     assert got == reference
@@ -448,7 +476,7 @@ def test_antipodality_residual_is_the_root_sum_of_the_entries():
     # determinant 3: the element route's solve, which assumes determinant 1,
     # reads 1.188e+05 here, while the fixed points sum to |a - d|/|c|
     with pytest.raises(OrthogonalityViolation, match="residual 5.000e[+]03$"):
-        _crossing_position((2.025 + 0j, 1e5 + 0j, 1e-5 + 0j, 1.975 + 0j), 1)
+        _crossing((2.025 + 0j, 1e5 + 0j, 1e-5 + 0j, 1.975 + 0j), 1)
 
 
 _entry_part_st = st.floats(-1e3, 1e3)
@@ -473,8 +501,8 @@ def _unimodular(a, b, d=None):
 
 
 def _unimodular_roots(a, b, d=None):
-    """_unimodular's matrix, not parabolic (those images go to
-    _parabolic_end), with the roots fixed_points gives it."""
+    """_unimodular's matrix, not parabolic (those images get a core-end
+    tag), with the roots fixed_points gives it."""
     m = _unimodular(a, b, d)
     assume(classify(m) in ("loxodromic", "elliptic"))
     return m, fixed_points(m)
@@ -490,7 +518,7 @@ def test_unequal_diagonal_is_refused_as_not_antipodal(a, b, d, length):
     m = _unimodular(a, b, d)
     assume(abs(a - d) > geo_scaled(length) * max(1.0, *map(abs, m)))
     with pytest.raises(OrthogonalityViolation, match="fixed points not antipodal"):
-        _crossing_position(m, length)
+        _crossing(m, length)
 
 
 # (2, 3) is the symmetric matrix [[2, 3], [1, 2]]: it reached "endpoint on
@@ -589,9 +617,9 @@ def test_the_floor_caps_positions_at_the_ceiling(factor):
     m = (0.5 + 0j, b + 0j, -0.75 / b + 0j, 0.5 + 0j)
     if factor < 1:
         with pytest.raises(OrthogonalityViolation, match="below the certifiable floor"):
-            _crossing_position(m, 1)
+            _crossing(m, 1)
     else:
-        s = _crossing_position(m, 1)
+        s = _crossing(m, 1)
         assert CERTIFIABLE_CEILING - 1e-3 < abs(s) < CERTIFIABLE_CEILING
 
 
@@ -697,6 +725,69 @@ def _ends_in_a_position_or_a_refusal(position):
 @given(_extreme_matrix_st, st.integers(1, 2000))
 def test_palindrome_position_of_any_entries_is_a_position_or_a_refusal(m, length):
     _ends_in_a_position_or_a_refusal(lambda: _palindrome_position("a" * length, m))
+
+
+# The palindrome kernel against the chain it folded into one pass:
+# classify, then the parabolic-end tag or the crossing, each step taking
+# the moduli and the entry scale again (tests/oracles.py). Entries are
+# drawn anywhere in the float range, near the identity, near a unipotent
+# triangular matrix, and unimodular, each with equal diagonal entries, as
+# a palindrome image has them, or not.
+
+_offset_st = st.builds(
+    lambda x, e: x * 10.0 ** -e, st.floats(-1, 1), st.integers(0, 320)
+)
+_small_entry_st = st.builds(complex, _offset_st, _offset_st)
+_kernel_part_st = _extreme_part_st | _offset_st | st.builds(
+    lambda centre, x: centre + x, st.sampled_from((1.0, -1.0, 2.0, -2.0)), _offset_st
+)
+_kernel_entry_st = st.builds(complex, _kernel_part_st, _kernel_part_st)
+_moderate_entry_st = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _kernel_entries_st(draw):
+    shape = draw(st.sampled_from(("any", "identity", "parabolic", "unimodular")))
+    equal_diagonal = draw(st.booleans())
+    if shape == "any":
+        a, b, c, d = draw(st.tuples(*[_kernel_entry_st] * 4))
+    elif shape == "unimodular":
+        a, b, d = draw(st.tuples(*[_moderate_entry_st] * 3))
+        if equal_diagonal:
+            d = a
+        c = (a * d - 1) / b if b else draw(_small_entry_st)
+    else:
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        a, b, c, d = (draw(_small_entry_st) for _ in range(4))
+        a, d = sign + a, sign + d
+        if shape == "parabolic":
+            far = draw(_kernel_entry_st)
+            b, c = draw(st.sampled_from(((far, c), (b, far))))
+    return (a, b, c, a if equal_diagonal else d)
+
+
+_BIG = complex(1e308, 1e308)
+
+
+@example((_BIG, 1 + 0j, 1 + 0j, _BIG), 1)
+@example((1 + 0j, _BIG, 1e-300 + 0j, 2 + 0j), 3)
+@example((complex(_NAN), 1 + 0j, 1 + 0j, complex(_NAN)), 1)
+@example((complex(_INF), 2 + 0j, 1 + 0j, complex(-_INF)), 1)
+@example((1 + 1e-12 + 0j, 1e-11 + 0j, 0j, 1 + 1e-12 + 0j), 1)
+@example((1 + 1e-12 + 0j, 5 + 0j, 1e-12 + 0j, 1 + 1e-12 + 0j), 7)
+@example((-1 + 0j, 1e-12j, 5 + 0j, -1 + 0j), 7)
+@example((2 + 0j, 3 + 0j, 1 + 0j, 2 + 0j), 1)
+@example((2 + 0j, 1 + 0j, 1 + 0j, 1 + 0j), 1)
+# below the floor only because the scale of entries below 1 is taken as 1
+@example((0.5 + 0j, 9e-13 + 0j, 0.5 + 0j, 0.5 + 0j), 1)
+# parabolic with |c| between geo_scaled(1) and geo_scaled(2) times the
+# scale 5: it fixes no core end at length 1
+@example((1 + 0j, 5 + 0j, 7e-6 + 0j, 1 + 0j), 1)
+@given(_kernel_entries_st(), st.integers(1, 5000))
+def test_palindrome_kernel_matches_the_chain_of_steps(m, length):
+    w = Word("a" * length)
+    got = _outcome(lambda: _palindrome_position(w, m))
+    assert got == _outcome(lambda: palindrome_position_by_steps(w, m))
 
 
 @given(_extreme_matrix_st, _extreme_matrix_st)

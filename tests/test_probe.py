@@ -666,9 +666,23 @@ class TestWitnessSearch:
         assert calls == []
 
     def test_visits_the_conjugate_push_palindromes_in_order(self, mu_half, monkeypatch):
+        self._assert_visits_in_order(mu_half, monkeypatch, 4, 2)
+
+    @pytest.mark.parametrize("max_conj_power, max_word_len", [(12, 3), (2, 4)])
+    def test_joined_texts_are_the_word_products(
+        self, mu_half, monkeypatch, max_conj_power, max_word_len
+    ):
+        # the search joins texts wherever no letter cancels; (12, 3) is the
+        # benchmark's grid, and words of 3 and 4 letters include Cs that
+        # are not cyclically reduced, such as abA
+        self._assert_visits_in_order(mu_half, monkeypatch, max_conj_power, max_word_len)
+
+    @staticmethod
+    def _assert_visits_in_order(mu_half, monkeypatch, max_conj_power, max_word_len):
         # The candidates must reach pi_of_palindrome(rep, word) through the
-        # palcore.probe module name, one call each, in the order of the
-        # C^n D C^-n construction with C^-n taken as a power.
+        # palcore.probe module name, one call each, as Words, in the order
+        # of the C^n D C^-n construction with every word a Word product and
+        # C^-n taken as a power, with Ds that cancel at each junction.
         seen = []
 
         def recorder(rep, word, /):
@@ -677,24 +691,33 @@ class TestWitnessSearch:
             return PiImage(0.0, PALINDROME_WORD, "loxodromic")
 
         monkeypatch.setattr(sys.modules["palcore.probe"], "pi_of_palindrome", recorder)
-        assert witness_search(mu_half, 4, 2) is None
+        assert witness_search(mu_half, max_conj_power, max_word_len) is None
 
         expected = []
-        vocabulary = list(reduced_words(2))
+        cancelled = Counter()
+        vocabulary = list(reduced_words(max_word_len))
         for c in vocabulary:
             c_inv = c.inverse()
             for d in vocabulary:
                 conj_left = Word()
-                for n in range(1, 5):
+                for n in range(1, max_conj_power + 1):
                     conj_left = conj_left * c
-                    u = conj_left * d * (c_inv ** n)
+                    left = conj_left * d
+                    u = left * (c_inv ** n)
+                    cancelled["left"] += len(left) < len(conj_left) + len(d)
+                    cancelled["right"] += len(u) < len(left) + n * len(c)
+                    cancelled["not cyclically reduced"] += c[0] == c[-1].swapcase()
                     if not u:
                         continue
                     for pal in (u * reverse(u), reverse(u) * u):
                         if pal:
                             expected.append(pal)
-        assert len(expected) == 16 * 16 * 4 * 2  # 16 words of length <= 2
+        assert len(expected) == len(vocabulary) ** 2 * max_conj_power * 2
+        assert cancelled["left"] and cancelled["right"]
+        assert bool(cancelled["not cyclically reduced"]) == (max_word_len >= 3)
+        assert "abA" in vocabulary or max_word_len < 3
         assert seen == expected
+        assert {type(word) for word in seen} == {Word}
 
     def test_reversed_push_repeats_a_forward_candidate(self, mu_half, monkeypatch):
         # reverse(u) u for (C, D, n) is u' reverse(u') for (-C, reverse(D), n),

@@ -25,7 +25,6 @@ from palcore.representation import (
     PALINDROME_WORD,
     PARABOLIC_END,
     Representation,
-    _palindrome_image,
     _palindrome_position,
     build,
     hexagon,
@@ -326,10 +325,22 @@ class TestHalfFormImage:
     its image as M phi(M) or M L phi(M) (phi swaps the diagonal)."""
 
     @pytest.mark.parametrize("name", _HALF_FORM_REPS)
-    def test_diagonal_entries_are_bit_equal(self, name, request):
+    def test_diagonal_entries_are_bit_equal(self, name, request, monkeypatch):
+        # the image pi_of_palindrome hands the palindrome kernel
+        images = []
+
+        def recorder(w, m):
+            images.append(m)
+            return _palindrome_position(w, m)
+
+        monkeypatch.setattr(sys.modules["palcore.representation"],
+                            "_palindrome_position", recorder)
         rep = _named_rep(name, request)
-        for w in _long_palindromes(3, 60):
-            a, _, _, d = _palindrome_image(rep, w)
+        palindromes = _long_palindromes(3, 60)
+        for w in palindromes:
+            _outcome(lambda: pi_of_palindrome(rep, w))
+        assert len(images) == len(palindromes)
+        for a, _, _, d in images:
             assert (a.real.hex(), a.imag.hex()) == (d.real.hex(), d.imag.hex())
 
     @pytest.mark.parametrize("name", _HALF_FORM_REPS)
