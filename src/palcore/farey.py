@@ -15,13 +15,18 @@ groups", J. Algebra 2011):
   rotation of the Christoffel word: a second one would make the
   odd-length primitive word a proper power.
 
+By parity the Farey parents of an odd slope are both palindromic, so a
+slope is known by its palindromes: its own when pq is even, its
+parents' when odd.
+
 The tree to a depth is walked once, by farey_table, level by level into
-parallel lists of ints and Words, in the order the walk fills them: each
-slope's parents are its places in those lists, and one list of places
-gives the (q, p) order. No node, parent slope tuple or slope lookup is
-made per slope. The spectrum plan reads the table in walk order;
-enumerate_farey is its view as FareyNodes in (q, p) order. primitive_word
-descends to one slope without the table.
+parallel lists of ints and palindromes, in the order the walk fills
+them: each slope's parents are its places in those lists, and one list
+of places gives the (q, p) order. No node, parent slope tuple, slope
+lookup or odd slope's text is made per slope. The spectrum plan reads
+the table in walk order; enumerate_farey is its view as FareyNodes in
+(q, p) order, and joins each odd slope's word. primitive_word descends
+to one slope without the table.
 
 The walk makes no check per slope: the tests check the palindromes, the
 factorizations and the Christoffel conjugacy on every slope to depth 12
@@ -196,13 +201,13 @@ class FareyTable(NamedTuple):
     - level[i] counts its mediant steps from the roots;
     - lo[i] and hi[i] are the places of its Farey parents lo < hi, None
       for a root;
-    - word[i] is its representative, and words[i] the palindromes whose
-      product it is: (word[i],) when pq is even or for a root, the factor
-      pair when pq is odd.
+    - words[i] holds the palindromes whose product is its representative:
+      its own when pq is even (a root too), and when pq is odd the pair
+      (words[lo[i]][0], words[hi[i]][0]) of its parents' palindromes.
 
     order lists the places in (q, p) order, 1/0 and then 0/1 first. Only
-    ints, Words and the words tuples are kept: no node, parent slope tuple
-    or slope lookup per slope.
+    ints, the palindromes' Words and the words tuples are kept: no node,
+    parent slope tuple, slope lookup or odd slope's text per slope.
     """
 
     p: list[int]
@@ -210,7 +215,6 @@ class FareyTable(NamedTuple):
     level: list[int]
     lo: list[int | None]
     hi: list[int | None]
-    word: list[Word]
     words: list[tuple[Word, ...]]
     order: list[int]
 
@@ -221,33 +225,30 @@ def farey_table(depth: int) -> FareyTable:
 
     The walk goes level by level. The slopes so far, in increasing order,
     are a row of Farey neighbours, and the mediants of neighbouring pairs
-    are exactly the next level; each child's word is built from its
-    parents' words by the rule of _child. The last row holds every place
-    in increasing slope order, so one stable sort of it by q is the (q, p)
-    order, made of the walk's own place ints.
+    are exactly the next level. By the rule of _child, an odd child's
+    pair is its parents' palindromes, held by reference, and an even
+    child's palindrome is the text of hi's words, then lo's, joined. The
+    last row holds every place in increasing slope order, so one stable
+    sort of it by q is the (q, p) order, made of the walk's own place ints.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    a, b = _ROOTS[0].word, _ROOTS[1].word
     p, q, level, lo, hi = [0, 1], [1, 0], [0, 0], [None, None], [None, None]
-    word, words = [a, b], [(a,), (b,)]
+    words = [(_ROOTS[0].word,), (_ROOTS[1].word,)]
     row = [0, 1]  # walk places of the slopes so far, in increasing order
     new = str.__new__
     for d in range(1, depth + 1):
         start = len(p)
-        # positive words: the concatenation is reduced as written
         for left, right in zip(row, row[1:]):
             r, s = p[left] + p[right], q[left] + q[right]
             p.append(r)
             q.append(s)
-            u, v = word[left], word[right]
+            u, v = words[left], words[right]
             if r * s % 2:
-                word.append(new(Word, u + v))
-                words.append((u, v))
+                words.append((u[0], v[0]))
             else:
-                w = new(Word, v + u)
-                word.append(w)
-                words.append((w,))
+                # positive words: the concatenation is reduced as written
+                words.append((new(Word, "".join(v + u)),))
         lo += row[:-1]
         hi += row[1:]
         level += [d] * (len(p) - start)
@@ -257,7 +258,7 @@ def farey_table(depth: int) -> FareyTable:
         row = merged
     # of equal q, the slope order is the p order
     row.sort(key=q.__getitem__)
-    return FareyTable(p, q, level, lo, hi, word, words, row)
+    return FareyTable(p, q, level, lo, hi, words, row)
 
 
 def enumerate_farey(depth: int) -> list[FareyNode]:
@@ -266,17 +267,17 @@ def enumerate_farey(depth: int) -> list[FareyNode]:
 
     The nodes are a view of farey_table(depth), the one walk of the tree,
     built in walk order and returned in the table's (q, p) order, where
-    both Farey parents of a slope come before it too.
+    both Farey parents of a slope come before it too. An odd slope's word
+    is its pair joined, made here.
     """
     *columns, order = farey_table(depth)
     slopes = list(zip(columns[0], columns[1]))
-    nodes = [
-        FareyNode(
-            p, q, level,
-            None if lo is None else (slopes[lo], slopes[hi]),
-            word,
-            words if len(words) == 2 else None,
-        )
-        for p, q, level, lo, hi, word, words in zip(*columns)
-    ]
+    nodes = []
+    for p, q, level, lo, hi, words in zip(*columns):
+        if len(words) == 2:
+            word, factorization = str.__new__(Word, "".join(words)), words
+        else:
+            word, factorization = words[0], None
+        parents = None if lo is None else (slopes[lo], slopes[hi])
+        nodes.append(FareyNode(p, q, level, parents, word, factorization))
     return list(map(nodes.__getitem__, order))

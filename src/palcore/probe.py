@@ -287,46 +287,43 @@ def _spectrum_plan(depth: int) -> tuple[tuple, int, FareyTable]:
     """The walk of pi_spectrum at depth, read off farey_table(depth): the
     fold schedule (_fold_schedule) of every image built by a letter fold,
     the number of states it keeps, and the table itself, in its walk
-    order, without its word column, which only the schedule reads.
+    order. The schedule's plan positions are the table's places, and a
+    slope's lo and hi are those of its Farey parents (None for a root).
 
-    The schedule's plan positions are the table's places, and a slope's
-    lo and hi are those of its Farey parents (None for a root). A slope's
-    image is built one of two ways:
+    The letter fold serves only the pair positions, so it builds exactly
+    the images of the pair factors: the roots and the palindromic slopes
+    above the last level. That is by parity: (p, q) mod 2 is (1, 1) for
+    an odd slope and (0, 1) or (1, 0) for a palindromic one, Farey
+    neighbours have determinant 1, so theirs differ, and their mediant
+    has the third. So both Farey parents of an odd slope are palindromic,
+    and the two children of a palindromic slope, its mediants with its
+    own parents, take those parents' parities, one of them odd. Each
+    factor's image is the letter fold of its palindrome,
+    as rational_pi folds it from the identity, and the schedule folds each
+    prefix these words share once. Slope words never cancel, so the fold
+    of word[:end] continued over word[end:] is the fold of word, bit for
+    bit, wherever the schedule splits it (see words.evaluate). So every
+    pair position keeps the letter fold's bits.
 
-    - the letter fold of its table word, as rational_pi folds it from
-      the identity: a root's, an even slope's above the last level (hi lo)
-      and an odd slope's two or more levels above it (lo hi). The schedule
-      folds each prefix these words share once. Slope words never cancel,
-      so the fold of word[:end] continued over word[end:] is the fold of
-      word, bit for bit, wherever the schedule splits it (see
-      words.evaluate). Each odd word is a prefix of its lo-side child's
-      even palindrome (lo hi lo), so the odd words add no letters.
-    - one sl2c.product of the parents' images, hi * lo for an even slope
-      and lo * hi for an odd one. This is the route of every image that no
-      pair position reads, directly or through a fold: an even slope on
-      the last level, whose image gives its own position only, and an odd
-      slope one level above it, whose children are both even. An odd slope
-      on the last level gets no image at all: its position reads only its
-      parents' images.
+    pi_spectrum forms every other image it keeps as one sl2c.product of
+    its parents' images: lo * hi for an odd slope below the last level,
+    and hi * lo for an even slope on the last level, whose image gives
+    its own position only. An odd slope on the last level gets no image:
+    its position reads only its parents' images.
 
-    A pair position reads the images of its factors, its Farey parents,
-    and no parent of an odd slope is one of the product-route slopes, so
-    every pair position, and every image one reads, keeps the letter
-    fold's bits. Only the images of slopes shallower than depth are read.
     Every Word is one the walk built, held by reference, and nothing
     depends on a representation or a tolerance. The cache keeps the last
     depth only.
     """
     table = farey_table(depth)
-    level, lo, word = table.level, table.lo, table.word
-    # the letter-fold slopes: the roots, the even slopes (one word) above
-    # the last level and the odd slopes (two) two or more levels above it
+    words = table.words
+    # the pair factors: the roots and the palindromic slopes above the last level
     places = [
-        i for i, n, at in zip(range(len(level)), map(len, table.words), level)
-        if at <= depth - n or lo[i] is None
+        i for i, at in enumerate(table.level)
+        if len(words[i]) == 1 and (at < depth or table.lo[i] is None)
     ]
-    schedule, height = _fold_schedule(list(map(word.__getitem__, places)), places)
-    return schedule, height, table._replace(word=None)
+    schedule, height = _fold_schedule([words[i][0] for i in places], places)
+    return schedule, height, table
 
 
 # the plan holds the slopes' Words and words tuples, which the cyclic
@@ -343,17 +340,17 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
     recorded on the entry, not raised. Consecutive calls at one depth share
     one walk, the plan of _spectrum_plan, which holds the fold schedule and
     the Farey table, and nothing of rep or of a tolerance. The schedule
-    runs first, one words.evaluate call per segment of the slope words'
-    prefix trie, and builds every letter-fold image; then the table's
+    runs first, one words.evaluate call per segment of the pair factors'
+    prefix trie, and builds their letter-fold images; then the table's
     columns are read in walk order, where both Farey parents come before
-    a slope, and each slope gets its position, and the product-route
-    images their one product. The table's order puts the entries in
-    (q, p) order. The images of the slopes above the last level are kept
-    for this call.
+    a slope. Each slope gets its position, and every other image kept its
+    one product of its parents' images (see _spectrum_plan). The table's
+    order puts the entries in (q, p) order. The images of the slopes
+    above the last level are kept for this call.
     Every entry has rational_pi's outcome, and its bits but for the
-    position of an even slope on the last level: the plan forms that image
-    as one product of the parents' images, which moves the position by a
-    few units in the last place.
+    position of an even slope on the last level: its image is a product
+    of products, which moves the position by a few units in the last
+    place.
     """
     letters = rep.letters
     schedule, height, table = _spectrum_plan(depth)
@@ -371,7 +368,7 @@ def pi_spectrum(rep: Representation, depth: int) -> list[SpectrumEntry]:
         image = error = None
         try:
             if len(words) == 2:
-                if level == depth - 1:
+                if level < depth:
                     images[i] = product(images[lo], (images[hi],))
                 image = _pair_position(*words, images[lo], images[hi])
             else:

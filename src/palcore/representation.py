@@ -531,10 +531,10 @@ def rational_pi(rep: Representation, p: int, q: int) -> PiImage:
     The slope word is folded from the identity, and a factor pair goes
     through pi_of_pair, which folds each factor so. probe.pi_spectrum gets
     the same bits for every slope but an even one on its last level: it
-    folds each prefix the slope words share once and continues from its
-    image, which splits the same fold, and forms that last-level image as
-    one product of its parents' images, within a few units in the last
-    place.
+    letter-folds only the pair factors, each prefix their palindromes
+    share once, which splits the same folds, and forms every other image
+    as one product of its parents' images, which moves a last-level
+    position by a few units in the last place.
     """
     node = primitive_word(p, q)
     if node.factorization is None:

@@ -219,11 +219,13 @@ def exact_riley_position(text: str, mu) -> float:
 
 
 # pi_spectrum reads the position of an even slope on its last level off one
-# product of its parents' images, and every other position off the letter
-# fold of the slope word (see probe._spectrum_plan). Against the fold from
-# the identity, 19,665 of 74,293 entries measured (the slice-sweep pool at
+# product of its parents' images, an odd parent's image itself a product of
+# its parents', and every other position off the letter folds of the
+# palindromes (see probe._spectrum_plan). Against the fold from
+# the identity, 19,694 of 74,293 entries measured (the slice-sweep pool at
 # depth 10, mu4 at depths 8, 12 and 14, mu_half at 8 and 12) moved, by at
-# most 2.5e-15, and random_representation(0..5) at depth 10 by 2.7e-15.
+# most 2.7e-15, and 1,670 of 6,150 of random_representation(0..5) at
+# depth 10 by 2.7e-15.
 PRODUCT_ROUTE_TOLERANCE = 1e-13
 
 
@@ -262,7 +264,7 @@ def spectrum_plan_by_nodes(depth: int) -> tuple[tuple, int, tuple]:
     index = {node[:2]: i for i, node in zip(positions, nodes)}
     words, places, slopes = [], [], []
     for i, (p, q, level, parents, word, factors) in zip(positions, nodes):
-        if parents is None or level < (depth if factors is None else depth - 1):
+        if parents is None or (factors is None and level < depth):
             words.append(word)
             places.append(i)
         lo, hi = (index[parents[0]], index[parents[1]]) if parents else (None, None)
@@ -273,12 +275,14 @@ def spectrum_plan_by_nodes(depth: int) -> tuple[tuple, int, tuple]:
 
 def pi_spectrum_by_parent_folds(rep: Representation, depth: int) -> list[SpectrumEntry]:
     """pi_spectrum by its former walk, one fold per letter-fold image, each
-    continued from a parent's image: a root folds its word from the
-    identity, an even slope (hi lo) lo's word from hi's image and an odd
-    slope (lo hi) hi's word from lo's image. The product routes, the
-    position kernels and the (q, p) order are pi_spectrum's, so the two
-    differ only in where the folds of the slope words are split, and agree
-    bit for bit."""
+    continued from a parent's fold: a root folds its word from the
+    identity, an even slope (hi lo) lo's word from hi's fold and an odd
+    slope (lo hi) hi's word from lo's fold. The images read are
+    pi_spectrum's: the folds of the roots and of the even slopes above the
+    last level, and the products lo * hi of the odd slopes below it and
+    hi * lo of the even slopes on it. The position kernels and the (q, p)
+    order are pi_spectrum's too, so the two differ only in where the folds
+    of the palindromes are split, and agree bit for bit."""
     nodes = enumerate_farey(depth)
     index = {node[:2]: i for i, node in enumerate(nodes)}
     plan = []
@@ -294,6 +298,7 @@ def pi_spectrum_by_parent_folds(rep: Representation, depth: int) -> list[Spectru
             fold = factors[1] if level < depth - 1 else None
             plan.append((p, q, level, lo, hi, fold, factors))
     letters = rep.letters
+    folds: list = [None] * len(plan)
     images: list = [None] * len(plan)
     entries = []
     for i, (p, q, level, lo, hi, fold, words) in enumerate(plan):
@@ -301,17 +306,17 @@ def pi_spectrum_by_parent_folds(rep: Representation, depth: int) -> list[Spectru
         try:
             if len(words) == 2:
                 if fold is not None:
-                    images[i] = evaluate(fold, letters, images[lo])
-                elif level < depth:
+                    folds[i] = evaluate(fold, letters, folds[lo])
+                if level < depth:
                     images[i] = product(images[lo], (images[hi],))
                 image = _pair_position(*words, images[lo], images[hi])
             else:
                 if lo is None:
-                    m = images[i] = evaluate(fold, letters)
+                    m = images[i] = folds[i] = evaluate(fold, letters)
                 elif fold is None:
                     m = product(images[hi], (images[lo],))
                 else:
-                    m = images[i] = evaluate(fold, letters, images[hi])
+                    m = images[i] = folds[i] = evaluate(fold, letters, folds[hi])
                 image = _palindrome_position(words[0], m)
         except PalcoreError as exc:
             error = f"{type(exc).__name__}: {exc}"

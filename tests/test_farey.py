@@ -309,9 +309,28 @@ class TestWalkOrder:
         _assert_walk_order(farey_table(depth))
 
 
+class TestPalindromesOnly:
+    """The table keeps only the palindromes' texts: an odd slope's pair is
+    its Farey parents' palindromes, held by reference, and enumerate_farey
+    joins it into the slope's word."""
+
+    @pytest.mark.parametrize("depth", range(15))
+    def test_odd_pairs_are_the_parents_palindromes(self, depth):
+        table = farey_table(depth)
+        assert "word" not in table._fields
+        words = table.words
+        odd = [(lo, hi, pair) for lo, hi, pair in zip(table.lo, table.hi, words)
+               if len(pair) == 2]
+        assert len(odd) == (2**depth + 1) // 3
+        for lo, hi, pair in odd:
+            assert len(words[lo]) == len(words[hi]) == 1
+            assert pair == (words[lo][0], words[hi][0])
+            assert pair[0] is words[lo][0] and pair[1] is words[hi][0]
+
+
 class TestLeanChild:
-    """_child concatenates its parents' words, and farey_table those of
-    each level's neighbours; the child rule by Word products
+    """_child concatenates its parents' words, and farey_table joins the
+    palindromes of each level's neighbours; the child rule by Word products
     (tests/oracles.py) is their reference, node for node, and for the
     table through the depth-first walk by parent nodes,
     enumerate_farey_by_children."""

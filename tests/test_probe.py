@@ -226,37 +226,44 @@ class TestSpectrum:
 
     def test_folds_each_stored_image_once(self, mu4, monkeypatch):
         # one words.evaluate call per segment of the prefix trie of the
-        # letter-fold words: those of the roots, of the even slopes above
-        # the last level and of the odd slopes two or more levels above
-        # it; the other images are one product each. Continued from a
-        # parent's image, each fold took 1,707 calls over 68,891 letters at
-        # depth 12 (427 over 7,655 at depth 10)
+        # pair factors' palindromes: those of the roots and of the even
+        # slopes above the last level; the other images are one product
+        # each. Folding the odd slopes two or more levels above the last
+        # too took 572 calls at depth 10 and 2,356 at 12 over the same
+        # letters. Continued from a parent's image, each fold took 1,707
+        # calls over 68,891 letters at depth 12 (427 over 7,655 at depth 10)
         letters = _count_folded_letters(monkeypatch)
         pi_spectrum(mu4, 10)
-        assert (len(letters), sum(letters)) == (572, 5644)
+        assert (len(letters), sum(letters)) == (496, 5644)
         letters.clear()
         pi_spectrum(mu4, 12)
-        assert (len(letters), sum(letters)) == (2356, 49898)
+        assert (len(letters), sum(letters)) == (2028, 49898)
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 5, 10])
     def test_folds_each_shared_prefix_once(self, depth):
-        # the schedule folds as many letters as the words have distinct
-        # nonempty prefixes, ends one segment at each letter-fold image,
-        # and takes no letter for the odd slopes' words, each a prefix of
-        # its lo-side child's palindrome
+        # the schedule folds exactly the pair factors, the roots and the
+        # palindromic slopes above the last level: the Farey parents of
+        # the odd slopes, and the roots at depth 0, where there is none.
+        # It folds as many letters as their palindromes have distinct
+        # nonempty prefixes and ends one segment at each of their images
         _spectrum_plan.cache_clear()
-        schedule, height, slopes = _spectrum_plan(depth)
+        schedule, height, table = _spectrum_plan(depth)
         ops = [schedule[j:j + 5] for j in range(0, len(schedule), 5)]
         folded = [i for *_, i in ops if i is not None]
-        words = [node.word for node in enumerate_farey(depth)
-                 if node.parents is None
-                 or node.depth < depth - (node.factorization is not None)]
+        factors = [
+            i for i, (lo, level, words) in enumerate(
+                zip(table.lo, table.level, table.words))
+            if lo is None or (len(words) == 1 and level < depth)
+        ]
+        parents = {
+            parent for lo, hi, words in zip(table.lo, table.hi, table.words)
+            if len(words) == 2 for parent in (lo, hi)
+        }
+        assert set(factors) == (parents or {0, 1})
+        assert sorted(folded) == factors
+        words = [table.words[i][0] for i in factors]
         prefixes = {w[:k] for w in words for k in range(1, len(w) + 1)}
-        palindromes = {w[:k] for w in words if is_palindrome(w)
-                       for k in range(1, len(w) + 1)}
         assert sum(end - start for _, _, start, end, _ in ops) == len(prefixes)
-        assert prefixes == palindromes
-        assert len(folded) == len(set(folded)) == len(words)
         assert max(k for k, *_ in ops) + 2 == height
 
     @pytest.mark.parametrize("depth", range(13))
@@ -265,7 +272,7 @@ class TestSpectrum:
         # FareyNodes and a slope lookup, in (q, p) places: the table's
         # order maps each walk place to its (q, p) place. The same flat
         # schedule, and the same six fields per slope, each of the same
-        # type
+        # type; the table holds no odd slope's text
         _spectrum_plan.cache_clear()
         schedule, height, table = _spectrum_plan(depth)
         reference = spectrum_plan_by_nodes(depth)
@@ -276,7 +283,7 @@ class TestSpectrum:
             field for k, word, start, end, i in ops
             for field in (k, word, start, end, None if i is None else at[i])
         ), height) == reference[:2]
-        assert table.word is None
+        assert "word" not in table._fields
         rows = list(zip(table.p, table.q, table.level, table.lo, table.hi, table.words))
         rows = [rows[i] for i in table.order]
         assert [
@@ -371,9 +378,10 @@ def _assert_matches_parent_image_walk(rep, depth):
 
 
 class TestParentImageWalk:
-    """pi_spectrum folds each prefix its slope words share once; the walk
-    it replaced continued every fold from one parent's image. Slope words
-    never cancel, so the split points move no bit."""
+    """pi_spectrum folds each prefix the pair factors' palindromes share
+    once; the walk it replaced continued every fold from one parent's
+    fold, and both read the same products. Slope words never cancel, so
+    the split points move no bit."""
 
     @pytest.mark.parametrize("name", [*GENERATORS, "near_boundary"])
     def test_control_pairs_to_depth_12(self, name):
