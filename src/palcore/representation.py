@@ -39,6 +39,7 @@ from .sl2c import (
     IDENTITY,
     INFINITY,
     GroupElement,
+    _classify_moduli,
     _max4,
     _json_text,
     boundary_key,
@@ -304,12 +305,15 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     """Position of the axis of a palindromic word on the core.
 
     The image is formed in the normalized frame from the word's first half
-    u, folded by sl2c.product with one rep.blocks entry, of up to BLOCK
-    letters, per factor. The fold starts from the first entry, so a half
-    of at most BLOCK letters is that entry, with the bits of its letter
-    fold, and only an empty half (a 1-letter palindrome) starts from the
-    identity. Starting from the identity instead would change no entry but
-    the sign of a zero.
+    u, folded one rep.blocks entry, of up to BLOCK letters, a factor. The
+    fold runs in place: each slice is read off w with its end clipped at
+    the half, and the running entries take sl2c.product's two row updates
+    in four locals, so no half, list of entries or product call is made
+    and every bit is product's. The fold starts from the first entry, so a
+    half of at most BLOCK letters is that entry, with the bits of its
+    letter fold, and only an empty half (a 1-letter palindrome) starts
+    from the identity. Starting from the identity instead would change no
+    entry but the sign of a zero.
 
     Both generators have equal diagonal entries in the normalized frame, so
     the image of reverse(u) is phi(image of u), where phi swaps the
@@ -338,11 +342,13 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
         raise NotPalindrome(f"{w!r} is not a palindrome")
     half = len(w) // 2
     if half:
-        u, blocks = w[:half], rep.blocks
-        al, be, ga, de = product(
-            blocks[u[:BLOCK]],
-            [blocks[u[i:i + BLOCK]] for i in range(BLOCK, half, BLOCK)],
-        )
+        blocks = rep.blocks
+        al, be, ga, de = blocks[w[:BLOCK if BLOCK < half else half]]
+        for i in range(BLOCK, half, BLOCK):
+            j = i + BLOCK
+            e, f, g, h = blocks[w[i:j if j < half else half]]
+            al, be = al * e + be * g, al * f + be * h
+            ga, de = ga * e + de * g, ga * f + de * h
     else:
         al, be, ga, de = IDENTITY
     bg, ad = be * ga, al * de
@@ -361,11 +367,12 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
 
 def _palindrome_position(w: Word, m) -> PiImage:
     """The position of the palindrome w from m, its normalized image (its
-    entries, or a GroupElement), in one pass: the class from one classify
-    call, then |b|, |c| and the entry scale, which give a parabolic image
-    its core-end tag and any other its crossing (_crossing_position). The
-    one palindrome kernel: pi_of_palindrome, rational_pi and
-    probe.pi_spectrum all end here.
+    entries, or a GroupElement), in one pass: |b| and |c| are taken once,
+    and give the class (sl2c._classify_moduli, classify's rule) and, with
+    |a| and |d|, the entry scale, which give a parabolic image its
+    core-end tag and any other its crossing (_crossing_position). The one
+    palindrome kernel: pi_of_palindrome, rational_pi and probe.pi_spectrum
+    all end here.
 
     An exactly parabolic palindrome in the normalized frame is upper or
     lower triangular with equal unit diagonal, so it fixes inf (c = 0, tag
@@ -381,10 +388,10 @@ def _palindrome_position(w: Word, m) -> PiImage:
     if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
         raise OrthogonalityViolation(_NOT_FINITE)
     try:
-        kind = classify(m)
+        abs_b, abs_c = abs(b), abs(c)
+        kind = _classify_moduli(m, a, d, abs_b, abs_c)
         if kind == "identity":
             raise IdentityImage(f"{w!r} evaluates to the identity")
-        abs_b, abs_c = abs(b), abs(c)
         scale = _max4(abs(a), abs_b, abs_c, abs(d))
         if scale < 1.0:
             scale = 1.0

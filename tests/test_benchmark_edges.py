@@ -121,14 +121,17 @@ def test_primitive_word_nodes_carry_slope_word_and_factorization(monkeypatch, mu
 
 
 def test_spectrum_classifies_each_image_once(monkeypatch, mu4):
-    # the tracer's sl2c.classify span: one call per palindrome image and
-    # one per positioned pair's UV; the crossing check makes none
+    # classify's rule, sl2c._classify_moduli, runs once per palindrome
+    # image and once per positioned pair's UV; the crossing check makes
+    # none. The palindrome kernel applies the rule to the moduli it has
+    # taken, so the tracer's sl2c.classify span sees only the pairs' calls
     calls = _spy(monkeypatch, "sl2c", "classify")
+    rule_calls = _spy(monkeypatch, "sl2c", "_classify_moduli")
     spectrum = pi_spectrum(mu4, 12)
     palindromes = sum(len(e.words) == 1 for e in spectrum)
     pairs = sum(e.image is not None and e.image.source == PALINDROME_PAIR
                 for e in spectrum)
-    assert (len(calls), palindromes, pairs) == (2837, 2732, 105)
+    assert (len(rule_calls), len(calls), palindromes, pairs) == (2837, 105, 2732, 105)
 
 
 def _gens(tmp_path, A, B) -> str:

@@ -11,6 +11,7 @@ bits, its source and class, or the refusal's type and text.
 
 import cmath
 import math
+import random
 import sys
 
 import pytest
@@ -29,7 +30,7 @@ from palcore.errors import (
     SingularMatrix,
 )
 from palcore.farey import enumerate_farey, primitive_word
-from palcore.probe import pi_spectrum, witness_search
+from palcore.probe import pi_spectrum, random_word, witness_search
 from palcore.representation import (
     BLOCK,
     PALINDROME_PAIR,
@@ -52,6 +53,7 @@ from .conftest import (
     assert_matches_full_folds, exact_riley_position, random_representation,
 )
 from .oracles import palindrome_position_by_steps, parabolic_end_by_steps
+from .outcome_digest import GENERATORS
 
 # Reference implementations: the element route, one GroupElement per
 # product and per intermediate matrix, with the builtin max and min.
@@ -282,9 +284,36 @@ def assert_witness_candidates_match_the_element_route(rep, max_conj_power, max_w
     return len(seen)
 
 
-def test_witness_grid_candidates_match_the_element_route(mu_half):
-    # CI runs the (12, 3) grid of the benchmark on three pairs
-    assert assert_witness_candidates_match_the_element_route(mu_half, 6, 2) == 3072
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_witness_grid_candidates_match_the_element_route(name):
+    # CI runs the (12, 3) grid of the benchmark on the same four pairs
+    rep = build(*GENERATORS[name])
+    assert assert_witness_candidates_match_the_element_route(rep, 6, 2) == 3072
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_every_half_length_keeps_the_block_fold(name):
+    # pi_of_palindrome folds the half from the palindrome itself, each
+    # slice's end clipped at the half: every half length from 0 to
+    # 3 BLOCK + 1, even and odd, puts the last slice on each side of each
+    # block boundary, and each must keep the outcome of the element route
+    rep = build(*GENERATORS[name])
+    rng = random.Random(3)
+    words = []
+    for half in range(3 * BLOCK + 2):
+        for _ in range(8):
+            u = random_word(rng, half)
+            words.append(Word(u + reverse(u)))
+            middle = rng.choice([x for x in LETTERS if not u or x != u[-1].swapcase()])
+            words.append(Word(u + middle + reverse(u)))
+    assert sorted({len(w) for w in words}) == list(range(2 * (3 * BLOCK + 1) + 2))
+    got = [_outcome(lambda: pi_of_palindrome(rep, w)) for w in words]
+    reference = [
+        _outcome(lambda: _reference_palindrome_position(
+            w, _reference_palindrome_image(rep, w)))
+        for w in words
+    ]
+    assert got == reference
 
 
 # The palindrome route as the library ran it before its lean form: the
