@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from cmath import isfinite
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .config import CLASSIFY_BAND, DEFAULT_GEO, SINGULAR_FLOOR, geo_scaled
@@ -38,6 +38,7 @@ from .geodesics import Geodesic, axis, common_perpendicular
 from .sl2c import (
     IDENTITY,
     INFINITY,
+    Entries,
     GroupElement,
     _classify_moduli,
     _max4,
@@ -61,11 +62,13 @@ PARABOLIC_END = "parabolic-end"
 
 # the longest words Representation.blocks holds, and so the most letters
 # of a palindrome's first half folded per product. The 64,896 halves of
-# witness_search(12, 3) on mu_half, folded from their first entry, took
-# 0.21, 0.17, 0.15, 0.13 and 0.12 s at 4 to 8 (best of 7 on one CPU of a
-# 2-vCPU VM, Python 3.11): 7 and 8 save a further 9-15 % for 3 and 9
-# times the entries (0.4 MB at 6, 3.8 MB at 8), and any other value
-# changes the bits of longer palindromes
+# witness_search(12, 3) on mu_half, each a table entry or, past BLOCK
+# letters, the smaller of itself and its reverse folded from its first
+# entry through the one-entry cache, took 0.17, 0.15, 0.13, 0.11 and
+# 0.11 s at 4 to 8 (best of 7 on one CPU of a 2-vCPU VM, Python 3.11):
+# 7 and 8 save a further 13-18 % for 3 and 9 times the entries (0.4 MB at
+# 6, 3.8 MB at 8), and any other value changes the bits of longer
+# palindromes
 BLOCK = 6
 
 
@@ -301,23 +304,53 @@ def _crossing_position(a, d, abs_b: float, abs_c: float, scale: float,
     return 0.5 * math.log(ratio)
 
 
+@lru_cache(maxsize=1)
+def _half_image(rep: Representation, text: str) -> Entries:
+    """Entries of the image of text, a word of more than BLOCK letters,
+    folded one rep.blocks entry, of up to BLOCK letters, a factor, from
+    the first entry on. The running entries take sl2c.product's two row
+    updates in four locals, so every bit is product's and no list of
+    entries or product call is made.
+
+    pi_of_palindrome passes the smaller text of a palindrome's first half
+    and its reverse, so u reverse(u) and reverse(u) u, which
+    witness_search visits one after the other, share one fold: the second
+    call finds the first one's entries in the one-entry cache. The cache
+    holds the image of text, before any swap, so what a call gets depends
+    on (rep, text) alone, never on the call before it. It keeps the last
+    representation alive, as probe._spectrum_plan keeps the last table.
+    """
+    blocks = rep.blocks
+    al, be, ga, de = blocks[text[:BLOCK]]
+    for i in range(BLOCK, len(text), BLOCK):
+        e, f, g, h = blocks[text[i:i + BLOCK]]
+        al, be = al * e + be * g, al * f + be * h
+        ga, de = ga * e + de * g, ga * f + de * h
+    return al, be, ga, de
+
+
 def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     """Position of the axis of a palindromic word on the core.
 
     The image is formed in the normalized frame from the word's first half
-    u, folded one rep.blocks entry, of up to BLOCK letters, a factor. The
-    fold runs in place: each slice is read off w with its end clipped at
-    the half, and the running entries take sl2c.product's two row updates
-    in four locals, so no half, list of entries or product call is made
-    and every bit is product's. The fold starts from the first entry, so a
-    half of at most BLOCK letters is that entry, with the bits of its
-    letter fold, and only an empty half (a 1-letter palindrome) starts
-    from the identity. Starting from the identity instead would change no
-    entry but the sign of a zero.
+    u. A half of at most BLOCK letters is its rep.blocks entry, with the
+    bits of its letter fold, and only an empty half (a 1-letter
+    palindrome) is the identity. A longer half is folded by _half_image,
+    one rep.blocks entry a factor from the first entry on, as the
+    lexicographically smaller text of u and reverse(u), and its diagonal
+    entries are swapped (phi, below) when reverse(u) is the one folded.
+    So u reverse(u) and reverse(u) u, which witness_search visits one
+    after the other, share one fold, and _half_image's one-entry cache
+    hands the second call the first one's entries: on the (12, 3) grid of
+    mu_half that is 29,448 folds of long halves instead of 58,896.
+    Starting a fold from the identity would change no entry but the sign
+    of a zero.
 
     Both generators have equal diagonal entries in the normalized frame, so
     the image of reverse(u) is phi(image of u), where phi swaps the
-    diagonal entries. With M = [[al, be], [ga, de]] the image of u, the
+    diagonal entries: phi is the transpose about the antidiagonal, which
+    reverses products and fixes every letter's matrix. With
+    M = [[al, be], [ga, de]] the image of u, the
     image of u reverse(u) is M phi(M) = [[D, 2 al be], [2 ga de, D]] with
     D = al de + be ga, and the image of u x reverse(u), with
     L = [[e, f], [g, e]] the middle letter's matrix, is M L phi(M) =
@@ -341,14 +374,15 @@ def pi_of_palindrome(rep: Representation, w: Word) -> PiImage:
     if not is_palindrome(w):
         raise NotPalindrome(f"{w!r} is not a palindrome")
     half = len(w) // 2
-    if half:
-        blocks = rep.blocks
-        al, be, ga, de = blocks[w[:BLOCK if BLOCK < half else half]]
-        for i in range(BLOCK, half, BLOCK):
-            j = i + BLOCK
-            e, f, g, h = blocks[w[i:j if j < half else half]]
-            al, be = al * e + be * g, al * f + be * h
-            ga, de = ga * e + de * g, ga * f + de * h
+    if half > BLOCK:
+        u = w[:half]
+        r = u[::-1]
+        if r < u:
+            de, be, ga, al = _half_image(rep, r)
+        else:
+            al, be, ga, de = _half_image(rep, u)
+    elif half:
+        al, be, ga, de = rep.blocks[w[:half]]
     else:
         al, be, ga, de = IDENTITY
     bg, ad = be * ga, al * de
@@ -475,7 +509,7 @@ def palindromize(rep: Representation, w: Word) -> tuple[Word, PiImage]:
     diagonal entries, written from one expression, and off-diagonal
     entries 2bd and 2ac, so its fixed points have the closed form
     +/-sqrt(P_b / P_c) and the position is ln|P_b / P_c| / 2, with only
-    the len(w) letters of reverse(w) multiplied, BLOCK to a product. Raises
+    the len(w) letters of one half multiplied, BLOCK to a product. Raises
     TrivialPalindromization when P evaluates to (plus or minus) the
     identity, e.g. for half-turn images with axis orthogonal to the core.
     """

@@ -82,12 +82,13 @@ def product(m, factors) -> Entries:
     assignment builds no tuple, where a four-name one builds and unpacks
     one per factor.
 
-    representation.pi_of_palindrome runs the same two row updates in place
-    on a palindrome's first half, reading each slice off the palindrome,
-    so no half, no list of factors and no call is made per candidate: the
-    64,896 half folds of witness_search(mu_half, 12, 3) took 0.166-0.172 s
-    that way against 0.192-0.200 s through this function (best of 21 on
-    one CPU of a 2-vCPU VM, Python 3.11), with the same bits.
+    representation._half_image runs the same two row updates in place on
+    a palindrome's long first half, or its reverse, so no list of factors
+    and no call is made per fold: the half images of the 64,896 candidates
+    of witness_search(mu_half, 12, 3), 29,448 of them folded, took
+    0.115-0.120 s that way against 0.129-0.134 s through this function
+    (best of 21 in each of three processes on one CPU of a 2-vCPU VM,
+    Python 3.11), with the same bits.
     """
     a, b, c, d = m
     for e, f, g, h in factors:

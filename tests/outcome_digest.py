@@ -20,8 +20,8 @@ The input sets:
 - pi_spectrum on mu4 at depths 12 and 14, on mu_half at 10 and on the
   Schottky pair at 12;
 - every candidate of witness_search(rep, 12, 3), 64,896 of them, on
-  mu_half, mu4 and a complex loxodromic pair, in the order the search
-  visits them;
+  mu_half, mu4, a complex loxodromic pair and the Schottky pair, in the
+  order the search visits them;
 - probe(mu_half, 8) with 200 random samples for seeds 0 to 3: spectrum,
   samples, interval, growth, verdict, witnesses and Jorgensen value;
 - the palcore command line, run in process through palcore.cli.main: the
@@ -202,7 +202,7 @@ def input_sets():
         yield f"{name} pi_spectrum depth {depth}", map(
             _entry_line, pi_spectrum(pairs[name], depth)
         )
-    for name in ("mu_half", "mu4", "complex"):
+    for name in ("mu_half", "mu4", "complex", "schottky"):
         yield f"{name} witness_search{WITNESS_GRID}", _candidate_lines(pairs[name])
     for seed in PROBE_SEEDS:
         yield f"mu_half probe depth 8, 200 samples, seed {seed}", _probe_lines(

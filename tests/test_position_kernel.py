@@ -38,6 +38,7 @@ from palcore.representation import (
     PARABOLIC_END,
     PiImage,
     _crossing_position,
+    _half_image,
     _pair_position,
     _palindrome_position,
     build,
@@ -169,15 +170,22 @@ def _reference_parabolic_end(m, eps):
 
 def _reference_palindrome_image(rep, w, block=BLOCK):
     # the first half is folded block letters a product, each slice's image
-    # itself folded letter by letter from the identity; block=None folds
-    # the half letter by letter, as the library did before its blocks table
+    # itself folded letter by letter from the identity; a half longer than
+    # block is folded as the smaller text of itself and its reverse, and
+    # the image of the reverse is the half's with its diagonal entries
+    # swapped; block=None folds the half letter by letter, as the library
+    # did before its blocks table
     half = len(w) // 2
+    u = w[:half]
     if block is None:
-        m = _reference_evaluate(rep, w[:half])
+        m = _reference_evaluate(rep, u)
     else:
+        text = min(u, u[::-1]) if half > block else u
         m = GroupElement(1 + 0j, 0j, 0j, 1 + 0j)
         for i in range(0, half, block):
-            m = _reference_mul(m, _reference_evaluate(rep, w[i:min(i + block, half)]))
+            m = _reference_mul(m, _reference_evaluate(rep, text[i:i + block]))
+        if text != u:
+            m = GroupElement(m.d, m.b, m.c, m.a)
     al, be, ga, de = m.a, m.b, m.c, m.d
     bg, ad = be * ga, al * de
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
@@ -251,11 +259,11 @@ def _outcome(position):
         return _refusal(exc)
 
 
-def assert_witness_candidates_match_the_element_route(rep, max_conj_power, max_word_len):
-    """Every candidate of witness_search(rep, max_conj_power, max_word_len),
-    recorded at its pi_of_palindrome call, has the outcome of the element
-    route, refusal texts included. The search must find no witness, so it
-    visits all of them; returns how many it visited."""
+def witness_candidate_outcomes(rep, max_conj_power, max_word_len):
+    """(word, outcome) for every candidate of witness_search(rep,
+    max_conj_power, max_word_len), recorded at its pi_of_palindrome call,
+    in the order the search visits them. The search must find no witness,
+    so it visits all of them."""
     probe_module = sys.modules["palcore.probe"]
     seen = []
 
@@ -275,6 +283,14 @@ def assert_witness_candidates_match_the_element_route(rep, max_conj_power, max_w
         probe_module.pi_of_palindrome = pi_of_palindrome
     vocabulary = sum(4 * 3 ** (k - 1) for k in range(1, max_word_len + 1))
     assert len(seen) == vocabulary * vocabulary * max_conj_power * 2
+    return seen
+
+
+def assert_witness_candidates_match_the_element_route(rep, max_conj_power, max_word_len):
+    """Every candidate of witness_search(rep, max_conj_power, max_word_len)
+    has the outcome of the element route, refusal texts included; returns
+    how many the search visited."""
+    seen = witness_candidate_outcomes(rep, max_conj_power, max_word_len)
     reference = [
         _outcome(lambda: _reference_palindrome_position(
             w, _reference_palindrome_image(rep, w)))
@@ -298,11 +314,31 @@ def test_witness_grid_candidates_match_the_element_route_on_other_pairs(name):
 
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_witness_candidates_do_not_depend_on_call_order(name):
+    # pi_of_palindrome keeps the fold of the last long half in a one-entry
+    # cache, keyed on the smaller text of the half and its reverse; each
+    # candidate's outcome must be the same in the search's order, in the
+    # reverse order and with the cache cleared before each call
+    rep = build(*GENERATORS[name])
+    seen = witness_candidate_outcomes(rep, 6, 2)
+    in_order = [outcome for _, outcome in seen]
+
+    def cleared(w):
+        _half_image.cache_clear()
+        return pi_of_palindrome(rep, w)
+
+    backwards = [_outcome(lambda: pi_of_palindrome(rep, w)) for w, _ in reversed(seen)]
+    assert backwards[::-1] == in_order
+    assert [_outcome(lambda: cleared(w)) for w, _ in seen] == in_order
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_every_half_length_keeps_the_block_fold(name):
-    # pi_of_palindrome folds the half from the palindrome itself, each
-    # slice's end clipped at the half: every half length from 0 to
-    # 3 BLOCK + 1, even and odd, puts the last slice on each side of each
-    # block boundary, and each must keep the outcome of the element route
+    # pi_of_palindrome folds a half of more than BLOCK letters as the
+    # smaller of itself and its reverse, in BLOCK-letter slices: every half
+    # length from 0 to 3 BLOCK + 1, even and odd, puts the last slice on
+    # each side of each block boundary, and each must keep the outcome of
+    # the element route
     rep = build(*GENERATORS[name])
     rng = random.Random(3)
     words = []
@@ -327,14 +363,19 @@ def test_every_half_length_keeps_the_block_fold(name):
 # run on every image, equal diagonal entries included. The lean route
 # starts the fold at the first block and tests only where a != d; the
 # identity product changes no entry but the sign of a zero, and a residual
-# of 0 never refuses, so every outcome must be the same.
+# of 0 never refuses, so every outcome must be the same. Both fold a half
+# of more than BLOCK letters as the smaller text of itself and its
+# reverse, and swap the diagonal entries when the reverse was folded.
 
 
 def _identity_fold_image(rep, w):
     half = len(w) // 2
     u = w[:half]
-    slices = [u[i:i + BLOCK] for i in range(0, half, BLOCK)]
+    text = min(u, u[::-1]) if half > BLOCK else u
+    slices = [text[i:i + BLOCK] for i in range(0, half, BLOCK)]
     al, be, ga, de = product(IDENTITY, map(rep.blocks.__getitem__, slices))
+    if text != u:
+        al, de = de, al
     bg, ad = be * ga, al * de
     diag = 1 + 2 * bg if abs(bg) <= abs(ad) else 2 * ad - 1
     if len(w) % 2 == 0:

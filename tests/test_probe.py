@@ -44,6 +44,7 @@ from palcore.representation import (
     PALINDROME_WORD,
     PARABOLIC_END,
     PiImage,
+    _half_image,
     _palindrome_position,
     build,
     pi_of_pair,
@@ -763,6 +764,16 @@ class TestWitnessSearch:
         assert witness_search(mu_half, 12, 3) is None
         assert len(seen) == 2 * 52 * 52 * 12 == 64_896
         assert len(set(seen)) == 24_324
+
+    def test_each_long_half_is_folded_once(self, mu_half):
+        # U reverse(U) and reverse(U) U have halves that are each other's
+        # reverse, and pi_of_palindrome folds the smaller of the two, so the
+        # second call of each pair finds the first one's fold in the cache:
+        # 29,448 of the grid's pairs have halves of more than BLOCK letters
+        _half_image.cache_clear()
+        assert witness_search(mu_half, 12, 3) is None
+        info = _half_image.cache_info()
+        assert (info.misses, info.hits) == (29_448, 29_448)
 
     @pytest.mark.parametrize("s_escape", [math.nan, 0.0, -1.0])
     def test_escape_must_be_positive(self, rep1, s_escape):

@@ -345,9 +345,10 @@ class TestHalfFormImage:
 
     @pytest.mark.parametrize("name", _HALF_FORM_REPS)
     def test_positions_match_the_full_fold(self, name, request):
-        # measured over these 200 palindromes per pair, first halves folded
-        # in BLOCK-letter slices: worst |ds| 2.9e-14 (mu_half), at most
-        # 4.5e-15 elsewhere; no entry changes kind
+        # measured over these 200 palindromes per pair, first halves (or,
+        # past BLOCK letters, the smaller of a half and its reverse) folded
+        # in BLOCK-letter slices: worst |ds| 7.1e-14 (mu_half), at most
+        # 5.6e-15 elsewhere; no entry changes kind
         rep = _named_rep(name, request)
         palindromes = _long_palindromes(5, 200)
         assert {len(w) % 2 for w in palindromes} == {0, 1}
