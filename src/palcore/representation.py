@@ -10,7 +10,8 @@ Positions are computed in a normalized frame: the core is moved to
 [0, inf] with its lexicographically smaller endpoint at 0, and the
 remaining diagonal freedom is pinned by placing the first proper generator
 axis (or, for two parabolics, the double altitude of the pair) at position
-0. The pin makes Pi values conjugation invariant.
+0. The pin makes Pi values invariant under a conjugation that keeps the
+order of the core's endpoints; one that reverses it negates them.
 """
 from __future__ import annotations
 
@@ -261,8 +262,8 @@ def _crossing_position(a, d, abs_b: float, abs_c: float, scale: float,
                        length: int) -> float:
     """Position where the axis of m = [[a, b], [c, d]], a product of length
     generator matrices, crosses the core [0, inf], from its diagonal
-    entries, the moduli |b| and |c| and the entry scale max(1, |a|, |b|,
-    |c|, |d|) its caller has taken.
+    entries, the moduli |b| and |c| and the entry scale its caller has
+    taken (max(1, |a|, |b|, |c|, |d|), or max|T| for a pair's T).
 
     m is expected to have (anti)symmetric diagonal in the normalized frame:
     equal diagonal entries for a palindrome image, trace zero for a double
@@ -276,16 +277,14 @@ def _crossing_position(a, d, abs_b: float, abs_c: float, scale: float,
     Refusals, each an OrthogonalityViolation: an off-diagonal entry below
     SINGULAR_FLOOR times the scale, past which |b/c|, taken as |b|/|c|,
     lies within 1e+/-12, so its root and log are defined; and fixed points
-    that are not antipodal. By Vieta's formulas the fixed points of a
-    unimodular m sum to (a - d)/c and multiply to -b/c, so they count as
+    that are not antipodal. By Vieta's formulas the fixed points of m, at
+    any scale, sum to (a - d)/c and multiply to -b/c, so they count as
     antipodal, within eps = geo_scaled(length) of their modulus sqrt|b/c|,
     when |a - d|/|c| <= eps max(1, sqrt|b/c|); no quadratic is solved.
     That bound, eps max(|c|, sqrt|bc|) on |a - d|, is at most eps times
     the scale, so unequal diagonal entries need no test of their own.
     The test, and the tolerance with it, is taken only when a != d: for
-    finite a == d the residual is exactly 0, which no tolerance refuses. A
-    palindrome image from pi_of_palindrome has both diagonal entries from
-    one expression, so it never reaches the test.
+    finite a == d the residual is exactly 0, which no tolerance refuses.
     """
     if abs_b <= SINGULAR_FLOOR * scale or abs_c <= SINGULAR_FLOOR * scale:
         raise OrthogonalityViolation(
@@ -449,9 +448,9 @@ def _palindrome_position(w: Word, m) -> PiImage:
 def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
     """Position of the double altitude of a palindrome pair on the core.
 
-    With U, V the images of the pair, T = UVVU - VUUV is trace zero; its
-    normalization is the half-turn about the common perpendicular of the
-    axes of UV and VU, which crosses the core orthogonally. The position of
+    With U, V the images of the pair, T = UVVU - VUUV is trace zero, a
+    multiple of the half-turn about the common perpendicular of the axes
+    of UV and VU, which crosses the core orthogonally. The position of
     that crossing is returned. The recorded element class is that of UV.
     """
     for w in (u, v):
@@ -464,36 +463,26 @@ def pi_of_pair(rep: Representation, u: Word, v: Word) -> PiImage:
 def _pair_position(u: Word, v: Word, U, V) -> PiImage:
     """pi_of_pair from U and V, the normalized images of the palindromes u
     and v (entries or GroupElements). The four products are entry tuples,
-    each one sl2c.product; the difference uvvu - vuuv and the moduli of
-    both are written out entry by entry, in entry order, so no iterator or
-    argument tuple is built for them. A double altitude with an entry
-    that is not finite, and products whose entries have a modulus past the
-    float range, are refused as overflowed."""
+    each one sl2c.product, and T = uvvu - vuuv is read as formed: its axis
+    endpoints +/-sqrt(b/c) do not move when it is scaled, so max|T|,
+    unclamped, is the scale of its crossing's floor. A modulus of uvvu
+    past the float range, and then an entry of T that is not finite, are
+    refused as overflowed before the commutation test, whose band an
+    overflowed uvvu would widen to every T."""
     try:
         uv, vu = product(U, (V,)), product(V, (U,))
         a, b, c, d = product(uv, (vu,))
         e, f, g, h = product(vu, (uv,))
-        w, x, y, z = t_raw = (a - e, b - f, c - g, d - h)
         scale = _max4(abs(a), abs(b), abs(c), abs(d))
-        if _max4(abs(w), abs(x), abs(y), abs(z)) <= CLASSIFY_BAND * (
-            scale if scale > 1.0 else 1.0
-        ):
-            raise CommutingPair(f"images of {u!r} and {v!r} commute")
-        try:
-            t = normalize(t_raw)
-        except SingularMatrix as exc:
-            raise CommutingPair(
-                f"double altitude of {u!r}, {v!r} is not determined"
-            ) from exc
-        a, b, c, d = t
-        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+        w, x, y, z = a - e, b - f, c - g, d - h
+        if not (isfinite(w) and isfinite(x) and isfinite(y) and isfinite(z)):
             raise OrthogonalityViolation(_NOT_FINITE)
-        abs_b, abs_c = abs(b), abs(c)
-        scale = _max4(abs(a), abs_b, abs_c, abs(d))
-        if scale < 1.0:
-            scale = 1.0
+        abs_x, abs_y = abs(x), abs(y)
+        t_scale = _max4(abs(w), abs_x, abs_y, abs(z))
+        if t_scale <= CLASSIFY_BAND * (scale if scale > 1.0 else 1.0):
+            raise CommutingPair(f"images of {u!r} and {v!r} commute")
         return tuple.__new__(PiImage, (
-            _crossing_position(a, d, abs_b, abs_c, scale, len(u) + len(v)),
+            _crossing_position(w, z, abs_x, abs_y, t_scale, len(u) + len(v)),
             PALINDROME_PAIR, classify(uv),
         ))
     except OverflowError:

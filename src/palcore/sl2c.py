@@ -201,23 +201,23 @@ def normalize_input(m) -> GroupElement:
     return g
 
 
-def is_identity(g, eps: float = CLASSIFY_BAND) -> bool:
-    """True iff g is within eps of the identity up to sign: the minimum,
-    over the two signs, of the maximum entry distance to +I or -I is at
-    most eps.
+def is_identity(g) -> bool:
+    """True iff g is within CLASSIFY_BAND of the identity up to sign: the
+    minimum, over the two signs, of the maximum entry distance to +I or -I
+    is at most the band.
 
     Both distances are at least max(|b|, |c|), so an off-diagonal entry
-    past eps answers False at once. A NaN entry is not past eps, so it
-    meets the full comparison.
+    past the band answers False at once. A NaN entry is not past the band,
+    so it meets the full comparison.
     """
     a, b, c, d = g
     abs_b, abs_c = abs(b), abs(c)
-    if abs_b > eps or abs_c > eps:
+    if abs_b > CLASSIFY_BAND or abs_c > CLASSIFY_BAND:
         return False
     direct = _max4(abs(a - 1), abs_b, abs_c, abs(d - 1))
     flipped = _max4(abs(a + 1), abs_b, abs_c, abs(d + 1))
     # min(direct, flipped), compared as the builtin compares
-    return (flipped if flipped < direct else direct) <= eps
+    return (flipped if flipped < direct else direct) <= CLASSIFY_BAND
 
 
 def classify(g) -> str:
@@ -248,9 +248,7 @@ def _classify_moduli(g, a, d, abs_b: float, abs_c: float) -> str:
     that call. A NaN modulus is not past the band and meets is_identity's
     full comparison.
     """
-    if not (abs_b > CLASSIFY_BAND or abs_c > CLASSIFY_BAND) and is_identity(
-        g, CLASSIFY_BAND
-    ):
+    if not (abs_b > CLASSIFY_BAND or abs_c > CLASSIFY_BAND) and is_identity(g):
         return "identity"
     t = a + d
     t2 = t * t

@@ -127,17 +127,23 @@ def _reference_fixed_points(g, kind):
     return tuple(sorted((r1, r2), key=boundary_key))
 
 
-def _reference_crossing_position(m, eps, kind=None):
+def _reference_crossing_position(m, eps, kind=None, raw=None):
     # keeps the two refusals the library dropped as unreachable ("endpoint
     # on a core end" and "disagrees with quadratic solve"), so every
-    # comparison on real images also confirms that neither fires
-    scale = max(1.0, _reference_max_norm(m))
-    if abs(m.b) <= SINGULAR_FLOOR * scale or abs(m.c) <= SINGULAR_FLOOR * scale:
+    # comparison on real images also confirms that neither fires. raw, for
+    # a pair, is the double altitude m normalizes: s and the floor are read
+    # off its entries, relative to its unclamped entry scale, as the kernel
+    # reads them, and the quadratic solve still runs on m
+    if raw is None:
+        raw, scale = m, max(1.0, _reference_max_norm(m))
+    else:
+        scale = _reference_max_norm(raw)
+    if abs(raw.b) <= SINGULAR_FLOOR * scale or abs(raw.c) <= SINGULAR_FLOOR * scale:
         raise OrthogonalityViolation(
             "off-diagonal entry below the certifiable floor, axis endpoint "
             "indistinguishable from a core end"
         )
-    s = 0.5 * math.log(abs(m.b) / abs(m.c))
+    s = 0.5 * math.log(abs(raw.b) / abs(raw.c))
     tr = m.a + m.d
     disc = tr * tr - 4
     if abs(disc) > 1e-10 * max(1.0, abs(tr) * abs(tr)):
@@ -216,14 +222,13 @@ def _reference_pair_position(u, v, U, V):
     uvvu = _reference_mul(uv, vu)
     t_raw = uvvu - _reference_mul(vu, uv)
     scale = _reference_max_norm(uvvu)
+    if not all(map(cmath.isfinite, t_raw)):
+        raise OrthogonalityViolation("image overflowed: an entry is not finite")
     if _reference_max_norm(t_raw) <= CLASSIFY_BAND * max(1.0, scale):
         raise CommutingPair(f"images of {u!r} and {v!r} commute")
-    try:
-        t = _reference_normalize(t_raw)
-    except SingularMatrix as exc:
-        raise CommutingPair(f"double altitude of {u!r}, {v!r} is not determined") from exc
     eps = DEFAULT_GEO * max(1, len(u) + len(v))
-    return PiImage(_reference_crossing_position(t, eps), PALINDROME_PAIR,
+    t = _reference_normalize(t_raw)
+    return PiImage(_reference_crossing_position(t, eps, raw=t_raw), PALINDROME_PAIR,
                    _reference_classify(uv))
 
 

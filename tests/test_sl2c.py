@@ -30,9 +30,9 @@ from .conftest import loxodromic_between, random_loxodromic, random_mobius
 from .oracles import psl_distance
 
 
-def _reference_is_identity(g, eps):
+def _reference_is_identity(g):
     """is_identity as it was: the distance to a built identity element."""
-    return psl_distance(g, IDENTITY) <= eps
+    return psl_distance(g, IDENTITY) <= CLASSIFY_BAND
 
 
 def _outcome(fn, *args):
@@ -45,7 +45,16 @@ def _outcome(fn, *args):
 
 _complex_st = st.complex_numbers(allow_nan=True, allow_infinity=True)
 _matrix_st = st.builds(GroupElement, _complex_st, _complex_st, _complex_st, _complex_st)
-# perturbations around the default classify band 1e-9, signed zeros included
+# the classify band and its neighbouring floats, signed: an off-diagonal
+# entry of such a part puts a matrix's distance to the identity on the
+# band or one float to either side of it, where is_identity's answer turns
+_band_edge_st = st.sampled_from(tuple(
+    sign * x for sign in (1, -1) for x in (
+        math.nextafter(CLASSIFY_BAND, 0.0), CLASSIFY_BAND,
+        math.nextafter(CLASSIFY_BAND, 1.0),
+    )
+))
+# perturbations around the classify band 1e-9, signed zeros included
 _perturbation_st = st.one_of(
     st.just(0j),
     st.just(complex(-0.0, -0.0)),
@@ -55,8 +64,9 @@ _perturbation_st = st.one_of(
         st.floats(-3e-9, 3e-9),
         st.floats(-3e-9, 3e-9),
     ),
+    st.builds(complex, _band_edge_st, st.sampled_from((0.0, -0.0))),
+    st.builds(complex, st.sampled_from((0.0, -0.0)), _band_edge_st),
 )
-_eps_st = st.sampled_from((0.0, 1e-12, CLASSIFY_BAND, 2e-9, 1e-6, float("inf")))
 # entry parts that reach the edge cases of the arithmetic: signed zeros,
 # infinities, NaN, and parts whose modulus together is past the float range
 _part_st = st.one_of(
@@ -82,7 +92,7 @@ def _reference_product(m, factors):
 
 def _reference_classify(g):
     """classify as it was: is_identity first, on every matrix."""
-    if is_identity(g, CLASSIFY_BAND):
+    if is_identity(g):
         return "identity"
     a, _, _, d = g
     t = a + d
@@ -177,41 +187,45 @@ class TestProjectiveEquality:
         assert psl_distance(GroupElement(2, 1, 1, 1), IDENTITY) > 1e-6
 
     def test_is_identity_both_signs(self):
-        assert is_identity(IDENTITY, 1e-12)
-        assert is_identity(-IDENTITY, 1e-12)
-        assert not is_identity(GroupElement(1, 1e-3, 0, 1), 1e-12)
+        assert is_identity(IDENTITY)
+        assert is_identity(-IDENTITY)
+        assert not is_identity(GroupElement(1, 1e-3, 0, 1))
+
+    def test_is_identity_band_is_closed(self):
+        # the distance CLASSIFY_BAND itself is within the band, the next
+        # float past it is not
+        assert is_identity(GroupElement(1, CLASSIFY_BAND, 0, 1))
+        assert is_identity(GroupElement(-1, 0, -CLASSIFY_BAND, -1))
+        past = math.nextafter(CLASSIFY_BAND, 1.0)
+        assert not is_identity(GroupElement(1, past, 0, 1))
+        assert not is_identity(GroupElement(-1, 0, -past, -1))
 
     # abs(d - 1) overflows to OverflowError for this d, on both sides; in
-    # the second, |c| = 1 is past eps, so is_identity answers False before
-    # it takes that distance; in the third, |c| itself overflows
+    # the second, |c| = 1 is past the band, so is_identity answers False
+    # before it takes that distance; in the third, |c| itself overflows
     @example(GroupElement(1 + 0j, 0j, 0j, complex(1.2711610061536464e308,
-                                                  1.2711610061536464e308)), 0.0)
+                                                  1.2711610061536464e308)))
     @example(GroupElement(0j, 0j, 1j, complex(1.2711610061536462e308,
-                                              1.2711610061536464e308)), 0.0)
+                                              1.2711610061536464e308)))
     @example(GroupElement(0j, 1j, complex(1.2711610061536462e308,
-                                          1.2711610061536464e308), 0j), 0.0)
-    @given(_matrix_st, _eps_st)
-    def test_is_identity_matches_reference_on_any_matrix(self, g, eps):
-        expected = _outcome(_reference_is_identity, g, eps)
+                                          1.2711610061536464e308), 0j))
+    @given(_matrix_st)
+    def test_is_identity_matches_reference_on_any_matrix(self, g):
+        expected = _outcome(_reference_is_identity, g)
         off_diagonal = _outcome(lambda: (abs(g.b), abs(g.c)))
         if expected is OverflowError and isinstance(off_diagonal, tuple) and (
-            off_diagonal[0] > eps or off_diagonal[1] > eps
+            off_diagonal[0] > CLASSIFY_BAND or off_diagonal[1] > CLASSIFY_BAND
         ):
             # the distance the reference overflows on is at least |b| and
-            # |c|, so it is past eps: the answer is False
+            # |c|, so it is past the band: the answer is False
             expected = False
-        assert _outcome(is_identity, g, eps) == expected
+        assert _outcome(is_identity, g) == expected
 
     @given(st.sampled_from((1, -1)), _perturbation_st, _perturbation_st,
-           _perturbation_st, _perturbation_st, _eps_st)
-    def test_is_identity_matches_reference_near_identity(
-        self, sign, da, db, dc, dd, eps
-    ):
+           _perturbation_st, _perturbation_st)
+    def test_is_identity_matches_reference_near_identity(self, sign, da, db, dc, dd):
         g = GroupElement(sign + da, db, dc, sign + dd)
-        assert is_identity(g, eps) == _reference_is_identity(g, eps)
-        # the distance itself is the sharpest threshold: equal at the boundary
-        dist = psl_distance(g, IDENTITY)
-        assert is_identity(g, dist) == _reference_is_identity(g, dist)
+        assert is_identity(g) == _reference_is_identity(g)
 
 
 class TestClassify:
