@@ -43,7 +43,7 @@ from .sl2c import (
     classify,
     fixed_points,
     matrix_from_json,
-    normalize_input,
+    normalize,
 )
 from .words import is_palindrome
 
@@ -146,9 +146,9 @@ def _write_json(value, write, pad: str, dumps) -> None:
     """value in json's indent-2 layout, pad being the newline and the
     indent of the line it starts on: a dict, whose keys are strs, and a
     list or tuple member by member, and any other value as dumps writes
-    it. A member with a json_text method (probe's spectrum and sample
-    entries) is written by that method, from its fields, in the same write
-    as its separator."""
+    it. A member with a json_text method (a probe spectrum entry, which
+    reports hold by the thousand) is written by that method, from its
+    fields, in the same write as its separator."""
     if isinstance(value, dict):
         members = zip([f"{dumps(key)}: " for key in value], value.values())
         ends = "{}"
@@ -210,7 +210,7 @@ _OUT = _option("--out", "-", "output path, - for stdout")
 @_command("classify", (("matrix_json",), {"metavar": "MATRIX_JSON"}))
 def cmd_classify(matrix_json: str) -> None:
     """Classify a matrix: MATRIX_JSON like "[[1,1],[0,1]]"."""
-    m = normalize_input(matrix_from_json(json.loads(matrix_json)))
+    m = normalize(matrix_from_json(json.loads(matrix_json)))
     kind = classify(m)
     record: dict = {
         "class": kind,

@@ -46,7 +46,9 @@ Slope = tuple[int, int]
 
 
 def validate_slope(p: int, q: int) -> None:
-    if not (isinstance(p, int) and isinstance(q, int)):
+    # a bool is an int to isinstance, but True/False is no slope
+    if (not (isinstance(p, int) and isinstance(q, int))
+            or isinstance(p, bool) or isinstance(q, bool)):
         raise InvalidRational(f"slope entries must be integers, got {p!r}/{q!r}")
     if p < 0 or q < 0:
         raise InvalidRational(f"negative slope {p}/{q} is out of range")

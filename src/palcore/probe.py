@@ -115,20 +115,6 @@ class SampleEntry(NamedTuple):
             out["error"] = self.error
         return out
 
-    def json_text(self, pad: str) -> str:
-        """to_json's object as text, as SpectrumEntry.json_text writes its
-        own."""
-        base, word, image, error = self
-        keys = pad + "  "
-        text = f'{{{keys}"base": {_quote(base)}'
-        if word is not None:
-            text += f',{keys}"word": {_quote(word)}'
-        if image is not None:
-            text += _image_text(image, None, keys)
-        if error is not None:
-            text += f',{keys}"error": {_quote(error)}'
-        return f"{text}{pad}}}"
-
 
 # the JSON text of the strings that entries repeat: the routes and the
 # isometry types of a position
@@ -144,21 +130,19 @@ def _quote(text: str) -> str:
     return _QUOTED.get(text) or json.dumps(text)
 
 
-def _image_text(image: PiImage, word: str | None, keys: str) -> str:
-    """The members PiImage.to_json gives, as json.dump(..., indent=2)
+def _image_text(image: PiImage, word: str, keys: str) -> str:
+    """The members PiImage.to_json(word) gives, as json.dump(..., indent=2)
     writes them after an earlier member, each on a line that starts with
-    keys; word is the JSON text of the word, or None for no word member.
-    A finite s is written as JSON writes a float, a tag at a core end as
-    the text "inf" or "-inf" to_json gives, and NaN as JSON writes it."""
+    keys; word is the JSON text of the word. A finite s is written as JSON
+    writes a float, a tag at a core end as the text "inf" or "-inf" to_json
+    gives, and NaN as JSON writes it."""
     s, source, kind = image
     if s - s == 0:
         s_text = repr(s)
     else:
         s_text = '"inf"' if s > 0 else '"-inf"' if s < 0 else "NaN"
-    text = f',{keys}"s": {s_text},{keys}"source": {_quote(source)}'
-    if word is not None:
-        text += f',{keys}"word": {word}'
-    return f'{text},{keys}"class": {_quote(kind)}'
+    return (f',{keys}"s": {s_text},{keys}"source": {_quote(source)}'
+            f',{keys}"word": {word},{keys}"class": {_quote(kind)}')
 
 
 class WitnessRecord(NamedTuple):
@@ -515,9 +499,10 @@ class ProbeReport(NamedTuple):
     jorgensen: JorgensenResult
 
     def json_fields(self) -> dict:
-        """to_json's object with the spectrum and the samples left as
-        their entries, which a streamed writer formats one by one
-        (SpectrumEntry.json_text): the probe command writes its report so.
+        """to_json's object with the spectrum left as its entries, which a
+        streamed writer formats one by one (SpectrumEntry.json_text): the
+        probe command writes its report so. The samples are their to_json
+        dicts already, as no workload writes them by the thousand.
         """
         return {
             "depth": self.depth,
@@ -526,7 +511,9 @@ class ProbeReport(NamedTuple):
             "s_escape": self.s_escape,
             "plateau_delta": DEFAULT_PLATEAU,
             "spectrum": self.spectrum,
-            "random_palindrome_samples": self.random_palindrome_samples,
+            "random_palindrome_samples": [
+                e.to_json() for e in self.random_palindrome_samples
+            ],
             "interval": list(self.interval) if self.interval is not None else None,
             "growth": list(self.growth),
             "verdict": self.verdict,
@@ -537,9 +524,6 @@ class ProbeReport(NamedTuple):
     def to_json(self) -> dict:
         out = self.json_fields()
         out["spectrum"] = [e.to_json() for e in self.spectrum]
-        out["random_palindrome_samples"] = [
-            e.to_json() for e in self.random_palindrome_samples
-        ]
         return out
 
 

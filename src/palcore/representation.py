@@ -50,7 +50,6 @@ from .sl2c import (
     is_identity,
     matrix_from_json,
     normalize,
-    normalize_input,
     product,
 )
 from .words import (
@@ -211,8 +210,8 @@ def build(a_raw, b_raw) -> Representation:
     generators and an identity generator), SingularMatrix for degenerate
     input.
     """
-    A = normalize_input(a_raw)
-    B = normalize_input(b_raw)
+    A = normalize(a_raw)
+    B = normalize(b_raw)
     ax_a = _generator_axis(A)
     ax_b = _generator_axis(B)
     try:

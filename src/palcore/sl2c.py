@@ -167,10 +167,9 @@ def normalize(m) -> GroupElement:
     """Scale the matrix m to determinant one by the principal square root.
 
     Raises SingularMatrix when |det| is below SINGULAR_FLOOR relative to the
-    squared entry scale, and, naming the overflow, when det is infinite or a
-    modulus is past the float range, where abs() raises. A NaN det fails no
-    test and gives NaN entries, which the position checks refuse; see
-    normalize_input for matrices from outside the program.
+    squared entry scale, and, naming the overflow, when det is infinite, when
+    a modulus is past the float range, where abs() raises, and when det is
+    NaN because the entry products overflowed (inf - inf).
     """
     a, b, c, d = m
     det = a * d - b * c
@@ -181,24 +180,15 @@ def normalize(m) -> GroupElement:
         scale = size = math.inf
     if math.isinf(size):
         raise SingularMatrix(f"entry scale {scale:.3g} overflows the determinant check")
+    if math.isnan(size):
+        raise SingularMatrix(
+            "determinant overflows to NaN: entry products are past the float range"
+        )
     # |det| / scale against the floor times scale: scale squared may overflow
     if scale == 0.0 or size / scale <= SINGULAR_FLOOR * scale:
         raise SingularMatrix(f"determinant {det} too small relative to entries")
     s = cmath.sqrt(det)
     return GroupElement(a / s, b / s, c / s, d / s)
-
-
-def normalize_input(m) -> GroupElement:
-    """normalize for a matrix from outside the program: it also refuses,
-    naming the overflow, a determinant that is NaN because the entry
-    products overflowed (inf - inf), which normalize passes on."""
-    g = normalize(m)
-    a, b, c, d = m
-    if cmath.isnan(a * d - b * c):
-        raise SingularMatrix(
-            "determinant overflows to NaN: entry products are past the float range"
-        )
-    return g
 
 
 def is_identity(g) -> bool:

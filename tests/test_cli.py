@@ -652,9 +652,9 @@ _point_st = st.just(INFINITY) | st.builds(complex, st.floats(-1e3, 1e3), st.floa
 
 
 class TestReportWriter:
-    """The streamed writer formats spectrum and sample entries from their
-    fields and everything else through json.dumps; its bytes are those of
-    json.dumps(to_json(), indent=2) on any report."""
+    """The streamed writer formats spectrum entries from their fields and
+    everything else, the samples' dicts included, through json.dumps; its
+    bytes are those of json.dumps(to_json(), indent=2) on any report."""
 
     @given(_report_st)
     def test_probe_report(self, report):

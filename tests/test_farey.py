@@ -68,6 +68,13 @@ class TestValidation:
         with pytest.raises(InvalidRational):
             validate_slope(1.5, 2)
 
+    @pytest.mark.parametrize("p, q", [(True, False), (True, 2), (1, True), (False, 1)])
+    def test_rejects_booleans(self, p, q):
+        # a bool is an int to isinstance: True/False would read as 1/0
+        for check in (validate_slope, christoffel, primitive_word):
+            with pytest.raises(InvalidRational, match="must be integers"):
+                check(p, q)
+
 
 class TestParents:
     """The parents and depth a slope's node carries."""

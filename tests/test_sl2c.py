@@ -169,6 +169,12 @@ class TestNormalize:
         with pytest.raises(SingularMatrix):
             normalize(GroupElement(1, 1, 1, 1))
 
+    def test_determinant_overflowing_to_nan_is_named(self):
+        # the entry products overflow to inf, and their difference is NaN
+        with pytest.raises(SingularMatrix, match="^determinant overflows to NaN: "
+                           "entry products are past the float range$"):
+            normalize(GroupElement(1e200, 1e200, 1e200, 1e200))
+
     def test_scale_invariant_up_to_sign(self):
         rng = random.Random(11)
         for _ in range(20):
